@@ -24,8 +24,10 @@ Measures, with the paper's 110-example corpus:
 * **E10e** — result-cache reuse: the same remote matrix submitted to a
   fresh server cold, resubmitted (persistent-cache hit), resubmitted
   against a *restarted* server on the same state dir (hit with a cold
-  engine), and grown by 10 examples (prefix extension) — the
-  speedups the ``MatrixCache`` buys repeat and grown-corpus traffic.
+  engine), and grown by 10 examples — a result-cache ``miss`` whose
+  already-seen values the pair layers (in-memory pair cache and
+  ``PairStore``) answer, so only pairs involving the appended examples
+  reach the kernel — the speedups repeat and grown-corpus traffic get.
 
 * **E10f** — pair-store reuse: reordered, subset, and interleaved
   resubmits of a previously computed corpus, cold (fresh state dir)
@@ -222,8 +224,9 @@ def bench_result_cache(corpus_size: int = 40, extend_by: int = 10) -> Dict[str, 
     One fresh state dir: a cold submission (every kernel pair evaluated),
     an identical resubmission (served from the persistent result cache),
     the same resubmission after a server restart (cache hit with a
-    completely cold engine), and a grown corpus (cached prefix reused,
-    only the appended rows computed).  Single-shot wall clocks — cache
+    completely cold engine), and a grown corpus (a result-cache miss
+    answered by the pair layers, so only pairs involving the appended
+    examples are evaluated).  Single-shot wall clocks — cache
     hits are one-time events per state, so medians would lie.
     """
     import tempfile

@@ -137,8 +137,10 @@ class AnalysisSession:
         (:class:`~repro.core.cachestore.MatrixCache`, or a directory path
         one is opened at).  When set, :meth:`matrix` serves identical
         ``(spec, corpus)`` requests from disk bit-identically — across
-        sessions and processes sharing the directory — and extends cached
-        prefixes instead of recomputing them.
+        sessions and processes sharing the directory.  It answers exact
+        hits only; a corpus that merely overlaps a cached one is computed
+        through the engine, whose pair layers (see *pair_store*) supply
+        the overlapping values.
     pair_store:
         Optional persistent pair-value store
         (:class:`~repro.core.pairstore.PairStore`, or a directory path one
@@ -227,7 +229,7 @@ class AnalysisSession:
 
         The engine (and its pair/self-value caches) persists for the session
         lifetime: a sweep revisiting a spec, or an interactive client asking
-        for an extended corpus, hits the warm caches instead of recomputing.
+        for a grown corpus, hits the warm caches instead of recomputing.
         Engines are shared between specs whose :func:`kernel signatures
         <repro.api.spec.spec_signature>` agree — the signature strips
         value-irrelevant parameters (e.g. Kast ``backend="numpy"`` vs
@@ -352,7 +354,6 @@ class AnalysisSession:
         strings: Sequence[WeightedString],
         normalized: bool = True,
         repair: bool = True,
-        cache_path: Optional[str] = None,
         use_cache: bool = True,
     ) -> KernelMatrix:
         """Labelled kernel matrix over *strings* under *spec*.
@@ -361,14 +362,10 @@ class AnalysisSession:
         :class:`~repro.core.cachestore.MatrixCache` (and *use_cache* is
         left on), the result cache is consulted first: an identical
         cached corpus is served bit-identically with zero kernel
-        evaluations, and a cached prefix is extended (only the appended
-        rows are computed).  *cache_path* enables the engine's per-file
-        stamped persistence instead (the two are mutually exclusive; a
-        given *cache_path* wins).
+        evaluations.
         """
         matrix, _ = self.matrix_cached(
-            spec, strings, normalized=normalized, repair=repair,
-            cache_path=cache_path, use_cache=use_cache,
+            spec, strings, normalized=normalized, repair=repair, use_cache=use_cache
         )
         return matrix
 
@@ -378,43 +375,26 @@ class AnalysisSession:
         strings: Sequence[WeightedString],
         normalized: bool = True,
         repair: bool = True,
-        cache_path: Optional[str] = None,
         use_cache: bool = True,
     ) -> Tuple[KernelMatrix, str]:
         """:meth:`matrix` plus the result-cache outcome.
 
         Returns ``(matrix, status)`` where *status* is ``"hit"`` (served
-        verbatim from the cache), ``"extended"`` (cached prefix reused,
-        appended rows computed), ``"miss"`` (computed cold and stored) or
-        ``"bypass"`` (no cache, *use_cache* off, or *cache_path* given).
+        verbatim from the cache), ``"miss"`` (computed through the engine
+        and stored) or ``"bypass"`` (no cache, or *use_cache* off).
         """
         string_list = list(strings)
-        cache = self.matrix_cache if (use_cache and cache_path is None and string_list) else None
-        if cache is None:
-            matrix = self.engine(spec).compute(
-                string_list, normalized=normalized, repair=repair, cache_path=cache_path
-            )
-            return matrix, "bypass"
         engine = self.engine(spec)
+        if not (use_cache and self.matrix_cache is not None and string_list):
+            return engine.compute(string_list, normalized=normalized, repair=repair), "bypass"
         found = self.matrix_cache_lookup(spec, string_list, normalized=normalized)
         if found.status == "hit":
             matrix = KernelMatrix.from_dict(found.payload)
             status = "hit"
         else:
-            base: Optional[KernelMatrix] = None
-            base_fingerprints: Optional[List[str]] = None
-            if found.status == "prefix":
-                base = KernelMatrix.from_dict(found.payload)
-                base_fingerprints = [str(item) for item in found.payload["fingerprints"]]
-            matrix = engine.matrix(
-                string_list,
-                normalized=normalized,
-                base=base,
-                base_fingerprints=base_fingerprints,
-                base_signature=engine.kernel_signature() if base is not None else None,
-            )
+            matrix = engine.matrix(string_list, normalized=normalized)
             self.matrix_cache_store(spec, string_list, matrix)
-            status = "extended" if base is not None else "miss"
+            status = "miss"
         if repair and not matrix.is_positive_semidefinite():
             matrix = matrix.repaired()
         return matrix, status
@@ -428,9 +408,8 @@ class AnalysisSession:
         """Result-cache probe for ``(spec, strings)``; a miss when disabled.
 
         Service front ends use this directly when they need the raw
-        lookup — e.g. to skip distributed block tasks already covered by
-        a cached prefix — while plain callers go through
-        :meth:`matrix_cached`.
+        lookup — e.g. to answer a distributed job before planning any
+        block task — while plain callers go through :meth:`matrix_cached`.
         """
         if self.matrix_cache is None:
             return CacheLookup("miss")

@@ -137,7 +137,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--shards",
         type=int,
         default=1,
-        help="default block-shard count for matrix jobs that do not request one (default: 1)",
+        help="default block-shard count for distributed matrix jobs that do not request one (default: 1)",
     )
     serve.add_argument("--n-jobs", type=int, default=1, help="engine workers (default: 1)")
     serve.add_argument(
@@ -423,7 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--shards",
         type=int,
         default=None,
-        help="block-shard count for the job (1 = monolithic; default: the server's default)",
+        help="block-shard count for a --distributed job (default: the server's default)",
     )
     remote_matrix.add_argument(
         "--distributed",

@@ -4,14 +4,14 @@
 * :mod:`repro.core.features` — inspectable pairwise embeddings;
 * :mod:`repro.core.matrix` — labelled kernel matrices over corpora;
 * :mod:`repro.core.engine` — the Gram-matrix evaluation engine (pair
-  caching, parallel workers, on-disk persistence);
+  caching, parallel workers, stamped matrix payloads);
 * :mod:`repro.core.pairstore` — the persistent content-addressed store of
   individual kernel pair values shared across sessions and processes;
 * :mod:`repro.core.normalization` — cosine normalisation, centring and the
   negative-eigenvalue repair used in section 4.1 of the paper.
 """
 
-from repro.core.engine import GramEngine, load_matrix, save_matrix
+from repro.core.engine import GramEngine
 from repro.core.features import KastEmbedding, KastFeature, Occurrence
 from repro.core.kast import KAST_BACKENDS, KastSpectrumKernel, kast_kernel_value
 from repro.core.matrix import KernelMatrix, compute_kernel_matrix
@@ -26,8 +26,6 @@ from repro.core.normalization import (
 
 __all__ = [
     "GramEngine",
-    "load_matrix",
-    "save_matrix",
     "KastEmbedding",
     "KastFeature",
     "Occurrence",

@@ -7,12 +7,13 @@ the engine's stamped matrix payloads
 (:meth:`~repro.core.engine.GramEngine.matrix_payload`) on disk, keyed by
 the value-relevant kernel signature and the corpus content, so that
 
-* resubmitting the *same* ``(spec, corpus)`` matrix job — to a live
-  server, a restarted one, or a sibling sharing the state dir — is served
-  from the cache bit-identically, with zero kernel evaluations;
-* submitting a corpus that *extends* a cached one reuses the cached
-  prefix through the engine's incremental-extension path, computing only
-  the appended rows/blocks.
+resubmitting the *same* ``(spec, corpus)`` matrix job — to a live
+server, a restarted one, or a sibling sharing the state dir — is served
+from the cache bit-identically, with zero kernel evaluations.  The cache
+answers exact hits only: a corpus that merely overlaps a cached one
+(grown, reordered, subset) is a miss, and its overlapping values come
+from the engine's pair layers (the in-memory pair cache and the
+persistent :class:`~repro.core.pairstore.PairStore`) instead.
 
 Layout
 ------
@@ -26,17 +27,17 @@ entry::
             <key>.payload.json   # the stamped matrix payload (pre-repair)
 
 ``<key>`` digests the full entry identity, so distinct corpora under one
-signature coexist.  Every write is an atomic temp-file + ``os.replace``;
-payloads are sha256-stamped into their meta file and verified on load, so
-a torn or foreign file is discarded (and removed) instead of served.
+signature coexist and a lookup reads exactly one entry: the one whose key
+the request's identity hashes to.  Every write is an atomic temp-file +
+``os.replace``; payloads are sha256-stamped into their meta file and
+verified on load, so a torn or foreign file is discarded (and removed)
+instead of served.
 Several processes may share one cache directory: racing writers of the
-same key write byte-identical content (payloads are deterministic), and
-damaged pairs self-heal on the next lookup.
+same key write byte-identical content (payloads are deterministic), and a
+damaged entry self-heals on the next lookup of its key.
 
 Entries store the **pre-repair** matrix.  PSD repair is deterministic and
-cheap next to kernel evaluation, so callers re-apply it after a hit — and
-the pre-repair form is exactly what the engine's incremental extension
-needs, keeping extended matrices bit-identical to cold computations.
+cheap next to kernel evaluation, so callers re-apply it after a hit.
 
 Eviction is LRU (meta-file mtime, touched on every hit) bounded by
 ``max_entries``, plus an optional TTL; :meth:`sweep` enforces both and is
@@ -78,7 +79,7 @@ def payload_identity(payload: Dict[str, Any]) -> Dict[str, Any]:
     Extracts (and validates the presence of) everything a cache key needs:
     the spec-derived ``kernel_signature``, the per-example content
     ``fingerprints``, the example ``names``/``labels`` and the
-    ``normalized`` flag.  Payloads written by :meth:`GramEngine.save` /
+    ``normalized`` flag.  Payloads built by
     :meth:`GramEngine.matrix_payload` always carry all of them; anything
     else is refused — an unstamped payload cannot prove what it describes.
     """
@@ -110,18 +111,11 @@ class CacheLookup:
     """Outcome of one :meth:`MatrixCache.lookup`.
 
     ``status`` is ``"hit"`` (exact corpus match; ``payload`` is the full
-    stamped payload), ``"prefix"`` (``payload`` covers the longest cached
-    strict prefix of the requested corpus) or ``"miss"`` (``payload`` is
-    ``None``).
+    stamped payload) or ``"miss"`` (``payload`` is ``None``).
     """
 
     status: str
     payload: Optional[Dict[str, Any]] = None
-
-    @property
-    def covered(self) -> int:
-        """How many leading examples of the request the entry covers."""
-        return len(self.payload["fingerprints"]) if self.payload is not None else 0
 
 
 _MISS = CacheLookup("miss")
@@ -130,7 +124,6 @@ _MISS = CacheLookup("miss")
 @dataclass
 class _Counters:
     hits: int = 0
-    prefix_hits: int = 0
     misses: int = 0
     stores: int = 0
     evictions: int = 0
@@ -186,14 +179,15 @@ class MatrixCache:
     # ------------------------------------------------------------------
     # Lookup
     # ------------------------------------------------------------------
-    def _load_meta(self, bucket: str, key: str) -> Optional[Dict[str, Any]]:
-        """The entry's validated meta, or ``None`` (removing damage)."""
+    def _load_meta(self, bucket: str, key: str, identity: Dict[str, Any]) -> Optional[Dict[str, Any]]:
+        """The entry's meta if it describes *identity*, or ``None`` (removing damage)."""
         try:
             with open(self._meta_path(bucket, key), "r", encoding="utf-8") as handle:
                 meta = json.load(handle)
             if not isinstance(meta, dict) or meta.get("v") != _ENTRY_VERSION:
                 raise ValueError(f"unsupported cache entry version {meta.get('v') if isinstance(meta, dict) else meta!r}")
-            payload_identity(meta)  # same required stamps as a payload
+            if payload_identity(meta) != identity:
+                raise ValueError("meta identity does not match its entry key")
             if not isinstance(meta.get("payload_sha256"), str):
                 raise ValueError("meta carries no payload checksum")
             return meta
@@ -220,20 +214,6 @@ class MatrixCache:
             self._remove_entry(bucket, key)
             return None
 
-    @staticmethod
-    def _prefix_length(meta: Dict[str, Any], fingerprints: Sequence[str], names: Sequence[str], labels: Sequence[Optional[str]]) -> int:
-        """Entry size when the entry is a (non-strict) prefix of the request, else -1."""
-        size = len(meta["fingerprints"])
-        if size > len(fingerprints):
-            return -1
-        if (
-            meta["fingerprints"] == list(fingerprints[:size])
-            and meta["names"] == list(names[:size])
-            and meta["labels"] == list(labels[:size])
-        ):
-            return size
-        return -1
-
     def lookup(
         self,
         signature: str,
@@ -242,52 +222,34 @@ class MatrixCache:
         names: Sequence[str],
         labels: Sequence[Optional[str]],
     ) -> CacheLookup:
-        """Best cached entry for the requested corpus under *signature*.
+        """The cached entry whose corpus identity equals the request.
 
-        An entry whose corpus identity equals the request is an exact
-        ``"hit"``; otherwise the *longest* cached strict prefix (matched
-        by fingerprint, name and label, never by name alone) is returned
-        as ``"prefix"``.  A served entry's meta file is touched, feeding
-        the LRU order.
+        The entry key is computed from the request identity, so a lookup
+        reads one meta file and its payload, whatever else the signature's
+        bucket holds.  The meta's identity and the payload checksum are
+        verified before anything is served; a served entry's meta file is
+        touched, feeding the LRU order.
         """
-        bucket = self._bucket_dir(signature)
-        fingerprints = [str(item) for item in fingerprints]
-        names = [str(item) for item in names]
-        labels = [item if item is None else str(item) for item in labels]
-        best_key: Optional[str] = None
-        best_meta: Optional[Dict[str, Any]] = None
-        best_size = -1
-        try:
-            entries = sorted(
-                name[: -len(".meta.json")]
-                for name in os.listdir(bucket)
-                if name.endswith(".meta.json")
-            )
-        except FileNotFoundError:
-            entries = []
-        for key in entries:
-            meta = self._load_meta(bucket, key)
-            if meta is None or meta["kernel_signature"] != signature or meta["normalized"] != normalized:
-                continue
-            size = self._prefix_length(meta, fingerprints, names, labels)
-            if size > best_size:
-                best_key, best_meta, best_size = key, meta, size
-                if size == len(fingerprints):
-                    break
-        if best_key is None or best_meta is None or best_size <= 0:
-            self._counts.misses += 1
-            return _MISS
-        payload = self._load_payload(bucket, best_key, best_meta)
+        # Normalised exactly as store() normalises a payload, so equal
+        # identities hash to the same key.
+        identity = payload_identity({
+            "kernel_signature": signature,
+            "normalized": normalized,
+            "fingerprints": list(fingerprints),
+            "names": list(names),
+            "labels": list(labels),
+        })
+        bucket = self._bucket_dir(identity["kernel_signature"])
+        key = _entry_key(identity)
+        meta = self._load_meta(bucket, key, identity)
+        payload = self._load_payload(bucket, key, meta) if meta is not None else None
         if payload is None:
             self._counts.misses += 1
             return _MISS
         with contextlib.suppress(OSError):
-            os.utime(self._meta_path(bucket, best_key))
-        if best_size == len(fingerprints):
-            self._counts.hits += 1
-            return CacheLookup("hit", payload)
-        self._counts.prefix_hits += 1
-        return CacheLookup("prefix", payload)
+            os.utime(self._meta_path(bucket, key))
+        self._counts.hits += 1
+        return CacheLookup("hit", payload)
 
     # ------------------------------------------------------------------
     # Store
@@ -296,10 +258,9 @@ class MatrixCache:
         """Persist a stamped matrix payload; returns its entry key.
 
         The payload must carry the engine stamps (see
-        :func:`payload_identity`) and should be the *pre-repair* matrix —
-        the form the engine's incremental extension consumes.  Writing the
-        payload first and its meta second means a crash in between leaves
-        an orphan payload no lookup will ever serve.
+        :func:`payload_identity`) and should be the *pre-repair* matrix.
+        Writing the payload first and its meta second means a crash in
+        between leaves an orphan payload no lookup will ever serve.
         """
         identity = payload_identity(payload)
         if not identity["fingerprints"]:
@@ -415,7 +376,6 @@ class MatrixCache:
         """
         return {
             "hits": self._counts.hits,
-            "prefix_hits": self._counts.prefix_hits,
             "misses": self._counts.misses,
             "stores": self._counts.stores,
             "evictions": self._counts.evictions,

@@ -14,10 +14,13 @@ construction can exploit in one place:
   over a ``concurrent.futures`` thread pool (``n_jobs`` workers).  The numpy
   kernel backend spends its time in ufunc sweeps that release the GIL, so
   threads give real speedup without any pickling cost;
-* **on-disk persistence with incremental extension** — a computed matrix
-  can be saved as JSON (via :meth:`KernelMatrix.as_dict`); when the engine
-  is later asked for a corpus whose prefix matches a saved matrix, only the
-  rows/columns of the newly appended strings are evaluated.
+* **persistent pair-value store** — with a
+  :class:`~repro.core.pairstore.PairStore` attached, values missing from
+  the in-memory caches are fetched by content fingerprint before any
+  kernel evaluation, so a corpus overlapping earlier work in any way
+  (grown, reordered, subset) costs only its novel pairs.  Finished
+  matrices are persisted by :class:`~repro.core.cachestore.MatrixCache`
+  from :meth:`GramEngine.matrix_payload`.
 
 The engine is deterministic: the values it produces are identical for any
 ``n_jobs`` (workers only ever compute independent pairs; assembly order is
@@ -27,8 +30,6 @@ fixed).
 from __future__ import annotations
 
 import hashlib
-import json
-import os
 import threading
 from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
@@ -43,8 +44,6 @@ from repro.strings.tokens import Token, WeightedString
 
 __all__ = [
     "GramEngine",
-    "save_matrix",
-    "load_matrix",
     "string_fingerprint",
     "plan_index_blocks",
     "block_index_pairs",
@@ -127,44 +126,6 @@ def string_fingerprint(string: WeightedString) -> str:
         _FINGERPRINT_MEMO.clear()
     _FINGERPRINT_MEMO[id(string)] = (string, value)
     return value
-
-
-def _write_json_atomic(payload: Dict[str, Any], path: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    temporary = f"{path}.tmp"
-    with open(temporary, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle)
-    os.replace(temporary, path)
-
-
-def save_matrix(
-    matrix: KernelMatrix,
-    path: str,
-    fingerprints: Optional[Sequence[str]] = None,
-    kernel_signature: Optional[str] = None,
-) -> None:
-    """Persist *matrix* as JSON (atomically, via a temporary file).
-
-    *fingerprints* (one per example, see :func:`string_fingerprint`) and
-    *kernel_signature* are stored alongside :meth:`KernelMatrix.as_dict`
-    so a later load can prove the cached values still describe the same
-    corpus content and kernel configuration.  Prefer
-    :meth:`GramEngine.save`, which cannot omit the stamps.
-    """
-    payload = matrix.as_dict()
-    if fingerprints is not None:
-        payload["fingerprints"] = list(fingerprints)
-    if kernel_signature is not None:
-        payload["kernel_signature"] = kernel_signature
-    _write_json_atomic(payload, path)
-
-
-def load_matrix(path: str) -> KernelMatrix:
-    """Load a matrix previously written by :func:`save_matrix`."""
-    with open(path, "r", encoding="utf-8") as handle:
-        payload = json.load(handle)
-    return KernelMatrix.from_dict(payload)
 
 
 # ----------------------------------------------------------------------
@@ -591,7 +552,6 @@ class GramEngine:
         strings: Sequence[WeightedString],
         raw_by_pair: Dict[Tuple[int, int], float],
         normalized: bool = True,
-        base: Optional[KernelMatrix] = None,
     ) -> np.ndarray:
         """Assemble a full Gram array from raw off-diagonal pair values.
 
@@ -602,30 +562,11 @@ class GramEngine:
         denominators come from the engine's cached self values, so merging
         separately computed blocks yields bit-identical values to a
         monolithic :meth:`gram` call.
-
-        When *base* is a previously assembled matrix covering a leading
-        prefix of *strings* (the caller vouches for the content match —
-        e.g. a result-cache entry verified by corpus fingerprints), its
-        block is copied verbatim and *raw_by_pair* only needs to cover
-        pairs involving an appended index — the assembly arithmetic of the
-        engine's incremental extension, so an extended matrix stays
-        bit-identical to a cold full computation.
         """
         string_list = list(strings)
         count = len(string_list)
         gram = np.zeros((count, count), dtype=float)
         filled = np.zeros((count, count), dtype=bool)
-        covered = 0
-        if base is not None:
-            if base.normalized != normalized:
-                raise ValueError(
-                    f"base matrix normalized={base.normalized} does not match normalized={normalized}"
-                )
-            covered = len(base)
-            if covered > count:
-                raise ValueError(f"base matrix ({covered}) is larger than the corpus ({count})")
-            gram[:covered, :covered] = base.values
-            filled[:covered, :covered] = True
         self_values = self.self_values(string_list)
         for (i, j), raw in raw_by_pair.items():
             entry = normalize_kernel_value(raw, self_values[i], self_values[j]) if normalized else raw
@@ -637,7 +578,7 @@ class GramEngine:
         if not filled.all():
             missing = int(np.argwhere(~filled)[0][0]), int(np.argwhere(~filled)[0][1])
             raise ValueError(f"raw_by_pair does not cover pair {missing} of a {count}-string corpus")
-        for i in range(covered, count):
+        for i in range(count):
             gram[i, i] = 1.0 if normalized and self_values[i] > 0 else self_values[i]
         return gram
 
@@ -802,7 +743,7 @@ class GramEngine:
         return [(key, float(self.kernel.value(strings[i], strings[j]))) for key, (i, j) in chunk]
 
     # ------------------------------------------------------------------
-    # Labelled matrices, persistence and incremental extension
+    # Labelled matrices and their stamped payload
     # ------------------------------------------------------------------
     def kernel_signature(self) -> str:
         """String identifying every kernel option that affects values.
@@ -828,8 +769,8 @@ class GramEngine:
         fields (:meth:`KernelMatrix.as_dict`) plus the content fingerprints
         of *strings*, the spec-derived kernel signature and — when the
         engine has a declarative spec — the spec itself, so a payload is
-        self-describing.  Used by :meth:`save` and the CLI ``matrix``
-        command.
+        self-describing.  Used by the result cache, the service and the
+        CLI ``matrix`` command.
         """
         string_list = list(strings)
         if len(string_list) != len(matrix):
@@ -843,176 +784,25 @@ class GramEngine:
             payload["kernel_spec"] = self.spec.to_dict()
         return payload
 
-    def save(self, matrix: KernelMatrix, path: str, strings: Sequence[WeightedString]) -> None:
-        """Persist *matrix*, always stamping fingerprints and kernel signature.
-
-        Unlike the module-level :func:`save_matrix` (whose metadata arguments
-        are optional), the engine method cannot produce an unstamped file:
-        every matrix it writes carries the full :meth:`matrix_payload`
-        metadata, so stale-cache detection can never be silently skipped.
-        """
-        _write_json_atomic(self.matrix_payload(matrix, strings), path)
-
-    def matrix(
-        self,
-        strings: Sequence[WeightedString],
-        normalized: bool = True,
-        base: Optional[KernelMatrix] = None,
-        base_fingerprints: Optional[Sequence[str]] = None,
-        base_signature: Optional[str] = None,
-    ) -> KernelMatrix:
-        """Labelled (pre-repair) kernel matrix over *strings*.
-
-        When *base* is a previously computed matrix whose examples form a
-        prefix of *strings* (matched by name, kernel and normalisation
-        mode — and, when *base_fingerprints*/*base_signature* are given,
-        by string content and full kernel configuration), its block is
-        reused verbatim and only pairs involving the appended strings are
-        evaluated.
-        """
+    def matrix(self, strings: Sequence[WeightedString], normalized: bool = True) -> KernelMatrix:
+        """Labelled (pre-repair) kernel matrix over *strings*."""
         string_list = list(strings)
-        names = tuple(string.name for string in string_list)
-        labels = tuple(string.label for string in string_list)
-        values: Optional[np.ndarray] = None
-        if base is not None and self._base_is_prefix(
-            base, string_list, names, normalized, base_fingerprints, base_signature
-        ):
-            values = self._extend_values(base, string_list, normalized)
-        if values is None:
-            values = self.gram(string_list, normalized=normalized)
         return KernelMatrix(
-            values=values,
-            names=names,
-            labels=labels,
+            values=self.gram(string_list, normalized=normalized),
+            names=tuple(string.name for string in string_list),
+            labels=tuple(string.label for string in string_list),
             kernel_name=self.kernel.name,
             normalized=normalized,
         )
-
-    def _base_is_prefix(
-        self,
-        base: KernelMatrix,
-        strings: List[WeightedString],
-        names: Tuple[str, ...],
-        normalized: bool,
-        base_fingerprints: Optional[Sequence[str]] = None,
-        base_signature: Optional[str] = None,
-    ) -> bool:
-        if not (
-            base.kernel_name == self.kernel.name
-            and base.normalized == normalized
-            and len(base) <= len(names)
-            and tuple(base.names) == names[: len(base)]
-        ):
-            return False
-        if base_signature is not None and base_signature != self.kernel_signature():
-            return False
-        if base_fingerprints is not None:
-            if len(base_fingerprints) != len(base):
-                return False
-            current = [string_fingerprint(string) for string in strings[: len(base)]]
-            if list(base_fingerprints) != current:
-                return False
-        return True
-
-    def _extend_values(
-        self,
-        base: KernelMatrix,
-        strings: List[WeightedString],
-        normalized: bool,
-    ) -> np.ndarray:
-        existing = len(base)
-        count = len(strings)
-        values = np.zeros((count, count), dtype=float)
-        values[:existing, :existing] = base.values
-        if existing == count:
-            return values
-        self_values = self.self_values(strings)
-        pairs = [(i, j) for j in range(existing, count) for i in range(j)]
-        raw_by_pair = self.evaluate_pairs(strings, pairs)
-        for (i, j), raw in raw_by_pair.items():
-            entry = normalize_kernel_value(raw, self_values[i], self_values[j]) if normalized else raw
-            values[i, j] = entry
-            values[j, i] = entry
-        for i in range(existing, count):
-            values[i, i] = 1.0 if normalized and self_values[i] > 0 else self_values[i]
-        return values
-
-    def extend(self, base: KernelMatrix, strings: Sequence[WeightedString], normalized: bool = True) -> KernelMatrix:
-        """Extend *base* to cover *strings* (which must start with base's examples)."""
-        string_list = list(strings)
-        names = tuple(string.name for string in string_list)
-        if not self._base_is_prefix(base, string_list, names, normalized):
-            raise ValueError(
-                "base matrix does not match the corpus prefix "
-                f"(kernel {base.kernel_name!r} vs {self.kernel.name!r}, {len(base)} vs {len(names)} examples)"
-            )
-        return self.matrix(string_list, normalized=normalized, base=base)
 
     def compute(
         self,
         strings: Sequence[WeightedString],
         normalized: bool = True,
         repair: bool = True,
-        cache_path: Optional[str] = None,
     ) -> KernelMatrix:
-        """One-call matrix computation with optional on-disk persistence.
-
-        When *cache_path* exists and its stored corpus fingerprints and
-        kernel signature match, its matrix seeds the computation (full
-        reuse if the corpus is unchanged, incremental extension if strings
-        were appended); any mismatch — including same-named strings whose
-        content changed — triggers a full recomputation.  The *pre-repair*
-        matrix is written back, so later extensions stay exact.
-        """
-        string_list = list(strings)
-        base: Optional[KernelMatrix] = None
-        base_fingerprints: Optional[List[str]] = None
-        base_signature: Optional[str] = None
-        if cache_path is not None and os.path.exists(cache_path):
-            try:
-                with open(cache_path, "r", encoding="utf-8") as handle:
-                    payload = json.load(handle)
-                base = KernelMatrix.from_dict(payload)
-                stored_fingerprints = payload.get("fingerprints")
-                base_fingerprints = (
-                    [str(item) for item in stored_fingerprints]
-                    if isinstance(stored_fingerprints, list)
-                    # Files without fingerprints cannot prove content
-                    # identity: an empty list always mismatches a
-                    # non-empty corpus prefix, forcing recomputation.
-                    else []
-                )
-                base_signature = str(payload.get("kernel_signature", ""))
-            # Any malformed file — wrong JSON shape included — falls back
-            # to recomputation, as documented.
-            except (ValueError, KeyError, TypeError, AttributeError, OSError, json.JSONDecodeError):
-                base = None
-                base_fingerprints = None
-                base_signature = None
-
-        names = tuple(string.name for string in string_list)
-        full_hit = (
-            base is not None
-            and len(base) == len(string_list)
-            and tuple(base.labels) == tuple(string.label for string in string_list)
-            and self._base_is_prefix(
-                base, string_list, names, normalized, base_fingerprints, base_signature
-            )
-        )
-        if full_hit:
-            # Nothing changed: reuse the stored matrix verbatim and skip the
-            # rewrite (no point re-serialising an identical O(n^2) file).
-            matrix = base
-        else:
-            matrix = self.matrix(
-                string_list,
-                normalized=normalized,
-                base=base,
-                base_fingerprints=base_fingerprints,
-                base_signature=base_signature,
-            )
-            if cache_path is not None:
-                self.save(matrix, cache_path, string_list)
+        """One-call matrix computation, PSD-repaired when *repair* is on."""
+        matrix = self.matrix(strings, normalized=normalized)
         if repair and not matrix.is_positive_semidefinite():
             matrix = matrix.repaired()
         return matrix

@@ -165,13 +165,11 @@ def compute_kernel_matrix(
     repair: bool = True,
     n_jobs: int = 1,
     engine: Optional["GramEngine"] = None,
-    cache_path: Optional[str] = None,
 ) -> KernelMatrix:
     """Compute the kernel matrix of *strings* under *kernel*.
 
     The computation goes through a :class:`~repro.core.engine.GramEngine`,
-    which provides symmetric pair caching, parallel evaluation and optional
-    on-disk persistence.
+    which provides symmetric pair caching and parallel evaluation.
 
     Parameters
     ----------
@@ -189,12 +187,9 @@ def compute_kernel_matrix(
     engine:
         Optional pre-built engine; passing one lets callers reuse its pair
         and self-value caches across several matrix computations.
-    cache_path:
-        Optional JSON file backing the matrix: loaded (and incrementally
-        extended) when present, written after computation.
     """
     from repro.core.engine import GramEngine  # local import: engine depends on this module
 
     if engine is None:
         engine = GramEngine(kernel, n_jobs=n_jobs)
-    return engine.compute(list(strings), normalized=normalized, repair=repair, cache_path=cache_path)
+    return engine.compute(list(strings), normalized=normalized, repair=repair)

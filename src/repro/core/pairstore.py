@@ -1,9 +1,9 @@
 """Persistent, content-addressed store of individual kernel pair values.
 
-:class:`~repro.core.cachestore.MatrixCache` (PR 5) reuses *finished*
-matrices — exact corpus matches and prefixes.  Any reordering, subset, or
-interleaving of already-seen traces misses it and recomputes every kernel
-value, which is exactly the overlap pattern a high-traffic service sees.
+:class:`~repro.core.cachestore.MatrixCache` reuses *finished*
+matrices — exact corpus matches only.  Any growth, reordering, subset, or
+interleaving of already-seen traces misses it and would recompute every
+kernel value, which is exactly the overlap pattern a high-traffic service sees.
 :class:`PairStore` closes that gap one level down: it persists *individual*
 raw kernel values ``k(a, b)`` keyed by
 

@@ -1,11 +1,12 @@
-"""REP001 — atomic-write discipline in persistent state-dir layers.
+"""REP001 — atomic-write discipline across the whole package.
 
-Every store layer persists JSON under the unique-temp + ``os.replace``
-contract (see :mod:`repro.core.atomicio`): a bare ``open(path, "w")`` or
-``Path.write_text`` in one of those modules is a torn-file bug waiting
+Every file the package writes goes through the unique-temp +
+``os.replace`` contract (see :mod:`repro.core.atomicio`): a bare
+``open(path, "w")`` or ``Path.write_text`` is a torn-file bug waiting
 for a crash, and a pid-only temp name is a collision waiting for two
-threads (the PR 5 temp-file collision).  This rule flags, inside the
-scoped modules:
+threads of one process.  The rule scans every module under ``repro/``,
+so a write added to a module nobody thought to list is still caught,
+and flags:
 
 * write-mode builtin ``open(...)`` calls, **unless** the enclosing
   function itself implements the full idiom — an ``os.replace`` call
@@ -28,16 +29,8 @@ from repro.devtools.lint.findings import Finding
 from repro.devtools.lint.registry import Checker, register_checker
 from repro.devtools.lint.source import Project, SourceFile
 
-#: Modules whose on-disk writes are durable state (or operator contracts)
-#: and must therefore be atomic.
-SCOPE = (
-    "repro/service/jobstore.py",
-    "repro/service/worker.py",
-    "repro/core/cachestore.py",
-    "repro/core/pairstore.py",
-    "repro/streaming/store.py",
-    "repro/cli.py",
-)
+#: Every module of the package: all of its file writes must be atomic.
+SCOPE = ("repro/*",)
 
 #: The one module allowed to open temp files bare: it *is* the idiom.
 EXEMPT = ("repro/core/atomicio.py",)

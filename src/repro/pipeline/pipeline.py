@@ -150,15 +150,13 @@ class AnalysisPipeline:
         self,
         strings: Sequence[WeightedString],
         kernel: Optional[StringKernel] = None,
-        cache_path: Optional[str] = None,
     ) -> KernelMatrix:
         """Compute the normalised, PSD-repaired kernel matrix.
 
         The computation goes through the :class:`~repro.core.engine.GramEngine`
         with the configured worker count.  *kernel* overrides the configured
         kernel (the cut-weight sweep passes kernels sharing one token
-        interner); *cache_path* enables the engine's on-disk matrix
-        persistence.  With a bound session (and no kernel override) the
+        interner).  With a bound session (and no kernel override) the
         matrix comes from the session's warm engine for this configuration's
         kernel spec — note the session's execution policy (its ``n_jobs``
         and ``executor``) then applies, not this configuration's ``n_jobs``.
@@ -169,7 +167,6 @@ class AnalysisPipeline:
                 list(strings),
                 normalized=True,
                 repair=True,
-                cache_path=cache_path,
             )
         if kernel is None:
             kernel = self.config.build_kernel()
@@ -179,7 +176,6 @@ class AnalysisPipeline:
             normalized=True,
             repair=True,
             n_jobs=self.config.n_jobs,
-            cache_path=cache_path,
         )
 
     def analyse_matrix(

@@ -400,7 +400,7 @@ class ServiceClient:
 
         ``enabled`` is ``False`` when the server runs without a matrix
         result cache; otherwise the top level carries entry counts,
-        payload bytes and the hit/extension/miss/store/eviction counters
+        payload bytes and the hit/miss/store/eviction counters
         of :meth:`MatrixCache.stats
         <repro.core.cachestore.MatrixCache.stats>`.  The ``pair_store``
         key reports the pair-value store the same way (its own
@@ -441,8 +441,8 @@ class ServiceClient:
     ) -> str:
         """Queue a matrix job; returns its id.
 
-        ``shards > 1`` block-shards the evaluation; ``distributed=True``
-        additionally persists the blocks as leasable worker tasks, so
+        ``distributed=True`` splits the evaluation into ``shards`` index
+        blocks and persists them as leasable worker tasks, so
         ``repro-iokast worker`` processes sharing the server's state dir
         execute them (values stay bit-identical either way).
         ``use_cache=False`` makes the server bypass its persistent result
@@ -630,7 +630,7 @@ class ServiceClient:
         """Submit + wait, returning ``{"job_id", "payload", "cache", "trace_id"}``.
 
         ``cache`` is the server's result-cache outcome for the job —
-        ``"hit"``, ``"extended"``, ``"miss"`` or ``"bypass"`` (``None``
+        ``"hit"``, ``"miss"`` or ``"bypass"`` (``None``
         when talking to a server predating the cache).  ``trace_id`` is the
         id the job ran under (the caller's, or a freshly minted one).  The
         payload is bit-identical across all outcomes.
@@ -676,7 +676,7 @@ class ServiceClient:
         """Submit + wait a pipeline run: ``{"job_id", "payload", "cache", "trace_id"}``.
 
         ``cache`` is the matrix-stage result-cache outcome (``"hit"`` /
-        ``"extended"`` / ``"miss"`` / ``"bypass"``, ``None`` from a server
+        ``"miss"`` / ``"bypass"``, ``None`` from a server
         predating the stamp) — the same envelope field :meth:`matrix_job`
         reports, so remote analyses are auditable the same way.
         """

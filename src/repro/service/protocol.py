@@ -348,20 +348,18 @@ class SubmitMatrixRequest(Request):
     """Queue a Gram-matrix job over an inline corpus.
 
     ``spec`` is a :meth:`KernelSpec.to_dict` payload (or a bare kind name),
-    ``strings`` an :func:`encode_corpus` list.  ``shards > 1`` asks the
-    server to split the computation into that many symmetric index blocks,
-    each evaluated as a separate engine task and merged — the values are
-    bit-identical to an unsharded run.  ``shards=1`` explicitly requests
-    the monolithic evaluation; ``shards=None`` (the default) leaves the
-    choice to the server's configured default.
+    ``strings`` an :func:`encode_corpus` list.  ``shards`` is the number
+    of symmetric index blocks a ``distributed`` job is split into
+    (``None``, the default, leaves the choice to the server's configured
+    default); a non-distributed job is evaluated monolithically whatever
+    its ``shards``.
 
-    ``distributed=True`` additionally persists each index-block pair as an
+    ``distributed=True`` persists each index-block pair as an
     individually *leasable* block-task record in the server's job store,
     so pull-loop workers (``repro-iokast worker``) in other processes — or
     on other hosts sharing the state dir — can claim and execute them; the
     server assembles the finished blocks into the same bit-identical
-    matrix.  With ``distributed=False`` (the default) the sharded blocks
-    are evaluated in-process, as before.
+    matrix.
 
     ``use_cache=False`` bypasses the server's persistent matrix result
     cache entirely (no lookup, no store-back): the job always re-evaluates
@@ -585,7 +583,7 @@ class CacheStatsRequest(Request):
 
     Answers with ``enabled`` plus, when the matrix result cache is
     configured, its counters and on-disk state (entries, bytes,
-    hits/extensions/misses, stores, evictions), and a ``pair_store``
+    hits/misses, stores, evictions), and a ``pair_store``
     section carrying the pair-value store's own ``enabled`` flag and
     :meth:`PairStore.stats <repro.core.pairstore.PairStore.stats>` —
     the observability hook behind ``repro-iokast remote cache-stats``.

@@ -14,25 +14,26 @@ two thin front ends drive it:
 
 Block-sharded matrix jobs
 -------------------------
-A ``submit-matrix`` request with ``shards=k`` splits the corpus index range
-into ``k`` contiguous blocks (:func:`~repro.core.engine.plan_index_blocks`).
-Every unordered block pair becomes one engine task — one
-:meth:`~repro.core.engine.GramEngine.evaluate_pairs` call — and the
-per-block raw values merge through
-:meth:`~repro.core.engine.GramEngine.assemble_gram`, the same assembler the
-engine's incremental extension uses.  Because raw pair values are
-deterministic and assembly arithmetic is shared, the sharded matrix is
-bit-identical to the monolithic one.
+``shards=k`` takes effect only together with ``distributed=True``: the
+corpus index range is split into ``k`` contiguous blocks
+(:func:`~repro.core.engine.plan_index_blocks`), and every unordered block
+pair becomes one individually *leasable* ``block`` record in the job
+store.  Pull-loop workers (:class:`~repro.service.worker.Worker`,
+``repro-iokast worker``) in other processes or on other hosts claim them
+under the store's cross-process file locks and run each as one
+:meth:`~repro.core.engine.GramEngine.evaluate_pairs` task; the server
+merges the finished blocks' raw values through
+:meth:`~repro.core.engine.GramEngine.assemble_gram`, reclaiming any block
+whose worker died and whose lease expired.  Raw pair values are
+deterministic and the assembly arithmetic is the monolithic path's, so
+the distributed payload is bit-identical to the monolithic one.  When
+``inline_blocks`` is on (the default) the coordinating job also executes
+blocks itself, so a distributed job completes even with zero external
+workers.
 
-With ``distributed=True`` the blocks additionally become individually
-*leasable* ``block`` records in the job store: pull-loop workers
-(:class:`~repro.service.worker.Worker`, ``repro-iokast worker``) in other
-processes or on other hosts claim them under the store's cross-process
-file locks, and the server assembles the finished blocks — reclaiming any
-block whose worker died and its lease expired — into the same
-bit-identical payload.  When ``inline_blocks`` is on (the default) the
-coordinating job also executes blocks itself, so a distributed job
-completes even with zero external workers.
+A non-distributed job runs through the session's monolithic matrix path
+whatever its ``shards`` value: the engine's own ``n_jobs`` already
+spreads its pair evaluation.
 
 Job persistence and recovery
 ----------------------------
@@ -54,10 +55,13 @@ The server keeps a persistent, signature-keyed
 server on the same state dir).  Matrix jobs consult it before evaluating
 anything: an identical ``(spec, corpus, normalized)`` request — to this
 server, a restarted one, or a sibling — is served bit-identically with
-zero kernel evaluations (``cache="hit"`` in the result envelope); a
-corpus extending a cached one computes only the appended rows/blocks
-(``cache="extended"``), and distributed jobs skip every block pair the
-cached prefix already covers.  Identical *in-flight* submissions coalesce
+zero kernel evaluations (``cache="hit"`` in the result envelope), and a
+distributed hit creates no block records at all.  The result cache
+answers exact hits only: any other corpus is a ``cache="miss"`` whose
+overlap with earlier work — grown, reordered or subset corpora — is
+answered by the engine's pair layers (the in-memory pair cache and the
+persistent pair store under ``state_dir/pair-store``), so it costs only
+its novel pairs.  Identical *in-flight* submissions coalesce
 onto the already-queued job (the submit response carries
 ``coalesced=true``), so a thundering herd of equal requests costs one
 engine run.  ``use_cache=False`` opts a submission out entirely.
@@ -198,8 +202,8 @@ class AnalysisServer:
         server creates (and owns, and closes) one from *n_jobs* /
         *executor* / *max_job_workers*.
     default_shards:
-        Shard count applied to matrix jobs that do not ask for one
-        explicitly (1 = monolithic evaluation).
+        Shard count applied to distributed matrix jobs that do not ask
+        for one explicitly; non-distributed jobs always run monolithically.
     inline_blocks:
         Whether distributed jobs' coordinators also execute block tasks
         in-process.  On (the default), a distributed job completes with
@@ -813,7 +817,6 @@ class AnalysisServer:
                 strings,
                 normalized=bool(record.input.get("normalized", True)),
                 repair=bool(record.input.get("repair", True)),
-                shards=int(record.input.get("shards", 1)),
                 use_cache=bool(record.input.get("use_cache", True)),
             )
         if record.kind == "analyze":
@@ -836,91 +839,20 @@ class AnalysisServer:
         strings: List[WeightedString],
         normalized: bool,
         repair: bool,
-        shards: int,
         use_cache: bool = True,
     ) -> Dict[str, Any]:
-        """The stamped matrix payload, monolithic or block-sharded in-process.
+        """The stamped payload of a non-distributed matrix job.
 
-        Both paths consult the persistent result cache first (unless
-        *use_cache* is off): an exact corpus hit is served with zero
-        kernel evaluations, a cached prefix restricts the evaluation to
-        block pairs touching an appended index, and the outcome is stamped
-        into the record (``options["cache"]``).  The sharded path issues
-        one engine task per remaining unordered index-block pair and
-        merges through the engine's assembler; values are bit-identical to
-        :meth:`AnalysisSession.matrix` because every raw pair value comes
-        from the same kernel code and caches.
+        Runs :meth:`AnalysisSession.matrix_cached` — an exact result-cache
+        hit is served with zero kernel evaluations, anything else goes
+        through the engine and its pair layers — and stamps the outcome
+        into the record (``options["cache"]``).
         """
-        engine = tenant.session.engine(spec)
-        if shards <= 1:
-            matrix, status = tenant.session.matrix_cached(
-                spec, strings, normalized=normalized, repair=repair, use_cache=use_cache
-            )
-        else:
-            matrix, status = self._sharded_matrix(
-                tenant, spec, strings, normalized, repair, shards, use_cache,
-                evaluate=lambda pairs: engine.evaluate_pairs(strings, pairs),
-            )
+        matrix, status = tenant.session.matrix_cached(
+            spec, strings, normalized=normalized, repair=repair, use_cache=use_cache
+        )
         self._stamp_cache_status(tenant, job_id, status)
-        return engine.matrix_payload(matrix, strings)
-
-    def _cache_base(
-        self, tenant: TenantContext, spec: KernelSpec,
-        strings: List[WeightedString], normalized: bool, use_cache: bool
-    ) -> Tuple[str, Optional[KernelMatrix]]:
-        """Result-cache probe: ``(status, base)`` for a sharded evaluation.
-
-        ``("hit", full matrix)`` on an exact corpus match, ``("extended",
-        prefix matrix)`` when a cached prefix can seed the assembly,
-        ``("miss"|"bypass", None)`` otherwise.
-        """
-        if not use_cache or tenant.session.matrix_cache is None:
-            return "bypass", None
-        found = tenant.session.matrix_cache_lookup(spec, strings, normalized=normalized)
-        if found.status == "hit":
-            return "hit", KernelMatrix.from_dict(found.payload)
-        if found.status == "prefix":
-            return "extended", KernelMatrix.from_dict(found.payload)
-        return "miss", None
-
-    def _sharded_matrix(
-        self,
-        tenant: TenantContext,
-        spec: KernelSpec,
-        strings: List[WeightedString],
-        normalized: bool,
-        repair: bool,
-        shards: int,
-        use_cache: bool,
-        evaluate: Callable[[List[Tuple[int, int]]], Dict[Tuple[int, int], float]],
-    ) -> Tuple[KernelMatrix, str]:
-        """Cache-aware block-sharded evaluation through *evaluate*.
-
-        *evaluate* receives the index pairs of one block pair and returns
-        their raw kernel values — the in-process path hands them straight
-        to the engine, and block pairs fully inside a cached prefix are
-        skipped before *evaluate* ever sees them.
-        """
-        from repro.core.engine import block_index_pairs
-
-        status, base = self._cache_base(tenant, spec, strings, normalized, use_cache)
-        if status == "hit":
-            assert base is not None
-            return self._repaired(base, repair), status
-        covered = len(base) if base is not None else 0
-        raw_by_pair: Dict[Tuple[int, int], float] = {}
-        blocks = plan_index_blocks(len(strings), shards)
-        for first_index, first in enumerate(blocks):
-            for second in blocks[first_index:]:
-                if first[1] <= covered and second[1] <= covered:
-                    continue  # the cached prefix already covers this block pair
-                pairs = block_index_pairs(first, second)
-                if pairs:
-                    raw_by_pair.update(evaluate(pairs))
-        matrix = self._assembled_matrix(tenant, spec, strings, raw_by_pair, normalized, base=base)
-        if status != "bypass":
-            tenant.session.matrix_cache_store(spec, strings, matrix)
-        return self._repaired(matrix, repair), status
+        return tenant.session.engine(spec).matrix_payload(matrix, strings)
 
     @staticmethod
     def _repaired(matrix: KernelMatrix, repair: bool) -> KernelMatrix:
@@ -935,11 +867,10 @@ class AnalysisServer:
         strings: List[WeightedString],
         raw_by_pair: Dict[Tuple[int, int], float],
         normalized: bool,
-        base: Optional[KernelMatrix] = None,
     ) -> KernelMatrix:
         """The *pre-repair* matrix assembled from raw block results."""
         engine = tenant.session.engine(spec)
-        values = engine.assemble_gram(strings, raw_by_pair, normalized=normalized, base=base)
+        values = engine.assemble_gram(strings, raw_by_pair, normalized=normalized)
         return KernelMatrix(
             values=values,
             names=tuple(string.name for string in strings),
@@ -983,16 +914,19 @@ class AnalysisServer:
 
         The result cache short-circuits the coordination: an exact corpus
         hit returns the cached payload without creating a single block
-        record, and a cached prefix drops every block pair both of whose
-        blocks lie inside it — workers only ever see the appended work.
+        record.  Anything else plans every block pair; the blocks' pair
+        values that earlier work already produced come from the pair
+        layers of whoever evaluates them.
         """
         engine = tenant.session.engine(spec)
-        status, base = self._cache_base(tenant, spec, strings, normalized, use_cache)
-        if status == "hit":
-            assert base is not None
-            self._stamp_cache_status(tenant, job_id, status)
-            return engine.matrix_payload(self._repaired(base, repair), strings)
-        covered = len(base) if base is not None else 0
+        status = "bypass"
+        if use_cache and tenant.session.matrix_cache is not None:
+            found = tenant.session.matrix_cache_lookup(spec, strings, normalized=normalized)
+            status = found.status
+            if status == "hit":
+                self._stamp_cache_status(tenant, job_id, status)
+                cached = KernelMatrix.from_dict(found.payload)
+                return engine.matrix_payload(self._repaired(cached, repair), strings)
         blocks = plan_index_blocks(len(strings), shards)
         spec_dict = spec.to_dict()
         # Children inherit the parent's trace id (each with a span of its
@@ -1010,8 +944,6 @@ class AnalysisServer:
         child_ids: List[str] = []
         for first_index, first in enumerate(blocks):
             for second in blocks[first_index:]:
-                if first[1] <= covered and second[1] <= covered:
-                    continue  # the cached prefix already covers this block pair
                 key = (tuple(first), tuple(second))
                 child = existing.get(key)
                 if child is None:
@@ -1079,7 +1011,7 @@ class AnalysisServer:
             if child.worker_id:
                 block_workers.add(child.worker_id)
             raw_by_pair.update(decode_pair_values(tenant.store.load_result(child_id)["pairs"]))
-        matrix = self._assembled_matrix(tenant, spec, strings, raw_by_pair, normalized, base=base)
+        matrix = self._assembled_matrix(tenant, spec, strings, raw_by_pair, normalized)
         if status != "bypass":
             tenant.session.matrix_cache_store(spec, strings, matrix)
         self._stamp_cache_status(tenant, job_id, status)
@@ -1143,15 +1075,14 @@ class AnalysisServer:
 
         # The matrix stage inside the pipeline goes through the session's
         # result cache; probe it up front so the analyze record (and its
-        # result envelope) reports the same hit/extended/miss outcome the
-        # matrix path does.
+        # result envelope) reports the same hit/miss outcome the matrix
+        # path does.
         if tenant.session.matrix_cache is None:
             status = "bypass"
         else:
-            found = tenant.session.matrix_cache_lookup(
+            status = tenant.session.matrix_cache_lookup(
                 config.kernel_spec(), strings, normalized=True
-            )
-            status = {"hit": "hit", "prefix": "extended"}.get(found.status, "miss")
+            ).status
         self._stamp_cache_status(tenant, job_id, status)
         result = tenant.session.analyze(config, strings=strings)
         return {
@@ -1603,10 +1534,9 @@ class AnalysisServer:
             stats = tenant.session.matrix_cache.stats()
             matrix_health = {
                 "hits": stats["hits"],
-                "prefix_hits": stats["prefix_hits"],
                 "misses": stats["misses"],
                 "entries": stats["entries"],
-                "hit_rate": self._hit_rate(stats["hits"] + stats["prefix_hits"], stats["misses"]),
+                "hit_rate": self._hit_rate(stats["hits"], stats["misses"]),
             }
         pair_health: Optional[Dict[str, Any]] = None
         if tenant.session.pair_store is not None:

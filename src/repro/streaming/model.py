@@ -255,8 +255,7 @@ def fit_landmark_model(
     The full (normalised, *pre-repair*) Gram comes from the session's
     result-cache-aware path, so refitting on a corpus the cache already
     holds costs zero kernel evaluations; the returned second element is
-    the cache outcome (``"hit"`` / ``"extended"`` / ``"miss"`` /
-    ``"bypass"``).  The matrix stays un-repaired on purpose: the scorer
+    the cache outcome (``"hit"`` / ``"miss"`` / ``"bypass"``).  The matrix stays un-repaired on purpose: the scorer
     re-evaluates cross rows through the kernel itself, and fitting on
     repaired (perturbed) values would break the landmark==corpus
     equivalence with the engine's raw evaluations.

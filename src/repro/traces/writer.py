@@ -11,6 +11,7 @@ from __future__ import annotations
 import os
 from typing import List, Optional, TextIO, Union
 
+from repro.core.atomicio import write_text_atomic
 from repro.traces.model import IOTrace
 
 __all__ = ["TraceWriter", "write_trace", "format_trace"]
@@ -54,9 +55,8 @@ class TraceWriter:
         stream.write(self.format(trace))
 
     def write_file(self, trace: IOTrace, path: Union[str, os.PathLike]) -> None:
-        """Write *trace* to the file at *path* (UTF-8)."""
-        with open(os.fspath(path), "w", encoding="utf-8") as handle:
-            self.write(trace, handle)
+        """Write *trace* to the file at *path* (UTF-8, atomically replaced)."""
+        write_text_atomic(os.fspath(path), self.format(trace))
 
 
 def format_trace(trace: IOTrace, **kwargs) -> str:

@@ -35,6 +35,20 @@ def identity_args(payload):
     )
 
 
+def entry_files(cache):
+    """Every file under the cache's signature buckets."""
+    files = []
+    for bucket in os.listdir(cache.root):
+        for name in os.listdir(os.path.join(cache.root, bucket)):
+            files.append(os.path.join(cache.root, bucket, name))
+    return sorted(files)
+
+
+def read_json(path):
+    with open(path, "r", encoding="utf-8") as handle:
+        return json.load(handle)
+
+
 @pytest.fixture
 def cache(tmp_path):
     return MatrixCache(str(tmp_path / "cache"))
@@ -47,19 +61,18 @@ class TestStoreAndLookup:
         found = cache.lookup(*identity_args(payload))
         assert found.status == "hit"
         assert found.payload == payload
-        assert found.covered == 3
 
     def test_miss_on_empty_cache(self, cache):
         assert cache.lookup("sig-a", True, ["fp0"], ["trace0"], ["A"]).status == "miss"
 
-    def test_prefix_lookup_finds_longest_cached_prefix(self, cache):
+    def test_cached_strict_prefix_is_a_miss(self, cache):
+        # Only exact corpora are served; a grown corpus's overlap is the
+        # pair layers' job, not the result cache's.
         cache.store(make_payload(count=2))
         cache.store(make_payload(count=4))
-        request = make_payload(count=6)
-        found = cache.lookup(*identity_args(request))
-        assert found.status == "prefix"
-        assert found.covered == 4
-        assert found.payload == make_payload(count=4)
+        found = cache.lookup(*identity_args(make_payload(count=6)))
+        assert found.status == "miss"
+        assert found.payload is None
 
     def test_exact_match_wins_over_shorter_prefixes(self, cache):
         cache.store(make_payload(count=2))
@@ -67,7 +80,28 @@ class TestStoreAndLookup:
         cache.store(exact)
         found = cache.lookup(*identity_args(exact))
         assert found.status == "hit"
-        assert found.covered == 4
+        assert found.payload == exact
+
+    def test_lookup_reads_only_the_requested_entry(self, cache):
+        # The entry key is computed from the request, so damage elsewhere
+        # in the signature's bucket is neither read, counted nor removed.
+        payloads = [make_payload(salt=salt) for salt in ("a", "b", "c")]
+        for payload in payloads:
+            cache.store(payload)
+        [unrelated] = [
+            path
+            for path in entry_files(cache)
+            if path.endswith(".meta.json")
+            and read_json(path)["fingerprints"] == payloads[0]["fingerprints"]
+        ]
+        with open(unrelated, "w", encoding="utf-8") as handle:
+            handle.write("not json")
+        files = entry_files(cache)
+        found = cache.lookup(*identity_args(payloads[2]))
+        assert found.status == "hit"
+        assert found.payload == payloads[2]
+        assert cache.stats()["invalid"] == 0
+        assert entry_files(cache) == files  # the corrupt entry is left in place
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -107,28 +141,21 @@ class TestStoreAndLookup:
 
 
 class TestDamageHandling:
-    def _entry_files(self, cache):
-        files = []
-        for bucket in os.listdir(cache.root):
-            for name in os.listdir(os.path.join(cache.root, bucket)):
-                files.append(os.path.join(cache.root, bucket, name))
-        return sorted(files)
-
     def test_corrupt_payload_checksum_invalidates_entry(self, cache):
         payload = make_payload()
         cache.store(payload)
-        [payload_file] = [f for f in self._entry_files(cache) if f.endswith(".payload.json")]
+        [payload_file] = [f for f in entry_files(cache) if f.endswith(".payload.json")]
         with open(payload_file, "w", encoding="utf-8") as handle:
             handle.write(json.dumps(dict(payload, values=[[9.0] * 3] * 3)))
         found = cache.lookup(*identity_args(payload))
         assert found.status == "miss"
         assert cache.stats()["invalid"] == 1
-        assert self._entry_files(cache) == []  # damage self-heals by removal
+        assert entry_files(cache) == []  # damage self-heals by removal
 
     def test_torn_payload_invalidates_entry(self, cache):
         payload = make_payload()
         cache.store(payload)
-        [payload_file] = [f for f in self._entry_files(cache) if f.endswith(".payload.json")]
+        [payload_file] = [f for f in entry_files(cache) if f.endswith(".payload.json")]
         with open(payload_file, "w", encoding="utf-8") as handle:
             handle.write('{"truncated": ')
         assert cache.lookup(*identity_args(payload)).status == "miss"
@@ -136,16 +163,16 @@ class TestDamageHandling:
     def test_damaged_meta_invalidates_entry(self, cache):
         payload = make_payload()
         cache.store(payload)
-        [meta_file] = [f for f in self._entry_files(cache) if f.endswith(".meta.json")]
+        [meta_file] = [f for f in entry_files(cache) if f.endswith(".meta.json")]
         with open(meta_file, "w", encoding="utf-8") as handle:
             handle.write("not json")
         assert cache.lookup(*identity_args(payload)).status == "miss"
-        assert self._entry_files(cache) == []
+        assert entry_files(cache) == []
 
     def test_meta_without_payload_is_a_miss(self, cache):
         payload = make_payload()
         cache.store(payload)
-        [payload_file] = [f for f in self._entry_files(cache) if f.endswith(".payload.json")]
+        [payload_file] = [f for f in entry_files(cache) if f.endswith(".payload.json")]
         os.remove(payload_file)
         assert cache.lookup(*identity_args(payload)).status == "miss"
 
@@ -192,12 +219,10 @@ class TestStats:
         cache.lookup(*identity_args(payload))
         cache.store(payload)
         cache.lookup(*identity_args(payload))
-        extended = make_payload(count=5)
-        cache.lookup(*identity_args(extended))
         stats = cache.stats()
+        assert "prefix_hits" not in stats
         assert stats["misses"] == 1
         assert stats["hits"] == 1
-        assert stats["prefix_hits"] == 1
         assert stats["stores"] == 1
         assert stats["entries"] == 1
         assert stats["payload_bytes"] > 0

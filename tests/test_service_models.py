@@ -87,7 +87,7 @@ def test_fit_model_job_persists_a_servable_model(server, strings):
     assert payload["name"] == "served"
     assert payload["landmarks"] == LANDMARKS
     assert payload["path"].endswith("served.model.json")
-    assert result["cache"] in {"miss", "hit", "extended", "bypass"}
+    assert result["cache"] in {"miss", "hit", "bypass"}
     assert payload["cache"] == result["cache"]
     assert server.model_store.names() == ["served"]
     # Refit over the identical corpus is served from the result cache.
