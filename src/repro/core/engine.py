@@ -29,7 +29,6 @@ fixed).
 
 from __future__ import annotations
 
-import hashlib
 import threading
 from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
@@ -40,7 +39,7 @@ import numpy as np
 from repro.core.matrix import KernelMatrix
 from repro.kernels.base import StringKernel, normalize_kernel_value
 from repro.strings.interner import TokenInterner
-from repro.strings.tokens import Token, WeightedString
+from repro.strings.tokens import WeightedString
 
 __all__ = [
     "GramEngine",
@@ -97,35 +96,9 @@ def _process_evaluate_chunk(
     return [(key, float(kernel.value(strings[i], strings[j]))) for key, (i, j) in chunk]
 
 
-#: id-keyed fingerprint memo (object pinned to keep ids stable), mirroring
-#: the engine's object-key memo.  One service request fingerprints the same
-#: decoded corpus several times (submission identity, cache lookup, payload
-#: stamp); the memo collapses that to one hash pass per string object.
-_FINGERPRINT_MEMO: Dict[int, Tuple[WeightedString, str]] = {}
-_FINGERPRINT_MEMO_LIMIT = 65_536
-
-
 def string_fingerprint(string: WeightedString) -> str:
-    """Content digest of a weighted string (name and label excluded).
-
-    Used by the on-disk matrix cache to detect corpora whose example
-    *names* match a stored matrix but whose token content changed (e.g.
-    the same trace corpus re-encoded with different options).
-    """
-    memo = _FINGERPRINT_MEMO.get(id(string))
-    if memo is not None and memo[0] is string:
-        return memo[1]
-    digest = hashlib.sha1()
-    for token in string:
-        digest.update(token.literal.encode("utf-8"))
-        digest.update(b"\x00")
-        digest.update(str(token.weight).encode("ascii"))
-        digest.update(b"\x01")
-    value = digest.hexdigest()
-    if len(_FINGERPRINT_MEMO) > _FINGERPRINT_MEMO_LIMIT:
-        _FINGERPRINT_MEMO.clear()
-    _FINGERPRINT_MEMO[id(string)] = (string, value)
-    return value
+    """Content digest of a weighted string: :attr:`WeightedString.fingerprint`."""
+    return string.fingerprint
 
 
 # ----------------------------------------------------------------------
@@ -298,12 +271,8 @@ class GramEngine:
             kernel.interner = interner
         self._pair_cache: "OrderedDict[PairKey, float]" = OrderedDict()
         self._self_cache: Dict[int, float] = {}
-        # Content → small-int key registry.  Hashing a token tuple touches
-        # every token, so it is done once per distinct string *object* (the
-        # id-keyed memo pins the object to keep ids stable) and once per
-        # distinct *content* (the registry); pair keys are then int pairs.
-        self._key_registry: "OrderedDict[Tuple[Token, ...], int]" = OrderedDict()
-        self._object_keys: Dict[int, Tuple[WeightedString, int]] = {}
+        # Content fingerprint → small-int key registry; pair keys are int pairs.
+        self._key_registry: "OrderedDict[str, int]" = OrderedDict()
         self._next_key = 0
         self._lock = threading.Lock()
         #: Optional persistent pair-value store
@@ -326,18 +295,13 @@ class GramEngine:
     # ------------------------------------------------------------------
     # Single-value entry points (cached)
     # ------------------------------------------------------------------
-    #: Bound on the id-keyed object memo (a pure shortcut, safe to drop).
-    _OBJECT_MEMO_LIMIT = 65_536
-
     def _string_key(self, string: WeightedString) -> int:
-        memo = self._object_keys.get(id(string))
-        if memo is not None and memo[0] is string:
-            return memo[1]
+        """The small-int key of the string's (cached) content fingerprint; pins no string."""
+        fingerprint = string.fingerprint
         with self._lock:
-            tokens = string.tokens
-            key = self._key_registry.get(tokens)
+            key = self._key_registry.get(fingerprint)
             if key is not None:
-                self._key_registry.move_to_end(tokens)
+                self._key_registry.move_to_end(fingerprint)
             else:
                 # Keys are drawn from a monotonic counter and NEVER reused:
                 # an in-flight computation may still hold keys handed out
@@ -345,19 +309,16 @@ class GramEngine:
                 # different-content pairs in the caches.
                 key = self._next_key
                 self._next_key += 1
-                self._key_registry[tokens] = key
+                self._key_registry[fingerprint] = key
                 # The registry is an LRU bounded by evicting only its
                 # oldest entry (plus that key's self value).  Pair-cache
-                # entries under a retired key stay valid for objects that
-                # still memoise it and are unreachable for new lookups, so
-                # they age out of the pair-cache LRU on their own — one
-                # string past the bound must not wipe every warm cache.
+                # entries under a retired key are unreachable for new
+                # lookups, so they age out of the pair-cache LRU on their
+                # own — one string past the bound must not wipe every warm
+                # cache.
                 while len(self._key_registry) > self.pair_cache_size:
                     _, retired = self._key_registry.popitem(last=False)
                     self._self_cache.pop(retired, None)
-            if len(self._object_keys) > self._OBJECT_MEMO_LIMIT:
-                self._object_keys.clear()
-            self._object_keys[id(string)] = (string, key)
         return key
 
     def _pair_key(self, a: WeightedString, b: WeightedString) -> PairKey:
@@ -367,7 +328,7 @@ class GramEngine:
     @staticmethod
     def _fingerprint_pair(a: WeightedString, b: WeightedString) -> Tuple[str, str]:
         """The canonical (sorted) content-fingerprint pair — the store key."""
-        first, second = string_fingerprint(a), string_fingerprint(b)
+        first, second = a.fingerprint, b.fingerprint
         return (first, second) if first <= second else (second, first)
 
     def pair_value(self, a: WeightedString, b: WeightedString) -> float:
@@ -444,7 +405,7 @@ class GramEngine:
         if self.pair_store is not None and string_list:
             signature = self.kernel_signature()
             store_keys = {
-                string_fingerprint(string): float(value)
+                string.fingerprint: float(value)
                 for string, value in zip(string_list, values)
             }
             found = self.pair_store.get_many(
@@ -503,7 +464,7 @@ class GramEngine:
         fingerprints: Dict[int, str] = {}
         if missing and self.pair_store is not None:
             signature = self.kernel_signature()
-            fingerprints = {key: string_fingerprint(sample[key]) for key in missing}
+            fingerprints = {key: sample[key].fingerprint for key in missing}
             found = self.pair_store.get_many(
                 signature, [(fingerprints[key], fingerprints[key]) for key in missing]
             )
@@ -778,7 +739,7 @@ class GramEngine:
                 f"strings/matrix size mismatch: {len(string_list)} strings vs {len(matrix)} rows"
             )
         payload = matrix.as_dict()
-        payload["fingerprints"] = [string_fingerprint(string) for string in string_list]
+        payload["fingerprints"] = [string.fingerprint for string in string_list]
         payload["kernel_signature"] = self.kernel_signature()
         if self.spec is not None:
             payload["kernel_spec"] = self.spec.to_dict()

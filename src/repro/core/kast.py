@@ -64,7 +64,7 @@ import numpy as np
 from repro.core.features import KastEmbedding, KastFeature, Occurrence
 from repro.kernels.base import StringKernel, normalize_kernel_value
 from repro.strings.interner import TokenInterner
-from repro.strings.tokens import Token, WeightedString
+from repro.strings.tokens import WeightedString
 
 __all__ = ["KastSpectrumKernel", "kast_kernel_value", "KAST_BACKENDS"]
 
@@ -90,7 +90,6 @@ class _PreparedString:
     """Cached per-string data reused across kernel evaluations."""
 
     __slots__ = (
-        "string",
         "literals",
         "weights",
         "ids",
@@ -108,7 +107,6 @@ class _PreparedString:
         filter_tokens: bool,
         interner: Optional[TokenInterner] = None,
     ) -> None:
-        self.string = string
         self.literals: _Literals = tuple(token.literal for token in string)
         self.weights: Tuple[int, ...] = tuple(token.weight for token in string)
         #: Integer-encoded literals (numpy backend); ``None`` for the python backend.
@@ -257,7 +255,7 @@ class KastSpectrumKernel(StringKernel):
         self.max_cache_size = max_cache_size
         self.name = f"kast(cut={cut_weight})"
         self._interner: Optional[TokenInterner] = None
-        self._cache: "OrderedDict[Tuple[Token, ...], _PreparedString]" = OrderedDict()
+        self._cache: "OrderedDict[str, _PreparedString]" = OrderedDict()
         self._cache_lock = threading.Lock()
         if backend == "numpy":
             self._interner = interner if interner is not None else TokenInterner()
@@ -447,14 +445,14 @@ class KastSpectrumKernel(StringKernel):
     # Internals
     # ------------------------------------------------------------------
     def _prepare(self, string: WeightedString) -> _PreparedString:
-        """Prepared-string lookup with a bounded, content-keyed LRU cache.
+        """Prepared-string lookup with a bounded LRU cache keyed by content.
 
-        The key is the token tuple, so equal-content strings (however they
-        were constructed) share one preparation, and a string rebuilt from a
-        file round-trips to a cache hit — unlike the previous ``id()`` keying
-        which broke both properties.
+        The key is :attr:`WeightedString.fingerprint`, so equal-content
+        strings (however they were constructed) share one preparation, a
+        string rebuilt from a file is a cache hit, and no entry holds on to
+        the string it was prepared from.
         """
-        key = string.tokens
+        key = string.fingerprint
         with self._cache_lock:
             prepared = self._cache.get(key)
             if prepared is not None:

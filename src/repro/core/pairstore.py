@@ -20,47 +20,71 @@ and is shared by sessions, servers and pull-loop workers alike.
 Layout
 ------
 A Gram matrix over ``n`` traces has O(n²) pairs, so one file per pair is a
-non-starter.  Entries are sharded into append-friendly *segment files*
-bucketed by key digest::
+non-starter.  The store is log-structured, one append-only directory per
+kernel signature::
 
     root/
         <sig-digest>/            # one directory per kernel signature
-            <bucket>/            # hex digit of the pair-key digest
-                seg-<uuid>.json  # one batch of [fp_a, fp_b, value] rows
+            seg-<uuid>.json      # one batch of [fp_a, fp_b, value] rows
 
-One :meth:`put_many` call appends at most one new segment per touched
-bucket, and one :meth:`get_many` call reads each touched bucket's segments
-once — lookup cost is one segment read per *bucket*, not per pair.  Rows
-are JSON ``[fp_a, fp_b, value]`` triples mirroring the engine's
-:func:`~repro.core.engine.encode_pair_values` codec: Python's JSON float
-representation is the shortest round-tripping form, so values served from
-the store are bit-identical to the floats the computing worker produced.
+One :meth:`put_many` call writes one segment with one fsync.  Rows mirror
+the engine's :func:`~repro.core.engine.encode_pair_values` codec: JSON
+floats round-trip exactly, so served values are bit-identical to the
+computed ones.  Bucket directories of the earlier layout
+(``<sig-digest>/<bucket>/``) are never read; :meth:`sweep` and
+:meth:`clear` remove them, and their values are recomputed on demand.
+
+Index and verify-once contract
+------------------------------
+Each :class:`PairStore` keeps an index of the segments it has verified.
+A lookup lists the signature directory, parses only names it has not
+seen, drops names that vanished (compacted or evicted by any process), and
+answers from memory, so lookup work does not grow with the store.  The
+index keeps no Python object per value: each distinct fingerprint gets a
+small integer id, and each segment is a sorted ``array('Q')`` of packed
+``id_a << 32 | id_b`` pairs beside an ``array('d')`` of values — about
+16 bytes per value plus one id per fingerprint seen.  Segments are
+searched newest first, and a hit touches (LRU) only the segment that
+served it.
+
+A process checksum-verifies each segment once, on first read.  Segment
+names are uuids and files are only replaced atomically, so a verified
+segment never changes through this code.  Damage done to a file after a
+process read it is caught by every process that has not read it yet, and
+by :meth:`stats`, which re-verifies every segment.
+
+Compaction
+----------
+A segment is *small* while it holds at most half of ``COMPACT_ROWS``
+rows.  When a signature has more than ``COMPACT_SEGMENTS`` small
+segments, the smallest are merged, as many as fit in ``COMPACT_ROWS``
+rows, into one segment written from the index.  Any two small segments
+fit, so every merge makes progress; larger segments are never rewritten,
+so LRU eviction keeps a fine granularity.
 
 Durability and multi-process sharing
 ------------------------------------
 Every segment is written atomically (unique temp file + ``os.replace``)
-and carries a sha256 checksum over its canonical row serialization; a
-torn, truncated or foreign segment fails validation on load and is removed
-(self-healing) instead of served.  Racing writers produce distinct
-segments; racing readers tolerate segments vanishing mid-scan.  Values are
-deterministic, so duplicate rows across segments are byte-identical and
-last-wins merging is safe.  Buckets accumulating more than
-``compact_segments`` files are merged into one (background compaction,
-wired into :meth:`sweep` and opportunistically into :meth:`put_many`).
-Eviction is LRU at segment granularity (mtime, touched on read hits)
-bounded by ``max_bytes``, plus an optional idle TTL.
+and carries a sha256 checksum over its rows; a torn, truncated or foreign
+segment fails validation and is removed (self-healing) instead of served.
+Racing writers produce distinct segments, and values are deterministic,
+so duplicate rows are byte-identical.  Eviction is LRU per segment
+(mtime) bounded by ``max_bytes``, plus an optional idle TTL.
 """
 
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import hashlib
 import json
 import os
+import shutil
 import threading
 import time
 import uuid
-from dataclasses import dataclass
+from array import array
+from bisect import bisect_left
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro.core.atomicio import write_text_atomic
@@ -72,9 +96,6 @@ _SEGMENT_VERSION = 1
 
 #: Default size bound on the store's segment bytes (~256 MB of pair values).
 _DEFAULT_MAX_BYTES = 256 * 1024 * 1024
-
-#: Default segment-count-per-bucket threshold that triggers compaction.
-_DEFAULT_COMPACT_SEGMENTS = 8
 
 #: A pair key: canonically ordered content fingerprints (``fp_a <= fp_b``).
 PairFingerprints = Tuple[str, str]
@@ -105,7 +126,7 @@ def _rows_text(rows: List[List[Any]]) -> str:
     return json.dumps(rows, separators=(",", ":"))
 
 
-@dataclass
+@dataclasses.dataclass
 class _Counters:
     hits: int = 0
     misses: int = 0
@@ -114,6 +135,50 @@ class _Counters:
     invalid: int = 0
     evicted_segments: int = 0
     compactions: int = 0
+
+
+class _SignatureIndex:
+    """The verified segments of one signature directory, as packed arrays."""
+
+    __slots__ = ("signature", "ids", "fingerprints", "segments")
+
+    def __init__(self) -> None:
+        self.signature: Optional[str] = None
+        self.ids: Dict[str, int] = {}
+        self.fingerprints: List[str] = []
+        #: Segment name → (sorted packed pair ids, their values), oldest first.
+        self.segments: Dict[str, Tuple[array, array]] = {}
+
+    def _id(self, fingerprint: str) -> int:
+        found = self.ids.get(fingerprint)
+        if found is None:
+            found = self.ids[fingerprint] = len(self.fingerprints)
+            self.fingerprints.append(fingerprint)
+        return found
+
+    def add(self, name: str, values: Mapping[PairFingerprints, float]) -> None:
+        packed = sorted((self._id(a) << 32 | self._id(b), value) for (a, b), value in values.items())
+        self.segments[name] = (array("Q", [key for key, _ in packed]), array("d", [value for _, value in packed]))
+
+    def find(self, pair: PairFingerprints) -> Optional[Tuple[str, float]]:
+        """``(segment name, value)`` of the newest segment holding *pair*."""
+        first, second = self.ids.get(pair[0]), self.ids.get(pair[1])
+        if first is None or second is None:
+            return None
+        key = first << 32 | second
+        for name in reversed(self.segments):
+            keys, values = self.segments[name]
+            position = bisect_left(keys, key)
+            if position < len(keys) and keys[position] == key:
+                return name, values[position]
+        return None
+
+    def values(self, name: str) -> Dict[PairFingerprints, float]:
+        keys, values = self.segments[name]
+        return {
+            (self.fingerprints[key >> 32], self.fingerprints[key & 0xFFFFFFFF]): value
+            for key, value in zip(keys, values)
+        }
 
 
 class PairStore:
@@ -131,31 +196,35 @@ class PairStore:
         Optional seconds of idleness (no write, no read hit) after which
         a segment is dropped by :meth:`sweep`.  ``None`` keeps segments
         until LRU eviction.
-    compact_segments:
-        Per-bucket segment-file count beyond which the bucket is merged
-        into a single segment (on :meth:`put_many` and :meth:`sweep`).
     """
+
+    #: Number of small segments per signature beyond which the smallest merge.
+    COMPACT_SEGMENTS = 8
+
+    #: Row cap of a merged segment; segments above half of it are never rewritten.
+    COMPACT_ROWS = 8192
+
+    #: Age after which an orphaned ``.tmp.`` file (a crashed writer's) is removed.
+    _TEMP_STALE_SECONDS = 3600.0
 
     def __init__(
         self,
         root: str,
         max_bytes: int = _DEFAULT_MAX_BYTES,
         ttl: Optional[float] = None,
-        compact_segments: int = _DEFAULT_COMPACT_SEGMENTS,
     ) -> None:
         if max_bytes < 1:
             raise ValueError(f"max_bytes must be >= 1, got {max_bytes}")
         if ttl is not None and ttl < 0:
             raise ValueError(f"ttl must be >= 0 or None, got {ttl}")
-        if compact_segments < 2:
-            raise ValueError(f"compact_segments must be >= 2, got {compact_segments}")
         self.root = os.path.abspath(root)
         os.makedirs(self.root, exist_ok=True)
         self.max_bytes = max_bytes
         self.ttl = ttl
-        self.compact_segments = compact_segments
         self._counts = _Counters()
-        self._lock = threading.Lock()
+        self._indexes: Dict[str, _SignatureIndex] = {}
+        # Re-entrant: a segment found damaged during a refresh counts itself.
+        self._lock = threading.RLock()
 
     # ------------------------------------------------------------------
     # Paths
@@ -163,36 +232,33 @@ class PairStore:
     def _signature_dir(self, signature: str) -> str:
         return os.path.join(self.root, _digest(signature)[:16])
 
-    @staticmethod
-    def _bucket_of(pair: PairFingerprints) -> str:
-        # One hex digit → 16 buckets per signature: enough fan-out that a
-        # bucket stays small, few enough that one put_many touches a
-        # handful of files instead of hundreds.
-        return _digest(f"{pair[0]}|{pair[1]}")[:1]
-
-    def _bucket_dir(self, signature: str, bucket: str) -> str:
-        return os.path.join(self._signature_dir(signature), bucket)
+    def _signature_dirs(self) -> List[str]:
+        paths = [os.path.join(self.root, name) for name in self._names(self.root)]
+        return [path for path in paths if os.path.isdir(path)]
 
     @staticmethod
-    def _segment_files(bucket_dir: str) -> List[str]:
+    def _names(directory: str) -> List[str]:
         try:
-            names = os.listdir(bucket_dir)
-        except FileNotFoundError:
+            return os.listdir(directory)
+        except (FileNotFoundError, NotADirectoryError):
             return []
-        return sorted(
-            os.path.join(bucket_dir, name)
-            for name in names
-            if name.startswith("seg-") and name.endswith(".json")
-        )
+
+    def _segment_names(self, directory: str) -> List[str]:
+        names = self._names(directory)
+        return sorted(name for name in names if name.startswith("seg-") and name.endswith(".json"))
 
     # ------------------------------------------------------------------
     # Segment IO
     # ------------------------------------------------------------------
-    def _load_segment(self, path: str, signature: Optional[str]) -> Optional[Dict[PairFingerprints, float]]:
-        """The segment's checksum-verified values, or ``None`` (removing damage).
+    def _load_segment(
+        self, path: str, signature: Optional[str]
+    ) -> Optional[Tuple[str, Dict[PairFingerprints, float]]]:
+        """The segment's signature and checksum-verified values, or ``None``.
 
-        A vanished file (compacted or evicted by a sibling process mid-scan)
-        is *not* damage — it is skipped silently.
+        With *signature* ``None`` the segment's own signature is accepted
+        when its digest names the segment's directory.  Damage is removed
+        (self-healing); a vanished file (compacted or evicted by a sibling
+        process mid-scan) is *not* damage and is skipped silently.
         """
         try:
             with open(path, "r", encoding="utf-8") as handle:
@@ -202,7 +268,10 @@ class PairStore:
             rows = payload.get("pairs")
             if not isinstance(rows, list):
                 raise ValueError("segment carries no pair rows")
-            if signature is not None and payload.get("signature") != signature:
+            owner = payload.get("signature")
+            if signature is None and isinstance(owner, str) and self._signature_dir(owner) == os.path.dirname(path):
+                signature = owner
+            if signature is None or owner != signature:
                 raise ValueError("segment signature does not match its directory")
             if _digest(_rows_text(rows)) != payload.get("sha256"):
                 raise ValueError("segment checksum mismatch")
@@ -210,20 +279,21 @@ class PairStore:
             for row in rows:
                 if isinstance(row, (str, bytes)) or len(row) != 3:
                     raise ValueError(f"segment row must be [fp_a, fp_b, value], got {row!r}")
-                fp_a, fp_b, value = row
-                values[(str(fp_a), str(fp_b))] = float(value)
-            return values
+                values[_canonical_pair((row[0], row[1]))] = float(row[2])
+            return signature, values
         except FileNotFoundError:
             return None
-        except (OSError, ValueError, TypeError, json.JSONDecodeError):
+        except (OSError, ValueError, TypeError, PairStoreError):
             with self._lock:
                 self._counts.invalid += 1
             with contextlib.suppress(OSError):
                 os.remove(path)
             return None
 
-    def _write_segment(self, bucket_dir: str, signature: str, values: Mapping[PairFingerprints, float]) -> str:
-        os.makedirs(bucket_dir, exist_ok=True)
+    @staticmethod
+    def _write_segment(directory: str, signature: str, values: Mapping[PairFingerprints, float]) -> str:
+        """Write one segment atomically; returns its file name."""
+        os.makedirs(directory, exist_ok=True)
         rows = [[fp_a, fp_b, float(value)] for (fp_a, fp_b), value in sorted(values.items())]
         payload = {
             "v": _SEGMENT_VERSION,
@@ -231,22 +301,60 @@ class PairStore:
             "pairs": rows,
             "sha256": _digest(_rows_text(rows)),
         }
-        path = os.path.join(bucket_dir, f"seg-{uuid.uuid4().hex}.json")
-        write_text_atomic(path, json.dumps(payload, separators=(",", ":")))
-        return path
+        name = f"seg-{uuid.uuid4().hex}.json"
+        write_text_atomic(os.path.join(directory, name), json.dumps(payload, separators=(",", ":")))
+        return name
 
-    def _bucket_values(self, signature: str, bucket: str) -> Tuple[Dict[PairFingerprints, float], List[str]]:
-        """All values of one bucket plus the segment paths that held them."""
-        bucket_dir = self._bucket_dir(signature, bucket)
-        merged: Dict[PairFingerprints, float] = {}
-        read: List[str] = []
-        for path in self._segment_files(bucket_dir):
-            values = self._load_segment(path, signature)
-            if values is None:
-                continue
-            merged.update(values)
-            read.append(path)
-        return merged, read
+    # ------------------------------------------------------------------
+    # The index (callers hold ``self._lock``)
+    # ------------------------------------------------------------------
+    def _refresh(self, directory: str, signature: Optional[str]) -> _SignatureIndex:
+        """The directory's index, brought in line with its current listing."""
+        index = self._indexes.setdefault(directory, _SignatureIndex())
+        index.signature = signature or index.signature
+        listed = self._segment_names(directory)
+        present = set(listed)
+        for name in [name for name in index.segments if name not in present]:
+            del index.segments[name]
+        for name in listed:
+            if name not in index.segments:
+                loaded = self._load_segment(os.path.join(directory, name), index.signature)
+                if loaded is not None:
+                    index.signature = loaded[0]
+                    index.add(name, loaded[1])
+        return index
+
+    def _compact(self, directory: str, index: _SignatureIndex) -> None:
+        """Merge small segments until at most ``COMPACT_SEGMENTS`` remain.
+
+        Safe against racing processes: the merged segment is written
+        *before* any removal, and duplicate values are byte-identical by
+        construction.
+        """
+        while True:
+            small = sorted(
+                (len(keys), name)
+                for name, (keys, _) in index.segments.items()
+                if len(keys) <= self.COMPACT_ROWS // 2
+            )
+            if len(small) <= self.COMPACT_SEGMENTS:
+                return
+            chosen: List[str] = []
+            total = 0
+            for rows, name in small:
+                if total + rows > self.COMPACT_ROWS:
+                    break
+                chosen.append(name)
+                total += rows
+            merged: Dict[PairFingerprints, float] = {}
+            for name in chosen:
+                merged.update(index.values(name))
+            index.add(self._write_segment(directory, index.signature, merged), merged)
+            for name in chosen:
+                del index.segments[name]
+                with contextlib.suppress(OSError):
+                    os.remove(os.path.join(directory, name))
+            self._counts.compactions += 1
 
     # ------------------------------------------------------------------
     # Batched API
@@ -258,133 +366,76 @@ class PairStore:
 
         Pairs are canonicalized (``fp_a <= fp_b``), so either orientation
         finds the value; the returned mapping is keyed by the canonical
-        form.  Missing pairs are simply absent.  Segments that served at
-        least one hit are touched (mtime), feeding the LRU sweep order.
+        form.  Missing pairs are simply absent.  The segments that served
+        a hit are touched (mtime), feeding the LRU sweep order.
         """
-        wanted: Dict[str, List[PairFingerprints]] = {}
-        for pair in pairs:
-            canonical = _canonical_pair(pair)
-            wanted.setdefault(self._bucket_of(canonical), []).append(canonical)
+        directory = self._signature_dir(signature)
+        wanted = [_canonical_pair(pair) for pair in pairs]
         found: Dict[PairFingerprints, float] = {}
-        requested = 0
-        for bucket, bucket_pairs in wanted.items():
-            requested += len(bucket_pairs)
-            available, segments = self._bucket_values(signature, bucket)
-            served = False
-            for canonical in bucket_pairs:
-                value = available.get(canonical)
-                if value is not None:
-                    found[canonical] = value
-                    served = True
-            if served:
-                for path in segments:
-                    with contextlib.suppress(OSError):
-                        os.utime(path)
+        served = set()
         with self._lock:
+            index = self._refresh(directory, signature)
+            for pair in wanted:
+                hit = index.find(pair)
+                if hit is not None:
+                    served.add(hit[0])
+                    found[pair] = hit[1]
             self._counts.hits += len(found)
-            self._counts.misses += requested - len(found)
+            self._counts.misses += len(wanted) - len(found)
+        for name in served:
+            with contextlib.suppress(OSError):
+                os.utime(os.path.join(directory, name))
         return found
 
     def put_many(self, signature: str, values: Mapping[Tuple[str, str], float]) -> int:
         """Persist a batch of raw pair values; returns how many were written.
 
-        Values are grouped by bucket — one new segment file per touched
-        bucket, regardless of batch size.  Buckets exceeding the
-        compaction threshold are merged immediately afterwards.  Keys are
-        content fingerprints, so concurrent writers storing the same pair
-        write byte-identical values (kernels are deterministic) and
-        duplicates collapse at the next compaction.
+        The batch becomes one new segment file, whatever its size, and the
+        signature's small segments are compacted afterwards when there are
+        too many.  Keys are content fingerprints, so concurrent writers
+        storing the same pair write byte-identical values (kernels are
+        deterministic).
         """
-        grouped: Dict[str, Dict[PairFingerprints, float]] = {}
-        for pair, value in values.items():
-            canonical = _canonical_pair(pair)
-            grouped.setdefault(self._bucket_of(canonical), {})[canonical] = float(value)
-        written = 0
-        for bucket, bucket_values in grouped.items():
-            bucket_dir = self._bucket_dir(signature, bucket)
-            self._write_segment(bucket_dir, signature, bucket_values)
-            written += len(bucket_values)
-            if len(self._segment_files(bucket_dir)) > self.compact_segments:
-                self._compact_bucket(signature, bucket)
+        rows = {_canonical_pair(pair): float(value) for pair, value in values.items()}
+        directory = self._signature_dir(signature)
+        written = self._write_segment(directory, signature, rows) if rows else None
         with self._lock:
-            self._counts.puts += written
+            if written is not None:
+                # Indexed from memory, before the refresh, so the writer
+                # never parses its own segment.
+                self._indexes.setdefault(directory, _SignatureIndex()).add(written, rows)
+                self._compact(directory, self._refresh(directory, signature))
+            self._counts.puts += len(rows)
             self._counts.stores += 1
-        return written
+        return len(rows)
 
     # ------------------------------------------------------------------
     # Compaction and eviction
     # ------------------------------------------------------------------
-    def _compact_bucket(self, signature: str, bucket: str) -> bool:
-        """Merge one bucket's segments into a single segment file.
-
-        Safe against racing processes: only the segments actually read
-        are removed (a concurrently appended segment survives), the merged
-        segment is written *before* any removal, and duplicate values are
-        byte-identical by construction.
-        """
-        merged, read = self._bucket_values(signature, bucket)
-        if len(read) < 2:
-            return False
-        self._write_segment(self._bucket_dir(signature, bucket), signature, merged)
-        for path in read:
-            with contextlib.suppress(OSError):
-                os.remove(path)
-        with self._lock:
-            self._counts.compactions += 1
-        return True
-
-    def compact(self) -> int:
-        """Merge every over-threshold bucket; returns how many were merged."""
-        compacted = 0
-        for signature_dir, bucket in self._buckets():
-            bucket_dir = os.path.join(signature_dir, bucket)
-            if len(self._segment_files(bucket_dir)) <= self.compact_segments:
-                continue
-            # Compaction needs the directory's signature; segments carry it.
-            signature = self._dir_signature(bucket_dir)
-            if signature is not None and self._compact_bucket(signature, bucket):
-                compacted += 1
-        return compacted
-
-    def _dir_signature(self, bucket_dir: str) -> Optional[str]:
-        for path in self._segment_files(bucket_dir):
-            try:
-                with open(path, "r", encoding="utf-8") as handle:
-                    payload = json.load(handle)
-                signature = payload.get("signature") if isinstance(payload, dict) else None
-                if isinstance(signature, str):
-                    return signature
-            except (OSError, json.JSONDecodeError):
-                continue
-        return None
-
-    def _buckets(self) -> List[Tuple[str, str]]:
-        found: List[Tuple[str, str]] = []
-        try:
-            signature_names = os.listdir(self.root)
-        except FileNotFoundError:
-            return []
-        for signature_name in signature_names:
-            signature_dir = os.path.join(self.root, signature_name)
-            if not os.path.isdir(signature_dir):
-                continue
-            with contextlib.suppress(OSError):
-                for bucket in os.listdir(signature_dir):
-                    if os.path.isdir(os.path.join(signature_dir, bucket)):
-                        found.append((signature_dir, bucket))
-        return found
-
     def _segments(self) -> List[Tuple[float, int, str]]:
         """Every segment as ``(mtime, size, path)``, oldest first."""
         found: List[Tuple[float, int, str]] = []
-        for signature_dir, bucket in self._buckets():
-            for path in self._segment_files(os.path.join(signature_dir, bucket)):
+        for directory in self._signature_dirs():
+            for name in self._segment_names(directory):
+                path = os.path.join(directory, name)
                 try:
                     status = os.stat(path)
                 except OSError:
                     continue
                 found.append((status.st_mtime, status.st_size, path))
         return sorted(found)
+
+    def _drop_strays(self, now: float) -> None:
+        """Remove bucket directories of the earlier layout and stale temp files."""
+        for directory in self._signature_dirs():
+            for name in self._names(directory):
+                path = os.path.join(directory, name)
+                if os.path.isdir(path):
+                    shutil.rmtree(path, ignore_errors=True)
+                elif ".tmp." in name:
+                    with contextlib.suppress(OSError):
+                        if now - os.path.getmtime(path) >= self._TEMP_STALE_SECONDS:
+                            os.remove(path)
 
     def sweep(
         self,
@@ -395,15 +446,18 @@ class PairStore:
         """Drop idle segments past the TTL and LRU segments beyond the bound.
 
         *ttl*/*max_bytes* default to the store's configured values.  Also
-        runs background compaction on over-threshold buckets and removes
-        stale temp files.  Returns the removed segment paths.  Safe to run
-        concurrently with reads and writes in other processes — eviction
-        is per-file removal, and a re-stored pair simply reappears.
+        compacts every signature and drops strays (:meth:`_drop_strays`).
+        Returns the removed segment paths.  Safe to run concurrently with
+        reads and writes in other processes — eviction is per-file removal,
+        and a re-stored pair simply reappears.
         """
         ttl = self.ttl if ttl is None else ttl
         max_bytes = self.max_bytes if max_bytes is None else max_bytes
         moment = time.time() if now is None else now  # repro: lint-ok[REP003] TTL eviction clock, not stored content
-        self.compact()
+        for directory in self._signature_dirs():
+            with self._lock:
+                self._compact(directory, self._refresh(directory, None))
+        self._drop_strays(moment)
         segments = self._segments()
         removed: List[str] = []
         if ttl is not None:
@@ -426,26 +480,11 @@ class PairStore:
             total -= size
         with self._lock:
             self._counts.evicted_segments += len(removed)
-        self._drop_stale_temp_files(moment)
         return removed
-
-    #: Age after which an orphaned ``.tmp.`` file (a crashed writer's) is removed.
-    _TEMP_STALE_SECONDS = 3600.0
-
-    def _drop_stale_temp_files(self, now: float) -> None:
-        for signature_dir, bucket in self._buckets():
-            bucket_dir = os.path.join(signature_dir, bucket)
-            with contextlib.suppress(OSError):
-                for name in os.listdir(bucket_dir):
-                    if ".tmp." not in name:
-                        continue
-                    path = os.path.join(bucket_dir, name)
-                    with contextlib.suppress(OSError):
-                        if now - os.path.getmtime(path) >= self._TEMP_STALE_SECONDS:
-                            os.remove(path)
 
     def clear(self) -> int:
         """Drop every segment; returns how many files were removed."""
+        self._drop_strays(time.time())  # repro: lint-ok[REP003] temp-file age clock, not stored content
         segments = self._segments()
         for _, _, path in segments:
             with contextlib.suppress(OSError):
@@ -464,36 +503,29 @@ class PairStore:
         not pay for a full store walk.
         """
         with self._lock:
-            return {
-                "hits": self._counts.hits,
-                "misses": self._counts.misses,
-                "puts": self._counts.puts,
-                "stores": self._counts.stores,
-                "invalid": self._counts.invalid,
-                "evicted_segments": self._counts.evicted_segments,
-                "compactions": self._counts.compactions,
-            }
+            return dataclasses.asdict(self._counts)
 
     def stats(self) -> Dict[str, Any]:
         """Counters plus validated on-disk state (entries, segments, bytes).
 
-        Walks and checksum-verifies every segment (healing damage as it
-        goes), so ``invalid`` reflects torn segments discovered now too —
-        the observability call behind ``repro-iokast remote cache-stats``.
+        Walks and checksum-verifies every segment, whether or not this
+        process verified it before (healing damage as it goes), so
+        ``invalid`` reflects torn segments discovered now too — the
+        observability call behind ``repro-iokast remote cache-stats``.
         """
         entries: set = set()
         segment_count = 0
         total_bytes = 0
-        for signature_dir, bucket in self._buckets():
-            bucket_dir = os.path.join(signature_dir, bucket)
-            for path in self._segment_files(bucket_dir):
-                values = self._load_segment(path, None)
-                if values is None:
+        for directory in self._signature_dirs():
+            for name in self._segment_names(directory):
+                path = os.path.join(directory, name)
+                loaded = self._load_segment(path, None)
+                if loaded is None:
                     continue
                 segment_count += 1
                 with contextlib.suppress(OSError):
                     total_bytes += os.path.getsize(path)
-                entries.update((os.path.basename(signature_dir), pair) for pair in values)
+                entries.update((loaded[0], pair) for pair in loaded[1])
         return {
             "root": self.root,
             "entries": len(entries),

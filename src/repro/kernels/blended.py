@@ -65,20 +65,17 @@ class BlendedSpectrumKernel(StringKernel):
         self.min_weight = min_weight
         suffix = f", decay={decay}" if decay != 1.0 else ""
         self.name = f"blended(k<={max_length}{suffix}, min_weight={min_weight})"
-        self._cache: Dict[int, Tuple[WeightedString, Dict[_Gram, float]]] = {}
+        self._cache: Dict[str, Dict[_Gram, float]] = {}
 
     # ------------------------------------------------------------------
     # Feature map
     # ------------------------------------------------------------------
     def feature_map(self, string: WeightedString) -> Dict[_Gram, float]:
         """Sparse feature vector over all substrings of length 1..max_length."""
-        # Entries pin the string object and are identity-checked, so a cache
-        # slot can never serve features computed for a freed string whose id
-        # was recycled (see SpectrumKernel.feature_map).
-        key = id(string)
+        key = string.fingerprint
         cached = self._cache.get(key)
-        if cached is not None and cached[0] is string:
-            return cached[1]
+        if cached is not None:
+            return cached
         literals = [token.literal for token in string]
         weights = [token.weight for token in string]
         features: Dict[_Gram, float] = defaultdict(float)
@@ -93,10 +90,9 @@ class BlendedSpectrumKernel(StringKernel):
                 contribution = occurrence_weight if self.weighted else 1.0
                 features[gram] += factor * contribution
         result = dict(features)
-        self._cache[key] = (string, result)
-        if len(self._cache) > 4096:
+        if len(self._cache) >= 4096:
             self._cache.clear()
-            self._cache[key] = (string, result)
+        self._cache[key] = result
         return result
 
     # ------------------------------------------------------------------

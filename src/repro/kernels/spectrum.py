@@ -45,21 +45,17 @@ class SpectrumKernel(StringKernel):
         self.k = k
         self.weighted = weighted
         self.name = f"spectrum(k={k}{', weighted' if weighted else ''})"
-        self._cache: Dict[int, Tuple[WeightedString, Dict[_Gram, float]]] = {}
+        self._cache: Dict[str, Dict[_Gram, float]] = {}
 
     # ------------------------------------------------------------------
     # Feature map
     # ------------------------------------------------------------------
     def feature_map(self, string: WeightedString) -> Dict[_Gram, float]:
         """Sparse k-gram feature vector of *string*."""
-        # The cache entry pins the string object: a live entry means its id
-        # cannot be recycled, and the identity check rejects any entry left
-        # over from a freed string (process workers unpickle fresh strings
-        # per chunk, so id reuse is routine there).
-        key = id(string)
+        key = string.fingerprint
         cached = self._cache.get(key)
-        if cached is not None and cached[0] is string:
-            return cached[1]
+        if cached is not None:
+            return cached
         literals = [token.literal for token in string]
         weights = [token.weight for token in string]
         features: Dict[_Gram, float] = defaultdict(float)
@@ -70,10 +66,9 @@ class SpectrumKernel(StringKernel):
             else:
                 features[gram] += 1.0
         result = dict(features)
-        self._cache[key] = (string, result)
-        if len(self._cache) > 4096:
+        if len(self._cache) >= 4096:
             self._cache.clear()
-            self._cache[key] = (string, result)
+        self._cache[key] = result
         return result
 
     # ------------------------------------------------------------------

@@ -20,6 +20,7 @@ the CLI and the worked-example benchmark::
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
@@ -86,7 +87,7 @@ class WeightedString:
     weight queries with a threshold, and a round-trippable text format.
     """
 
-    __slots__ = ("_tokens", "name", "label")
+    __slots__ = ("_tokens", "name", "label", "_fingerprint")
 
     def __init__(
         self,
@@ -97,6 +98,7 @@ class WeightedString:
         self._tokens: Tuple[Token, ...] = tuple(tokens)
         self.name = name
         self.label = label
+        self._fingerprint: Optional[str] = None
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -138,6 +140,19 @@ class WeightedString:
     def tokens(self) -> Tuple[Token, ...]:
         """The tokens of the string as an immutable tuple."""
         return self._tokens
+
+    @property
+    def fingerprint(self) -> str:
+        """Content digest of the tokens (name and label excluded), computed once.
+
+        The one content key of a string, for every cache and store.
+        """
+        if self._fingerprint is None:
+            digest = hashlib.sha1()
+            for token in self._tokens:
+                digest.update(f"{token.literal}\x00{token.weight}\x01".encode("utf-8"))
+            self._fingerprint = digest.hexdigest()
+        return self._fingerprint
 
     def __len__(self) -> int:
         return len(self._tokens)

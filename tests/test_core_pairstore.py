@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import random
@@ -76,16 +77,14 @@ class TestRoundTrip:
             PairStore(str(tmp_path / "a"), max_bytes=0)
         with pytest.raises(ValueError):
             PairStore(str(tmp_path / "b"), ttl=-1)
-        with pytest.raises(ValueError):
-            PairStore(str(tmp_path / "c"), compact_segments=1)
 
 
 class TestSegments:
     def test_one_batch_writes_at_most_one_segment_per_bucket(self, tmp_path):
         store = PairStore(str(tmp_path / "pairs"))
         store.put_many(SIG, {(fp(i), fp(i + 1000)): float(i) for i in range(200)})
-        # 200 pairs land in <= 16 bucket segments, never one file per pair.
-        assert 1 <= len(segment_paths(store)) <= 16
+        # 200 pairs land in exactly one segment: one file, one fsync.
+        assert len(segment_paths(store)) == 1
 
     def test_torn_segment_is_healed_not_served(self, tmp_path):
         store = PairStore(str(tmp_path / "pairs"))
@@ -93,9 +92,12 @@ class TestSegments:
         (path,) = segment_paths(store)
         with open(path, "w", encoding="utf-8") as handle:
             handle.write('{"v": 1, "pairs": [["')  # torn mid-write
-        assert store.get_many(SIG, [(fp(1), fp(2))]) == {}
+        # The writer verified its segment once, when it wrote it.
+        assert store.get_many(SIG, [(fp(1), fp(2))]) == {(fp(1), fp(2)): 1.0}
+        reader = PairStore(str(tmp_path / "pairs"))
+        assert reader.get_many(SIG, [(fp(1), fp(2))]) == {}
         assert not os.path.exists(path)  # self-healed
-        assert store.counters()["invalid"] == 1
+        assert reader.counters()["invalid"] == 1
 
     def test_checksum_mismatch_is_treated_as_damage(self, tmp_path):
         store = PairStore(str(tmp_path / "pairs"))
@@ -106,28 +108,106 @@ class TestSegments:
         payload["pairs"][0][2] = 99.0  # flipped value, stale checksum
         with open(path, "w", encoding="utf-8") as handle:
             json.dump(payload, handle)
-        assert store.get_many(SIG, [(fp(1), fp(2))]) == {}
-        assert store.counters()["invalid"] == 1
+        assert store.get_many(SIG, [(fp(1), fp(2))]) == {(fp(1), fp(2)): 1.0}
+        reader = PairStore(str(tmp_path / "pairs"))
+        assert reader.get_many(SIG, [(fp(1), fp(2))]) == {}
+        assert reader.counters()["invalid"] == 1
 
-    def test_compaction_merges_a_bucket_and_keeps_every_value(self, tmp_path):
-        store = PairStore(str(tmp_path / "pairs"), compact_segments=3)
-        # Pairs picked to share one digest bucket: each put adds a segment
-        # there until the threshold triggers a merge.
-        values = {}
-        index = 0
-        while len(values) < 8:
-            pair = (fp(index), fp(index))
-            index += 1
-            if PairStore._bucket_of(pair) != "0":
-                continue
-            values[pair] = float(index)
-            store.put_many(SIG, {pair: float(index)})
+    def test_compaction_merges_a_bucket_and_keeps_every_value(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(PairStore, "COMPACT_SEGMENTS", 3)
+        store = PairStore(str(tmp_path / "pairs"))
+        # A sweep that meets only damage learns no signature from it; the
+        # merges below must still write segments under the right one.
+        os.makedirs(store._signature_dir(SIG))
+        with open(os.path.join(store._signature_dir(SIG), "seg-torn.json"), "w", encoding="utf-8") as handle:
+            handle.write("{")
+        store.sweep()
+        # Each put adds one small segment until the threshold triggers a merge.
+        values = {(fp(index), fp(index)): float(index) for index in range(8)}
+        for pair, value in values.items():
+            store.put_many(SIG, {pair: value})
         assert store.counters()["compactions"] >= 1
+        assert len(segment_paths(store)) <= 3
         assert store.get_many(SIG, list(values)) == values
-        # Compacted to at most the threshold per bucket.
-        buckets = {os.path.dirname(path) for path in segment_paths(store)}
-        for bucket in buckets:
-            assert len(os.listdir(bucket)) <= 3
+        assert PairStore(store.root).get_many(SIG, list(values)) == values
+
+
+class TestIndex:
+    @staticmethod
+    def count_parses(monkeypatch, store):
+        parsed = []
+        load = PairStore._load_segment
+
+        def counting(self, path, signature):
+            if self is store:
+                parsed.append(path)
+            return load(self, path, signature)
+
+        monkeypatch.setattr(PairStore, "_load_segment", counting)
+        return parsed
+
+    def test_lookups_parse_each_segment_once_and_stay_flat(self, tmp_path, monkeypatch):
+        root = str(tmp_path / "pairs")
+        writer, reader = PairStore(root), PairStore(root)
+        parsed = self.count_parses(monkeypatch, reader)
+        stored = {}
+        for batch in range(6):
+            values = {(fp(batch * 100 + i), fp(batch * 100 + i + 50)): float(i) for i in range(40)}
+            writer.put_many(SIG, values)
+            stored.update(values)
+            wanted = list(stored) + [(fp(9000), fp(9001))]
+            del parsed[:]
+            assert reader.get_many(SIG, wanted) == stored
+            assert len(parsed) == 1  # only the new segment, however many exist
+            for _ in range(3):
+                assert reader.get_many(SIG, wanted) == stored
+            assert len(parsed) == 1  # repeated lookups parse nothing
+
+    def test_a_hit_touches_only_the_segment_that_served_it(self, tmp_path):
+        store = PairStore(str(tmp_path / "pairs"))
+        store.put_many(SIG, {(fp(1), fp(2)): 1.0})
+        (older,) = segment_paths(store)
+        store.put_many(SIG, {(fp(1), fp(2)): 1.0})
+        (newer,) = set(segment_paths(store)) - {older}
+        store.put_many(SIG, {(fp(3), fp(4)): 2.0})
+        (other,) = set(segment_paths(store)) - {older, newer}
+        for path in (older, newer, other):
+            os.utime(path, (1, 1))
+        assert store.get_many(SIG, [(fp(1), fp(2))]) == {(fp(1), fp(2)): 1.0}
+        assert os.path.getmtime(newer) > 1
+        assert os.path.getmtime(older) == 1
+        assert os.path.getmtime(other) == 1
+
+    def test_other_instances_see_written_and_swept_segments(self, tmp_path):
+        root = str(tmp_path / "pairs")
+        first, second = PairStore(root), PairStore(root)
+        pair = (fp(1), fp(2))
+        assert first.get_many(SIG, [pair]) == {}
+        second.put_many(SIG, {pair: 3.5})
+        assert first.get_many(SIG, [pair]) == {pair: 3.5}
+        first.put_many(SIG, {(fp(3), fp(4)): 4.5})
+        assert second.get_many(SIG, [(fp(3), fp(4))]) == {(fp(3), fp(4)): 4.5}
+        second.sweep(ttl=0)
+        assert first.get_many(SIG, [pair, (fp(3), fp(4))]) == {}
+        assert first.counters()["invalid"] == 0
+
+    @pytest.mark.parametrize("drop", ["sweep", "clear"])
+    def test_pre_log_bucket_directories_are_ignored_then_removed(self, tmp_path, drop):
+        store = PairStore(str(tmp_path / "pairs"))
+        bucket = os.path.join(store._signature_dir(SIG), "a")
+        os.makedirs(bucket)
+        rows = [[fp(1), fp(2), 99.0]]
+        checksum = hashlib.sha256(json.dumps(rows, separators=(",", ":")).encode()).hexdigest()
+        payload = {"v": 1, "signature": SIG, "pairs": rows, "sha256": checksum}
+        with open(os.path.join(bucket, "seg-0.json"), "w", encoding="utf-8") as handle:
+            json.dump(payload, handle)
+        assert store.get_many(SIG, [(fp(1), fp(2))]) == {}
+        store.put_many(SIG, {(fp(1), fp(2)): 1.0})
+        assert store.get_many(SIG, [(fp(1), fp(2))]) == {(fp(1), fp(2)): 1.0}
+        assert store.stats()["entries"] == 1
+        getattr(store, drop)()
+        assert not os.path.exists(bucket)
+        assert store.counters()["invalid"] == 0
 
 
 class TestSweep:

@@ -146,9 +146,9 @@ class TestPreparedCache:
             kernel._prepare(string)
         # Bounded, and the most recent entries survive (no wholesale clear).
         assert len(kernel._cache) == 4
-        assert strings[-1].tokens in kernel._cache
-        assert strings[-2].tokens in kernel._cache
-        assert strings[0].tokens not in kernel._cache
+        assert strings[-1].fingerprint in kernel._cache
+        assert strings[-2].fingerprint in kernel._cache
+        assert strings[0].fingerprint not in kernel._cache
 
     def test_recently_used_entry_survives_eviction(self):
         kernel = KastSpectrumKernel(cut_weight=2, max_cache_size=3)
@@ -158,7 +158,7 @@ class TestPreparedCache:
             kernel._prepare(WeightedString.parse(f"f{index}:1"))
         kernel._prepare(keep)  # refresh recency
         kernel._prepare(WeightedString.parse("g:1"))  # evicts the oldest, not `keep`
-        assert keep.tokens in kernel._cache
+        assert keep.fingerprint in kernel._cache
 
     def test_setting_interner_clears_cache(self):
         kernel = KastSpectrumKernel(cut_weight=2, backend="numpy")

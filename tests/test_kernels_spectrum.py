@@ -77,8 +77,7 @@ class TestFeatureCacheIdentity:
         # Regression: the feature cache was keyed on id(string) without
         # pinning the string, so a freed string's recycled id could serve
         # stale features (seen with process-executor workers unpickling
-        # fresh strings per chunk).  Entries now pin the string and are
-        # identity-checked.
+        # fresh strings per chunk).  Entries are now keyed by content.
         kernel = SpectrumKernel(k=1, weighted=False)
         for index in range(200):
             string = WeightedString.from_pairs([(f"op{index}", 1)], name="x")

@@ -170,7 +170,8 @@ _PROCESS_SCRIPT = textwrap.dedent(
     from repro.core.pairstore import PairStore
 
     root, start = sys.argv[1], int(sys.argv[2])
-    store = PairStore(root, compact_segments=2)  # aggressive compaction races
+    PairStore.COMPACT_SEGMENTS = 2  # aggressive compaction races
+    store = PairStore(root)
     signature = "proc-shared"
     own = {(f"{i:040x}", f"{i + 5000:040x}"): float(i) for i in range(start, start + 150)}
     shared = {(f"{i:040x}", f"{i + 9000:040x}"): float(i) for i in range(50)}
