@@ -187,7 +187,6 @@ def bench_distributed_workers(
                 command = [
                     sys.executable, "-m", "repro", "worker",
                     "--state-dir", state_dir,
-                    "--poll-interval", "0.05",
                     "--idle-exit", "3",
                 ]
                 for _ in range(count):

@@ -395,8 +395,8 @@ class AnalysisSession:
             matrix = engine.matrix(string_list, normalized=normalized)
             self.matrix_cache_store(spec, string_list, matrix)
             status = "miss"
-        if repair and not matrix.is_positive_semidefinite():
-            matrix = matrix.repaired()
+        if repair:
+            matrix = matrix.psd_repaired()
         return matrix, status
 
     # ------------------------------------------------------------------

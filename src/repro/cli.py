@@ -263,7 +263,11 @@ def build_parser() -> argparse.ArgumentParser:
     worker.add_argument("--state-dir", required=True, help="the job-store directory shared with the server")
     worker.add_argument("--worker-id", default=None, help="stable worker identity (default: host/pid-derived)")
     worker.add_argument(
-        "--poll-interval", type=float, default=0.5, help="seconds between queue scans when idle (default: 0.5)"
+        "--poll-interval",
+        type=float,
+        default=None,
+        help="upper bound in seconds on one idle wait when no wake-up arrives; a job queued "
+        "on this host wakes the worker at once (default: repro.service.worker.DEFAULT_POLL_INTERVAL)",
     )
     worker.add_argument(
         "--lease-seconds",
@@ -756,13 +760,13 @@ def _command_worker(args: argparse.Namespace) -> int:
     import signal
 
     from repro.obs.logging import configure_logging
-    from repro.service.worker import Worker
+    from repro.service.worker import DEFAULT_POLL_INTERVAL, Worker
 
     configure_logging()
     worker = Worker(
         state_dir=args.state_dir,
         worker_id=args.worker_id,
-        poll_interval=args.poll_interval,
+        poll_interval=DEFAULT_POLL_INTERVAL if args.poll_interval is None else args.poll_interval,
         lease_seconds=args.lease_seconds,
         n_jobs=args.n_jobs,
         executor=args.executor,

@@ -764,9 +764,7 @@ class GramEngine:
     ) -> KernelMatrix:
         """One-call matrix computation, PSD-repaired when *repair* is on."""
         matrix = self.matrix(strings, normalized=normalized)
-        if repair and not matrix.is_positive_semidefinite():
-            matrix = matrix.repaired()
-        return matrix
+        return matrix.psd_repaired() if repair else matrix
 
     # ------------------------------------------------------------------
     # Introspection

@@ -11,12 +11,17 @@ by zero and the matrices rebuilt", section 4.1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.normalization import clip_negative_eigenvalues, cosine_normalize, is_positive_semidefinite
+from repro.core.normalization import (
+    clip_negative_eigenvalues,
+    cosine_normalize,
+    is_positive_semidefinite,
+    psd_repair,
+)
 from repro.kernels.base import StringKernel
 from repro.strings.tokens import WeightedString
 
@@ -98,6 +103,12 @@ class KernelMatrix:
             kernel_name=self.kernel_name,
             normalized=self.normalized,
         )
+
+    def psd_repaired(self) -> "KernelMatrix":
+        """This matrix when :meth:`is_positive_semidefinite`, else
+        :meth:`repaired` — decided and repaired from one eigendecomposition."""
+        repaired_values = psd_repair(self.values)
+        return self if repaired_values is None else replace(self, values=repaired_values)
 
     def renormalized(self) -> "KernelMatrix":
         """Apply cosine normalisation to the stored values."""

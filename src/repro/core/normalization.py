@@ -10,7 +10,7 @@ spectrum.
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -18,9 +18,13 @@ __all__ = [
     "cosine_normalize",
     "clip_negative_eigenvalues",
     "is_positive_semidefinite",
+    "psd_repair",
     "center_kernel_matrix",
     "nearest_psd_projection",
 ]
+
+#: Eigenvalues down to ``-_PSD_TOLERANCE`` count as numerical zero.
+_PSD_TOLERANCE = 1e-8
 
 
 def cosine_normalize(matrix: np.ndarray) -> np.ndarray:
@@ -40,7 +44,7 @@ def cosine_normalize(matrix: np.ndarray) -> np.ndarray:
     return normalized
 
 
-def is_positive_semidefinite(matrix: np.ndarray, tolerance: float = 1e-8) -> bool:
+def is_positive_semidefinite(matrix: np.ndarray, tolerance: float = _PSD_TOLERANCE) -> bool:
     """Whether the symmetric matrix has no eigenvalue below ``-tolerance``."""
     matrix = np.asarray(matrix, dtype=float)
     symmetric = 0.5 * (matrix + matrix.T)
@@ -55,9 +59,30 @@ def clip_negative_eigenvalues(matrix: np.ndarray, tolerance: float = 0.0) -> np.
     positive semidefinite matrix in Frobenius norm among those sharing the
     input's eigenvectors.
     """
+    return _rebuild_clipped(*_symmetric_eigh(matrix), tolerance)
+
+
+def psd_repair(matrix: np.ndarray) -> Optional[np.ndarray]:
+    """:func:`clip_negative_eigenvalues` of *matrix*, or ``None`` when it needs none.
+
+    ``None`` means :func:`is_positive_semidefinite` holds at its default
+    tolerance.  One eigendecomposition both decides and repairs, where
+    that test followed by the clip takes two.
+    """
+    eigenvalues, eigenvectors = _symmetric_eigh(matrix)
+    if eigenvalues.min() >= -_PSD_TOLERANCE:
+        return None
+    return _rebuild_clipped(eigenvalues, eigenvectors, 0.0)
+
+
+def _symmetric_eigh(matrix: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     matrix = np.asarray(matrix, dtype=float)
-    symmetric = 0.5 * (matrix + matrix.T)
-    eigenvalues, eigenvectors = np.linalg.eigh(symmetric)
+    return np.linalg.eigh(0.5 * (matrix + matrix.T))
+
+
+def _rebuild_clipped(
+    eigenvalues: np.ndarray, eigenvectors: np.ndarray, tolerance: float
+) -> np.ndarray:
     clipped = np.where(eigenvalues < tolerance, 0.0, eigenvalues)
     rebuilt = (eigenvectors * clipped) @ eigenvectors.T
     # Numerical noise can leave tiny asymmetries; symmetrise explicitly.

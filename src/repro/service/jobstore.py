@@ -7,6 +7,7 @@ Each job owns files under the service's state directory::
         payloads/<job_id>.json    # the stamped result payload (written once)
         locks/<job_id>.lock       # per-record advisory file lock
         quarantine/               # damaged files moved here, never trusted
+        wake/<host>-<pid>-<id>.fifo  # one named pipe per waiting process
 
 Every write goes through an atomic temp-file + ``os.replace`` dance, so a
 crash leaves either the old file or the new file — never a torn one — and
@@ -54,6 +55,25 @@ job whose callable died with its server.  Queued jobs and expired leases
 are requeued by recovery instead — rerunning work that never completed is
 always safe because results are written atomically and exactly once.
 
+Wake-ups
+--------
+A process waiting for the store to change — a worker with a dry queue, a
+coordinator waiting on leased blocks, a server waiting on a record another
+process owns — registers one named pipe under ``wake/`` through a
+:class:`Doorbell` and sleeps on it.  A state dir has one ``wake/``: tenant
+namespaces ring their state dir's (``wake_dir`` is pointed there), so one
+pipe per process hears every namespace.  Every record write that makes a job
+claimable (``queued``) or finished (a terminal status) *rings* the store:
+one non-blocking byte into every pipe of this host in ``wake/``
+(:meth:`JobStore.ring`).  Claims and lease renewals do not ring; nobody
+waits for them.  A pipe whose reader is gone is removed by the next ring.
+Pipes are named after their host, and a ring skips other hosts' pipes: a
+named pipe only connects processes on one host, so on a state dir shared
+across hosts another host's pipe would look dead.  The bell only shortens
+waits: every waiter still re-reads the store after its own fallback
+interval, so a state dir shared across hosts (where a ring cannot cross)
+or a platform without ``mkfifo`` stays correct, only slower.
+
 Garbage collection
 ------------------
 :meth:`sweep` removes terminal records (and their payloads and lock
@@ -69,9 +89,12 @@ isolation).
 from __future__ import annotations
 
 import contextlib
+import errno
 import hashlib
 import json
 import os
+import select
+import socket
 import threading
 import time
 import uuid
@@ -87,6 +110,7 @@ except ImportError:  # pragma: no cover - non-POSIX fallback
 
 __all__ = [
     "JOB_STATUSES",
+    "Doorbell",
     "JobRecord",
     "JobStore",
     "JobStoreError",
@@ -105,6 +129,23 @@ TERMINAL_STATUSES = frozenset({"done", "error", "cancelled", "interrupted"})
 #: Age after which an ``O_EXCL`` sidecar lock (fallback path only) is
 #: presumed orphaned by a dead process and broken.
 _SIDECAR_STALE_SECONDS = 60.0
+
+#: Name prefix and suffix of this host's wake-up pipes under ``wake/``
+#: (``<host>-<pid>-<id>.fifo``); a leading dot marks a pipe still being
+#: registered, which ringers skip.
+_WAKE_PREFIX = f"{socket.gethostname()}-"
+_WAKE_SUFFIX = ".fifo"
+
+
+def _is_local_pipe(name: str) -> bool:
+    """Whether *name* is the wake-up pipe of a process on this host.
+
+    The rest of the name must be exactly ``<pid>-<id>``, so host ``a``
+    never claims host ``a-b``'s pipes.
+    """
+    if not (name.startswith(_WAKE_PREFIX) and name.endswith(_WAKE_SUFFIX)):
+        return False
+    return name[len(_WAKE_PREFIX) : -len(_WAKE_SUFFIX)].count("-") == 1
 
 
 class JobStoreError(RuntimeError):
@@ -269,6 +310,10 @@ class JobStore:
         self.payloads_dir = os.path.join(self.root, "payloads")
         self.locks_dir = os.path.join(self.root, "locks")
         self.quarantine_dir = os.path.join(self.root, "quarantine")
+        #: Named pipes of the processes waiting on this store (see
+        #: :class:`Doorbell`); created by the first waiter.  A tenant
+        #: namespace's store is pointed at its state dir's.
+        self.wake_dir = os.path.join(self.root, "wake")
         for directory in (self.jobs_dir, self.payloads_dir, self.locks_dir, self.quarantine_dir):
             os.makedirs(directory, exist_ok=True)
         # Process-local lifecycle counters (created/claims/releases/...);
@@ -417,6 +462,40 @@ class JobStore:
             self._record_path(record.job_id),
             json.dumps(record.to_dict(), indent=2, sort_keys=True),
         )
+        if record.status != "running":
+            # Claimable or finished: someone may be waiting for exactly this.
+            self.ring()
+
+    def ring(self) -> None:
+        """Wake every process on this host waiting on this store; never raises.
+
+        Writes one byte, without blocking, into each of this host's named
+        pipes under ``wake/``.  A pipe nobody reads any more (``ENXIO``: its
+        waiter died without unregistering) is removed; a full pipe
+        (``EAGAIN``) was already rung and is left alone.  Other hosts'
+        pipes are never opened: no reader of theirs is visible here.
+        """
+        try:
+            names = os.listdir(self.wake_dir)
+        except OSError:
+            return
+        for name in names:
+            if not _is_local_pipe(name):
+                continue
+            path = os.path.join(self.wake_dir, name)
+            try:
+                descriptor = os.open(path, os.O_WRONLY | os.O_NONBLOCK)
+            except OSError as exc:
+                if exc.errno == errno.ENXIO:
+                    with contextlib.suppress(OSError):
+                        os.remove(path)
+                continue
+            try:
+                os.write(descriptor, b"\0")
+            except OSError:
+                pass  # EAGAIN: already rung; EPIPE: the reader just left
+            finally:
+                os.close(descriptor)
 
     def get(self, job_id: str) -> JobRecord:
         """The stored record for *job_id* (:class:`KeyError` when absent)."""
@@ -899,3 +978,149 @@ class JobStore:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging convenience
         return f"JobStore(root={self.root!r}, jobs={len(self.records())})"
+
+
+def _register_pipe(wake_dir: str) -> Tuple[int, int, str]:
+    """Create and open one wake-up pipe under *wake_dir*.
+
+    Returns ``(reader, keep_alive, path)``.  The pipe is created and
+    opened under a dot-prefixed staging name that ringers skip, and only
+    renamed into place once its reader is open — so a ringer can never
+    mistake it for a dead waiter's pipe and remove it.  The process holds
+    a writer of its own (*keep_alive*) so the reader never sees end of
+    file, and so :meth:`Doorbell.ring_self` has something to write to.
+    """
+    os.makedirs(wake_dir, exist_ok=True)
+    name = f"{_WAKE_PREFIX}{os.getpid()}-{uuid.uuid4().hex[:12]}{_WAKE_SUFFIX}"
+    staging = os.path.join(wake_dir, f".{name}")
+    os.mkfifo(staging, 0o600)
+    descriptors: List[int] = []
+    try:
+        descriptors.append(os.open(staging, os.O_RDONLY | os.O_NONBLOCK))
+        descriptors.append(os.open(staging, os.O_WRONLY | os.O_NONBLOCK))
+        path = os.path.join(wake_dir, name)
+        os.replace(staging, path)
+    except OSError:
+        for descriptor in descriptors:
+            os.close(descriptor)
+        with contextlib.suppress(OSError):
+            os.remove(staging)
+        raise
+    return descriptors[0], descriptors[1], path
+
+
+class Doorbell:
+    """One process's wake-up on job-store change, shared by its threads.
+
+    :meth:`watch` registers one named pipe in a state dir's ``wake/``
+    directory; a listener thread sleeps on it and bumps :attr:`generation`
+    whenever it is rung.  A waiting thread reads :attr:`generation`
+    *before* it looks at the store, and then calls :meth:`wait` with that
+    value — a ring that lands between the look and the wait is never
+    lost.  :meth:`watch` returns ``True`` when it has only just
+    registered the pipe: rings before that were not heard, so the caller
+    looks again before its first wait::
+
+        while True:
+            seen = bell.generation
+            if something_to_do(store):
+                ...
+            elif not bell.watch(store):
+                bell.wait(seen, fallback_seconds)
+
+    *fallback_seconds* bounds every wait, so a ring that never arrives (a
+    writer on another host, a platform without ``mkfifo``, a pipe that
+    could not be created) costs at most that long, never correctness.
+    """
+
+    def __init__(self) -> None:
+        self._cond = threading.Condition()
+        self._generation = 0
+        self._closed = False
+        # (reader, keep_alive, path) of the registered pipe; keep_alive is
+        # also what ring_self() writes to.
+        self._pipe: Optional[Tuple[int, int, str]] = None
+        self._listener: Optional[threading.Thread] = None
+
+    @property
+    def generation(self) -> int:
+        """Rings seen so far; compare against it in :meth:`wait`."""
+        with self._cond:
+            return self._generation
+
+    def watch(self, store: "JobStore") -> bool:
+        """Wake this process on every ring of *store*'s state dir.
+
+        Registers the pipe on the first call and returns ``True`` then;
+        every later call (and a call that cannot register one) returns
+        ``False``.
+        """
+        with self._cond:
+            if self._closed or self._pipe is not None or not hasattr(os, "mkfifo"):
+                return False
+            try:
+                self._pipe = _register_pipe(store.wake_dir)
+            except OSError:
+                return False  # no pipe: waits fall back to polling
+            self._listener = threading.Thread(
+                target=self._listen, args=(self._pipe[0],), name="repro-doorbell", daemon=True
+            )
+            self._listener.start()
+            return True
+
+    def wait(self, seen: int, timeout: float) -> bool:
+        """Sleep until a ring after *seen*, at most *timeout* seconds.
+
+        Returns whether a ring arrived.  A closed doorbell never sleeps.
+        """
+        with self._cond:
+            return self._cond.wait_for(
+                lambda: self._generation != seen or self._closed, max(0.0, timeout)
+            )
+
+    def ring_self(self) -> None:
+        """Wake every thread of this process waiting on this doorbell.
+
+        Only writes a byte into the process's own pipe, so it is safe from
+        a signal handler; without a pipe it notifies directly.
+        """
+        pipe = self._pipe
+        if pipe is not None:
+            with contextlib.suppress(OSError):
+                os.write(pipe[1], b"\0")
+            return
+        with self._cond:
+            self._generation += 1
+            self._cond.notify_all()
+
+    def _listen(self, reader: int) -> None:
+        while True:
+            select.select([reader], [], [])
+            with contextlib.suppress(OSError):
+                while os.read(reader, 4096):
+                    pass
+            with self._cond:
+                if self._closed:
+                    return
+                self._generation += 1
+                self._cond.notify_all()
+
+    def close(self) -> None:
+        """Unregister the pipe and stop the listener (idempotent)."""
+        with self._cond:
+            if self._closed:
+                return
+            self._closed = True
+            self._cond.notify_all()
+            pipe, self._pipe = self._pipe, None
+        if pipe is None:
+            return
+        reader, keep_alive, path = pipe
+        with contextlib.suppress(OSError):
+            os.write(keep_alive, b"\0")  # wake the listener so it sees the close
+        if self._listener is not None:
+            self._listener.join(timeout=5)
+        with contextlib.suppress(OSError):
+            os.remove(path)
+        os.close(reader)
+        os.close(keep_alive)

@@ -29,7 +29,11 @@ deterministic and the assembly arithmetic is the monolithic path's, so
 the distributed payload is bit-identical to the monolithic one.  When
 ``inline_blocks`` is on (the default) the coordinating job also executes
 blocks itself, so a distributed job completes even with zero external
-workers.
+workers.  A coordinator with nothing to claim sleeps on the job store's
+doorbell (:class:`~repro.service.jobstore.Doorbell`): a block finishing in
+any process on the host wakes it at once, and
+:data:`~repro.service.worker.DEFAULT_POLL_INTERVAL` bounds the sleep when
+no ring arrives.
 
 A non-distributed job runs through the session's monolithic matrix path
 whatever its ``shards`` value: the engine's own ``n_jobs`` already
@@ -122,7 +126,7 @@ from repro.core.engine import decode_pair_values, plan_index_blocks, string_fing
 from repro.core.pairstore import PairStore
 from repro.core.matrix import KernelMatrix
 from repro.service.auth import Authenticator
-from repro.service.jobstore import JobRecord, JobStore, JobStoreError, LeaseError
+from repro.service.jobstore import Doorbell, JobRecord, JobStore, JobStoreError, LeaseError
 from repro.service.middleware import (
     RequestContext,
     auth_middleware,
@@ -167,7 +171,7 @@ from repro.service.tenancy import (
     TenantQuotas,
     TenantRegistry,
 )
-from repro.service.worker import _LeaseKeeper, execute_block_task
+from repro.service.worker import DEFAULT_POLL_INTERVAL, _LeaseKeeper, execute_block_task
 from repro.streaming.scorer import StreamingScorer
 from repro.streaming.store import ModelStore
 from repro.strings.tokens import WeightedString
@@ -175,9 +179,6 @@ from repro.strings.tokens import WeightedString
 __all__ = ["AnalysisServer", "serve_stdio"]
 
 logger = logging.getLogger(__name__)
-
-#: Sleep between coordinator polls while waiting on externally-leased blocks.
-_BLOCK_POLL_SECONDS = 0.1
 
 #: Default bound on one request body (HTTP ``POST /v1`` or one stdio line).
 DEFAULT_MAX_REQUEST_BYTES = 64 * 1024 * 1024
@@ -379,6 +380,9 @@ class AnalysisServer:
         )
         if self.store.recovery.quarantined or self.store.recovery.interrupted or self.store.recovery.requeued:
             logger.warning("%s", self.store.recovery.describe())
+        # Wakes this process's waits on its stores: coordinators and
+        # result waits on records other processes own.
+        self._doorbell = Doorbell()
         # Wake every namespace already on disk, resume whatever recovery
         # put back on the queues, then keep the stores healthy in the
         # background.
@@ -403,6 +407,9 @@ class AnalysisServer:
         sweeps) works on a tenant namespace unchanged.
         """
         store = JobStore(root)
+        # One wake/ per state dir: the processes waiting on it hear every
+        # namespace through one pipe each.
+        store.wake_dir = self.store.wake_dir
         config = self._session_config
         session = AnalysisSession(
             n_jobs=config["n_jobs"],
@@ -854,12 +861,6 @@ class AnalysisServer:
         self._stamp_cache_status(tenant, job_id, status)
         return tenant.session.engine(spec).matrix_payload(matrix, strings)
 
-    @staticmethod
-    def _repaired(matrix: KernelMatrix, repair: bool) -> KernelMatrix:
-        if repair and not matrix.is_positive_semidefinite():
-            return matrix.repaired()
-        return matrix
-
     def _assembled_matrix(
         self,
         tenant: TenantContext,
@@ -907,7 +908,11 @@ class AnalysisServer:
         inline (when ``inline_blocks``), requeueing blocks whose worker's
         lease expired, and waiting on blocks leased to live external
         workers — until every block is ``done`` — then merges the raw pair
-        values through the engine assembler.  Raw values are deterministic
+        values through the engine assembler.  The wait sleeps on the
+        store's doorbell, so a block stored by any process on this host
+        wakes it at once; ``DEFAULT_POLL_INTERVAL`` bounds each sleep for
+        rings that cannot arrive (a worker on another host sharing the
+        state dir) and for leases that expire.  Raw values are deterministic
         and JSON floats round-trip exactly, so the payload is
         bit-identical to the in-process path no matter who computed which
         block.
@@ -926,7 +931,7 @@ class AnalysisServer:
             if status == "hit":
                 self._stamp_cache_status(tenant, job_id, status)
                 cached = KernelMatrix.from_dict(found.payload)
-                return engine.matrix_payload(self._repaired(cached, repair), strings)
+                return engine.matrix_payload(cached.psd_repaired() if repair else cached, strings)
         blocks = plan_index_blocks(len(strings), shards)
         spec_dict = spec.to_dict()
         # Children inherit the parent's trace id (each with a span of its
@@ -960,6 +965,8 @@ class AnalysisServer:
         done_ids: set = set()
         try:
             while True:
+                # Read before the store, so a ring during the scan is kept.
+                seen = self._doorbell.generation
                 if self._maintenance_stop.is_set():
                     # The wait could otherwise outlive close() forever when
                     # no worker ever drains the queue.
@@ -991,12 +998,13 @@ class AnalysisServer:
                         if task is not None:
                             execute_block_task(tenant.store, task, tenant.session, corpus_cache=corpus_cache)
                             progressed = True
-                if not progressed:
+                if not progressed and not self._doorbell.watch(tenant.store):
                     # Every remaining block is leased to a live worker (or
                     # inline execution is off): wait for their results;
                     # expired leases are reclaimed by the workers' own
-                    # claim scans and the maintenance tick.
-                    time.sleep(_BLOCK_POLL_SECONDS)
+                    # claim scans and the maintenance tick.  (A first
+                    # watch() looks at the store again before waiting.)
+                    self._doorbell.wait(seen, DEFAULT_POLL_INTERVAL)
         except _ServerClosing:
             raise  # shutdown: blocks stay claimable for the next server
         except Exception:
@@ -1015,7 +1023,7 @@ class AnalysisServer:
         if status != "bypass":
             tenant.session.matrix_cache_store(spec, strings, matrix)
         self._stamp_cache_status(tenant, job_id, status)
-        payload = engine.matrix_payload(self._repaired(matrix, repair), strings)
+        payload = engine.matrix_payload(matrix.psd_repaired() if repair else matrix, strings)
         # Record who computed the blocks (observability), then drop the
         # finished children — their values live on inside the payload.
         with contextlib.suppress(JobStoreError, KeyError):
@@ -1375,7 +1383,9 @@ class AnalysisServer:
 
         Jobs running in this process finish through their session future;
         jobs owned by another process (a worker or a second server on the
-        same state dir) are polled in the store until the wait elapses.
+        same state dir) are re-read whenever the store's doorbell rings,
+        and at least every ``DEFAULT_POLL_INTERVAL``, until the wait
+        elapses or the server closes.
         """
         deadline = time.monotonic() + max(0.0, wait)
         record = self._record(tenant, job_id)
@@ -1390,17 +1400,21 @@ class AnalysisServer:
                 pass
             except (JobError, KeyError):
                 pass  # the job callable already wrote the error to the store
-        # Poll the store for whatever wait remains.  This covers jobs owned
+        # Watch the store for whatever wait remains.  This covers jobs owned
         # by another process outright, and the claim-race case where this
         # server's session future resolved instantly as a no-op while a
         # sibling server is still computing — returning early there would
-        # turn the client's bounded wait into a zero-delay busy loop.
+        # turn the client's bounded wait into a zero-delay busy loop.  The
+        # doorbell is only watched once a wait is really needed; a first
+        # watch() re-reads the record before sleeping.
         while True:
+            seen = self._doorbell.generation
             record = self._record(tenant, job_id)
             remaining = deadline - time.monotonic()
-            if record.finished or remaining <= 0:
+            if record.finished or remaining <= 0 or self._maintenance_stop.is_set():
                 return record
-            time.sleep(min(_BLOCK_POLL_SECONDS, max(0.01, remaining)))
+            if not self._doorbell.watch(tenant.store):
+                self._doorbell.wait(seen, min(DEFAULT_POLL_INTERVAL, remaining))
 
     def _handle_result(self, ctx: RequestContext) -> Dict[str, Any]:
         request = ctx.request
@@ -1792,6 +1806,7 @@ class AnalysisServer:
         """Stop the front ends, the maintenance thread, every tenant session
         this server built, and (when owned) the default session."""
         self._maintenance_stop.set()
+        self._doorbell.ring_self()  # coordinators and result waits see the stop now
         if self._httpd is not None:
             self._httpd.shutdown()
             self._httpd.server_close()
@@ -1803,6 +1818,7 @@ class AnalysisServer:
         self._tenants.close()
         if self._owns_session:
             self.session.shutdown()
+        self._doorbell.close()
         if self._tempdir is not None:
             self._tempdir.cleanup()
             self._tempdir = None

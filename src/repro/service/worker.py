@@ -13,11 +13,17 @@ hosts mounting the same state dir — drain that queue by *pulling*::
 Each loop iteration claims the oldest claimable task through
 :meth:`JobStore.claim <repro.service.jobstore.JobStore.claim>` under the
 store's cross-process file locks, so racing workers always walk away with
-distinct tasks.  While a task runs, a background :class:`_LeaseKeeper`
-thread renews the worker's lease; if the worker is SIGKILLed mid-block the
-renewals stop, the lease expires, and the block is reclaimed by another
-worker (or the server's own inline execution) — a dead worker delays a
-job, never corrupts or loses it.
+distinct tasks.  When the queue is dry the worker sleeps on the store's
+doorbell (:class:`~repro.service.jobstore.Doorbell`): a job queued by any
+process on the same host wakes it at once.  ``poll_interval`` only bounds
+that sleep, for wake-ups that cannot arrive — a server on another host
+sharing the state dir, or a platform without named pipes.
+
+While a task runs, a background :class:`_LeaseKeeper` thread renews the
+worker's lease; if the worker is SIGKILLed mid-block the renewals stop,
+the lease expires, and the block is reclaimed by another worker (or the
+server's own inline execution) — a dead worker delays a job, never
+corrupts or loses it.
 
 A worker owns a warm :class:`~repro.api.session.AnalysisSession`, so
 repeated blocks under one spec share kernel caches exactly like the
@@ -58,7 +64,7 @@ from repro.core.atomicio import write_text_atomic
 from repro.core.engine import block_index_pairs, encode_pair_values
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracing import trace_context
-from repro.service.jobstore import JobRecord, JobStore, JobStoreError, LeaseError
+from repro.service.jobstore import Doorbell, JobRecord, JobStore, JobStoreError, LeaseError
 from repro.service.protocol import decode_corpus
 from repro.service.tenancy import TENANTS_DIRNAME, valid_tenant_id
 from repro.strings.tokens import WeightedString
@@ -73,7 +79,8 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
-#: Default seconds between queue scans when the queue is dry.
+#: Default upper bound, in seconds, on one idle wait when no wake-up
+#: arrives: the fallback rescan interval of workers and coordinators.
 DEFAULT_POLL_INTERVAL = 0.5
 
 #: Default lease duration stamped on claimed tasks (renewed while running).
@@ -217,8 +224,9 @@ class Worker:
         Stable identity stamped into claimed records; defaults to a
         host/pid-qualified unique id.
     poll_interval / lease_seconds:
-        Queue-scan sleep when idle, and the lease stamped on claims
-        (renewed automatically while a task runs).
+        Upper bound on one idle wait when no wake-up arrives (a job queued
+        on this host wakes the worker at once), and the lease stamped on
+        claims (renewed automatically while a task runs).
     kinds:
         Record kinds this worker claims (default: block tasks and
         streaming model fits).
@@ -281,6 +289,8 @@ class Worker:
         self._tenant_sessions: Dict[str, AnalysisSession] = {}
         self._corpus_cache: Dict[str, List[WeightedString]] = {}
         self._stop = threading.Event()
+        # Sleeps run_forever on the state dir's wake/ (tenant stores share it).
+        self._doorbell = Doorbell()
         #: Tasks completed / failed by this worker (observability).
         self.completed = 0
         self.failed = 0
@@ -356,6 +366,7 @@ class Worker:
         if store is None:
             root = os.path.join(self.store.root, TENANTS_DIRNAME, tenant_id)
             store = JobStore(root, recover=False)
+            store.wake_dir = self.store.wake_dir
             self._tenant_stores[tenant_id] = store
         return store
 
@@ -486,10 +497,20 @@ class Worker:
         after the queue has stayed dry for that many seconds (both are how
         tests and batch deployments get a terminating worker).
         :meth:`stop` (e.g. from a signal handler) ends the loop too.
+
+        A dry queue puts the loop to sleep until a job in the state dir or
+        any of its tenant namespaces is queued or finished (see
+        :class:`~repro.service.jobstore.Doorbell`), or for at most
+        ``poll_interval`` seconds.
         """
         executed = 0
         idle_since: Optional[float] = None
-        while not self._stop.is_set():
+        self._doorbell.watch(self.store)
+        while True:
+            # Read before the scan, so a ring during the scan is kept.
+            seen = self._doorbell.generation
+            if self._stop.is_set():
+                break
             job_id = self.run_once()
             if job_id is not None:
                 executed += 1
@@ -500,14 +521,23 @@ class Worker:
             now = time.monotonic()
             if idle_since is None:
                 idle_since = now
-            if idle_exit is not None and now - idle_since >= idle_exit:
-                break
-            self._stop.wait(self.poll_interval)
+            timeout = self.poll_interval
+            if idle_exit is not None:
+                remaining = idle_since + idle_exit - now
+                if remaining <= 0:
+                    break
+                timeout = min(timeout, remaining)
+            self._doorbell.wait(seen, timeout)
         return executed
 
     def stop(self) -> None:
-        """Ask :meth:`run_forever` to exit after the current task."""
+        """Ask :meth:`run_forever` to exit after the current task.
+
+        Safe from a signal handler: it sets a flag and rings the worker's
+        own wake-up pipe.
+        """
         self._stop.set()
+        self._doorbell.ring_self()
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -520,6 +550,7 @@ class Worker:
         self._tenant_sessions.clear()
         if self._owns_session:
             self.session.shutdown()
+        self._doorbell.close()
 
     def __enter__(self) -> "Worker":
         return self

@@ -81,6 +81,15 @@ class TestKernelMatrixOperations:
         assert not matrix.is_positive_semidefinite()
         assert matrix.repaired().is_positive_semidefinite()
 
+    def test_psd_repaired_matches_check_then_repair(self):
+        indefinite = np.array([[1.0, 0.99, -0.9], [0.99, 1.0, 0.99], [-0.9, 0.99, 1.0]])
+        matrix = KernelMatrix(values=indefinite, names=("a", "b", "c"), labels=("x", None, "y"))
+        repaired = matrix.psd_repaired()
+        assert np.array_equal(repaired.values, matrix.repaired().values)
+        assert (repaired.names, repaired.labels) == (matrix.names, matrix.labels)
+        healthy = KernelMatrix(values=np.eye(3), names=("a", "b", "c"), labels=(None, None, None))
+        assert healthy.psd_repaired() is healthy
+
     def test_renormalized_restores_unit_diagonal(self):
         values = np.array([[4.0, 2.0], [2.0, 9.0]])
         matrix = KernelMatrix(values=values, names=("a", "b"), labels=(None, None), normalized=False)

@@ -14,6 +14,7 @@ from repro.core.normalization import (
     cosine_normalize,
     is_positive_semidefinite,
     nearest_psd_projection,
+    psd_repair,
 )
 
 
@@ -47,6 +48,17 @@ class TestPSDRepair:
     def test_psd_matrix_unchanged_by_clipping(self):
         matrix = np.array([[2.0, 1.0], [1.0, 2.0]])
         assert np.allclose(clip_negative_eigenvalues(matrix), matrix)
+
+    def test_psd_repair_decides_like_the_check_and_clips_like_the_clip(self):
+        rng = np.random.default_rng(3)
+        for _ in range(20):
+            raw = rng.normal(size=(12, 12))
+            matrix = raw @ raw.T if rng.random() < 0.5 else raw + raw.T
+            repaired = psd_repair(matrix)
+            if is_positive_semidefinite(matrix):
+                assert repaired is None
+            else:
+                assert np.array_equal(repaired, clip_negative_eigenvalues(matrix))
 
     def test_nearest_psd_projection_restores_unit_diagonal(self):
         matrix = np.array([[1.0, 0.9, -0.9], [0.9, 1.0, 0.9], [-0.9, 0.9, 1.0]])

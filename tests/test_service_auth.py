@@ -500,7 +500,7 @@ class TestWorkerAcrossTenants:
             job_b = submit_matrix(
                 server, strings, token="beta-secret", shards=2, distributed=True
             )
-            with Worker(state_dir, worker_id="puller", poll_interval=0.05) as worker:
+            with Worker(state_dir, worker_id="puller") as worker:
                 thread = threading.Thread(
                     target=worker.run_forever, kwargs={"idle_exit": 3.0}
                 )

@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import json
 import os
+import socket
 import time
 
 import pytest
 
-from repro.service.jobstore import JobRecord, JobStore, JobStoreError, LeaseError
+from repro.service.jobstore import Doorbell, JobRecord, JobStore, JobStoreError, LeaseError
 
 
 @pytest.fixture
@@ -456,3 +457,136 @@ class TestResultOwnership:
         record = store.create("matrix")
         store.mark_running(record.job_id)
         assert store.store_result(record.job_id, {"x": 1}).status == "done"
+
+
+class TestDoorbell:
+    def test_a_ring_wakes_a_waiter_long_before_its_fallback(self, store):
+        bell = Doorbell()
+        assert bell.watch(store)  # just registered: the caller looks again
+        assert not bell.watch(store)
+        try:
+            seen = bell.generation
+            started = time.monotonic()
+            store.create("block")  # queued: rings
+            assert bell.wait(seen, 60.0)
+            assert time.monotonic() - started < 2.0
+            seen = bell.generation
+            record = store.create("block")
+            assert bell.wait(seen, 60.0)
+            # A claim (or a lease renewal) rings nobody.
+            time.sleep(0.2)
+            seen = bell.generation
+            store.claim_job(record.job_id, "w1", lease_seconds=30)
+            store.renew_lease(record.job_id, "w1", lease_seconds=30)
+            assert not bell.wait(seen, 0.3)
+            store.store_result(record.job_id, {"x": 1}, worker_id="w1")  # done: rings
+            assert bell.wait(seen, 60.0)
+        finally:
+            bell.close()
+        assert os.listdir(store.wake_dir) == []  # close unregisters the pipe
+
+    def test_a_dead_waiters_pipe_is_removed_on_the_next_ring(self, store):
+        bell = Doorbell()
+        bell.watch(store)
+        try:
+            (live,) = os.listdir(store.wake_dir)
+            assert live.startswith(f"{socket.gethostname()}-{os.getpid()}-")
+            dead = os.path.join(store.wake_dir, f"{socket.gethostname()}-1-deadbeef.fifo")
+            os.mkfifo(dead)  # a pipe whose reader is gone
+            store.ring()
+            assert os.listdir(store.wake_dir) == [live]
+        finally:
+            bell.close()
+
+    def test_a_ring_leaves_other_hosts_pipes_alone(self, store):
+        # On a state dir shared across hosts another host's pipe has no
+        # reader visible here; removing it would silence that host's bell.
+        host = socket.gethostname()
+        foreign = sorted([f"other-{host}-1-deadbeef.fifo", f"{host}-x-1-deadbeef.fifo"])
+        os.makedirs(store.wake_dir)
+        for name in foreign:
+            os.mkfifo(os.path.join(store.wake_dir, name))
+        store.ring()
+        store.create("block")
+        assert sorted(os.listdir(store.wake_dir)) == foreign
+
+    def test_ringing_an_empty_or_missing_wake_dir_never_raises(self, store):
+        assert not os.path.exists(store.wake_dir)
+        store.ring()
+        os.makedirs(store.wake_dir)
+        store.ring()
+        with open(os.path.join(store.wake_dir, "stray.txt"), "w") as handle:
+            handle.write("not a pipe")
+        store.ring()
+        assert os.listdir(store.wake_dir) == ["stray.txt"]
+
+    def test_ring_self_wakes_and_a_closed_bell_never_sleeps(self, store):
+        bell = Doorbell()
+        bell.watch(store)
+        seen = bell.generation
+        started = time.monotonic()
+        bell.ring_self()
+        assert bell.wait(seen, 60.0)
+        bell.close()
+        assert bell.wait(bell.generation, 60.0)
+        assert time.monotonic() - started < 2.0
+
+    def test_no_waiting_thread_misses_a_ring(self, store):
+        # More waiters than cores, switching threads as often as possible:
+        # a lost wake-up strands a waiter for its whole 60 s fallback.
+        import sys
+        import threading
+
+        target = 25
+        bell = Doorbell()
+        bell.watch(store)
+        finished = []
+
+        def waiter() -> None:
+            while True:
+                seen = bell.generation
+                if len(store.records()) >= target:
+                    finished.append(True)
+                    return
+                bell.wait(seen, 60.0)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=waiter) for _ in range(6)]
+            for thread in threads:
+                thread.start()
+            for _ in range(target):
+                store.create("block")
+                time.sleep(0.002)
+            for thread in threads:
+                thread.join(timeout=20)
+        finally:
+            sys.setswitchinterval(interval)
+            bell.close()
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(finished) == 6
+
+    def test_recover_sweep_and_gc_ignore_the_wake_dir(self, tmp_path):
+        from repro.cli import main
+
+        state_dir = str(tmp_path / "state")
+        store = JobStore(state_dir)
+        done = store.create("matrix")
+        store.store_result(done.job_id, {"x": 1})
+        bell = Doorbell()
+        bell.watch(store)
+        try:
+            os.mkfifo(os.path.join(store.wake_dir, "1-deadbeef.fifo"))
+            os.mkfifo(os.path.join(store.wake_dir, ".2-staging.fifo"))
+            before = sorted(os.listdir(store.wake_dir))
+            report = JobStore(state_dir).recovery
+            assert (report.quarantined, report.requeued, report.interrupted) == ((), (), ())
+            assert store.sweep(ttl_seconds=0, dry_run=True) == [done.job_id]
+            assert main(["gc", "--state-dir", state_dir, "--ttl", "0"]) == 0
+            with pytest.raises(KeyError):
+                store.get(done.job_id)
+            assert sorted(os.listdir(store.wake_dir)) == before
+            assert os.listdir(store.quarantine_dir) == []
+        finally:
+            bell.close()

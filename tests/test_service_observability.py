@@ -111,7 +111,7 @@ class TestTracePropagation:
                     spans.add(block.options["span_id"])
                 assert len(spans) == len(blocks), "block spans must be distinct"
 
-                worker = Worker(state_dir, worker_id="obs-worker", poll_interval=0.05)
+                worker = Worker(state_dir, worker_id="obs-worker")
                 thread = threading.Thread(
                     target=worker.run_forever, kwargs={"idle_exit": 2.0}
                 )
@@ -236,7 +236,7 @@ class TestMetricsEndpoint:
         state_dir = str(tmp_path / "state")
         with AnalysisServer(state_dir=state_dir, inline_blocks=False) as server:
             response = submit_matrix(server, strings, shards=2, distributed=True)
-            worker = Worker(state_dir, worker_id="snapshot-worker", poll_interval=0.05)
+            worker = Worker(state_dir, worker_id="snapshot-worker")
             thread = threading.Thread(
                 target=worker.run_forever, kwargs={"idle_exit": 2.0}
             )

@@ -20,7 +20,8 @@ import time
 import pytest
 
 from repro.api import AnalysisSession, make_spec
-from repro.service import AnalysisServer, JobStore, Worker
+from repro.service import AnalysisServer, Authenticator, JobStore, Worker
+from repro.service import server as server_module
 from repro.service.protocol import (
     ResultRequest,
     StatusRequest,
@@ -73,7 +74,6 @@ def spawn_worker_process(state_dir, *extra_args):
     command = [
         sys.executable, "-m", "repro", "worker",
         "--state-dir", state_dir,
-        "--poll-interval", "0.1",
         *extra_args,
     ]
     env = dict(os.environ)
@@ -120,8 +120,7 @@ class TestExternalWorkers:
         state_dir = str(tmp_path / "state")
         with AnalysisServer(state_dir=state_dir, inline_blocks=False) as server:
             job_id = submit_distributed(server, strings, shards=3)
-            workers = [Worker(state_dir, worker_id=f"puller-{index}", poll_interval=0.05)
-                       for index in range(2)]
+            workers = [Worker(state_dir, worker_id=f"puller-{index}") for index in range(2)]
             threads = [
                 threading.Thread(target=worker.run_forever, kwargs={"idle_exit": 2.0})
                 for worker in workers
@@ -263,7 +262,7 @@ class TestWorkerUnit:
                 "block",
                 options={"parent": parent.job_id, "first": [start, start + 1], "second": [start, start + 1]},
             )
-        with Worker(state_dir, worker_id="w1", poll_interval=0.05) as worker:
+        with Worker(state_dir, worker_id="w1") as worker:
             assert worker.run_forever(max_tasks=1) == 1
             assert worker.run_forever(idle_exit=0.2) == 1  # drains the rest, then exits
         statuses = [record.status for record in store.records(kind="block")]
@@ -290,3 +289,163 @@ class TestCoordinatorFailure:
             assert response["error"]["code"] == "job-failed"
             assert "synthetic block failure" in response["error"]["message"]
             assert server.store.records(kind="block") == []  # siblings abandoned
+
+
+#: Fallback bound of every wait in the wake-up tests: far longer than any
+#: of their deadlines, so only the doorbell can make them pass.
+FALLBACK_SECONDS = 60.0
+
+
+@pytest.fixture
+def slow_fallback(monkeypatch):
+    """Coordinators and result waits fall back to a 60 s rescan too."""
+    monkeypatch.setattr(server_module, "DEFAULT_POLL_INTERVAL", FALLBACK_SECONDS)
+
+
+def start_sleeping_worker(state_dir):
+    """A Worker with a 60 s fallback, running in a thread on a dry queue."""
+    worker = Worker(state_dir, worker_id="sleeper", poll_interval=FALLBACK_SECONDS)
+    thread = threading.Thread(target=worker.run_forever)
+    thread.start()
+    time.sleep(0.5)  # let it find the queue dry and go to sleep
+    return worker, thread
+
+
+def stop_worker(worker, thread):
+    worker.stop()
+    thread.join(timeout=10)
+    worker.close()
+    assert not thread.is_alive()
+
+
+class TestWakeUps:
+    def test_sleeping_worker_claims_a_new_block_within_two_seconds(self, tmp_path, strings):
+        state_dir = str(tmp_path / "state")
+        store = JobStore(state_dir)
+        parent = store.create(
+            "matrix",
+            spec=SPEC.to_dict(),
+            input={"spec": SPEC.to_dict(), "strings": list(encode_corpus(strings))},
+        )
+        worker, thread = start_sleeping_worker(state_dir)
+        try:
+            created = threading.Thread(
+                target=store.create,
+                args=("block",),
+                kwargs={"options": {"parent": parent.job_id, "first": [0, 1], "second": [0, 1]}},
+            )
+            started = time.monotonic()
+            created.start()
+            created.join()
+            assert wait_for(lambda: worker.completed == 1, timeout=2.0, interval=0.01)
+            assert time.monotonic() - started < 2.0
+        finally:
+            stop_worker(worker, thread)
+
+    def test_distributed_job_drained_by_a_sleeping_worker_finishes_quickly(
+        self, tmp_path, strings, local_payload, slow_fallback
+    ):
+        state_dir = str(tmp_path / "state")
+        with AnalysisServer(state_dir=state_dir, inline_blocks=False) as server:
+            worker, thread = start_sleeping_worker(state_dir)
+            try:
+                started = time.monotonic()
+                job_id = submit_distributed(server, strings, shards=3)
+                payload = wait_payload(server, job_id, wait=FALLBACK_SECONDS)
+                elapsed = time.monotonic() - started
+            finally:
+                stop_worker(worker, thread)
+        assert payload == local_payload
+        assert worker.completed == 6
+        assert elapsed < 10.0
+
+    def test_a_new_tenant_namespace_wakes_a_worker_waiting_on_the_root(
+        self, tmp_path, strings, local_payload, slow_fallback
+    ):
+        state_dir = str(tmp_path / "state")
+        auth = Authenticator.single("acme-secret", tenant="acme")
+        with AnalysisServer(state_dir=state_dir, authenticator=auth, inline_blocks=False) as server:
+            worker, thread = start_sleeping_worker(state_dir)
+            assert not os.path.exists(os.path.join(state_dir, "tenants", "acme"))
+            try:
+                started = time.monotonic()
+                job_id = check_response(
+                    server.handle(
+                        SubmitMatrixRequest(
+                            spec=SPEC.to_dict(),
+                            strings=tuple(encode_corpus(strings)),
+                            shards=2,
+                            distributed=True,
+                        ).to_payload(),
+                        token="acme-secret",
+                    )
+                )["job_id"]
+                payload = check_response(
+                    server.handle(
+                        ResultRequest(job_id=job_id, wait=FALLBACK_SECONDS).to_payload(),
+                        token="acme-secret",
+                    )
+                )["payload"]
+                elapsed = time.monotonic() - started
+            finally:
+                stop_worker(worker, thread)
+        assert payload == local_payload
+        assert worker.completed == 3
+        assert elapsed < 10.0
+
+    def test_worker_stop_ends_a_sleeping_loop_within_a_second(self, tmp_path):
+        worker, thread = start_sleeping_worker(str(tmp_path / "state"))
+        started = time.monotonic()
+        worker.stop()
+        thread.join(timeout=10)
+        elapsed = time.monotonic() - started
+        worker.close()
+        assert not thread.is_alive()
+        assert elapsed < 1.0
+
+    def test_server_close_ends_a_waiting_coordinator_within_a_second(
+        self, tmp_path, strings, slow_fallback
+    ):
+        # No worker drains the blocks, so the coordinator and the client's
+        # result wait both sleep until close() rings them.
+        server = AnalysisServer(state_dir=str(tmp_path / "state"), inline_blocks=False)
+        try:
+            job_id = submit_distributed(server, strings, shards=2)
+            assert wait_for(lambda: len(server.store.records(kind="block")) == 3)
+            responses = []
+            waiter = threading.Thread(
+                target=lambda: responses.append(
+                    server.handle(ResultRequest(job_id=job_id, wait=FALLBACK_SECONDS).to_payload())
+                )
+            )
+            waiter.start()
+            time.sleep(0.5)
+        finally:
+            started = time.monotonic()
+            server.close()
+            waiter.join(timeout=10)
+            elapsed = time.monotonic() - started
+        assert not waiter.is_alive()
+        assert elapsed < 1.0
+        assert responses[0]["ok"] is False  # still pending: handed to the next server
+
+    def test_processes_that_never_wait_register_no_pipe(self, tmp_path, strings, local_payload):
+        # A result wait answered by this server's own session future, an
+        # inline coordinator that always has a block to claim, and a worker
+        # that only runs once never sleep on the store — so no pipe, no
+        # listener thread, and no ring costs anyone a write.
+        state_dir = str(tmp_path / "state")
+        wake_dir = os.path.join(state_dir, "wake")
+        with AnalysisServer(state_dir=state_dir) as server:
+            job_id = check_response(
+                server.handle(
+                    SubmitMatrixRequest(
+                        spec=SPEC.to_dict(), strings=tuple(encode_corpus(strings))
+                    ).to_payload()
+                )
+            )["job_id"]
+            assert wait_payload(server, job_id) == local_payload
+            assert wait_payload(server, submit_distributed(server, strings)) == local_payload
+            with Worker(state_dir, worker_id="once") as worker:
+                assert worker.run_once() is None
+            assert not os.path.exists(wake_dir)
