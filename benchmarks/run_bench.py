@@ -13,27 +13,16 @@ Measures, with the paper's 110-example corpus:
 * **E10b** — full Gram-matrix construction (seconds) vs corpus size,
   through the :class:`~repro.core.engine.GramEngine` (numpy backend) and
   through the pure-Python serial reference backend;
-* **E10c** — local vs service overhead: the same warm matrix request
-  through :meth:`AnalysisSession.matrix` in-process and through a
-  :class:`~repro.service.ServiceClient` against a local HTTP server (the
-  per-call cost of the wire protocol, job store and transport);
 * **E10d** — distributed worker scaling: one cold `distributed=True`
   sharded matrix job drained by 1 vs 2 external ``repro-iokast worker``
   processes (fresh state dir and workers per point, so caches are cold
   and the wall clock measures real block execution);
-* **E10e** — result-cache reuse: the same remote matrix submitted to a
-  fresh server cold, resubmitted (persistent-cache hit), resubmitted
-  against a *restarted* server on the same state dir (hit with a cold
-  engine), and grown by 10 examples — a result-cache ``miss`` whose
-  already-seen values the pair layers (in-memory pair cache and
-  ``PairStore``) answer, so only pairs involving the appended examples
-  reach the kernel — the speedups repeat and grown-corpus traffic get.
+* **E10g** — streaming classify: per-request latency vs corpus size,
+  full Gram vs an m-landmark model.
 
-* **E10f** — pair-store reuse: reordered, subset, and interleaved
-  resubmits of a previously computed corpus, cold (fresh state dir)
-  vs warm (state dir primed with the full corpus, server restarted).
-  These variants all miss the matrix-level cache; the speedup is what
-  the pair-level ``PairStore`` buys traffic the ``MatrixCache`` cannot.
+The service's per-request overhead and its result-cache and pair-store
+replays are measured by the service benchmark (``perfbench/``), whose
+self-test asserts the layer that answers each replay.
 
 The result is written as JSON so future PRs can diff their numbers against
 the recorded trajectory (see ``benchmarks/README.md``).  Timings are the
@@ -111,51 +100,6 @@ def bench_gram(repeats: int, sizes=CORPUS_SIZES) -> Dict[str, Dict[str, float]]:
     return results
 
 
-def bench_service_overhead(repeats: int, corpus_size: int = 40) -> Dict[str, float]:
-    """E10c: warm matrix call, in-process vs through the HTTP service.
-
-    Both sides are measured against warm engine caches, so the difference
-    is the service overhead itself — corpus serialisation, the HTTP round
-    trip, job-store persistence and payload decoding — not kernel work.
-    """
-    import tempfile
-
-    from repro.api import AnalysisSession, make_spec
-    from repro.pipeline.experiments import paper_strings
-    from repro.service import AnalysisServer, ServiceClient
-
-    spec = make_spec("kast", cut_weight=2)
-    strings = list(paper_strings(DEFAULT_SEED, True))[:corpus_size]
-
-    with AnalysisSession() as session:
-        session.matrix(spec, strings)  # warm the engine caches
-        local_seconds = median_seconds(lambda: session.matrix(spec, strings), repeats)
-
-    with tempfile.TemporaryDirectory(prefix="repro-bench-service-") as state_dir:
-        server = AnalysisServer(state_dir=state_dir)
-        try:
-            host, port = server.start_http()
-            with ServiceClient(f"http://{host}:{port}") as client:
-                client.matrix(spec, strings, timeout=600)  # warm the server session
-                service_seconds = median_seconds(
-                    lambda: client.matrix(spec, strings, timeout=600), repeats
-                )
-                sharded_seconds = median_seconds(
-                    lambda: client.matrix(spec, strings, shards=4, timeout=600), repeats
-                )
-        finally:
-            server.close()
-
-    return {
-        "corpus_size": float(corpus_size),
-        "local_warm_seconds": local_seconds,
-        "service_warm_seconds": service_seconds,
-        "service_warm_sharded4_seconds": sharded_seconds,
-        "overhead_seconds": service_seconds - local_seconds,
-        "overhead_ratio": service_seconds / local_seconds if local_seconds > 0 else float("inf"),
-    }
-
-
 def bench_distributed_workers(
     corpus_size: int = 40, shards: int = 4, worker_counts=(1, 2)
 ) -> Dict[str, object]:
@@ -214,137 +158,6 @@ def bench_distributed_workers(
         "corpus_size": float(corpus_size),
         "shards": float(shards),
         "wall_seconds": wall_seconds,
-    }
-
-
-def bench_result_cache(corpus_size: int = 40, extend_by: int = 10) -> Dict[str, object]:
-    """E10e: cold vs warm-cache service matrix calls.
-
-    One fresh state dir: a cold submission (every kernel pair evaluated),
-    an identical resubmission (served from the persistent result cache),
-    the same resubmission after a server restart (cache hit with a
-    completely cold engine), and a grown corpus (a result-cache miss
-    answered by the pair layers, so only pairs involving the appended
-    examples are evaluated).  Single-shot wall clocks — cache
-    hits are one-time events per state, so medians would lie.
-    """
-    import tempfile
-
-    from repro.api import make_spec
-    from repro.service import AnalysisServer, ServiceClient
-
-    spec = make_spec("kast", cut_weight=2)
-    strings = list(paper_strings(DEFAULT_SEED, True))
-    corpus = strings[:corpus_size]
-    grown = strings[: corpus_size + extend_by]
-    seconds: Dict[str, float] = {}
-    outcomes: Dict[str, str] = {}
-
-    def timed(label: str, client: ServiceClient, request: List[WeightedString]) -> None:
-        start = time.perf_counter()
-        job = client.matrix_job(spec, request, timeout=600)
-        seconds[label] = time.perf_counter() - start
-        outcomes[label] = str(job.get("cache"))
-
-    with tempfile.TemporaryDirectory(prefix="repro-bench-cache-") as state_dir:
-        server = AnalysisServer(state_dir=state_dir)
-        try:
-            host, port = server.start_http()
-            with ServiceClient(f"http://{host}:{port}") as client:
-                timed("cold", client, corpus)
-                timed("warm_hit", client, corpus)
-        finally:
-            server.close()
-        # Restart on the same state dir: the hit must survive the process.
-        server = AnalysisServer(state_dir=state_dir)
-        try:
-            host, port = server.start_http()
-            with ServiceClient(f"http://{host}:{port}") as client:
-                timed("restart_hit", client, corpus)
-                timed("extended", client, grown)
-        finally:
-            server.close()
-    return {
-        "corpus_size": float(corpus_size),
-        "extended_size": float(corpus_size + extend_by),
-        "seconds": seconds,
-        "cache_outcomes": outcomes,
-        "hit_speedup": seconds["cold"] / seconds["warm_hit"] if seconds["warm_hit"] > 0 else float("inf"),
-    }
-
-
-def bench_pair_store(corpus_size: int = 40) -> Dict[str, object]:
-    """E10f: cold vs pair-store-warm service calls for matrix-cache misses.
-
-    Three corpus variants that defeat the matrix-level cache — a seeded
-    reordering, the middle half, and an even/odd interleaving — each run
-    cold on a fresh state dir, then warm against a state dir primed with
-    the full corpus.  The server restarts before every warm call so the
-    engine memory is cold and any speedup comes from the persistent pair
-    store alone.  Single-shot wall clocks, as in E10e.
-    """
-    import tempfile
-
-    from repro.api import make_spec
-    from repro.service import AnalysisServer, ServiceClient
-
-    spec = make_spec("kast", cut_weight=2)
-    strings = list(paper_strings(DEFAULT_SEED, True))
-    corpus = strings[:corpus_size]
-    reordered = list(corpus)
-    random.Random(13).shuffle(reordered)
-    quarter = corpus_size // 4
-    variants = {
-        "reordered": reordered,
-        "subset": corpus[quarter : corpus_size - quarter],
-        "interleaved": corpus[0::2] + corpus[1::2],
-    }
-    seconds: Dict[str, Dict[str, float]] = {"cold": {}, "warm": {}}
-    outcomes: Dict[str, Dict[str, str]] = {"cold": {}, "warm": {}}
-
-    def timed(phase: str, label: str, client: ServiceClient, request: List[WeightedString]) -> None:
-        start = time.perf_counter()
-        job = client.matrix_job(spec, request, timeout=600)
-        seconds[phase][label] = time.perf_counter() - start
-        outcomes[phase][label] = str(job.get("cache"))
-
-    for label, variant in variants.items():
-        with tempfile.TemporaryDirectory(prefix="repro-bench-pairs-") as state_dir:
-            server = AnalysisServer(state_dir=state_dir)
-            try:
-                host, port = server.start_http()
-                with ServiceClient(f"http://{host}:{port}") as client:
-                    timed("cold", label, client, variant)
-            finally:
-                server.close()
-
-    with tempfile.TemporaryDirectory(prefix="repro-bench-pairs-") as state_dir:
-        server = AnalysisServer(state_dir=state_dir)
-        try:
-            host, port = server.start_http()
-            with ServiceClient(f"http://{host}:{port}") as client:
-                client.matrix_job(spec, corpus, timeout=600)  # prime the store
-        finally:
-            server.close()
-        for label, variant in variants.items():
-            server = AnalysisServer(state_dir=state_dir)
-            try:
-                host, port = server.start_http()
-                with ServiceClient(f"http://{host}:{port}") as client:
-                    timed("warm", label, client, variant)
-            finally:
-                server.close()
-
-    return {
-        "corpus_size": float(corpus_size),
-        "seconds": seconds,
-        "cache_outcomes": outcomes,
-        "warm_speedup": {
-            label: seconds["cold"][label] / seconds["warm"][label]
-            if seconds["warm"][label] > 0
-            else float("inf")
-            for label in variants
-        },
     }
 
 
@@ -461,39 +274,11 @@ def main() -> int:
     speedup = gram["python"][largest] / gram["numpy"][largest] if gram["numpy"][largest] > 0 else float("inf")
     print(f"numpy engine vs python serial on the {largest}-example Gram: {speedup:.2f}x")
 
-    print("E10c: local vs service warm matrix call (s)")
-    with phase_timer("E10c"):
-        service = bench_service_overhead(args.repeats, corpus_size=20 if args.quick else 40)
-    print(
-        f"  n={int(service['corpus_size'])}: local={service['local_warm_seconds']:.4f}  "
-        f"service={service['service_warm_seconds']:.4f}  "
-        f"(overhead {service['overhead_seconds'] * 1000:.1f} ms, "
-        f"ratio {service['overhead_ratio']:.2f}x)"
-    )
-
     print("E10d: distributed matrix wall clock, 1 vs 2 worker processes (s)")
     with phase_timer("E10d"):
         distributed = bench_distributed_workers(corpus_size=20 if args.quick else 40)
     for count, seconds in distributed["wall_seconds"].items():
         print(f"  {count} worker(s): {seconds:.2f}s")
-
-    print("E10e: result-cache reuse, cold vs warm service matrix calls (s)")
-    with phase_timer("E10e"):
-        result_cache = bench_result_cache(corpus_size=20 if args.quick else 40)
-    for label, seconds in result_cache["seconds"].items():
-        print(f"  {label:>11}: {seconds:.4f}s (cache={result_cache['cache_outcomes'][label]})")
-    print(f"  identical resubmission is {result_cache['hit_speedup']:.1f}x faster than the cold run")
-
-    print("E10f: pair-store reuse on matrix-cache misses, cold vs warm (s)")
-    with phase_timer("E10f"):
-        pair_store = bench_pair_store(corpus_size=20 if args.quick else 40)
-    for label, cold_seconds in pair_store["seconds"]["cold"].items():
-        warm_seconds = pair_store["seconds"]["warm"][label]
-        print(
-            f"  {label:>11}: cold={cold_seconds:.2f}s  warm={warm_seconds:.4f}s  "
-            f"({pair_store['warm_speedup'][label]:.1f}x, "
-            f"cache={pair_store['cache_outcomes']['warm'][label]})"
-        )
 
     print("E10g: per-request classify latency, full Gram vs m-landmark streaming (s)")
     with phase_timer("E10g"):
@@ -530,10 +315,7 @@ def main() -> int:
         "pair_eval_ms": pair_eval,
         "gram_seconds": gram,
         "gram_speedup_numpy_vs_python": speedup,
-        "service_overhead": service,
         "distributed_workers": distributed,
-        "result_cache": result_cache,
-        "pair_store": pair_store,
         "streaming_classify": streaming,
     }
     with open(args.output, "w", encoding="utf-8") as handle:

@@ -15,7 +15,10 @@ One session owns the mutable, warm state every kernel evaluation can share:
 
 Everything a session does is keyed by declarative specs, so the same facade
 serves scripting users (``session.matrix("kast", strings)``), the CLI, and
-process workers (specs are picklable).
+the service's worker processes (specs are picklable).  Every matrix goes
+through :meth:`AnalysisSession.matrix_cached`; the engines evaluate
+serially, and the only cross-core parallelism is the service layer's
+leased block records.
 
 Example
 -------
@@ -23,7 +26,7 @@ Example
 
     from repro.api import AnalysisSession, make_spec
 
-    with AnalysisSession(n_jobs=2) as session:
+    with AnalysisSession() as session:
         strings = session.corpus(small=True, seed=7)
         matrix = session.matrix(make_spec("kast", cut_weight=4), strings)
         job = session.submit("blended", strings)
@@ -37,13 +40,13 @@ import threading
 import time
 from concurrent.futures import CancelledError, Future, ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeoutError  # == builtin TimeoutError only from 3.11
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.api.spec import KernelSpec, coerce_spec, kernel_from_spec
-from repro.core.cachestore import CacheLookup, MatrixCache
-from repro.core.engine import ENGINE_EXECUTORS, GramEngine, string_fingerprint
+from repro.core.cachestore import MatrixCache
+from repro.core.engine import GramEngine, string_fingerprint
 from repro.core.pairstore import PairStore
 from repro.core.matrix import KernelMatrix
 from repro.kernels.base import StringKernel
@@ -112,14 +115,9 @@ class AnalysisSession:
 
     Parameters
     ----------
-    n_jobs:
-        Worker count forwarded to every engine the session creates.
-    executor:
-        Engine worker-pool implementation, ``"thread"`` (default) or
-        ``"process"`` (see :class:`~repro.core.engine.GramEngine`).
     interner:
         Optional pre-existing token interner to share with other sessions.
-    pair_cache_size / chunk_size:
+    pair_cache_size:
         Forwarded to every engine.
     max_job_workers:
         Size of the background pool serving :meth:`submit` jobs.
@@ -154,35 +152,24 @@ class AnalysisSession:
 
     def __init__(
         self,
-        n_jobs: int = 1,
-        executor: str = "thread",
         interner: Optional[TokenInterner] = None,
         pair_cache_size: Optional[int] = None,
-        chunk_size: Optional[int] = None,
         max_job_workers: int = 2,
         job_ttl: Optional[float] = None,
         max_retained_jobs: int = 1024,
         matrix_cache: Optional[Union[MatrixCache, str]] = None,
         pair_store: Optional[Union[PairStore, str]] = None,
     ) -> None:
-        if n_jobs < 1:
-            raise ValueError(f"n_jobs must be >= 1, got {n_jobs}")
-        if executor not in ENGINE_EXECUTORS:
-            raise ValueError(f"executor must be one of {ENGINE_EXECUTORS}, got {executor!r}")
         if max_job_workers < 1:
             raise ValueError(f"max_job_workers must be >= 1, got {max_job_workers}")
         if job_ttl is not None and job_ttl < 0:
             raise ValueError(f"job_ttl must be >= 0 or None, got {job_ttl}")
         if max_retained_jobs < 1:
             raise ValueError(f"max_retained_jobs must be >= 1, got {max_retained_jobs}")
-        self.n_jobs = n_jobs
-        self.executor = executor
         self.interner = interner if interner is not None else TokenInterner()
         self._engine_options: Dict[str, Any] = {}
         if pair_cache_size is not None:
             self._engine_options["pair_cache_size"] = pair_cache_size
-        if chunk_size is not None:
-            self._engine_options["chunk_size"] = chunk_size
         if isinstance(matrix_cache, str):
             matrix_cache = MatrixCache(matrix_cache)
         self.matrix_cache = matrix_cache
@@ -244,10 +231,8 @@ class AnalysisSession:
             if engine is None:
                 engine = GramEngine(
                     kernel,
-                    n_jobs=self.n_jobs,
                     interner=self.interner if hasattr(kernel, "interner") else None,
                     spec=resolved,
-                    executor=self.executor,
                     pair_store=self.pair_store,
                     **self._engine_options,
                 )
@@ -376,67 +361,56 @@ class AnalysisSession:
         normalized: bool = True,
         repair: bool = True,
         use_cache: bool = True,
+        pair_values: Optional[Callable[[], Dict[Tuple[int, int], float]]] = None,
     ) -> Tuple[KernelMatrix, str]:
         """:meth:`matrix` plus the result-cache outcome.
 
         Returns ``(matrix, status)`` where *status* is ``"hit"`` (served
-        verbatim from the cache), ``"miss"`` (computed through the engine
-        and stored) or ``"bypass"`` (no cache, or *use_cache* off).
+        verbatim from the cache), ``"miss"`` (computed and stored) or
+        ``"bypass"`` (no cache, or *use_cache* off).  The result cache
+        holds the *pre-repair* matrix in the engine's stamped
+        :meth:`~repro.core.engine.GramEngine.matrix_payload` form, so every
+        layer (session, server, CLI) serves an entry bit-identically.
+
+        *pair_values* is where the raw off-diagonal values come from on a
+        miss or a bypass: a callable returning ``{(i, j): raw}`` for every
+        ``i < j`` index pair.  By default the spec's engine evaluates them;
+        the service's distributed jobs pass one that collects their block
+        records.  It is never called on a hit, and whatever it returns goes
+        through the same assembly, cache store and PSD repair.
         """
         string_list = list(strings)
         engine = self.engine(spec)
-        if not (use_cache and self.matrix_cache is not None and string_list):
-            return engine.compute(string_list, normalized=normalized, repair=repair), "bypass"
-        found = self.matrix_cache_lookup(spec, string_list, normalized=normalized)
-        if found.status == "hit":
-            matrix = KernelMatrix.from_dict(found.payload)
-            status = "hit"
+        cache = self.matrix_cache if use_cache and string_list else None
+        if cache is not None:
+            found = cache.lookup(
+                engine.kernel_signature(),
+                bool(normalized),
+                [string_fingerprint(string) for string in string_list],
+                [string.name for string in string_list],
+                [string.label for string in string_list],
+            )
+            if found.status == "hit":
+                matrix = KernelMatrix.from_dict(found.payload)
+                return (matrix.psd_repaired() if repair else matrix), "hit"
+        if pair_values is None:
+            count = len(string_list)
+            raw_by_pair = engine.evaluate_pairs(
+                string_list, [(i, j) for i in range(count) for j in range(i + 1, count)]
+            )
         else:
-            matrix = engine.matrix(string_list, normalized=normalized)
-            self.matrix_cache_store(spec, string_list, matrix)
-            status = "miss"
-        if repair:
-            matrix = matrix.psd_repaired()
-        return matrix, status
-
-    # ------------------------------------------------------------------
-    # Persistent result cache (shared with servers/workers via the state dir)
-    # ------------------------------------------------------------------
-    def matrix_cache_lookup(
-        self, spec: SpecLike, strings: Sequence[WeightedString], normalized: bool = True
-    ) -> CacheLookup:
-        """Result-cache probe for ``(spec, strings)``; a miss when disabled.
-
-        Service front ends use this directly when they need the raw
-        lookup — e.g. to answer a distributed job before planning any
-        block task — while plain callers go through :meth:`matrix_cached`.
-        """
-        if self.matrix_cache is None:
-            return CacheLookup("miss")
-        string_list = list(strings)
-        return self.matrix_cache.lookup(
-            self.engine(spec).kernel_signature(),
-            bool(normalized),
-            [string_fingerprint(string) for string in string_list],
-            [string.name for string in string_list],
-            [string.label for string in string_list],
+            raw_by_pair = pair_values()
+        matrix = KernelMatrix(
+            values=engine.assemble_gram(string_list, raw_by_pair, normalized=normalized),
+            names=tuple(string.name for string in string_list),
+            labels=tuple(string.label for string in string_list),
+            kernel_name=engine.kernel.name,
+            normalized=normalized,
         )
-
-    def matrix_cache_store(
-        self, spec: SpecLike, strings: Sequence[WeightedString], matrix: KernelMatrix
-    ) -> bool:
-        """Store a *pre-repair* matrix in the result cache; whether stored.
-
-        The stored payload is the engine's stamped
-        :meth:`~repro.core.engine.GramEngine.matrix_payload` form, so the
-        entry is self-describing and every layer (session, server, CLI)
-        can serve it bit-identically.
-        """
-        if self.matrix_cache is None or not len(matrix):
-            return False
-        engine = self.engine(spec)
-        self.matrix_cache.store(engine.matrix_payload(matrix, list(strings)))
-        return True
+        if cache is not None:
+            cache.store(engine.matrix_payload(matrix, string_list))
+        status = "bypass" if cache is None else "miss"
+        return (matrix.psd_repaired() if repair else matrix), status
 
     # ------------------------------------------------------------------
     # Streaming serving path (landmark/Nyström models)
@@ -487,10 +461,7 @@ class AnalysisSession:
         Equivalent to :func:`repro.pipeline.pipeline.run_experiment`, except
         the kernel-matrix stage goes through the session's warm engines, so
         repeated analyses (and analyses following interactive queries under
-        the same spec) share their pair caches.  The session owns the
-        execution policy: its ``n_jobs``/``executor`` apply to the matrix
-        stage and ``config.n_jobs`` is ignored here — pass the desired
-        parallelism to the session constructor.
+        the same spec) share their pair caches.
         """
         from repro.pipeline.config import ExperimentConfig
         from repro.pipeline.pipeline import AnalysisPipeline
@@ -755,6 +726,5 @@ class AnalysisSession:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging convenience
         return (
-            f"AnalysisSession(n_jobs={self.n_jobs}, executor={self.executor!r}, "
-            f"warm_specs={len(self._engines)}, jobs={len(self._jobs)})"
+            f"AnalysisSession(warm_specs={len(self._engines)}, jobs={len(self._jobs)})"
         )

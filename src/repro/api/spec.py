@@ -1,8 +1,8 @@
 """Declarative kernel specifications and the kernel-factory registry.
 
 Kernels used to exist only as live :class:`~repro.kernels.base.StringKernel`
-instances built by ad-hoc glue, which meant they could not be pickled to a
-process pool, could not produce a principled persistence signature, and every
+instances built by ad-hoc glue, which meant they could not be shipped to
+another process, could not produce a principled persistence signature, and every
 entry point re-implemented its own construction path.  This module reifies
 the kernel *configuration* as data:
 
@@ -381,26 +381,22 @@ def kernel_from_spec(
     return entry.factory(params, children, interner)
 
 
-def spec_from_kernel(kernel: StringKernel, exact: bool = False) -> KernelSpec:
+def spec_from_kernel(kernel: StringKernel) -> KernelSpec:
     """Recover the canonical :class:`KernelSpec` of a live kernel.
 
     Dispatches on the kernel's class through the registry: exact class
-    first, then — unless *exact* — ``isinstance``, so instrumented
-    subclasses (test doubles, counters) map back to their base kind.
-    *exact=True* refuses the subclass fallback; use it when the spec must
-    reconstruct the kernel faithfully (e.g. in process workers), where a
-    subclass overriding ``value`` would silently be replaced by its base.
+    first, then ``isinstance``, so instrumented subclasses (test doubles,
+    counters) map back to their base kind.
     """
     for entry in _REGISTRY.values():
         if entry.kernel_class is not None and type(kernel) is entry.kernel_class:
             assert entry.to_spec is not None
             return entry.to_spec(kernel)
-    if not exact:
-        for entry in _REGISTRY.values():
-            if entry.kernel_class is not None and entry.to_spec is not None and isinstance(kernel, entry.kernel_class):
-                return entry.to_spec(kernel)
+    for entry in _REGISTRY.values():
+        if entry.kernel_class is not None and entry.to_spec is not None and isinstance(kernel, entry.kernel_class):
+            return entry.to_spec(kernel)
     raise KernelSpecError(
-        f"no registered kernel kind {'exactly ' if exact else ''}matches {type(kernel).__name__}; "
+        f"no registered kernel kind matches {type(kernel).__name__}; "
         "register it with repro.api.register_kernel(..., kernel_class=..., to_spec=...)"
     )
 

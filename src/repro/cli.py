@@ -91,7 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
     compare.add_argument("--cut-weight", type=int, default=2, help="Kast kernel cut weight")
     compare.add_argument("--no-bytes", action="store_true", help="ignore byte information")
     _add_spec_argument(compare)
-    _add_engine_arguments(compare)
+    _add_backend_argument(compare)
 
     matrix = subparsers.add_parser(
         "matrix", help="compute the JSON Gram matrix of a directory of trace files"
@@ -104,7 +104,7 @@ def build_parser() -> argparse.ArgumentParser:
     matrix.add_argument("--raw", action="store_true", help="skip cosine normalisation")
     matrix.add_argument("--output", default=None, help="write the JSON payload here instead of stdout")
     _add_spec_argument(matrix)
-    _add_engine_arguments(matrix)
+    _add_backend_argument(matrix)
 
     experiment = subparsers.add_parser("experiment", help="run one of the canned paper experiments")
     experiment.add_argument(
@@ -114,13 +114,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     experiment.add_argument("--seed", type=int, default=2017, help="corpus seed")
     experiment.add_argument("--cut-weight", type=int, default=2, help="cut weight")
-    _add_engine_arguments(experiment)
+    _add_backend_argument(experiment)
 
     sweep = subparsers.add_parser("sweep", help="run the cut-weight sweep")
     sweep.add_argument("--seed", type=int, default=2017, help="corpus seed")
     sweep.add_argument("--no-bytes", action="store_true", help="use the byte-free string variant")
     _add_spec_argument(sweep)
-    _add_engine_arguments(sweep)
+    _add_backend_argument(sweep)
 
     serve = subparsers.add_parser("serve", help="run the analysis service")
     serve.add_argument("--state-dir", required=True, help="job-store directory (records/payloads/quarantine)")
@@ -138,13 +138,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         help="default block-shard count for distributed matrix jobs that do not request one (default: 1)",
-    )
-    serve.add_argument("--n-jobs", type=int, default=1, help="engine workers (default: 1)")
-    serve.add_argument(
-        "--executor",
-        choices=["thread", "process"],
-        default="thread",
-        help="engine worker-pool implementation (default: thread)",
     )
     serve.add_argument("--job-workers", type=int, default=2, help="concurrent service jobs (default: 2)")
     serve.add_argument(
@@ -274,13 +267,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=30.0,
         help="lease stamped on claimed tasks, renewed while running (default: 30)",
-    )
-    worker.add_argument("--n-jobs", type=int, default=1, help="engine workers (default: 1)")
-    worker.add_argument(
-        "--executor",
-        choices=["thread", "process"],
-        default="thread",
-        help="engine worker-pool implementation (default: thread)",
     )
     worker.add_argument(
         "--max-tasks", type=int, default=None, help="exit after executing this many tasks (default: unbounded)"
@@ -537,35 +523,19 @@ def _add_spec_argument(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_engine_arguments(parser: argparse.ArgumentParser) -> None:
-    """Kernel-engine flags shared by the kernel-evaluating commands."""
+def _add_backend_argument(parser: argparse.ArgumentParser) -> None:
+    """The Kast backend flag shared by the kernel-evaluating commands."""
     parser.add_argument(
         "--backend",
         choices=list(KAST_BACKENDS),
         default="numpy",
         help="Kast candidate-search implementation (default: numpy)",
     )
-    parser.add_argument(
-        "--n-jobs",
-        type=int,
-        default=1,
-        help="workers for Gram-matrix construction (default: 1)",
-    )
-    parser.add_argument(
-        "--executor",
-        choices=["thread", "process"],
-        default="thread",
-        help="worker-pool implementation for --n-jobs > 1 (default: thread)",
-    )
 
 
 def _load_spec(path: str) -> KernelSpec:
     with open(path, "r", encoding="utf-8") as handle:
         return KernelSpec.from_json(handle.read())
-
-
-def _session_from_args(args: argparse.Namespace) -> AnalysisSession:
-    return AnalysisSession(n_jobs=args.n_jobs, executor=getattr(args, "executor", "thread"))
 
 
 def _command_generate(args: argparse.Namespace) -> int:
@@ -596,7 +566,7 @@ def _command_compare(args: argparse.Namespace) -> int:
         spec = _load_spec(args.spec)
     else:
         spec = ExperimentConfig(cut_weight=args.cut_weight, backend=args.backend).kernel_spec()
-    session = _session_from_args(args)
+    session = AnalysisSession()
     kernel = session.kernel(spec)
     embed = getattr(kernel, "embed", None)
     if callable(embed):
@@ -632,7 +602,7 @@ def _command_matrix(args: argparse.Namespace) -> int:
             spectrum_k=args.spectrum_k,
             backend=args.backend,
         ).kernel_spec()
-    session = _session_from_args(args)
+    session = AnalysisSession()
     strings = session.corpus_from_directory(args.corpus, use_byte_information=not args.no_bytes)
     matrix = session.matrix(spec, strings, normalized=not args.raw)
     # One stamped-payload format for files and stdout: the engine owns it.
@@ -649,7 +619,7 @@ def _command_experiment(args: argparse.Namespace) -> int:
             print(f"{key}: {value}")
         return 0
     result = _EXPERIMENTS[args.name](
-        seed=args.seed, cut_weight=args.cut_weight, n_jobs=args.n_jobs, backend=args.backend
+        seed=args.seed, cut_weight=args.cut_weight, backend=args.backend
     )
     print(summarise_result(result, title=f"experiment {args.name}"))
     print()
@@ -665,18 +635,17 @@ def _command_sweep(args: argparse.Namespace) -> int:
             use_byte_information=not args.no_bytes,
             n_clusters=3,
             corpus=CorpusConfig.paper(seed=args.seed),
-            n_jobs=args.n_jobs,
         )
         config = config_from_spec(_load_spec(args.spec), base)
-        session = _session_from_args(args)
+        session = AnalysisSession()
         sweep = cut_weight_sweep(config, session=session)
         byte_text = "ignored" if args.no_bytes else "kept"
         title = f"cut-weight sweep ({config.kernel} spec, byte information {byte_text})"
     elif args.no_bytes:
-        sweep = experiment_nobytes_variant(seed=args.seed, n_jobs=args.n_jobs, backend=args.backend)
+        sweep = experiment_nobytes_variant(seed=args.seed, backend=args.backend)
         title = "cut-weight sweep (byte information ignored)"
     else:
-        sweep = experiment_cut_weight_sweep(seed=args.seed, n_jobs=args.n_jobs, backend=args.backend)
+        sweep = experiment_cut_weight_sweep(seed=args.seed, backend=args.backend)
         title = "cut-weight sweep (byte information kept)"
     print(summarise_sweep(sweep, title=title))
     return 0
@@ -707,8 +676,6 @@ def _command_serve(args: argparse.Namespace) -> int:
     )
     server = AnalysisServer(
         state_dir=args.state_dir,
-        n_jobs=args.n_jobs,
-        executor=args.executor,
         max_job_workers=args.job_workers,
         default_shards=args.shards,
         inline_blocks=not args.no_inline_blocks,
@@ -768,8 +735,6 @@ def _command_worker(args: argparse.Namespace) -> int:
         worker_id=args.worker_id,
         poll_interval=DEFAULT_POLL_INTERVAL if args.poll_interval is None else args.poll_interval,
         lease_seconds=args.lease_seconds,
-        n_jobs=args.n_jobs,
-        executor=args.executor,
         throttle=args.throttle,
         pair_store=not args.no_pair_store,
     )

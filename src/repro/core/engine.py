@@ -10,10 +10,9 @@ construction can exploit in one place:
   and repeated engine calls on overlapping corpora all hit the cache;
 * **content-keyed self-value cache** — normalisation denominators are
   computed once per distinct string;
-* **chunked parallel scheduling** — the unique pairs are chunked and spread
-  over a ``concurrent.futures`` thread pool (``n_jobs`` workers).  The numpy
-  kernel backend spends its time in ufunc sweeps that release the GIL, so
-  threads give real speedup without any pickling cost;
+* **row-batched evaluation** — the pairs neither cache layer holds are
+  evaluated serially, one kernel ``value_row`` call per corpus row (per
+  pair for kernels without it), which amortises the per-pair setup cost;
 * **persistent pair-value store** — with a
   :class:`~repro.core.pairstore.PairStore` attached, values missing from
   the in-memory caches are fetched by content fingerprint before any
@@ -22,16 +21,19 @@ construction can exploit in one place:
   matrices are persisted by :class:`~repro.core.cachestore.MatrixCache`
   from :meth:`GramEngine.matrix_payload`.
 
-The engine is deterministic: the values it produces are identical for any
-``n_jobs`` (workers only ever compute independent pairs; assembly order is
-fixed).
+The engine starts no threads or processes of its own (it is safe to share
+between the threads of concurrent service jobs).  Cross-core parallelism
+comes from the service layer's block records (:func:`plan_index_blocks`): each
+block is one :meth:`GramEngine.evaluate_pairs` call, run by whichever
+worker process leases it, and the raw values merge through
+:meth:`GramEngine.assemble_gram` into the matrix one call would build.
+The engine is deterministic, so both routes give identical values.
 """
 
 from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -48,52 +50,13 @@ __all__ = [
     "block_index_pairs",
     "encode_pair_values",
     "decode_pair_values",
-    "ENGINE_EXECUTORS",
 ]
 
 #: Symmetric content key of an unordered string pair (ordered small-int pair).
 PairKey = Tuple[int, int]
 
-#: Worker-pool implementations accepted by :class:`GramEngine`.
-ENGINE_EXECUTORS = ("thread", "process")
-
-#: Default number of unique pairs handed to one worker at a time.
-_DEFAULT_CHUNK_SIZE = 32
-
 #: Default bound on the symmetric pair-value cache.
 _DEFAULT_PAIR_CACHE_SIZE = 262_144
-
-
-# ----------------------------------------------------------------------
-# Process-pool worker plumbing
-# ----------------------------------------------------------------------
-# The process executor cannot ship live kernels (they hold locks, caches and
-# numpy scratch state); instead every worker process rebuilds its kernel
-# exactly once from the engine's declarative KernelSpec, which is plain
-# picklable data.  The corpus travels the same way: the full string list is
-# pickled once per worker through the pool initializer, and work items are
-# index-only chunks — without this an n-string corpus would re-pickle each
-# string once per pending pair (O(n^2) IPC payload).  Both sides run the
-# identical kernel code on the identical inputs, so the values are
-# bit-identical to the serial/thread paths.
-_WORKER_KERNEL: Optional[StringKernel] = None
-_WORKER_STRINGS: Optional[List[WeightedString]] = None
-
-
-def _process_worker_init(spec: Any, strings: List[WeightedString]) -> None:
-    global _WORKER_KERNEL, _WORKER_STRINGS
-    from repro.api.spec import kernel_from_spec
-
-    _WORKER_KERNEL = kernel_from_spec(spec)
-    _WORKER_STRINGS = strings
-
-
-def _process_evaluate_chunk(
-    chunk: List[Tuple[PairKey, Tuple[int, int]]]
-) -> List[Tuple[PairKey, float]]:
-    kernel, strings = _WORKER_KERNEL, _WORKER_STRINGS
-    assert kernel is not None and strings is not None, "process worker used before initialisation"
-    return [(key, float(kernel.value(strings[i], strings[j]))) for key, (i, j) in chunk]
 
 
 def string_fingerprint(string: WeightedString) -> str:
@@ -183,11 +146,6 @@ class GramEngine:
         attribute (the Kast kernel's numpy backend does) and *interner* is
         given, the engine installs it so several engines/kernels can share
         one literal → id space.
-    n_jobs:
-        Number of worker threads for pair evaluation (1 = serial).
-    chunk_size:
-        Unique pairs per scheduled work item; chunking amortises the
-        executor overhead for cheap pairs.
     pair_cache_size:
         Bound on the symmetric pair-value LRU cache.
     interner:
@@ -198,41 +156,22 @@ class GramEngine:
         when both are given the spec is trusted as the kernel's description.
         If neither is given explicitly the engine derives the spec from the
         live kernel (``spec_from_kernel``) when the kernel's class is
-        registered.  The spec powers the persistence signature and the
-        process executor.
-    executor:
-        ``"thread"`` (default) — pair chunks are spread over a
-        ``ThreadPoolExecutor``; the numpy kernel backend releases the GIL in
-        its ufunc sweeps, so this is the right default on single-package
-        hosts and in CI.  ``"process"`` — chunks go to a
-        ``ProcessPoolExecutor`` whose workers rebuild the kernel from the
-        (picklable) spec, sidestepping the GIL for the Python scoring tail
-        on multi-core hosts.  Requires a derivable spec.  Values are
-        bit-identical across executors and ``n_jobs``.
+        registered.  The spec powers the persistence signature.
     """
 
     def __init__(
         self,
         kernel: Optional[StringKernel] = None,
-        n_jobs: int = 1,
-        chunk_size: int = _DEFAULT_CHUNK_SIZE,
         pair_cache_size: int = _DEFAULT_PAIR_CACHE_SIZE,
         interner: Optional[TokenInterner] = None,
         spec: Optional[Any] = None,
-        executor: str = "thread",
         pair_store: Optional[Any] = None,
     ) -> None:
-        if n_jobs < 1:
-            raise ValueError(f"n_jobs must be >= 1, got {n_jobs}")
-        if chunk_size < 1:
-            raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
-        if executor not in ENGINE_EXECUTORS:
-            raise ValueError(f"executor must be one of {ENGINE_EXECUTORS}, got {executor!r}")
         if spec is not None:
             # Accept every spec shorthand (KernelSpec, dict, JSON text, kind
             # name) and canonicalize it, whether or not a live kernel is
-            # also given — the signature/persistence/process paths all rely
-            # on spec being a canonical KernelSpec.
+            # also given — the signature and persistence paths rely on spec
+            # being a canonical KernelSpec.
             from repro.api.spec import coerce_spec
 
             spec = coerce_spec(spec)
@@ -244,28 +183,15 @@ class GramEngine:
             kernel = kernel_from_spec(spec, interner=interner)
         elif spec is None:
             # Best effort: unregistered kernel classes fall back to the
-            # legacy name/cache_signature identity (and cannot use the
-            # process executor, which needs a picklable description).  For
-            # the process executor the derivation must be exact — mapping a
-            # value-overriding subclass to its base kind would make workers
-            # silently compute with the base kernel.
+            # legacy name/cache_signature identity.
             try:
                 from repro.api.spec import spec_from_kernel
 
-                spec = spec_from_kernel(kernel, exact=(executor == "process"))
+                spec = spec_from_kernel(kernel)
             except Exception:
                 spec = None
-        if executor == "process" and spec is None:
-            raise ValueError(
-                "executor='process' requires a faithful kernel spec (the workers rebuild the "
-                "kernel from it); pass spec=... explicitly or register the kernel's exact class "
-                "with repro.api.register_kernel"
-            )
         self.kernel = kernel
         self.spec = spec
-        self.executor = executor
-        self.n_jobs = n_jobs
-        self.chunk_size = chunk_size
         self.pair_cache_size = pair_cache_size
         if interner is not None and hasattr(kernel, "interner"):
             kernel.interner = interner
@@ -428,8 +354,8 @@ class GramEngine:
         The landmark-row seam of the streaming serving path: all cross
         pairs of one query go through :meth:`evaluate_pairs` as a single
         task, so they share its content dedup, both cache layers, and the
-        kernel's ``value_row`` batch evaluation (one work item covers the
-        whole row).  A cold row against ``m`` novel references costs
+        kernel's ``value_row`` batch evaluation (one call covers the whole
+        row).  A cold row against ``m`` novel references costs
         exactly ``m`` kernel evaluations; a covered row costs zero.
         """
         reference_list = list(references)
@@ -555,11 +481,8 @@ class GramEngine:
         merge through :meth:`assemble_gram`.  Content-identical pairs
         (including ``(i, j)`` vs ``(j, i)`` requests and duplicate strings
         in the corpus) map onto one unique evaluation; cached values are
-        served first, and the remainder is scheduled over the worker pool.  Kernels exposing a ``value_row`` batch method (the
-        Kast kernel's numpy backend does) are driven row by row — one work
-        item evaluates one string against all of its pending partners, which
-        amortises the per-pair setup cost; other kernels fall back to fixed
-        size chunks of single pair evaluations.
+        served first, and the remainder is evaluated serially by
+        :meth:`_evaluate_pending`.
         """
         tasks: "OrderedDict[PairKey, List[Tuple[int, int]]]" = OrderedDict()
         for i, j in index_pairs:
@@ -603,10 +526,7 @@ class GramEngine:
             pending = still
 
         if pending:
-            if self.executor == "process" and self.n_jobs > 1 and len(pending) > 1:
-                computed = self._evaluate_pending_in_processes(strings, pending)
-            else:
-                computed = self._evaluate_pending_in_threads(strings, pending)
+            computed = self._evaluate_pending(strings, pending)
             with self._lock:
                 self.kernel_evals += len(computed)
                 self._fill_pair_cache(dict(computed))
@@ -625,83 +545,28 @@ class GramEngine:
                 results[position] = value
         return results
 
-    def _evaluate_pending_in_threads(
+    def _evaluate_pending(
         self,
         strings: List[WeightedString],
         pending: List[Tuple[PairKey, Tuple[int, int]]],
     ) -> List[Tuple[PairKey, float]]:
-        """Serial / thread-pool evaluation (also the ``n_jobs=1`` fast path)."""
-        if hasattr(self.kernel, "value_row"):
-            work_items: List[List[Tuple[PairKey, Tuple[int, int]]]] = [
-                group for _, group in self._group_by_row(pending)
-            ]
-            evaluate = self._evaluate_row
-        else:
-            work_items = [
-                pending[start : start + self.chunk_size]
-                for start in range(0, len(pending), self.chunk_size)
-            ]
-            evaluate = self._evaluate_chunk
-        computed: List[Tuple[PairKey, float]] = []
-        if self.n_jobs > 1 and len(work_items) > 1:
-            with ThreadPoolExecutor(max_workers=self.n_jobs) as executor:
-                for result in executor.map(lambda item: evaluate(strings, item), work_items):
-                    computed.extend(result)
-        else:
-            for item in work_items:
-                computed.extend(evaluate(strings, item))
-        return computed
+        """Evaluate the pairs neither cache layer holds, in order.
 
-    def _evaluate_pending_in_processes(
-        self,
-        strings: List[WeightedString],
-        pending: List[Tuple[PairKey, Tuple[int, int]]],
-    ) -> List[Tuple[PairKey, float]]:
-        """Process-pool evaluation: workers rebuild the kernel from the spec.
-
-        Workers share nothing with the parent but what the pool initialiser
-        hands them: the picklable spec and the string list (pickled once per
-        worker); work items are index-only chunks.  The pool is per-call —
-        its lifetime matches the string list shipped at initialisation, and
-        on this library's workloads the fork cost is dwarfed by the pair
-        evaluations the pool exists for.  Values are accumulated in
-        submission order, keeping assembly deterministic.
+        Kernels exposing a ``value_row`` batch method (the Kast kernel's
+        numpy backend does) are driven row by row — one call evaluates one
+        string against all of its pending partners, which amortises the
+        per-pair setup cost; other kernels are evaluated pair by pair.
         """
-        chunks = [
-            pending[start : start + self.chunk_size]
-            for start in range(0, len(pending), self.chunk_size)
-        ]
-        computed: List[Tuple[PairKey, float]] = []
-        with ProcessPoolExecutor(
-            max_workers=self.n_jobs,
-            initializer=_process_worker_init,
-            initargs=(self.spec, strings),
-        ) as executor:
-            for result in executor.map(_process_evaluate_chunk, chunks):
-                computed.extend(result)
-        return computed
-
-    @staticmethod
-    def _group_by_row(
-        pending: List[Tuple[PairKey, Tuple[int, int]]]
-    ) -> List[Tuple[int, List[Tuple[PairKey, Tuple[int, int]]]]]:
-        rows: "OrderedDict[int, List[Tuple[PairKey, Tuple[int, int]]]]" = OrderedDict()
+        if not hasattr(self.kernel, "value_row"):
+            return [(key, float(self.kernel.value(strings[i], strings[j]))) for key, (i, j) in pending]
+        rows: "OrderedDict[int, List[Tuple[PairKey, int]]]" = OrderedDict()
         for key, (i, j) in pending:
-            rows.setdefault(i, []).append((key, (i, j)))
-        return list(rows.items())
-
-    def _evaluate_row(
-        self, strings: List[WeightedString], group: List[Tuple[PairKey, Tuple[int, int]]]
-    ) -> List[Tuple[PairKey, float]]:
-        row_index = group[0][1][0]
-        targets = [strings[j] for _, (_, j) in group]
-        values = self.kernel.value_row(strings[row_index], targets)
-        return [(key, float(value)) for (key, _), value in zip(group, values)]
-
-    def _evaluate_chunk(
-        self, strings: List[WeightedString], chunk: List[Tuple[PairKey, Tuple[int, int]]]
-    ) -> List[Tuple[PairKey, float]]:
-        return [(key, float(self.kernel.value(strings[i], strings[j]))) for key, (i, j) in chunk]
+            rows.setdefault(i, []).append((key, j))
+        computed: List[Tuple[PairKey, float]] = []
+        for i, row in rows.items():
+            values = self.kernel.value_row(strings[i], [strings[j] for _, j in row])
+            computed.extend((key, float(value)) for (key, _), value in zip(row, values))
+        return computed
 
     # ------------------------------------------------------------------
     # Labelled matrices and their stamped payload
@@ -712,8 +577,8 @@ class GramEngine:
         Derived from the canonical serialization of the engine's declarative
         :class:`~repro.api.spec.KernelSpec` (minus parameters the registry
         marks value-irrelevant, e.g. the Kast backend whose implementations
-        are equivalent) — the same description that reconstructs the kernel
-        in process workers.  Kernels whose class is not registered fall back
+        are equivalent) — the same description block workers rebuild the
+        kernel from.  Kernels whose class is not registered fall back
         to the legacy ``cache_signature()`` / name identity.
         """
         if self.spec is not None:
@@ -789,4 +654,4 @@ class GramEngine:
             }
 
     def __repr__(self) -> str:  # pragma: no cover - debugging convenience
-        return f"GramEngine(kernel={self.kernel!r}, n_jobs={self.n_jobs})"
+        return f"GramEngine(kernel={self.kernel!r})"

@@ -174,13 +174,12 @@ def compute_kernel_matrix(
     kernel: StringKernel,
     normalized: bool = True,
     repair: bool = True,
-    n_jobs: int = 1,
     engine: Optional["GramEngine"] = None,
 ) -> KernelMatrix:
     """Compute the kernel matrix of *strings* under *kernel*.
 
     The computation goes through a :class:`~repro.core.engine.GramEngine`,
-    which provides symmetric pair caching and parallel evaluation.
+    which provides symmetric pair caching and row-batched evaluation.
 
     Parameters
     ----------
@@ -193,8 +192,6 @@ def compute_kernel_matrix(
     repair:
         Clip negative eigenvalues to zero and rebuild the matrix, as the
         paper does before handing it to the learning algorithms.
-    n_jobs:
-        Worker threads for pair evaluation (ignored when *engine* is given).
     engine:
         Optional pre-built engine; passing one lets callers reuse its pair
         and self-value caches across several matrix computations.
@@ -202,5 +199,5 @@ def compute_kernel_matrix(
     from repro.core.engine import GramEngine  # local import: engine depends on this module
 
     if engine is None:
-        engine = GramEngine(kernel, n_jobs=n_jobs)
+        engine = GramEngine(kernel)
     return engine.compute(list(strings), normalized=normalized, repair=repair)

@@ -75,13 +75,12 @@ class StringKernel(abc.ABC):
         strings: Sequence[WeightedString],
         normalized: bool = True,
         others: Optional[Sequence[WeightedString]] = None,
-        n_jobs: int = 1,
     ) -> np.ndarray:
         """Compute the Gram matrix over *strings* (or a cross matrix vs *others*).
 
         The symmetric case is delegated to
         :class:`~repro.core.engine.GramEngine`, which adds a symmetric
-        pair-value cache and optional parallel evaluation.
+        pair-value cache and row-batched evaluation.
 
         Parameters
         ----------
@@ -93,15 +92,12 @@ class StringKernel(abc.ABC):
             When given, compute the (rectangular) cross-kernel matrix between
             *strings* and *others* instead of the square symmetric Gram
             matrix.
-        n_jobs:
-            Number of worker threads used for the symmetric Gram matrix
-            (1 = serial).
         """
         if others is None:
             # Imported lazily: repro.core depends on this module.
             from repro.core.engine import GramEngine
 
-            return GramEngine(self, n_jobs=n_jobs).gram(strings, normalized=normalized)
+            return GramEngine(self).gram(strings, normalized=normalized)
         return self._cross_matrix(strings, others, normalized)
 
     def _cross_matrix(

@@ -182,20 +182,16 @@ class ExperimentConfig:
     linkage: str = "single"
     #: Candidate-search backend for the Kast kernel (see :data:`KAST_BACKENDS`).
     backend: str = "numpy"
-    #: Worker threads for Gram-matrix construction (1 = serial).
-    n_jobs: int = 1
 
     def __post_init__(self) -> None:
         if self.backend not in KAST_BACKENDS:
             raise ValueError(f"backend must be one of {KAST_BACKENDS}, got {self.backend!r}")
-        if self.n_jobs < 1:
-            raise ValueError(f"n_jobs must be >= 1, got {self.n_jobs}")
 
     def kernel_spec(self) -> KernelSpec:
         """The canonical :class:`~repro.api.spec.KernelSpec` of this configuration.
 
         This is the single source of truth for kernel construction, engine
-        persistence signatures and process-worker reconstruction.
+        persistence signatures and block-worker reconstruction.
         """
         return _spec_for(
             self.kernel,
@@ -221,10 +217,6 @@ class ExperimentConfig:
     def with_kernel(self, kernel: str) -> "ExperimentConfig":
         """Copy of this configuration with a different kernel."""
         return replace(self, kernel=kernel)
-
-    def with_n_jobs(self, n_jobs: int) -> "ExperimentConfig":
-        """Copy of this configuration with a different worker count."""
-        return replace(self, n_jobs=n_jobs)
 
     def with_backend(self, backend: str) -> "ExperimentConfig":
         """Copy of this configuration with a different Kast search backend."""

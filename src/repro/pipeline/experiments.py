@@ -130,17 +130,17 @@ def experiment_worked_example() -> Dict[str, object]:
 # E2-E5 — the four figures
 # ----------------------------------------------------------------------
 def experiment_fig6_kpca_kast(
-    seed: int = DEFAULT_SEED, cut_weight: int = 2, n_jobs: int = 1, backend: str = "numpy"
+    seed: int = DEFAULT_SEED, cut_weight: int = 2, backend: str = "numpy"
 ) -> AnalysisResult:
     """E2 / Figure 6: Kernel PCA of the Kast kernel matrix (byte info, cut weight 2)."""
     config = ExperimentConfig(
-        kernel="kast", cut_weight=cut_weight, corpus=CorpusConfig.paper(seed=seed), n_jobs=n_jobs, backend=backend
+        kernel="kast", cut_weight=cut_weight, corpus=CorpusConfig.paper(seed=seed), backend=backend
     )
     return _run(config, seed)
 
 
 def experiment_fig7_hclust_kast(
-    seed: int = DEFAULT_SEED, cut_weight: int = 2, n_jobs: int = 1, backend: str = "numpy"
+    seed: int = DEFAULT_SEED, cut_weight: int = 2, backend: str = "numpy"
 ) -> AnalysisResult:
     """E3 / Figure 7: single-linkage clustering of the Kast kernel matrix."""
     config = ExperimentConfig(
@@ -149,27 +149,26 @@ def experiment_fig7_hclust_kast(
         n_clusters=3,
         linkage="single",
         corpus=CorpusConfig.paper(seed=seed),
-        n_jobs=n_jobs,
         backend=backend,
     )
     return _run(config, seed)
 
 
 def experiment_fig8_kpca_blended(
-    seed: int = DEFAULT_SEED, cut_weight: int = 2, n_jobs: int = 1, backend: str = "numpy"
+    seed: int = DEFAULT_SEED, cut_weight: int = 2, backend: str = "numpy"
 ) -> AnalysisResult:
     """E4 / Figure 8: Kernel PCA of the Blended Spectrum kernel matrix.
 
     *backend* is accepted for CLI uniformity; the blended kernel ignores it.
     """
     config = ExperimentConfig(
-        kernel="blended", cut_weight=cut_weight, corpus=CorpusConfig.paper(seed=seed), n_jobs=n_jobs, backend=backend
+        kernel="blended", cut_weight=cut_weight, corpus=CorpusConfig.paper(seed=seed), backend=backend
     )
     return _run(config, seed)
 
 
 def experiment_fig9_hclust_blended(
-    seed: int = DEFAULT_SEED, cut_weight: int = 2, n_clusters: int = 2, n_jobs: int = 1, backend: str = "numpy"
+    seed: int = DEFAULT_SEED, cut_weight: int = 2, n_clusters: int = 2, backend: str = "numpy"
 ) -> AnalysisResult:
     """E5 / Figure 9: single-linkage clustering of the Blended Spectrum kernel matrix.
 
@@ -183,7 +182,6 @@ def experiment_fig9_hclust_blended(
         n_clusters=n_clusters,
         linkage="single",
         corpus=CorpusConfig.paper(seed=seed),
-        n_jobs=n_jobs,
         backend=backend,
     )
     return _run(config, seed)
@@ -195,7 +193,6 @@ def experiment_fig9_hclust_blended(
 def experiment_nobytes_variant(
     seed: int = DEFAULT_SEED,
     cut_weights: Tuple[int, ...] = PAPER_CUT_WEIGHTS,
-    n_jobs: int = 1,
     backend: str = "numpy",
 ) -> SweepResult:
     """E6: Kast kernel on byte-free strings across the cut-weight grid."""
@@ -204,7 +201,6 @@ def experiment_nobytes_variant(
         use_byte_information=False,
         n_clusters=3,
         corpus=CorpusConfig.paper(seed=seed),
-        n_jobs=n_jobs,
         backend=backend,
     )
     strings = paper_strings(seed, use_byte_information=False)
@@ -214,12 +210,11 @@ def experiment_nobytes_variant(
 def experiment_cut_weight_sweep(
     seed: int = DEFAULT_SEED,
     cut_weights: Tuple[int, ...] = PAPER_CUT_WEIGHTS,
-    n_jobs: int = 1,
     backend: str = "numpy",
 ) -> SweepResult:
     """E7: Kast kernel on byte-carrying strings across the cut-weight grid."""
     config = ExperimentConfig(
-        kernel="kast", n_clusters=3, corpus=CorpusConfig.paper(seed=seed), n_jobs=n_jobs, backend=backend
+        kernel="kast", n_clusters=3, corpus=CorpusConfig.paper(seed=seed), backend=backend
     )
     strings = paper_strings(seed, use_byte_information=True)
     return cut_weight_sweep(config, cut_weights=cut_weights, strings=list(strings))

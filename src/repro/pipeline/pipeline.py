@@ -121,7 +121,7 @@ class AnalysisPipeline:
         Optional :class:`~repro.api.session.AnalysisSession`.  When given,
         the kernel-matrix stage goes through the session's warm per-spec
         engines (shared pair caches, shared token interner, the session's
-        worker policy) instead of building a throwaway kernel and engine.
+        result cache) instead of building a throwaway kernel and engine.
         :meth:`AnalysisSession.analyze` constructs pipelines this way.
     """
 
@@ -153,13 +153,11 @@ class AnalysisPipeline:
     ) -> KernelMatrix:
         """Compute the normalised, PSD-repaired kernel matrix.
 
-        The computation goes through the :class:`~repro.core.engine.GramEngine`
-        with the configured worker count.  *kernel* overrides the configured
-        kernel (the cut-weight sweep passes kernels sharing one token
-        interner).  With a bound session (and no kernel override) the
-        matrix comes from the session's warm engine for this configuration's
-        kernel spec — note the session's execution policy (its ``n_jobs``
-        and ``executor``) then applies, not this configuration's ``n_jobs``.
+        The computation goes through the :class:`~repro.core.engine.GramEngine`.
+        *kernel* overrides the configured kernel (the cut-weight sweep
+        passes kernels sharing one token interner).  With a bound session
+        (and no kernel override) the matrix comes from the session's warm
+        engine for this configuration's kernel spec.
         """
         if kernel is None and self.session is not None:
             return self.session.matrix(
@@ -175,7 +173,6 @@ class AnalysisPipeline:
             kernel,
             normalized=True,
             repair=True,
-            n_jobs=self.config.n_jobs,
         )
 
     def analyse_matrix(

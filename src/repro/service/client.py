@@ -229,7 +229,7 @@ def spawn_stdio_server(
 
     The child inherits the current interpreter's environment (including
     ``PYTHONPATH``), so this works from a source checkout; *extra_args* are
-    appended to the ``serve`` invocation (e.g. ``["--n-jobs", "2"]``).
+    appended to the ``serve`` invocation (e.g. ``["--job-workers", "4"]``).
     """
     command = [
         python or sys.executable,

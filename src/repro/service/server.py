@@ -35,9 +35,13 @@ any process on the host wakes it at once, and
 :data:`~repro.service.worker.DEFAULT_POLL_INTERVAL` bounds the sleep when
 no ring arrives.
 
-A non-distributed job runs through the session's monolithic matrix path
-whatever its ``shards`` value: the engine's own ``n_jobs`` already
-spreads its pair evaluation.
+Both kinds of matrix job run through one
+:meth:`AnalysisSession.matrix_cached` call, which owns the result-cache
+lookup, the assembly, the cache store and the PSD repair.  The block
+coordinator only supplies the raw pair values on a miss or a bypass; a
+non-distributed job lets the session's engine evaluate them, serially,
+whatever its ``shards`` value.  Leased block records are the service's
+only cross-core parallelism.
 
 Job persistence and recovery
 ----------------------------
@@ -106,6 +110,7 @@ request is the *default tenant*, whose namespace is the state dir itself
 from __future__ import annotations
 
 import contextlib
+import functools
 import hashlib
 import json
 import logging
@@ -124,7 +129,6 @@ from repro.obs.metrics import MetricsRegistry, render_fleet
 from repro.obs.tracing import new_span_id, new_trace_id, trace_context
 from repro.core.engine import decode_pair_values, plan_index_blocks, string_fingerprint
 from repro.core.pairstore import PairStore
-from repro.core.matrix import KernelMatrix
 from repro.service.auth import Authenticator
 from repro.service.jobstore import Doorbell, JobRecord, JobStore, JobStoreError, LeaseError
 from repro.service.middleware import (
@@ -200,8 +204,8 @@ class AnalysisServer:
         reuses the directory.
     session:
         An existing :class:`AnalysisSession` to serve.  When omitted the
-        server creates (and owns, and closes) one from *n_jobs* /
-        *executor* / *max_job_workers*.
+        server creates (and owns, and closes) one with *max_job_workers*
+        concurrent service jobs.
     default_shards:
         Shard count applied to distributed matrix jobs that do not ask
         for one explicitly; non-distributed jobs always run monolithically.
@@ -260,8 +264,6 @@ class AnalysisServer:
         self,
         state_dir: Optional[str] = None,
         session: Optional[AnalysisSession] = None,
-        n_jobs: int = 1,
-        executor: str = "thread",
         max_job_workers: int = 2,
         default_shards: int = 1,
         inline_blocks: bool = True,
@@ -290,26 +292,22 @@ class AnalysisServer:
             raise ValueError(f"max_request_bytes must be >= 1024, got {max_request_bytes}")
         self._owns_session = session is None
         self.session = session if session is not None else AnalysisSession(
-            n_jobs=n_jobs, executor=executor, max_job_workers=max_job_workers, job_ttl=job_ttl
+            max_job_workers=max_job_workers, job_ttl=job_ttl
         )
         self._tempdir: Optional[tempfile.TemporaryDirectory] = None
         if state_dir is None:
             self._tempdir = tempfile.TemporaryDirectory(prefix="repro-service-")
             state_dir = self._tempdir.name
         self.store = JobStore(state_dir)
-        if result_cache and self.session.matrix_cache is None:
-            self.session.matrix_cache = MatrixCache(
-                os.path.join(self.store.root, "matrix-cache"),
-                max_entries=max_cache_entries,
-                ttl=cache_ttl,
-            )
-        if pair_store and self.session.pair_store is None:
-            store_options: Dict[str, Any] = {"ttl": pair_ttl}
-            if max_pair_bytes is not None:
-                store_options["max_bytes"] = max_pair_bytes
-            self.session.set_pair_store(
-                PairStore(os.path.join(self.store.root, "pair-store"), **store_options)
-            )
+        # Remembered construction knobs so lazily-built tenant namespaces
+        # mirror the server's own session/cache configuration.
+        self._max_job_workers = max_job_workers
+        self._cache_config: Dict[str, Any] = {
+            "result_cache": result_cache, "max_cache_entries": max_cache_entries,
+            "cache_ttl": cache_ttl, "pair_store": pair_store,
+            "max_pair_bytes": max_pair_bytes, "pair_ttl": pair_ttl,
+        }
+        self._attach_caches(self.session, self.store.root)
         #: Persistent landmark models (the streaming serving tier), shared
         #: through the state dir with workers executing ``fit-model`` jobs.
         self.model_store = ModelStore(os.path.join(self.store.root, "models"))
@@ -321,16 +319,6 @@ class AnalysisServer:
         self.max_request_bytes = int(max_request_bytes)
         #: The auth decision point of the middleware chain.
         self.auth = authenticator if authenticator is not None else Authenticator.disabled()
-        # Remembered construction knobs so lazily-built tenant namespaces
-        # mirror the server's own session/cache configuration.
-        self._session_config: Dict[str, Any] = {
-            "n_jobs": n_jobs, "executor": executor, "max_job_workers": max_job_workers,
-        }
-        self._cache_config: Dict[str, Any] = {
-            "result_cache": result_cache, "max_cache_entries": max_cache_entries,
-            "cache_ttl": cache_ttl, "pair_store": pair_store,
-            "max_pair_bytes": max_pair_bytes, "pair_ttl": pair_ttl,
-        }
         #: Identity stamped into records this server claims.
         self.worker_id = f"server-{uuid.uuid4().hex[:8]}"
         #: Process-local metrics; ``GET /metrics`` renders this registry
@@ -410,25 +398,8 @@ class AnalysisServer:
         # One wake/ per state dir: the processes waiting on it hear every
         # namespace through one pipe each.
         store.wake_dir = self.store.wake_dir
-        config = self._session_config
-        session = AnalysisSession(
-            n_jobs=config["n_jobs"],
-            executor=config["executor"],
-            max_job_workers=config["max_job_workers"],
-            job_ttl=self.job_ttl,
-        )
-        caches = self._cache_config
-        if caches["result_cache"]:
-            session.matrix_cache = MatrixCache(
-                os.path.join(root, "matrix-cache"),
-                max_entries=caches["max_cache_entries"],
-                ttl=caches["cache_ttl"],
-            )
-        if caches["pair_store"]:
-            store_options: Dict[str, Any] = {"ttl": caches["pair_ttl"]}
-            if caches["max_pair_bytes"] is not None:
-                store_options["max_bytes"] = caches["max_pair_bytes"]
-            session.set_pair_store(PairStore(os.path.join(root, "pair-store"), **store_options))
+        session = AnalysisSession(max_job_workers=self._max_job_workers, job_ttl=self.job_ttl)
+        self._attach_caches(session, root)
         model_store = ModelStore(os.path.join(root, "models"))
         if store.recovery.quarantined or store.recovery.interrupted or store.recovery.requeued:
             logger.warning("tenant %s: %s", tenant_id, store.recovery.describe())
@@ -436,6 +407,27 @@ class AnalysisServer:
         return TenantContext(
             tenant_id, root, store, session, model_store, quotas=quotas, owns_session=True
         )
+
+    def _attach_caches(self, session: AnalysisSession, root: str) -> None:
+        """Give *session* the result cache and pair store of the namespace at *root*.
+
+        The one way a namespace gets its caches — the default one (the
+        state dir) and every tenant's alike — under the server's cache
+        options.  A layer the session already carries (a caller-supplied
+        session's) is kept.
+        """
+        config = self._cache_config
+        if config["result_cache"] and session.matrix_cache is None:
+            session.matrix_cache = MatrixCache(
+                os.path.join(root, "matrix-cache"),
+                max_entries=config["max_cache_entries"],
+                ttl=config["cache_ttl"],
+            )
+        if config["pair_store"] and session.pair_store is None:
+            store_options: Dict[str, Any] = {"ttl": config["pair_ttl"]}
+            if config["max_pair_bytes"] is not None:
+                store_options["max_bytes"] = config["max_pair_bytes"]
+            session.set_pair_store(PairStore(os.path.join(root, "pair-store"), **store_options))
 
     # ------------------------------------------------------------------
     # Dispatch
@@ -806,26 +798,7 @@ class AnalysisServer:
         spec = self._coerce_spec(record.input["spec"])
         strings = decode_corpus(record.input["strings"])
         if record.kind == "matrix":
-            if bool(record.input.get("distributed")):
-                return self._distributed_matrix_payload(
-                    tenant,
-                    record.job_id,
-                    spec,
-                    strings,
-                    normalized=bool(record.input.get("normalized", True)),
-                    repair=bool(record.input.get("repair", True)),
-                    shards=int(record.input.get("shards", 1)),
-                    use_cache=bool(record.input.get("use_cache", True)),
-                )
-            return self._matrix_payload(
-                tenant,
-                record.job_id,
-                spec,
-                strings,
-                normalized=bool(record.input.get("normalized", True)),
-                repair=bool(record.input.get("repair", True)),
-                use_cache=bool(record.input.get("use_cache", True)),
-            )
+            return self._matrix_payload(tenant, record.job_id, spec, strings, record.input)
         if record.kind == "analyze":
             config = self._analyze_config(
                 spec,
@@ -844,41 +817,34 @@ class AnalysisServer:
         job_id: str,
         spec: KernelSpec,
         strings: List[WeightedString],
-        normalized: bool,
-        repair: bool,
-        use_cache: bool = True,
+        options: Mapping[str, Any],
     ) -> Dict[str, Any]:
-        """The stamped payload of a non-distributed matrix job.
+        """The stamped payload of a matrix job, distributed or not.
 
         Runs :meth:`AnalysisSession.matrix_cached` — an exact result-cache
-        hit is served with zero kernel evaluations, anything else goes
-        through the engine and its pair layers — and stamps the outcome
-        into the record (``options["cache"]``).
+        hit is served with zero kernel evaluations and, for a distributed
+        job, without creating a single block record; anything else is
+        assembled from raw pair values, stored and repaired there — and
+        stamps the outcome into the record (``options["cache"]``).  A
+        distributed job's raw values come from its block records
+        (:meth:`_block_pair_values`); every other job's from the session's
+        engine and its pair layers.
         """
+        pair_values = None
+        if bool(options.get("distributed")):
+            pair_values = functools.partial(
+                self._block_pair_values, tenant, job_id, spec, strings, int(options.get("shards", 1))
+            )
         matrix, status = tenant.session.matrix_cached(
-            spec, strings, normalized=normalized, repair=repair, use_cache=use_cache
+            spec,
+            strings,
+            normalized=bool(options.get("normalized", True)),
+            repair=bool(options.get("repair", True)),
+            use_cache=bool(options.get("use_cache", True)),
+            pair_values=pair_values,
         )
         self._stamp_cache_status(tenant, job_id, status)
         return tenant.session.engine(spec).matrix_payload(matrix, strings)
-
-    def _assembled_matrix(
-        self,
-        tenant: TenantContext,
-        spec: KernelSpec,
-        strings: List[WeightedString],
-        raw_by_pair: Dict[Tuple[int, int], float],
-        normalized: bool,
-    ) -> KernelMatrix:
-        """The *pre-repair* matrix assembled from raw block results."""
-        engine = tenant.session.engine(spec)
-        values = engine.assemble_gram(strings, raw_by_pair, normalized=normalized)
-        return KernelMatrix(
-            values=values,
-            names=tuple(string.name for string in strings),
-            labels=tuple(string.label for string in strings),
-            kernel_name=engine.kernel.name,
-            normalized=normalized,
-        )
 
     def _stamp_cache_status(self, tenant: TenantContext, job_id: str, status: str) -> None:
         """Record the cache outcome in the job's options (best effort)."""
@@ -888,18 +854,15 @@ class AnalysisServer:
                 lambda current: {"options": {**current.options, "cache": status}},
             )
 
-    def _distributed_matrix_payload(
+    def _block_pair_values(
         self,
         tenant: TenantContext,
         job_id: str,
         spec: KernelSpec,
         strings: List[WeightedString],
-        normalized: bool,
-        repair: bool,
         shards: int,
-        use_cache: bool = True,
-    ) -> Dict[str, Any]:
-        """Coordinate a worker-pull sharded matrix job and assemble its result.
+    ) -> Dict[Tuple[int, int], float]:
+        """Coordinate a worker-pull sharded job and collect its raw pair values.
 
         One leasable ``block`` record is persisted per unordered
         index-block pair (idempotently — a requeued coordination reuses
@@ -907,31 +870,18 @@ class AnalysisServer:
         coordinator then drains the queue: claiming and executing blocks
         inline (when ``inline_blocks``), requeueing blocks whose worker's
         lease expired, and waiting on blocks leased to live external
-        workers — until every block is ``done`` — then merges the raw pair
-        values through the engine assembler.  The wait sleeps on the
-        store's doorbell, so a block stored by any process on this host
-        wakes it at once; ``DEFAULT_POLL_INTERVAL`` bounds each sleep for
-        rings that cannot arrive (a worker on another host sharing the
-        state dir) and for leases that expire.  Raw values are deterministic
-        and JSON floats round-trip exactly, so the payload is
-        bit-identical to the in-process path no matter who computed which
-        block.
-
-        The result cache short-circuits the coordination: an exact corpus
-        hit returns the cached payload without creating a single block
-        record.  Anything else plans every block pair; the blocks' pair
-        values that earlier work already produced come from the pair
-        layers of whoever evaluates them.
+        workers — until every block is ``done`` — then reads every block's
+        raw ``{(i, j): value}`` rows and forgets the finished children.
+        The wait sleeps on the store's doorbell, so a block stored by any
+        process on this host wakes it at once; ``DEFAULT_POLL_INTERVAL``
+        bounds each sleep for rings that cannot arrive (a worker on another
+        host sharing the state dir) and for leases that expire.  Raw values
+        are deterministic and JSON floats round-trip exactly, so the
+        matrix :meth:`AnalysisSession.matrix_cached` assembles from them is
+        bit-identical to the in-process one no matter who computed which
+        block.  The blocks' pair values that earlier work already produced
+        come from the pair layers of whoever evaluates them.
         """
-        engine = tenant.session.engine(spec)
-        status = "bypass"
-        if use_cache and tenant.session.matrix_cache is not None:
-            found = tenant.session.matrix_cache_lookup(spec, strings, normalized=normalized)
-            status = found.status
-            if status == "hit":
-                self._stamp_cache_status(tenant, job_id, status)
-                cached = KernelMatrix.from_dict(found.payload)
-                return engine.matrix_payload(cached.psd_repaired() if repair else cached, strings)
         blocks = plan_index_blocks(len(strings), shards)
         spec_dict = spec.to_dict()
         # Children inherit the parent's trace id (each with a span of its
@@ -1019,13 +969,8 @@ class AnalysisServer:
             if child.worker_id:
                 block_workers.add(child.worker_id)
             raw_by_pair.update(decode_pair_values(tenant.store.load_result(child_id)["pairs"]))
-        matrix = self._assembled_matrix(tenant, spec, strings, raw_by_pair, normalized)
-        if status != "bypass":
-            tenant.session.matrix_cache_store(spec, strings, matrix)
-        self._stamp_cache_status(tenant, job_id, status)
-        payload = engine.matrix_payload(matrix.psd_repaired() if repair else matrix, strings)
         # Record who computed the blocks (observability), then drop the
-        # finished children — their values live on inside the payload.
+        # finished children — their values live on in the assembled matrix.
         with contextlib.suppress(JobStoreError, KeyError):
             tenant.store.mutate(
                 job_id,
@@ -1033,7 +978,7 @@ class AnalysisServer:
             )
         for child_id in child_ids:
             tenant.store.forget(child_id)
-        return payload
+        return raw_by_pair
 
     def _abandon_blocks(self, tenant: TenantContext, child_ids: List[str]) -> None:
         """Best-effort cancel + drop of a failed job's surviving block tasks."""
@@ -1079,20 +1024,14 @@ class AnalysisServer:
     def _analyze_payload(
         self, tenant: TenantContext, job_id: str, config: Any, strings: List[WeightedString]
     ) -> Dict[str, Any]:
+        from repro.pipeline.pipeline import AnalysisPipeline
         from repro.pipeline.report import summarise_result
 
-        # The matrix stage inside the pipeline goes through the session's
-        # result cache; probe it up front so the analyze record (and its
-        # result envelope) reports the same hit/miss outcome the matrix
-        # path does.
-        if tenant.session.matrix_cache is None:
-            status = "bypass"
-        else:
-            status = tenant.session.matrix_cache_lookup(
-                config.kernel_spec(), strings, normalized=True
-            ).status
+        # One result-cache lookup: the matrix (and the hit/miss outcome the
+        # record reports, as the matrix path does) feed the analysis stages.
+        matrix, status = tenant.session.matrix_cached(config.kernel_spec(), strings)
         self._stamp_cache_status(tenant, job_id, status)
-        result = tenant.session.analyze(config, strings=strings)
+        result = AnalysisPipeline(config, session=tenant.session).analyse_matrix(matrix, strings)
         return {
             "config": config.describe(),
             "metrics": {name: float(value) for name, value in result.metrics.items()},

@@ -27,7 +27,10 @@ corrupts or loses it.
 
 A worker owns a warm :class:`~repro.api.session.AnalysisSession`, so
 repeated blocks under one spec share kernel caches exactly like the
-server's in-process evaluation.  Raw pair values are serialised through
+server's in-process evaluation.  Its engine evaluates one block serially:
+running more worker processes is how a fleet uses more cores — leased
+block records are the library's only cross-core parallelism.  Raw pair
+values are serialised through
 :func:`~repro.core.engine.encode_pair_values`, whose JSON floats
 round-trip bit-identically — the assembled distributed Gram matrix equals
 the monolithic one byte for byte.
@@ -236,8 +239,7 @@ class Worker:
         use to hold a worker mid-block deterministically.
     session:
         Existing :class:`AnalysisSession` to evaluate with; when omitted
-        the worker creates (and owns, and closes) one from *n_jobs* /
-        *executor*.
+        the worker creates (and owns, and closes) one.
     pair_store:
         Whether to share the persistent pair-value store under
         ``state_dir/pair-store`` (on by default — the same directory the
@@ -255,8 +257,6 @@ class Worker:
         kinds: Sequence[str] = ("block", "fit-model"),
         throttle: float = 0.0,
         session: Optional[AnalysisSession] = None,
-        n_jobs: int = 1,
-        executor: str = "thread",
         max_attempts: int = MAX_TASK_ATTEMPTS,
         pair_store: bool = True,
     ) -> None:
@@ -274,16 +274,12 @@ class Worker:
         self.throttle = float(throttle)
         self.max_attempts = max_attempts
         self._owns_session = session is None
-        self.session = session if session is not None else AnalysisSession(
-            n_jobs=n_jobs, executor=executor
-        )
+        self.session = session if session is not None else AnalysisSession()
         if pair_store and self.session.pair_store is None:
             self.session.set_pair_store(os.path.join(self.store.root, "pair-store"))
         # Tenant namespaces (``<state-dir>/tenants/<id>/``) get their own
         # lazily opened store and session, so claimed work reads from and
         # writes into the owning tenant's directories only.
-        self._n_jobs = n_jobs
-        self._executor = executor
         self._use_pair_store = bool(pair_store)
         self._tenant_stores: Dict[str, JobStore] = {}
         self._tenant_sessions: Dict[str, AnalysisSession] = {}
@@ -374,7 +370,7 @@ class Worker:
         """The tenant's own evaluation session (own caches, own pair store)."""
         session = self._tenant_sessions.get(tenant_id)
         if session is None:
-            session = AnalysisSession(n_jobs=self._n_jobs, executor=self._executor)
+            session = AnalysisSession()
             if self._use_pair_store:
                 session.set_pair_store(
                     os.path.join(self._tenant_store(tenant_id).root, "pair-store")

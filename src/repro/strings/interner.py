@@ -11,7 +11,7 @@ vectorised sweep.  :class:`TokenInterner` provides the bridge:
   directly comparable);
 * :meth:`encode` turns a sequence of literals into an ``int32`` NumPy array;
 * encoding is thread-safe, so one interner can be shared by the
-  :class:`~repro.core.engine.GramEngine` worker pool and across the cut-weight
+  threads of concurrent service jobs and across the cut-weight
   sweep (the encoding does not depend on the cut weight).
 """
 

@@ -12,7 +12,7 @@ import pytest
 from repro.core.cachestore import MatrixCache
 from repro.core.engine import GramEngine
 from repro.core.kast import KastSpectrumKernel
-from repro.core.matrix import KernelMatrix, compute_kernel_matrix
+from repro.core.matrix import KernelMatrix
 from repro.core.pairstore import PairStore
 from repro.kernels.spectrum import SpectrumKernel
 from repro.strings.interner import TokenInterner
@@ -99,12 +99,6 @@ class TestPairCache:
         assert kernel.row_values + kernel.value_calls == evaluations
         np.testing.assert_array_equal(first, second)
 
-    def test_invalid_parameters_rejected(self, corpus):
-        with pytest.raises(ValueError):
-            GramEngine(KastSpectrumKernel(), n_jobs=0)
-        with pytest.raises(ValueError):
-            GramEngine(KastSpectrumKernel(), chunk_size=0)
-
 
 class TestGram:
     def test_matches_direct_kernel_loop(self, corpus):
@@ -124,29 +118,21 @@ class TestGram:
         np.testing.assert_allclose(np.diag(gram), 1.0)
         assert np.allclose(gram, gram.T)
 
-    @pytest.mark.parametrize("n_jobs", [2, 4])
-    def test_parallel_equals_serial(self, corpus, n_jobs):
-        serial = GramEngine(KastSpectrumKernel(cut_weight=2), n_jobs=1).gram(corpus)
-        parallel = GramEngine(KastSpectrumKernel(cut_weight=2), n_jobs=n_jobs, chunk_size=3).gram(corpus)
-        np.testing.assert_array_equal(serial, parallel)
-
-    def test_parallel_equals_serial_for_generic_kernel(self, corpus):
-        # SpectrumKernel has no value_row: exercises the chunked fallback.
-        serial = GramEngine(SpectrumKernel(k=2), n_jobs=1).gram(corpus)
-        parallel = GramEngine(SpectrumKernel(k=2), n_jobs=4, chunk_size=2).gram(corpus)
-        np.testing.assert_array_equal(serial, parallel)
+    def test_kernel_without_value_row_matches_direct_loop(self, corpus):
+        # SpectrumKernel has no value_row: exercises the per-pair fallback.
+        kernel = SpectrumKernel(k=2)
+        assert not hasattr(kernel, "value_row")
+        gram = GramEngine(kernel).gram(corpus, normalized=False)
+        reference = SpectrumKernel(k=2)
+        for i in range(len(corpus)):
+            for j in range(i + 1, len(corpus)):
+                assert gram[i, j] == gram[j, i] == reference.value(corpus[i], corpus[j])
 
     def test_string_kernel_matrix_delegates_to_engine(self, corpus):
         kernel = KastSpectrumKernel(cut_weight=2)
         via_matrix = kernel.matrix(corpus, normalized=True)
         via_engine = GramEngine(KastSpectrumKernel(cut_weight=2)).gram(corpus, normalized=True)
         np.testing.assert_array_equal(via_matrix, via_engine)
-
-    def test_compute_kernel_matrix_n_jobs(self, corpus):
-        kernel = KastSpectrumKernel(cut_weight=2)
-        serial = compute_kernel_matrix(corpus, kernel, n_jobs=1)
-        parallel = compute_kernel_matrix(corpus, KastSpectrumKernel(cut_weight=2), n_jobs=4)
-        np.testing.assert_array_equal(serial.values, parallel.values)
 
     def test_shared_interner_injected(self, corpus):
         interner = TokenInterner()
@@ -304,8 +290,6 @@ class TestSpecIntegration:
         engine = GramEngine(OddKernel())
         assert engine.spec is None
         assert engine.kernel_signature() == "odd"
-        with pytest.raises(ValueError):
-            GramEngine(OddKernel(), executor="process")
 
     def test_backend_change_does_not_invalidate_cache(self, corpus, tmp_path):
         # The backends are value-equivalent; the spec signature exempts them.
@@ -353,59 +337,6 @@ class TestSpecIntegration:
         for path in segment_files(root):
             with open(path, "r", encoding="utf-8") as handle:
                 assert json.load(handle)["signature"] == engine.kernel_signature()
-
-
-class TestProcessExecutor:
-    def test_invalid_executor_rejected(self):
-        with pytest.raises(ValueError):
-            GramEngine(KastSpectrumKernel(), executor="greenlet")
-
-    def test_process_gram_bit_identical_to_serial(self, corpus):
-        serial = GramEngine(KastSpectrumKernel(cut_weight=2), n_jobs=1).gram(corpus)
-        process = GramEngine(
-            KastSpectrumKernel(cut_weight=2), n_jobs=2, executor="process", chunk_size=5
-        ).gram(corpus)
-        np.testing.assert_array_equal(serial, process)
-
-    def test_process_gram_for_generic_kernel(self, corpus):
-        serial = GramEngine(SpectrumKernel(k=2), n_jobs=1).gram(corpus)
-        process = GramEngine(SpectrumKernel(k=2), n_jobs=2, executor="process", chunk_size=3).gram(corpus)
-        np.testing.assert_array_equal(serial, process)
-
-    def test_process_single_job_falls_back_to_serial(self, corpus):
-        engine = GramEngine(KastSpectrumKernel(cut_weight=2), n_jobs=1, executor="process")
-        reference = GramEngine(KastSpectrumKernel(cut_weight=2)).gram(corpus)
-        np.testing.assert_array_equal(engine.gram(corpus), reference)
-
-    def test_process_results_populate_parent_cache(self, corpus):
-        engine = GramEngine(KastSpectrumKernel(cut_weight=2), n_jobs=2, executor="process")
-        engine.gram(corpus)
-        misses = engine.cache_info()["pair_misses"]
-        engine.gram(corpus)
-        assert engine.cache_info()["pair_misses"] == misses
-
-
-class TestProcessExecutorFaithfulness:
-    def test_process_refuses_value_overriding_subclass(self, corpus):
-        # A subclass overriding value() must not be silently replaced by
-        # its base kind in the workers: exact-class spec derivation fails
-        # and the engine refuses the process executor up front.
-        class DoubledKast(KastSpectrumKernel):
-            def value(self, a, b):
-                return 2.0 * super().value(a, b)
-
-        with pytest.raises(ValueError):
-            GramEngine(DoubledKast(cut_weight=2), executor="process")
-        # An explicit spec overrides the refusal (caller takes ownership).
-        engine = GramEngine(DoubledKast(cut_weight=2), executor="process", spec="kast")
-        assert engine.spec is not None
-
-    def test_process_repeated_grams_stay_identical(self, corpus):
-        # Regression for worker-side id reuse: repeated/chunked process
-        # evaluation must keep returning the same values as serial.
-        engine = GramEngine(SpectrumKernel(k=2), n_jobs=2, executor="process", chunk_size=2)
-        serial = GramEngine(SpectrumKernel(k=2)).gram(corpus, normalized=False)
-        np.testing.assert_array_equal(engine.gram(corpus, normalized=False), serial)
 
 
 class TestMatrixPayload:

@@ -21,6 +21,7 @@ from repro.service import AnalysisServer
 from repro.service.protocol import (
     CacheStatsRequest,
     ResultRequest,
+    SubmitAnalyzeRequest,
     SubmitMatrixRequest,
     check_response,
     encode_corpus,
@@ -259,6 +260,26 @@ class TestCacheStats:
         assert stats["entries"] == 1
         assert stats["stores"] == 1
         assert stats["hits"] == 1
+
+    def test_analyze_jobs_look_the_cache_up_once(self, server, strings):
+        corpus = strings[:6]
+
+        def analyze():
+            response = check_response(
+                server.handle(
+                    SubmitAnalyzeRequest(
+                        spec=SPEC.to_dict(), strings=tuple(encode_corpus(corpus))
+                    ).to_payload()
+                )
+            )
+            return wait_result(server, response["job_id"])
+
+        first, second = analyze(), analyze()
+        assert first.get("cache") == "miss"
+        assert second.get("cache") == "hit"
+        assert canonical(first["payload"]) == canonical(second["payload"])
+        stats = check_response(server.handle(CacheStatsRequest().to_payload()))
+        assert (stats["misses"], stats["hits"], stats["stores"]) == (1, 1, 1)
 
     def test_disabled_cache_reports_disabled(self, tmp_path, strings):
         with AnalysisServer(

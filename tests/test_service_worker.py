@@ -104,13 +104,39 @@ class TestInlineDistributed:
             # The finished block-task records were tidied away.
             assert server.store.records(kind="block") == []
 
-    def test_distributed_payload_serialises_byte_identically(self, tmp_path, strings, local_payload):
-        with AnalysisServer(state_dir=str(tmp_path / "state")) as server:
-            job_id = submit_distributed(server, strings, shards=4)
-            payload = wait_payload(server, job_id)
+    @pytest.mark.parametrize("use_cache", [True, False])
+    @pytest.mark.parametrize("repair", [True, False])
+    @pytest.mark.parametrize("normalized", [True, False])
+    def test_distributed_payload_serialises_byte_identically(
+        self, tmp_path, strings, normalized, repair, use_cache
+    ):
+        options = {"normalized": normalized, "repair": repair, "use_cache": use_cache}
+        # Every shard count from 1 to 4 meets every option somewhere.
+        shards = 1 + (4 * normalized + 2 * repair + use_cache) % 4
+        with AnalysisSession() as session:
+            matrix = session.matrix(SPEC, strings, normalized=normalized, repair=repair)
+            local_payload = session.engine(SPEC).matrix_payload(matrix, strings)
+        envelopes = {}
+        for distributed in (False, True):
+            with AnalysisServer(state_dir=str(tmp_path / f"state-{distributed}")) as server:
+                response = check_response(
+                    server.handle(
+                        SubmitMatrixRequest(
+                            spec=SPEC.to_dict(),
+                            strings=tuple(encode_corpus(strings)),
+                            shards=shards,
+                            distributed=distributed,
+                            **options,
+                        ).to_payload()
+                    )
+                )
+                envelopes[distributed] = check_response(
+                    server.handle(ResultRequest(job_id=response["job_id"], wait=120.0).to_payload())
+                )
         local_bytes = json.dumps(local_payload, sort_keys=True).encode("utf-8")
-        distributed_bytes = json.dumps(payload, sort_keys=True).encode("utf-8")
-        assert distributed_bytes == local_bytes
+        for envelope in envelopes.values():
+            assert json.dumps(envelope["payload"], sort_keys=True).encode("utf-8") == local_bytes
+        assert envelopes[True]["cache"] == envelopes[False]["cache"] == ("miss" if use_cache else "bypass")
 
 
 class TestExternalWorkers:

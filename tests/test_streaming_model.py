@@ -6,7 +6,7 @@ byte for byte, the degenerate landmark-set == corpus case reproduces the
 full-Gram kernel-PCA embedding exactly (up to eigenvector sign), the
 scorer's scale-invariant scores rank identically to
 :class:`KernelNearestCentroid`, classification is deterministic across
-thread and process executors, and — the serving contract — a cold trace
+fresh sessions, and — the serving contract — a cold trace
 costs exactly ``m`` kernel evaluations while a repeated one costs zero.
 """
 
@@ -177,14 +177,14 @@ def test_cold_classify_costs_m_evals_and_warm_costs_zero(model, queries):
         assert engine.cache_info()["kernel_evals"] - before == 0
 
 
-def test_classify_deterministic_across_executors(model, queries):
+def test_classify_deterministic_across_sessions(model, queries):
     results = []
-    for executor in ("thread", "process"):
-        with AnalysisSession(n_jobs=2, executor=executor) as fresh:
+    for _ in range(2):
+        with AnalysisSession() as fresh:
             scorer = StreamingScorer(model, fresh)
             results.append([scorer.classify(query) for query in queries])
-    threaded, processed = results
-    for left, right in zip(threaded, processed):
+    first, second = results
+    for left, right in zip(first, second):
         assert left.label == right.label
         assert set(left.scores) == set(right.scores)
         for label, value in left.scores.items():
