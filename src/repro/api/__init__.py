@@ -8,8 +8,8 @@ Two pieces:
   :func:`spec_from_kernel`).  Every kernel kind the CLI and the pipeline
   offer derives from this registry.
 * :mod:`repro.api.session` — :class:`AnalysisSession`, the service facade
-  owning one token interner and one warm Gram engine per spec, with
-  ``submit``/``result`` job handles for asynchronous clients.
+  owning one token interner and one warm Gram engine per spec.  Jobs
+  (asynchronous work) belong to the service, :mod:`repro.service`.
 
 :class:`ServiceClient` (the networked mirror of the session surface, see
 :mod:`repro.service`) is re-exported lazily so ``from repro.api import
@@ -17,7 +17,7 @@ ServiceClient`` works without importing the service stack — or the session
 module importing it — at package-import time.
 """
 
-from repro.api.session import AnalysisSession, JobError, JobTimeout
+from repro.api.session import AnalysisSession
 from repro.core.cachestore import MatrixCache
 from repro.api.spec import (
     KernelSpec,
@@ -35,8 +35,6 @@ from repro.api.spec import (
 
 __all__ = [
     "AnalysisSession",
-    "JobError",
-    "JobTimeout",
     "KernelSpec",
     "KernelSpecError",
     "MatrixCache",

@@ -8,17 +8,17 @@ One session owns the mutable, warm state every kernel evaluation can share:
   :class:`~repro.api.spec.KernelSpec` — the engines' symmetric pair caches
   and self-value caches persist across calls, so interactive clients,
   repeated experiments and sweeps reuse each other's evaluations instead of
-  recomputing them;
-* a small job layer (:meth:`submit` / :meth:`result`) that runs matrix and
-  analysis requests on a background pool, the seam the ROADMAP's async
-  evaluation service grows from.
+  recomputing them.
 
 Everything a session does is keyed by declarative specs, so the same facade
 serves scripting users (``session.matrix("kast", strings)``), the CLI, and
 the service's worker processes (specs are picklable).  Every matrix goes
 through :meth:`AnalysisSession.matrix_cached`; the engines evaluate
 serially, and the only cross-core parallelism is the service layer's
-leased block records.
+leased block records.  A session runs everything on the calling thread and
+keeps no jobs: asynchronous work is a job-store record of the service
+(:mod:`repro.service`), submitted through a
+:class:`~repro.service.client.ServiceClient`.
 
 Example
 -------
@@ -29,17 +29,12 @@ Example
     with AnalysisSession() as session:
         strings = session.corpus(small=True, seed=7)
         matrix = session.matrix(make_spec("kast", cut_weight=4), strings)
-        job = session.submit("blended", strings)
-        other = session.result(job)
+        other = session.matrix("blended", strings)
 """
 
 from __future__ import annotations
 
-import itertools
 import threading
-import time
-from concurrent.futures import CancelledError, Future, ThreadPoolExecutor
-from concurrent.futures import TimeoutError as FuturesTimeoutError  # == builtin TimeoutError only from 3.11
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -57,57 +52,10 @@ from repro.traces.model import IOTrace
 from repro.traces.parser import parse_trace_file
 from repro.workloads.corpus import CorpusConfig, build_corpus
 
-__all__ = ["AnalysisSession", "JobError", "JobTimeout"]
+__all__ = ["AnalysisSession"]
 
 #: Anything the session accepts where a kernel spec is expected.
 SpecLike = Union[KernelSpec, Mapping[str, Any], str, StringKernel]
-
-
-class JobError(RuntimeError):
-    """Raised by :meth:`AnalysisSession.result` when a job failed."""
-
-
-class JobTimeout(TimeoutError):
-    """Raised by :meth:`AnalysisSession.result` when *timeout* expires.
-
-    A :class:`TimeoutError` subclass (so existing ``except TimeoutError``
-    callers keep working) that carries the job id and the timeout that
-    expired, so service loops can report or retry the specific job instead
-    of unwinding with an anonymous pool timeout.
-    """
-
-    def __init__(self, job_id: str, timeout: Optional[float] = None) -> None:
-        detail = f" within {timeout}s" if timeout is not None else ""
-        super().__init__(f"job {job_id!r} did not finish{detail}")
-        self.job_id = job_id
-        self.timeout = timeout
-
-
-class _Job:
-    """Internal handle pairing a future with its description."""
-
-    __slots__ = ("job_id", "kind", "future", "created_at", "finished_at")
-
-    def __init__(self, job_id: str, kind: str, future: "Future") -> None:
-        self.job_id = job_id
-        self.kind = kind
-        self.future = future
-        self.created_at = time.time()
-        #: Stamped by the future's done-callback; None while in flight.
-        self.finished_at: Optional[float] = None
-        future.add_done_callback(self._stamp_finished)
-
-    def _stamp_finished(self, _future: "Future") -> None:
-        self.finished_at = time.time()
-
-    def status(self) -> str:
-        if self.future.cancelled():
-            return "cancelled"
-        if self.future.done():
-            return "error" if self.future.exception() is not None else "done"
-        if self.future.running():
-            return "running"
-        return "pending"
 
 
 class AnalysisSession:
@@ -119,17 +67,6 @@ class AnalysisSession:
         Optional pre-existing token interner to share with other sessions.
     pair_cache_size:
         Forwarded to every engine.
-    max_job_workers:
-        Size of the background pool serving :meth:`submit` jobs.
-    job_ttl:
-        Seconds a *finished* job handle (and its retained result) is kept
-        for collection before the session's sweep evicts it.  ``None``
-        (the default) keeps finished jobs until :meth:`forget` — but see
-        *max_retained_jobs*, which bounds retention either way.
-    max_retained_jobs:
-        Hard cap on retained *finished* jobs: when exceeded, the
-        oldest-finished are evicted first.  Protects long-lived servers
-        whose clients submit but never fetch from unbounded growth.
     matrix_cache:
         Optional persistent Gram-result cache
         (:class:`~repro.core.cachestore.MatrixCache`, or a directory path
@@ -154,18 +91,9 @@ class AnalysisSession:
         self,
         interner: Optional[TokenInterner] = None,
         pair_cache_size: Optional[int] = None,
-        max_job_workers: int = 2,
-        job_ttl: Optional[float] = None,
-        max_retained_jobs: int = 1024,
         matrix_cache: Optional[Union[MatrixCache, str]] = None,
         pair_store: Optional[Union[PairStore, str]] = None,
     ) -> None:
-        if max_job_workers < 1:
-            raise ValueError(f"max_job_workers must be >= 1, got {max_job_workers}")
-        if job_ttl is not None and job_ttl < 0:
-            raise ValueError(f"job_ttl must be >= 0 or None, got {job_ttl}")
-        if max_retained_jobs < 1:
-            raise ValueError(f"max_retained_jobs must be >= 1, got {max_retained_jobs}")
         self.interner = interner if interner is not None else TokenInterner()
         self._engine_options: Dict[str, Any] = {}
         if pair_cache_size is not None:
@@ -182,13 +110,6 @@ class AnalysisSession:
         # (e.g. the Kast backend) share one warm engine and pair cache.
         self._engines: Dict[str, GramEngine] = {}
         self._lock = threading.Lock()
-        self._jobs: Dict[str, _Job] = {}
-        self._job_ids = itertools.count(1)
-        self._job_pool: Optional[ThreadPoolExecutor] = None
-        self._max_job_workers = max_job_workers
-        self.job_ttl = job_ttl
-        self.max_retained_jobs = max_retained_jobs
-        self._closed = False
 
     # ------------------------------------------------------------------
     # Spec / kernel / engine resolution (warm caches)
@@ -490,177 +411,7 @@ class AnalysisSession:
         )
 
     # ------------------------------------------------------------------
-    # Job handles (async-service seam)
-    # ------------------------------------------------------------------
-    def submit(self, spec: SpecLike, strings: Sequence[WeightedString], **matrix_options: Any) -> str:
-        """Queue a :meth:`matrix` computation; returns a job id.
-
-        The job runs on the session's background pool against the same warm
-        engines, so its results (and cache warm-up) are shared with
-        synchronous callers.
-        """
-        resolved = self.spec(spec)
-        string_list = list(strings)
-        return self._submit_job("matrix", lambda: self.matrix(resolved, string_list, **matrix_options))
-
-    def submit_analyze(self, config: Optional[Any] = None, **analyze_options: Any) -> str:
-        """Queue an :meth:`analyze` run; returns a job id."""
-        return self._submit_job("analyze", lambda: self.analyze(config, **analyze_options))
-
-    def submit_work(self, kind: str, work: Any) -> str:
-        """Queue an arbitrary callable on the session's job pool; returns a job id.
-
-        The persistence hook for service front ends: a server wraps its own
-        computation (e.g. a block-sharded matrix job that also writes the
-        result to an on-disk job store) in *work* and still gets the
-        session's job-id/status/result lifecycle — including
-        :class:`JobError` wrapping and :class:`JobTimeout` on slow results.
-        *kind* is a short tag prefixed to the generated job id.
-        """
-        if not callable(work):
-            raise TypeError(f"work must be callable, got {type(work).__name__}")
-        return self._submit_job(str(kind), work)
-
-    def _submit_job(self, kind: str, work) -> str:
-        with self._lock:
-            if self._closed:
-                raise RuntimeError("session is closed")
-            self._sweep_jobs_locked()
-            if self._job_pool is None:
-                self._job_pool = ThreadPoolExecutor(
-                    max_workers=self._max_job_workers, thread_name_prefix="repro-session"
-                )
-            job_id = f"{kind}-{next(self._job_ids)}"
-            self._jobs[job_id] = _Job(job_id, kind, self._job_pool.submit(work))
-            return job_id
-
-    def _sweep_jobs_locked(self, now: Optional[float] = None) -> List[str]:
-        """Evict expired / excess finished jobs (caller holds ``self._lock``)."""
-        moment = time.time() if now is None else now
-        evicted: List[str] = []
-        if self.job_ttl is not None:
-            for job_id, job in list(self._jobs.items()):
-                if job.finished_at is not None and moment - job.finished_at >= self.job_ttl:
-                    del self._jobs[job_id]
-                    evicted.append(job_id)
-        finished = sorted(
-            ((job.finished_at, job_id) for job_id, job in self._jobs.items()
-             if job.finished_at is not None),
-        )
-        excess = len(finished) - self.max_retained_jobs
-        for _, job_id in finished[:max(0, excess)]:
-            del self._jobs[job_id]
-            evicted.append(job_id)
-        return evicted
-
-    def sweep_jobs(self) -> List[str]:
-        """Drop finished jobs past their TTL (and beyond the retention cap).
-
-        The session-side twin of :meth:`JobStore.sweep
-        <repro.service.jobstore.JobStore.sweep>`: a server maintenance
-        loop calls both so neither the state dir nor the in-memory future
-        map grows without bound when clients never fetch results.  A swept
-        job's id stops resolving — :meth:`status` / :meth:`result` raise
-        :class:`KeyError` for it.  Returns the evicted job ids.
-        """
-        with self._lock:
-            return self._sweep_jobs_locked()
-
-    def _job(self, job_id: str) -> _Job:
-        job = self._jobs.get(job_id)
-        if job is None:
-            raise KeyError(f"unknown job id {job_id!r}")
-        return job
-
-    def status(self, job_id: str) -> str:
-        """``"pending" | "running" | "done" | "error" | "cancelled"``.
-
-        Raises :class:`KeyError` for unknown ids — including finished jobs
-        already evicted by the TTL/retention sweep (:meth:`sweep_jobs`).
-        """
-        if self.job_ttl is not None:
-            self.sweep_jobs()
-        return self._job(job_id).status()
-
-    def result(self, job_id: str, timeout: Optional[float] = None, forget: bool = False) -> Any:
-        """Block for (and return) a job's result.
-
-        Parameters
-        ----------
-        job_id:
-            A handle previously returned by :meth:`submit`,
-            :meth:`submit_analyze` or :meth:`submit_work` (unknown ids raise
-            :class:`KeyError`).
-        timeout:
-            Maximum seconds to wait; when it expires a :class:`JobTimeout`
-            (a :class:`TimeoutError` subclass carrying the job id) is raised
-            and the job keeps running — the result can still be collected by
-            a later call.
-        forget:
-            When ``True`` the finished job (and the session's reference to
-            its result or exception) is dropped after delivery, exactly as
-            :meth:`forget` would.  Long-lived service loops should pass it —
-            or call :meth:`forget` explicitly — so retained results do not
-            accumulate for the session lifetime.  A timed-out job is *not*
-            forgotten (it has not finished).
-
-        Raises :class:`JobError` wrapping the original exception when the
-        job failed — including a *cancelled* job, whose
-        :class:`~concurrent.futures.CancelledError` is a
-        :class:`BaseException` since Python 3.8 and would otherwise escape
-        the error contract entirely — so callers can distinguish job
-        failure from lookup errors.
-        """
-        job = self._job(job_id)
-        try:
-            value = job.future.result(timeout=timeout)
-        except (TimeoutError, FuturesTimeoutError) as exc:
-            raise JobTimeout(job_id, timeout) from exc
-        except CancelledError as exc:
-            # A BaseException: without this clause it would bypass both the
-            # JobError wrapping and the forget=True eviction below.
-            if forget:
-                self.forget(job_id)
-            raise JobError(f"job {job_id!r} was cancelled") from exc
-        except Exception as exc:
-            if forget:
-                self.forget(job_id)
-            raise JobError(f"job {job_id!r} failed: {exc}") from exc
-        if forget:
-            self.forget(job_id)
-        return value
-
-    def cancel(self, job_id: str) -> bool:
-        """Cancel a job that has not started; returns whether it was cancelled.
-
-        Mirrors :meth:`concurrent.futures.Future.cancel`: a queued job is
-        cancelled and reports the ``"cancelled"`` status, a running or
-        finished job is left untouched and ``False`` is returned.
-        """
-        return self._job(job_id).future.cancel()
-
-    def forget(self, job_id: str) -> bool:
-        """Drop a *finished* job and its retained result; returns whether dropped.
-
-        Running or pending jobs are left untouched (and ``False`` is
-        returned) — this is an eviction hook, not a cancellation API.
-        """
-        with self._lock:
-            job = self._jobs.get(job_id)
-            if job is None or not job.future.done():
-                return False
-            del self._jobs[job_id]
-            return True
-
-    def jobs(self) -> Dict[str, str]:
-        """Status of every retained job submitted to this session."""
-        if self.job_ttl is not None:
-            self.sweep_jobs()
-        with self._lock:
-            return {job_id: job.status() for job_id, job in self._jobs.items()}
-
-    # ------------------------------------------------------------------
-    # Introspection and lifecycle
+    # Introspection
     # ------------------------------------------------------------------
     def cache_info(self) -> Dict[str, Dict[str, int]]:
         """Per-engine cache counters, keyed by the engine's canonical spec.
@@ -710,21 +461,13 @@ class AnalysisSession:
             engine_specs = [engine.spec for engine in self._engines.values()]
             return tuple(dict.fromkeys(list(self._kernels) + engine_specs))
 
-    def shutdown(self, wait: bool = True) -> None:
-        """Stop the background job pool (idempotent)."""
-        with self._lock:
-            pool, self._job_pool = self._job_pool, None
-            self._closed = True
-        if pool is not None:
-            pool.shutdown(wait=wait)
-
     def __enter__(self) -> "AnalysisSession":
+        # The session holds nothing to release; the ``with`` form scopes
+        # its warm caches to a block.
         return self
 
     def __exit__(self, exc_type, exc_value, traceback) -> None:
-        self.shutdown()
+        return None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging convenience
-        return (
-            f"AnalysisSession(warm_specs={len(self._engines)}, jobs={len(self._jobs)})"
-        )
+        return f"AnalysisSession(warm_specs={len(self._engines)})"

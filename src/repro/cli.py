@@ -139,7 +139,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=1,
         help="default block-shard count for distributed matrix jobs that do not request one (default: 1)",
     )
-    serve.add_argument("--job-workers", type=int, default=2, help="concurrent service jobs (default: 2)")
+    serve.add_argument("--job-workers", type=int, default=2, help="concurrent jobs per tenant (default: 2)")
     serve.add_argument(
         "--no-inline-blocks",
         action="store_true",
@@ -836,19 +836,15 @@ def _gc_namespace(state_dir: str, args: argparse.Namespace) -> None:
 
 
 def _command_gc(args: argparse.Namespace) -> int:
-    from repro.service.tenancy import TENANTS_DIRNAME, valid_tenant_id
+    from repro.service.tenancy import TENANTS_DIRNAME, list_tenants
 
     _gc_namespace(args.state_dir, args)
     # Tenant namespaces are their own stores and caches; sweep each one
     # under the same knobs, with a banner so operators can tell whose
     # layer summary they are reading.
-    tenants_base = os.path.join(args.state_dir, TENANTS_DIRNAME)
-    if os.path.isdir(tenants_base):
-        for name in sorted(os.listdir(tenants_base)):
-            namespace = os.path.join(tenants_base, name)
-            if valid_tenant_id(name) and os.path.isdir(namespace):
-                print(f"tenant {name}:")
-                _gc_namespace(namespace, args)
+    for name in list_tenants(args.state_dir):
+        print(f"tenant {name}:")
+        _gc_namespace(os.path.join(args.state_dir, TENANTS_DIRNAME, name), args)
     return 0
 
 

@@ -1,10 +1,10 @@
 """repro.service — the networked kernel-analysis service.
 
-PR 2 left the library with an in-process service facade
-(:class:`~repro.api.session.AnalysisSession`: warm per-spec engines plus
-``submit()/result()`` job handles).  This package is the move from library
-to long-running service: clients in other processes — or on other hosts —
-share one warm session, and jobs survive the server process.
+The library's in-process facade is
+:class:`~repro.api.session.AnalysisSession` (warm per-spec engines).  This
+package is the long-running service around it: clients in other
+processes — or on other hosts — share one warm session, and every job is a
+job-store record that survives the server process.
 
 * :mod:`repro.service.protocol` — the versioned JSON request/response
   messages (submit-matrix, submit-analyze, status, result, cancel, specs,
@@ -25,14 +25,17 @@ share one warm session, and jobs survive the server process.
   matrix bit-identical to the monolithic computation.  With
   ``distributed=True`` the blocks become individually leasable records
   that pull-loop workers execute.
-* :mod:`repro.service.worker` — :class:`Worker`, the pull loop: claims
-  block tasks from a shared state dir under the store's cross-process
-  locks, executes them with a warm session, and renews its leases; a
-  SIGKILLed worker's blocks are reclaimed when the lease expires.
+* :mod:`repro.service.worker` — :func:`run_claimed_job`, the one runner
+  every claimed record goes through (in the server and in workers), and
+  :class:`Worker`, the pull loop: claims block and fit-model tasks from a
+  shared state dir under the store's cross-process locks and runs them
+  with a warm session; a SIGKILLed worker's tasks are reclaimed when the
+  lease expires.
 * :mod:`repro.service.client` — :class:`ServiceClient`, mirroring the
-  ``AnalysisSession`` surface (``matrix()/analyze()/submit()/result()``)
-  over an HTTP or stdio transport, with bearer-token auth and transient
-  failure retries.
+  ``AnalysisSession`` surface (``matrix()/analyze()``) over an HTTP or
+  stdio transport, plus the job handles (``submit()/status()/result()/
+  cancel()``) the synchronous session does not have, with bearer-token
+  auth and transient failure retries.
 * :mod:`repro.service.router` / :mod:`repro.service.middleware` — the
   request pipeline every front end shares: parsing, authentication,
   tenant resolution, quotas/rate limiting, metrics and tracing around a
@@ -50,6 +53,7 @@ from repro.service.auth import Authenticator
 from repro.service.client import (
     TOKEN_ENV_VAR,
     HTTPTransport,
+    JobTimeout,
     ServiceClient,
     StdioTransport,
     TransportError,
@@ -80,7 +84,7 @@ from repro.service.tenancy import (
     TenantQuotas,
     TenantRegistry,
 )
-from repro.service.worker import Worker, execute_block_task, execute_fit_model_task
+from repro.service.worker import Worker, execute_block_task, fit_model_payload, run_claimed_job
 
 __all__ = [
     "DEFAULT_TENANT",
@@ -92,6 +96,7 @@ __all__ = [
     "HTTPTransport",
     "JobFailed",
     "JobPending",
+    "JobTimeout",
     "JobRecord",
     "JobStore",
     "LeaseError",
@@ -117,6 +122,7 @@ __all__ = [
     "decode_corpus",
     "encode_corpus",
     "execute_block_task",
-    "execute_fit_model_task",
+    "fit_model_payload",
+    "run_claimed_job",
     "serve_stdio",
 ]

@@ -1,9 +1,10 @@
 """The service client: the ``AnalysisSession`` surface over a transport.
 
 :class:`ServiceClient` speaks the :mod:`repro.service.protocol` messages and
-mirrors the session facade — ``matrix()``/``analyze()`` block for a result,
-``submit()``/``result()``/``status()``/``cancel()`` manage job handles — so
-moving a workload from in-process to remote is a one-line change::
+mirrors the session facade — ``matrix()``/``analyze()`` block for a result —
+so moving a workload from in-process to remote is a one-line change; its
+``submit()``/``result()``/``status()``/``cancel()`` manage the server's
+job-store records, the service's only jobs::
 
     from repro.api import AnalysisSession
     from repro.service import ServiceClient
@@ -25,8 +26,8 @@ Two transports ship:
 
 Server-side failures arrive as the same typed
 :class:`~repro.service.protocol.ServiceError` hierarchy the server raised,
-and result polling honours the session's timeout contract by raising
-:class:`~repro.api.session.JobTimeout` with the job id attached.
+and result polling raises :class:`JobTimeout` with the job id attached
+when the caller's timeout expires.
 
 Resilience: the client distinguishes *transport* failures (connection
 refused/reset, non-protocol 5xx — raised as :class:`TransportError`) from
@@ -55,7 +56,6 @@ import urllib.error
 import urllib.request
 from typing import Any, Callable, Dict, Mapping, Optional, Sequence, TextIO, Union
 
-from repro.api.session import JobTimeout
 from repro.api.spec import KernelSpec, coerce_spec
 from repro.core.matrix import KernelMatrix
 from repro.obs.tracing import new_trace_id
@@ -85,6 +85,7 @@ from repro.strings.tokens import WeightedString
 
 __all__ = [
     "HTTPTransport",
+    "JobTimeout",
     "ServiceClient",
     "StdioTransport",
     "TransportError",
@@ -105,6 +106,23 @@ class TransportError(ServiceError):
     """
 
     code = "transport"
+
+
+class JobTimeout(TimeoutError):
+    """Raised by :meth:`ServiceClient.result` when *timeout* expires.
+
+    A :class:`TimeoutError` subclass (so ``except TimeoutError`` callers
+    keep working) that carries the job id and the timeout that expired, so
+    callers can report or retry the specific job; the job itself keeps
+    running and its result can still be collected later.
+    """
+
+    def __init__(self, job_id: str, timeout: Optional[float] = None) -> None:
+        detail = f" within {timeout}s" if timeout is not None else ""
+        super().__init__(f"job {job_id!r} did not finish{detail}")
+        self.job_id = job_id
+        self.timeout = timeout
+
 
 #: Spec shorthands the client accepts (mirrors the session's SpecLike).
 SpecLike = Union[KernelSpec, Mapping[str, Any], str]
@@ -551,7 +569,7 @@ class ServiceClient:
 
         Each poll asks the server to wait a short interval server-side, so
         the client does not busy-loop; *timeout* bounds the total wait and
-        raises :class:`~repro.api.session.JobTimeout` carrying the job id.
+        raises :class:`JobTimeout` carrying the job id.
         """
         return self._result_response(job_id, timeout=timeout, forget=forget)["payload"]
 

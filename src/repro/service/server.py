@@ -1,9 +1,9 @@
 """The analysis server: one warm :class:`AnalysisSession` behind a transport.
 
 :class:`AnalysisServer` is transport-agnostic — :meth:`AnalysisServer.handle`
-maps one protocol request onto the session's ``submit()/result()/forget()``
-lifecycle and the on-disk :class:`~repro.service.jobstore.JobStore` — and
-two thin front ends drive it:
+maps one protocol request onto the on-disk
+:class:`~repro.service.jobstore.JobStore`, whose records are the only job
+lifecycle — and two thin front ends drive it:
 
 * **HTTP** — a stdlib ``ThreadingHTTPServer`` accepting ``POST /v1`` with
   one JSON request per call (plus ``GET /healthz`` for probes).  Threaded
@@ -43,17 +43,26 @@ non-distributed job lets the session's engine evaluate them, serially,
 whatever its ``shards`` value.  Leased block records are the service's
 only cross-core parallelism.
 
-Job persistence and recovery
-----------------------------
-Every service job record carries its *input* (spec, encoded corpus,
-evaluation options), so it is resumable: start-up recovery requeues
-queued / expired-lease jobs and the server re-adopts them — a restart
-re-runs interrupted work instead of dead-ending it.  Execution always
-passes through :meth:`JobStore.claim_job`, so two servers sharing one
-state dir never compute the same job twice.  A background maintenance
-thread requeues expired leases, adopts orphaned queued jobs, and (when a
-``job_ttl`` is set) garbage-collects terminal records so long-lived state
-dirs stop growing without bound.
+Job lifecycle, persistence and recovery
+---------------------------------------
+A submission creates one store record and queues it on its tenant's job
+pool (``max_job_workers`` threads per tenant).  The queued task claims
+the record through :meth:`JobStore.claim_job` and runs it through
+:func:`~repro.service.worker.run_claimed_job`, the runner ``repro
+worker`` processes use too: one lease keeper, trace context, log lines,
+metrics and failure policy for every job.  Status, result waits and
+cancellation read and write only the record: a result wait sleeps on the
+store's doorbell, which a job finishing in this process rings directly,
+and a cancel flips a still-``queued`` record atomically, which makes its
+pool task a no-op.  Every record carries its *input* (spec, encoded
+corpus, evaluation options), so it is resumable: start-up recovery
+requeues queued / expired-lease jobs and the server re-adopts them — a
+restart re-runs interrupted work instead of dead-ending it.  Because every
+run claims first, two servers sharing one state dir never compute the
+same job twice.  A background maintenance thread requeues expired leases,
+adopts orphaned queued jobs, and (when a ``job_ttl`` is set)
+garbage-collects terminal records so long-lived state dirs stop growing
+without bound.
 
 Result caching and request coalescing
 -------------------------------------
@@ -122,7 +131,7 @@ import uuid
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Callable, Dict, List, Mapping, Optional, TextIO, Tuple
 
-from repro.api.session import AnalysisSession, JobError, JobTimeout
+from repro.api.session import AnalysisSession
 from repro.api.spec import KernelSpec, KernelSpecError, coerce_spec, registered_kinds, registry_entry
 from repro.core.cachestore import MatrixCache
 from repro.obs.metrics import MetricsRegistry, render_fleet
@@ -130,7 +139,7 @@ from repro.obs.tracing import new_span_id, new_trace_id, trace_context
 from repro.core.engine import decode_pair_values, plan_index_blocks, string_fingerprint
 from repro.core.pairstore import PairStore
 from repro.service.auth import Authenticator
-from repro.service.jobstore import Doorbell, JobRecord, JobStore, JobStoreError, LeaseError
+from repro.service.jobstore import Doorbell, JobRecord, JobStore, JobStoreError
 from repro.service.middleware import (
     RequestContext,
     auth_middleware,
@@ -174,8 +183,16 @@ from repro.service.tenancy import (
     TenantContext,
     TenantQuotas,
     TenantRegistry,
+    list_tenants,
 )
-from repro.service.worker import DEFAULT_POLL_INTERVAL, _LeaseKeeper, execute_block_task
+from repro.service.worker import (
+    DEFAULT_POLL_INTERVAL,
+    ShutdownRequested,
+    execute_block_task,
+    fit_model_payload,
+    run_claimed_job,
+    stamp_cache_status,
+)
 from repro.streaming.scorer import StreamingScorer
 from repro.streaming.store import ModelStore
 from repro.strings.tokens import WeightedString
@@ -186,10 +203,6 @@ logger = logging.getLogger(__name__)
 
 #: Default bound on one request body (HTTP ``POST /v1`` or one stdio line).
 DEFAULT_MAX_REQUEST_BYTES = 64 * 1024 * 1024
-
-
-class _ServerClosing(Exception):
-    """Internal: a coordinating job observed the server shutting down."""
 
 
 class AnalysisServer:
@@ -203,9 +216,11 @@ class AnalysisServer:
         jobs then survive *server object* restarts only if the caller
         reuses the directory.
     session:
-        An existing :class:`AnalysisSession` to serve.  When omitted the
-        server creates (and owns, and closes) one with *max_job_workers*
-        concurrent service jobs.
+        An existing :class:`AnalysisSession` to serve the default tenant
+        with.  When omitted the server creates one.
+    max_job_workers:
+        Threads in each tenant's job pool: how many of one tenant's jobs
+        run at once.
     default_shards:
         Shard count applied to distributed matrix jobs that do not ask
         for one explicitly; non-distributed jobs always run monolithically.
@@ -220,9 +235,8 @@ class AnalysisServer:
         claims); renewed while coordinating.  Other processes may reclaim
         this server's work only after it dies and the lease lapses.
     job_ttl:
-        When set, terminal store records (and retained session results)
-        older than this many seconds are garbage-collected by the
-        maintenance thread.
+        When set, terminal store records older than this many seconds are
+        garbage-collected by the maintenance thread.
     gc_interval:
         Seconds between maintenance passes (lease requeue, orphan-job
         adoption, TTL sweep, result-cache sweep).
@@ -280,6 +294,8 @@ class AnalysisServer:
         default_quotas: Optional[TenantQuotas] = None,
         max_request_bytes: int = DEFAULT_MAX_REQUEST_BYTES,
     ) -> None:
+        if max_job_workers < 1:
+            raise ValueError(f"max_job_workers must be >= 1, got {max_job_workers}")
         if default_shards < 1:
             raise ValueError(f"default_shards must be >= 1, got {default_shards}")
         if lease_seconds <= 0:
@@ -290,17 +306,14 @@ class AnalysisServer:
             raise ValueError(f"gc_interval must be > 0, got {gc_interval}")
         if max_request_bytes < 1024:
             raise ValueError(f"max_request_bytes must be >= 1024, got {max_request_bytes}")
-        self._owns_session = session is None
-        self.session = session if session is not None else AnalysisSession(
-            max_job_workers=max_job_workers, job_ttl=job_ttl
-        )
+        self.session = session if session is not None else AnalysisSession()
         self._tempdir: Optional[tempfile.TemporaryDirectory] = None
         if state_dir is None:
             self._tempdir = tempfile.TemporaryDirectory(prefix="repro-service-")
             state_dir = self._tempdir.name
         self.store = JobStore(state_dir)
         # Remembered construction knobs so lazily-built tenant namespaces
-        # mirror the server's own session/cache configuration.
+        # mirror the server's own job pool and cache configuration.
         self._max_job_workers = max_job_workers
         self._cache_config: Dict[str, Any] = {
             "result_cache": result_cache, "max_cache_entries": max_cache_entries,
@@ -342,7 +355,7 @@ class AnalysisServer:
             self.session,
             self.model_store,
             quotas=quota_overrides.get(DEFAULT_TENANT, effective_defaults),
-            owns_session=False,  # close() handles the default session directly
+            max_job_workers=max_job_workers,
         )
         self._tenants = TenantRegistry(
             self.store.root,
@@ -374,7 +387,7 @@ class AnalysisServer:
         # Wake every namespace already on disk, resume whatever recovery
         # put back on the queues, then keep the stores healthy in the
         # background.
-        for tenant_id in self._tenants.discover():
+        for tenant_id in list_tenants(self.store.root):
             self._tenants.context(tenant_id)
         for context in self._tenants.contexts():
             self._adopt_queued_jobs(context)
@@ -398,14 +411,15 @@ class AnalysisServer:
         # One wake/ per state dir: the processes waiting on it hear every
         # namespace through one pipe each.
         store.wake_dir = self.store.wake_dir
-        session = AnalysisSession(max_job_workers=self._max_job_workers, job_ttl=self.job_ttl)
+        session = AnalysisSession()
         self._attach_caches(session, root)
         model_store = ModelStore(os.path.join(root, "models"))
         if store.recovery.quarantined or store.recovery.interrupted or store.recovery.requeued:
             logger.warning("tenant %s: %s", tenant_id, store.recovery.describe())
         logger.info("tenant %r namespace ready at %s", tenant_id, root)
         return TenantContext(
-            tenant_id, root, store, session, model_store, quotas=quotas, owns_session=True
+            tenant_id, root, store, session, model_store, quotas=quotas,
+            max_job_workers=self._max_job_workers,
         )
 
     def _attach_caches(self, session: AnalysisSession, root: str) -> None:
@@ -702,86 +716,41 @@ class AnalysisServer:
             "job", job_id=record.job_id, status="queued", kind="fit-model", trace_id=trace_id
         )
 
-    def _start_record(self, tenant: TenantContext, record: JobRecord) -> str:
-        """Queue execution of a stored record on the tenant session's job pool.
+    def _start_record(self, tenant: TenantContext, record: JobRecord) -> None:
+        """Queue a stored record on the tenant's job pool, once.
 
-        The queued callable *claims* the record before computing, so a
-        record adopted by several servers sharing one state dir (or
-        re-adopted after a restart) runs exactly once; the loser of the
-        claim race simply returns.
+        The queued task *claims* the record before computing, so a record
+        adopted by several servers sharing one state dir (or re-adopted
+        after a restart) runs exactly once; the loser of the claim race,
+        and a task whose record was cancelled while it waited, simply
+        returns.  A record already queued here is not queued again.
         """
         job_id = record.job_id
 
         def run() -> None:
-            claimed = tenant.store.claim_job(job_id, self.worker_id, self.lease_seconds)
-            if claimed is None:
-                return  # finished, cancelled, or legitimately owned elsewhere
-            # Renew the lease for as long as the computation runs — without
-            # this a job slower than lease_seconds would be requeued (and
-            # double-computed by a sibling server) while still executing.
-            keeper = _LeaseKeeper(tenant.store, job_id, self.worker_id, self.lease_seconds)
-            keeper.start()
-            trace_id = claimed.options.get("trace_id")
-            span_id = claimed.options.get("span_id")
-            started = time.perf_counter()
-            evals_before = tenant.session.engine_counters()
-            outcome = "done"
             try:
-                with trace_context(trace_id, span_id):
-                    logger.info(
-                        "job %s (%s) started trace=%s", job_id, claimed.kind, trace_id,
-                        extra={"job_id": job_id, "kind": claimed.kind, "event": "job-started"},
+                claimed = tenant.store.claim_job(job_id, self.worker_id, self.lease_seconds)
+                if claimed is not None:
+                    run_claimed_job(
+                        tenant.store, claimed, tenant.session,
+                        functools.partial(self._payload_for_record, tenant),
+                        worker_id=self.worker_id, lease_seconds=self.lease_seconds,
+                        metrics=self.metrics,
                     )
-                    payload = self._payload_for_record(tenant, claimed)
-                    tenant.store.store_result(job_id, payload, worker_id=self.worker_id)
-            except _ServerClosing:
-                # Shutdown mid-coordination: hand the job back so the next
-                # server (or this one, restarted) resumes it.
-                outcome = "released"
-                with contextlib.suppress(JobStoreError, KeyError):
-                    tenant.store.release(job_id, self.worker_id)
-                return
-            except LeaseError:
-                # The claim was reclaimed while we computed; the current
-                # owner's result wins — do not clobber its record.
-                outcome = "lease-lost"
-                logger.warning("job %s lost its lease mid-run; dropping this result", job_id)
-                return
-            except Exception as exc:
-                outcome = "error"
-                with contextlib.suppress(JobStoreError, KeyError):
-                    tenant.store.mark_error(job_id, f"{type(exc).__name__}: {exc}")
-                raise
+            except Exception:  # noqa: BLE001 - nobody reads the pool's futures
+                logger.exception("job %s could not be run", job_id)
             finally:
-                keeper.stop()
-                keeper.join(timeout=1.0)
-                elapsed = time.perf_counter() - started
-                deltas = {
-                    key: value - evals_before.get(key, 0)
-                    for key, value in tenant.session.engine_counters().items()
-                }
-                self.metrics.counter(
-                    "repro_jobs_executed_total", "Jobs this process executed, by kind and outcome.",
-                    kind=claimed.kind, outcome=outcome,
-                ).inc()
-                self.metrics.histogram(
-                    "repro_job_seconds", "Job execution wall-clock by kind.", kind=claimed.kind
-                ).observe(elapsed)
-                with trace_context(trace_id, span_id):
-                    logger.info(
-                        "job %s (%s) %s in %.3fs trace=%s kernel_evals=%d store_hits=%d",
-                        job_id, claimed.kind, outcome, elapsed, trace_id,
-                        deltas.get("kernel_evals", 0), deltas.get("store_hits", 0),
-                        extra={"job_id": job_id, "kind": claimed.kind, "event": "job-finished"},
-                    )
-            # Deliberately return nothing: results are always answered from
-            # the store, and a returned payload would be pinned in session
-            # memory for jobs no client ever polls.
+                with tenant.lock:
+                    tenant.queued.discard(job_id)
+                # After the discard: a result wait that saw the id queued
+                # here sleeps without the state dir's pipe, and this wakes it.
+                self._doorbell.ring_self()
 
-        session_job = tenant.session.submit_work(f"service-{record.kind}", run)
         with tenant.lock:
-            tenant.session_jobs[job_id] = session_job
-        return session_job
+            if job_id in tenant.queued:
+                return
+            tenant.queued.add(job_id)
+        tenant.executor.submit(run)
 
     # ------------------------------------------------------------------
     # Job computation
@@ -795,6 +764,12 @@ class AnalysisServer:
         """
         if record.input is None:
             raise JobStoreError(f"job {record.job_id!r} carries no stored input")
+        if record.kind == "fit-model":
+            summary = fit_model_payload(tenant.store, record, tenant.session)
+            # Serve the fresh fit even where the file's mtime cannot tell.
+            with tenant.lock:
+                tenant.scorers.pop(summary["name"], None)
+            return summary
         spec = self._coerce_spec(record.input["spec"])
         strings = decode_corpus(record.input["strings"])
         if record.kind == "matrix":
@@ -807,8 +782,6 @@ class AnalysisServer:
                 str(record.input.get("linkage", "single")),
             )
             return self._analyze_payload(tenant, record.job_id, config, strings)
-        if record.kind == "fit-model":
-            return self._fit_model_payload(tenant, record, spec, strings)
         raise JobStoreError(f"job {record.job_id!r} has unexecutable kind {record.kind!r}")
 
     def _matrix_payload(
@@ -843,16 +816,8 @@ class AnalysisServer:
             use_cache=bool(options.get("use_cache", True)),
             pair_values=pair_values,
         )
-        self._stamp_cache_status(tenant, job_id, status)
+        stamp_cache_status(tenant.store, job_id, status)
         return tenant.session.engine(spec).matrix_payload(matrix, strings)
-
-    def _stamp_cache_status(self, tenant: TenantContext, job_id: str, status: str) -> None:
-        """Record the cache outcome in the job's options (best effort)."""
-        with contextlib.suppress(JobStoreError, KeyError):
-            tenant.store.mutate(
-                job_id,
-                lambda current: {"options": {**current.options, "cache": status}},
-            )
 
     def _block_pair_values(
         self,
@@ -920,7 +885,7 @@ class AnalysisServer:
                 if self._maintenance_stop.is_set():
                     # The wait could otherwise outlive close() forever when
                     # no worker ever drains the queue.
-                    raise _ServerClosing()
+                    raise ShutdownRequested()
                 # Only unfinished children are re-read — done is terminal,
                 # so finished blocks never need another disk round trip.
                 pending = [
@@ -955,8 +920,8 @@ class AnalysisServer:
                     # claim scans and the maintenance tick.  (A first
                     # watch() looks at the store again before waiting.)
                     self._doorbell.wait(seen, DEFAULT_POLL_INTERVAL)
-        except _ServerClosing:
-            raise  # shutdown: blocks stay claimable for the next server
+        except ShutdownRequested:
+            raise  # blocks stay claimable for the next server
         except Exception:
             # The job cannot finish: stop workers from burning time on the
             # surviving blocks and keep the state dir free of orphans.
@@ -988,39 +953,6 @@ class AnalysisServer:
             with contextlib.suppress(JobStoreError, KeyError):
                 tenant.store.forget(child_id)
 
-    def _fit_model_payload(
-        self, tenant: TenantContext, record: JobRecord,
-        spec: KernelSpec, strings: List[WeightedString]
-    ) -> Dict[str, Any]:
-        """Fit, persist and summarise one landmark model (the ``fit-model`` body).
-
-        The full Gram goes through the session's result cache like any
-        matrix job (outcome stamped into the record); the frozen model is
-        written to the shared :class:`ModelStore` and any warm scorer for
-        the same name is dropped so the next ``classify`` serves the fresh
-        fit.  The job payload is the small model summary — clients load
-        the model itself through the store (or just classify against it).
-        """
-        model, status = tenant.session.fit_landmark_model(
-            spec,
-            strings,
-            name=str(record.input["name"]),
-            landmarks=int(record.input.get("landmarks", 16)),
-            strategy=str(record.input.get("strategy", "kcenter")),
-            seed=int(record.input.get("seed", 2017)),
-            n_components=int(record.input.get("n_components", 2)),
-            n_clusters=record.input.get("n_clusters"),
-            use_cache=bool(record.input.get("use_cache", True)),
-        )
-        path = tenant.model_store.save(model)
-        self._stamp_cache_status(tenant, record.job_id, status)
-        with tenant.lock:
-            tenant.scorers.pop(model.name, None)
-        summary = model.summary()
-        summary["path"] = path
-        summary["cache"] = status
-        return summary
-
     def _analyze_payload(
         self, tenant: TenantContext, job_id: str, config: Any, strings: List[WeightedString]
     ) -> Dict[str, Any]:
@@ -1030,7 +962,7 @@ class AnalysisServer:
         # One result-cache lookup: the matrix (and the hit/miss outcome the
         # record reports, as the matrix path does) feed the analysis stages.
         matrix, status = tenant.session.matrix_cached(config.kernel_spec(), strings)
-        self._stamp_cache_status(tenant, job_id, status)
+        stamp_cache_status(tenant.store, job_id, status)
         result = AnalysisPipeline(config, session=tenant.session).analyse_matrix(matrix, strings)
         return {
             "config": config.describe(),
@@ -1181,24 +1113,21 @@ class AnalysisServer:
     # ------------------------------------------------------------------
     # Maintenance: lease requeue, orphan adoption, TTL garbage collection
     # ------------------------------------------------------------------
-    def _adopt_queued_jobs(self, tenant: TenantContext) -> List[str]:
-        """Schedule queued store records this server is not already running.
+    def _adopt_queued_jobs(self, tenant: TenantContext) -> None:
+        """Queue the store's queued records on the tenant's job pool.
 
         Covers jobs requeued by recovery and jobs orphaned by another
-        (dead) server sharing the state dir.  Block tasks are skipped —
+        (dead) server sharing the state dir; records already queued here
+        are skipped by :meth:`_start_record`.  Block tasks are skipped —
         they are executed through the claim path by coordinators and
-        workers, never adopted into the session pool.  Queued jobs with no
+        workers, never adopted into the job pool.  Queued jobs with no
         stored input predate input persistence and cannot be resumed; they
         are dead-ended as ``interrupted`` so clients get a definite answer
         instead of an eternal ``queued``.
         """
-        adopted: List[str] = []
         for record in tenant.store.records():
             if record.status != "queued" or record.kind == "block":
                 continue
-            with tenant.lock:
-                if record.job_id in tenant.session_jobs:
-                    continue
             if record.input is None:
                 with contextlib.suppress(JobStoreError, KeyError):
                     tenant.store.update(
@@ -1208,13 +1137,11 @@ class AnalysisServer:
                     )
                 continue
             self._start_record(tenant, record)
-            adopted.append(record.job_id)
-        return adopted
 
     def _maintenance_tick(self) -> None:
         # Namespaces created on disk by a sibling server since the last
         # tick get woken here, so their orphaned jobs are adopted too.
-        for tenant_id in self._tenants.discover():
+        for tenant_id in list_tenants(self.store.root):
             if self._tenants.peek(tenant_id) is None:
                 self._tenants.context(tenant_id)
         for tenant in self._tenants.contexts():
@@ -1234,9 +1161,7 @@ class AnalysisServer:
                 logger.info("swept %d expired job(s) from the state dir", len(swept))
                 with tenant.lock:
                     for job_id in swept:
-                        tenant.session_jobs.pop(job_id, None)
                         tenant.result_waiters.pop(job_id, None)
-        tenant.session.sweep_jobs()
         if tenant.session.matrix_cache is not None:
             evicted = tenant.session.matrix_cache.sweep()
             if evicted:
@@ -1287,23 +1212,11 @@ class AnalysisServer:
         except JobStoreError as exc:
             raise ServiceError(f"job record {job_id!r} unreadable: {exc}", details={"job_id": job_id}) from exc
 
-    def _reap_session_job(self, tenant: TenantContext, job_id: str) -> None:
-        """Drop the finished session-side handle backing a store job."""
-        with tenant.lock:
-            session_job = tenant.session_jobs.get(job_id)
-        if session_job is None:
-            return
-        if tenant.session.forget(session_job):
-            with tenant.lock:
-                tenant.session_jobs.pop(job_id, None)
-
     def _handle_status(self, ctx: RequestContext) -> Dict[str, Any]:
         request = ctx.request
         assert isinstance(request, StatusRequest)
         tenant = self._require_tenant(ctx)
         record = self._record(tenant, request.job_id)
-        if record.finished:
-            self._reap_session_job(tenant, record.job_id)
         response = ok_response(
             "status",
             job_id=record.job_id,
@@ -1318,41 +1231,29 @@ class AnalysisServer:
         return response
 
     def _wait_for_record(self, tenant: TenantContext, job_id: str, wait: float) -> JobRecord:
-        """Wait (bounded) for a record to finish, session-side or store-side.
+        """Wait (bounded) for a record to finish; the record as last read.
 
-        Jobs running in this process finish through their session future;
-        jobs owned by another process (a worker or a second server on the
-        same state dir) are re-read whenever the store's doorbell rings,
-        and at least every ``DEFAULT_POLL_INTERVAL``, until the wait
-        elapses or the server closes.
+        The record is re-read whenever the doorbell rings, and at least
+        every ``DEFAULT_POLL_INTERVAL``, until it finishes, the wait
+        elapses or the server closes.  A job queued in this process rings
+        the doorbell itself when it ends (see :meth:`_start_record`), so
+        waiting on it needs no pipe; a job owned by another process (a
+        worker, or a sibling server that won the claim) is heard through
+        the state dir's ``wake/`` pipe, which the first such wait
+        registers before it reads the record again.
         """
         deadline = time.monotonic() + max(0.0, wait)
-        record = self._record(tenant, job_id)
-        if record.finished:
-            return record
-        with tenant.lock:
-            session_job = tenant.session_jobs.get(job_id)
-        if session_job is not None:
-            try:
-                tenant.session.result(session_job, timeout=wait)
-            except JobTimeout:
-                pass
-            except (JobError, KeyError):
-                pass  # the job callable already wrote the error to the store
-        # Watch the store for whatever wait remains.  This covers jobs owned
-        # by another process outright, and the claim-race case where this
-        # server's session future resolved instantly as a no-op while a
-        # sibling server is still computing — returning early there would
-        # turn the client's bounded wait into a zero-delay busy loop.  The
-        # doorbell is only watched once a wait is really needed; a first
-        # watch() re-reads the record before sleeping.
         while True:
             seen = self._doorbell.generation
+            # Checked before the record is read: a local job leaves the set
+            # only after storing its result, and rings after leaving it.
+            with tenant.lock:
+                local = job_id in tenant.queued
             record = self._record(tenant, job_id)
             remaining = deadline - time.monotonic()
             if record.finished or remaining <= 0 or self._maintenance_stop.is_set():
                 return record
-            if not self._doorbell.watch(tenant.store):
+            if local or not self._doorbell.watch(tenant.store):
                 self._doorbell.wait(seen, min(DEFAULT_POLL_INTERVAL, remaining))
 
     def _handle_result(self, ctx: RequestContext) -> Dict[str, Any]:
@@ -1374,12 +1275,10 @@ class AnalysisServer:
                 response["cache"] = record.options["cache"]
             if "trace_id" in record.options:
                 response["trace_id"] = record.options["trace_id"]
-            self._reap_session_job(tenant, record.job_id)
             if request.forget and self._release_result_waiter(tenant, record.job_id):
                 tenant.store.forget(record.job_id)
             return response
         if record.status in ("error", "interrupted", "cancelled"):
-            self._reap_session_job(tenant, record.job_id)
             raise JobFailed(
                 record.error or f"job {record.job_id!r} ended as {record.status}",
                 details={"job_id": record.job_id, "status": record.status},
@@ -1399,36 +1298,22 @@ class AnalysisServer:
                 f"job {record.job_id!r} already ended as {record.status}",
                 details={"job_id": record.job_id, "status": record.status},
             )
-        with tenant.lock:
-            session_job = tenant.session_jobs.get(record.job_id)
-        if session_job is not None:
-            if not tenant.session.cancel(session_job):
-                raise CannotCancel(
-                    f"job {record.job_id!r} already started and cannot be cancelled",
-                    details={"job_id": record.job_id, "status": record.status},
-                )
-            try:
-                tenant.store.mark_cancelled(record.job_id)
-            except JobStoreError as exc:
-                raise CannotCancel(str(exc), details={"job_id": record.job_id}) from exc
-        else:
-            # No local future (e.g. the record belongs to a dead sibling
-            # server).  Cancel store-side in one atomic mutate: the
-            # queued-check and the flip happen under the record lock, so a
-            # claimant racing us either loses (sees cancelled) or wins
-            # (we report cannot-cancel) — never both.
-            def cancel_if_still_queued(current: JobRecord) -> Dict[str, Any]:
-                if current.status != "queued":
-                    raise JobStoreError(
-                        f"job {current.job_id!r} already started and cannot be cancelled"
-                    )
-                return {"status": "cancelled", "worker_id": None, "lease_expires_at": None}
 
-            try:
-                tenant.store.mutate(record.job_id, cancel_if_still_queued)
-            except (JobStoreError, KeyError) as exc:
-                raise CannotCancel(str(exc), details={"job_id": record.job_id}) from exc
-        self._reap_session_job(tenant, record.job_id)
+        # One atomic mutate: the queued-check and the flip happen under the
+        # record lock, so a claimant racing us either loses (sees cancelled,
+        # and its pool task is a no-op) or wins (we report cannot-cancel) —
+        # never both.
+        def cancel_if_still_queued(current: JobRecord) -> Dict[str, Any]:
+            if current.status != "queued":
+                raise JobStoreError(
+                    f"job {current.job_id!r} already started and cannot be cancelled"
+                )
+            return {"status": "cancelled", "worker_id": None, "lease_expires_at": None}
+
+        try:
+            tenant.store.mutate(record.job_id, cancel_if_still_queued)
+        except (JobStoreError, KeyError) as exc:
+            raise CannotCancel(str(exc), details={"job_id": record.job_id}) from exc
         return ok_response("cancel", job_id=record.job_id, status="cancelled")
 
     # ------------------------------------------------------------------
@@ -1742,8 +1627,7 @@ class AnalysisServer:
     # Lifecycle
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Stop the front ends, the maintenance thread, every tenant session
-        this server built, and (when owned) the default session."""
+        """Stop the front ends, the maintenance thread and every tenant's job pool."""
         self._maintenance_stop.set()
         self._doorbell.ring_self()  # coordinators and result waits see the stop now
         if self._httpd is not None:
@@ -1754,9 +1638,7 @@ class AnalysisServer:
             self._http_thread.join(timeout=5)
             self._http_thread = None
         self._maintenance_thread.join(timeout=5)
-        self._tenants.close()
-        if self._owns_session:
-            self.session.shutdown()
+        self._tenants.close()  # waits for running jobs; unstarted ones stay queued
         self._doorbell.close()
         if self._tempdir is not None:
             self._tempdir.cleanup()

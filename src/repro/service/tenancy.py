@@ -30,8 +30,9 @@ import os
 import re
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple, TYPE_CHECKING
+from typing import Any, Callable, Dict, List, Mapping, Optional, Set, Tuple, TYPE_CHECKING
 
 from repro.service.protocol import BadRequest
 
@@ -48,6 +49,7 @@ __all__ = [
     "TokenBucket",
     "TenantContext",
     "TenantRegistry",
+    "list_tenants",
     "valid_tenant_id",
 ]
 
@@ -66,6 +68,23 @@ TENANTS_DIRNAME = "tenants"
 def valid_tenant_id(value: Any) -> bool:
     """Whether *value* is a syntactically valid (path-safe) tenant id."""
     return isinstance(value, str) and re.match(TENANT_ID_PATTERN, value) is not None
+
+
+def list_tenants(state_dir: str) -> List[str]:
+    """Tenant ids with a namespace directory under *state_dir* (default excluded).
+
+    Sorted, and read afresh on every call, so a namespace a sibling process
+    created since the last call is listed too.
+    """
+    base = os.path.join(state_dir, TENANTS_DIRNAME)
+    try:
+        names = sorted(os.listdir(base))
+    except OSError:
+        return []
+    return [
+        name for name in names
+        if valid_tenant_id(name) and os.path.isdir(os.path.join(base, name))
+    ]
 
 
 def require_tenant_id(value: Any) -> str:
@@ -170,12 +189,14 @@ class TokenBucket:
 class TenantContext:
     """One tenant's complete server-side state.
 
-    Everything :class:`~repro.service.server.AnalysisServer` used to hold
-    as instance attributes lives here, once per tenant: the job store, the
-    warm session (which owns the tenant's matrix cache and pair store),
-    the model store, the warm scorer cache, the per-model serve counters,
-    the in-flight coalescing map and result-waiter counts, and the
-    tenant's rate-limit bucket.
+    Everything :class:`~repro.service.server.AnalysisServer` keeps per
+    tenant lives here: the job store, the warm session (which owns the
+    tenant's matrix cache and pair store), the model store, the job pool
+    that runs the tenant's records, the warm scorer cache, the per-model
+    serve counters, the in-flight coalescing map and result-waiter counts,
+    and the tenant's rate-limit bucket.  Each tenant has its own pool of
+    *max_job_workers* threads, so one tenant's backlog never queues
+    another tenant's jobs.
     """
 
     def __init__(
@@ -186,7 +207,7 @@ class TenantContext:
         session: "AnalysisSession",
         model_store: "ModelStore",
         quotas: Optional[TenantQuotas] = None,
-        owns_session: bool = True,
+        max_job_workers: int = 2,
     ) -> None:
         self.tenant_id = require_tenant_id(tenant_id)
         self.root = root
@@ -194,13 +215,17 @@ class TenantContext:
         self.session = session
         self.model_store = model_store
         self.quotas = quotas if quotas is not None else TenantQuotas()
-        self.owns_session = owns_session
+        #: Runs the tenant's job-store records (see ``AnalysisServer._start_record``).
+        self.executor = ThreadPoolExecutor(
+            max_workers=max_job_workers, thread_name_prefix=f"repro-jobs-{self.tenant_id}"
+        )
+        #: Ids of records queued on :attr:`executor` and not yet finished
+        #: there — adoption skips them, so no record is scheduled twice.
+        self.queued: Set[str] = set()
         #: Warm scorers keyed by model name (mtime-invalidated).
         self.scorers: Dict[str, Tuple[float, "StreamingScorer"]] = {}
         #: Per-model serve counters (requests, traces, warm traces, ...).
         self.model_metrics: Dict[str, Dict[str, float]] = {}
-        #: Store job id -> session job handle for jobs running here.
-        self.session_jobs: Dict[str, str] = {}
         #: In-flight coalescing: submission identity -> shared job id.
         self.inflight: Dict[str, str] = {}
         #: Waiter counts behind forget-once-collected semantics.
@@ -229,8 +254,8 @@ class TenantContext:
         )
 
     def close(self) -> None:
-        if self.owns_session:
-            self.session.shutdown()
+        """Stop the job pool; jobs not yet started stay queued in the store."""
+        self.executor.shutdown(wait=True, cancel_futures=True)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging convenience
         return f"TenantContext(tenant_id={self.tenant_id!r}, root={self.root!r})"
@@ -242,9 +267,7 @@ class TenantRegistry:
     The default tenant's context is supplied up front (it wraps the
     server's own session and state-dir-rooted stores); every other tenant
     is built on first use by the *factory* the server provides, rooted at
-    ``<state-dir>/tenants/<tenant>/``.  :meth:`discover` lists namespaces
-    already on disk, so a restarted server re-adopts every tenant's queued
-    jobs, not just the default tenant's.
+    ``<state-dir>/tenants/<tenant>/``.
     """
 
     def __init__(
@@ -302,18 +325,6 @@ class TenantRegistry:
             live = list(self._contexts.values())
         return sorted(live, key=lambda context: (not context.is_default, context.tenant_id))
 
-    def discover(self) -> List[str]:
-        """Tenant ids with a namespace directory on disk (default excluded)."""
-        try:
-            names = sorted(os.listdir(self.tenants_dir))
-        except OSError:
-            return []
-        return [
-            name
-            for name in names
-            if valid_tenant_id(name) and os.path.isdir(os.path.join(self.tenants_dir, name))
-        ]
-
     @property
     def multi_tenant(self) -> bool:
         """Whether any non-default namespace is live."""
@@ -321,7 +332,6 @@ class TenantRegistry:
             return any(tenant_id != DEFAULT_TENANT for tenant_id in self._contexts)
 
     def close(self) -> None:
-        """Close every non-default context (the server closes the default)."""
+        """Close every live context, the default tenant's included."""
         for context in self.contexts():
-            if not context.is_default:
-                context.close()
+            context.close()

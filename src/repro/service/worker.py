@@ -1,10 +1,21 @@
-"""Pull-loop worker executing leased jobs from a shared state directory.
+"""The one job runner, and the pull-loop worker built on it.
 
-:class:`Worker` is the distribution seam the block-sharded matrix jobs
-were built for: a ``submit-matrix`` request with ``distributed=True``
-makes the server persist one *block-task* record per symmetric index-block
-pair, and any number of workers — threads, processes on the same host, or
-hosts mounting the same state dir — drain that queue by *pulling*::
+:func:`run_claimed_job` executes one job-store record that a process has
+already claimed.  It is the service's only execution path: the server's
+per-tenant job pools and :class:`Worker` both call it, so every job —
+whoever runs it — keeps its lease alive the same way, logs the same
+``job-started`` / ``job-finished`` lines under the client's trace, feeds
+the same ``repro_jobs_executed_total{kind,outcome}`` and
+``repro_job_seconds{kind}`` families, and follows one failure policy.
+Each record kind has one payload function (:func:`execute_block_task`,
+:func:`fit_model_payload`; the server adds its matrix and analyze
+payloads), so a fit runs the same body in a server and in a worker.
+
+:class:`Worker` is the pull loop.  A ``submit-matrix`` request with
+``distributed=True`` makes the server persist one *block-task* record per
+symmetric index-block pair, and any number of workers — threads, processes
+on the same host, or hosts mounting the same state dir — drain that queue
+by *pulling*::
 
     repro-iokast serve  --state-dir /srv/repro-state --port 8123 &
     repro-iokast worker --state-dir /srv/repro-state &
@@ -44,8 +55,8 @@ blocks, writing the frozen models into the shared
 With tenancy enabled on the server, each tenant's namespace under
 ``<state-dir>/tenants/<id>/`` is its own job store.  One worker drains
 them all from a single pull loop: every scan claims from the root store
-first, then from each tenant namespace (discovered lazily, so tenants
-created after the worker started are picked up).  Execution stays
+first, then from each tenant namespace (listed afresh each time, so
+tenants created after the worker started are picked up).  Execution stays
 isolated per namespace — results, pair-store values and fitted models
 land in the owning tenant's directories, through a per-tenant session,
 never in another tenant's.
@@ -53,13 +64,15 @@ never in another tenant's.
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import json
 import logging
 import os
 import threading
 import time
 import uuid
-from typing import Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.api.session import AnalysisSession
 from repro.api.spec import coerce_spec
@@ -69,13 +82,16 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracing import trace_context
 from repro.service.jobstore import Doorbell, JobRecord, JobStore, JobStoreError, LeaseError
 from repro.service.protocol import decode_corpus
-from repro.service.tenancy import TENANTS_DIRNAME, valid_tenant_id
+from repro.service.tenancy import TENANTS_DIRNAME, list_tenants
 from repro.strings.tokens import WeightedString
 
 __all__ = [
     "Worker",
+    "ShutdownRequested",
     "execute_block_task",
-    "execute_fit_model_task",
+    "fit_model_payload",
+    "run_claimed_job",
+    "stamp_cache_status",
     "DEFAULT_LEASE_SECONDS",
     "DEFAULT_POLL_INTERVAL",
 ]
@@ -92,6 +108,18 @@ DEFAULT_LEASE_SECONDS = 30.0
 #: Claim attempts after which a repeatedly failing task is marked ``error``
 #: instead of being released back to the queue.
 MAX_TASK_ATTEMPTS = 3
+
+#: A job's payload function: the claimed record in, the result payload out
+#: (``None`` when the job stored its own result, as block tasks do).
+PayloadFunction = Callable[[JobRecord], Optional[Dict[str, Any]]]
+
+
+class ShutdownRequested(Exception):
+    """Raised by job code that saw its process shutting down mid-job.
+
+    :func:`run_claimed_job` hands such a job back to the queue instead of
+    failing it, so the next process (or this one, restarted) resumes it.
+    """
 
 
 def execute_block_task(
@@ -146,29 +174,37 @@ def execute_block_task(
     )
 
 
-def execute_fit_model_task(
-    store: JobStore,
-    record: JobRecord,
-    session: AnalysisSession,
-) -> None:
-    """Fit one claimed ``fit-model`` record and persist the frozen model.
+def stamp_cache_status(store: JobStore, job_id: str, status: str) -> None:
+    """Record a job's result-cache outcome in its options (best effort).
+
+    ``status`` and ``result`` answers report it as the envelope's
+    ``cache`` field.
+    """
+    with contextlib.suppress(JobStoreError, KeyError):
+        store.mutate(job_id, lambda current: {"options": {**current.options, "cache": status}})
+
+
+def fit_model_payload(store: JobStore, record: JobRecord, session: AnalysisSession) -> Dict[str, Any]:
+    """Fit and persist the landmark model a claimed ``fit-model`` record describes.
 
     The record's ``input`` is self-contained (spec, encoded corpus, model
-    name and fit options), so any worker sharing the state dir can execute
-    it; the model lands in the shared ``<state-dir>/models`` store via an
-    atomic checksum-stamped write, and the job result is the small model
-    summary.  The server's per-name scorer cache keys on the model file's
-    mtime, so a worker-written fit is picked up on the next ``classify``.
+    name and fit options), so the server and any worker sharing the state
+    dir run this same body.  The full Gram goes through the session's
+    :meth:`~repro.api.session.AnalysisSession.matrix_cached`, and its
+    outcome is stamped into the record (``options["cache"]``).  A worker
+    opens no result cache, so a worker-run fit reports ``bypass``.  The
+    frozen model lands in the namespace's ``models`` store via an atomic
+    checksum-stamped write; the server's per-name scorer cache keys on the
+    model file's mtime, so a fit written by any process is served by the
+    next ``classify``.  The returned payload is the small model summary.
     """
     from repro.streaming.store import ModelStore
 
     if record.input is None:
         raise JobStoreError(f"fit-model job {record.job_id!r} carries no stored input")
-    spec = coerce_spec(record.input["spec"])
-    strings = decode_corpus(record.input["strings"])
     model, status = session.fit_landmark_model(
-        spec,
-        strings,
+        coerce_spec(record.input["spec"]),
+        decode_corpus(record.input["strings"]),
         name=str(record.input["name"]),
         landmarks=int(record.input.get("landmarks", 16)),
         strategy=str(record.input.get("strategy", "kcenter")),
@@ -178,10 +214,11 @@ def execute_fit_model_task(
         use_cache=bool(record.input.get("use_cache", True)),
     )
     path = ModelStore(os.path.join(store.root, "models")).save(model)
+    stamp_cache_status(store, record.job_id, status)
     summary = model.summary()
     summary["path"] = path
     summary["cache"] = status
-    store.store_result(record.job_id, summary, worker_id=record.worker_id)
+    return summary
 
 
 class _LeaseKeeper(threading.Thread):
@@ -214,6 +251,94 @@ class _LeaseKeeper(threading.Thread):
         self._halt.set()
 
 
+def run_claimed_job(
+    store: JobStore,
+    record: JobRecord,
+    session: AnalysisSession,
+    payload: PayloadFunction,
+    *,
+    worker_id: str,
+    lease_seconds: float,
+    metrics: MetricsRegistry,
+    max_attempts: int = 1,
+) -> str:
+    """Execute one record this process has claimed; returns the outcome.
+
+    While *payload* computes the job's result, a :class:`_LeaseKeeper`
+    renews the claim, so only a dead process's lease expires.  The job
+    runs inside the trace context stamped on the record and logs
+    ``job-started`` / ``job-finished`` (with the kernel evaluations and
+    pair-store hits it cost *session*).  A returned payload is stored under
+    this claim.
+
+    The outcome is ``done``; ``released`` (back on the queue); ``error``;
+    or ``lease-lost`` (the claim was reclaimed while the job ran, and the
+    new owner's result wins).  It is counted in
+    ``repro_jobs_executed_total{kind,outcome}`` and the wall clock in
+    ``repro_job_seconds{kind}`` of *metrics*.
+
+    The failure policy: a failing job is released while its claim count
+    is under *max_attempts* — transient failures retry, possibly in
+    another process — and marked ``error`` after that, so deterministic
+    failures do not ping-pong forever.  A job that raises
+    :class:`ShutdownRequested` is released whatever its attempts.
+    """
+    job_id, kind = record.job_id, record.kind
+    trace_id = record.options.get("trace_id")
+    keeper = _LeaseKeeper(store, job_id, worker_id, lease_seconds)
+    keeper.start()
+    started = time.perf_counter()
+    evals_before = session.engine_counters()
+    outcome = "done"
+    with trace_context(trace_id, record.options.get("span_id")):
+        logger.info(
+            "job %s (%s) started by %s, attempt %d, trace=%s",
+            job_id, kind, worker_id, record.attempts, trace_id,
+            extra={"job_id": job_id, "kind": kind, "worker_id": worker_id, "event": "job-started"},
+        )
+        try:
+            result = payload(record)
+            if result is not None:
+                store.store_result(job_id, result, worker_id=worker_id)
+        except ShutdownRequested:
+            outcome = "released"
+            with contextlib.suppress(LeaseError, JobStoreError, KeyError):
+                store.release(job_id, worker_id)
+        except LeaseError:
+            outcome = "lease-lost"
+            logger.warning("job %s lost its lease mid-run; dropping this result", job_id)
+        except Exception as exc:  # noqa: BLE001 - the queue must keep moving
+            message = f"{type(exc).__name__}: {exc}"
+            outcome = "released" if record.attempts < max_attempts else "error"
+            logger.warning("job %s failed on attempt %d (%s): %s", job_id, record.attempts, outcome, message)
+            # The job moved on without us when these raise; nothing left to record.
+            with contextlib.suppress(LeaseError, JobStoreError, KeyError):
+                if outcome == "released":
+                    store.release(job_id, worker_id)
+                else:
+                    store.mark_error(job_id, message)
+        finally:
+            keeper.stop()
+            keeper.join(timeout=1.0)
+            elapsed = time.perf_counter() - started
+            evals_after = session.engine_counters()
+            metrics.counter(
+                "repro_jobs_executed_total", "Jobs this process executed, by kind and outcome.",
+                kind=kind, outcome=outcome,
+            ).inc()
+            metrics.histogram(
+                "repro_job_seconds", "Job execution wall-clock by kind.", kind=kind
+            ).observe(elapsed)
+            logger.info(
+                "job %s (%s) %s in %.3fs trace=%s kernel_evals=%d store_hits=%d",
+                job_id, kind, outcome, elapsed, trace_id,
+                evals_after["kernel_evals"] - evals_before["kernel_evals"],
+                evals_after["store_hits"] - evals_before["store_hits"],
+                extra={"job_id": job_id, "kind": kind, "worker_id": worker_id, "event": "job-finished"},
+            )
+    return outcome
+
+
 class Worker:
     """A pull-loop executor over one shared state directory.
 
@@ -239,7 +364,10 @@ class Worker:
         use to hold a worker mid-block deterministically.
     session:
         Existing :class:`AnalysisSession` to evaluate with; when omitted
-        the worker creates (and owns, and closes) one.
+        the worker creates one.
+    max_attempts:
+        Claims after which a failing task is marked ``error`` instead of
+        released (see :func:`run_claimed_job`).
     pair_store:
         Whether to share the persistent pair-value store under
         ``state_dir/pair-store`` (on by default — the same directory the
@@ -273,7 +401,6 @@ class Worker:
         self.kinds = tuple(kinds)
         self.throttle = float(throttle)
         self.max_attempts = max_attempts
-        self._owns_session = session is None
         self.session = session if session is not None else AnalysisSession()
         if pair_store and self.session.pair_store is None:
             self.session.set_pair_store(os.path.join(self.store.root, "pair-store"))
@@ -318,12 +445,6 @@ class Worker:
             registry.counter(
                 f"repro_jobstore_{key}_total", "Job-store lifecycle counters (this process)."
             ).set_total(value)
-        registry.counter(
-            "repro_worker_tasks_completed_total", "Tasks this worker finished successfully."
-        ).set_total(self.completed)
-        registry.counter(
-            "repro_worker_tasks_failed_total", "Tasks this worker failed or lost the lease on."
-        ).set_total(self.failed)
 
     def persist_metrics(self) -> None:
         """Atomically write this worker's metrics snapshot into the state dir.
@@ -345,18 +466,6 @@ class Worker:
     # ------------------------------------------------------------------
     # Tenant namespaces
     # ------------------------------------------------------------------
-    def _discover_tenants(self) -> List[str]:
-        """Tenant ids with a namespace directory under the state dir."""
-        base = os.path.join(self.store.root, TENANTS_DIRNAME)
-        try:
-            entries = sorted(os.listdir(base))
-        except OSError:
-            return []
-        return [
-            name for name in entries
-            if valid_tenant_id(name) and os.path.isdir(os.path.join(base, name))
-        ]
-
     def _tenant_store(self, tenant_id: str) -> JobStore:
         store = self._tenant_stores.get(tenant_id)
         if store is None:
@@ -378,7 +487,7 @@ class Worker:
             self._tenant_sessions[tenant_id] = session
         return session
 
-    def _claim_any(self) -> Optional[tuple]:
+    def _claim_any(self) -> Optional[Tuple[JobRecord, JobStore, AnalysisSession]]:
         """One claimable record plus its owning store and session.
 
         The root (default-tenant) store is scanned first, then each tenant
@@ -389,7 +498,7 @@ class Worker:
         record = self.store.claim(self.worker_id, self.lease_seconds, kinds=self.kinds)
         if record is not None:
             return record, self.store, self.session
-        for tenant_id in self._discover_tenants():
+        for tenant_id in list_tenants(self.store.root):
             store = self._tenant_store(tenant_id)
             record = store.claim(self.worker_id, self.lease_seconds, kinds=self.kinds)
             if record is not None:
@@ -402,85 +511,39 @@ class Worker:
     def run_once(self) -> Optional[str]:
         """Claim and execute one task; its job id, or ``None`` when idle.
 
-        A failing task is released back to the queue while its claim
-        count is under ``max_attempts`` (transient failures retry,
-        possibly on another worker) and marked ``error`` after that
-        (deterministic failures must not ping-pong forever).
+        The claimed task runs through :func:`run_claimed_job`; a failing
+        task is released back to the queue while its claim count is under
+        ``max_attempts`` and marked ``error`` after that.
         """
         claimed = self._claim_any()
         if claimed is None:
             return None
         record, store, session = claimed
-        # The trace the server stamped on the record (block children
-        # inherit their parent's) binds this worker's log lines to the
-        # originating client request.
-        trace_id = record.options.get("trace_id")
-        span_id = record.options.get("span_id")
-        started = time.perf_counter()
-        with trace_context(trace_id, span_id):
-            logger.info(
-                "worker %s claimed %s (kind %s, attempt %d, trace %s)",
-                self.worker_id, record.job_id, record.kind, record.attempts, trace_id,
-                extra={"job_id": record.job_id, "worker_id": self.worker_id,
-                       "kind": record.kind, "event": "task-claimed"},
-            )
-            # The keeper starts before any throttle sleep: a live-but-slow
-            # worker keeps renewing, so only a *dead* worker's lease expires.
-            keeper = _LeaseKeeper(store, record.job_id, self.worker_id, self.lease_seconds)
-            keeper.start()
-            outcome = "completed"
-            try:
-                if self.throttle > 0:
-                    time.sleep(self.throttle)
-                self._execute(store, record, session)
-            except LeaseError:
-                # The lease was reclaimed under us; the new owner's result wins.
-                outcome = "lease-lost"
-                logger.warning("worker %s lost the lease on %s", self.worker_id, record.job_id)
-                self.failed += 1
-            except Exception as exc:  # noqa: BLE001 - the queue must keep moving
-                outcome = "failed"
-                self.failed += 1
-                self._handle_failure(store, record, exc)
-            else:
-                self.completed += 1
-            finally:
-                keeper.stop()
-                keeper.join(timeout=1.0)
-                elapsed = time.perf_counter() - started
-                self.metrics.histogram(
-                    "repro_worker_task_seconds", "Task execution wall-clock by kind.",
-                    kind=record.kind,
-                ).observe(elapsed)
-                logger.info(
-                    "worker %s %s %s in %.3fs (trace %s)",
-                    self.worker_id, outcome, record.job_id, elapsed, trace_id,
-                    extra={"job_id": record.job_id, "worker_id": self.worker_id,
-                           "kind": record.kind, "event": "task-finished"},
-                )
+        outcome = run_claimed_job(
+            store, record, session, functools.partial(self._payload, store, session),
+            worker_id=self.worker_id, lease_seconds=self.lease_seconds,
+            metrics=self.metrics, max_attempts=self.max_attempts,
+        )
+        if outcome == "done":
+            self.completed += 1
+        else:
+            self.failed += 1
         self.persist_metrics()
         return record.job_id
 
-    def _execute(self, store: JobStore, record: JobRecord, session: AnalysisSession) -> None:
+    def _payload(
+        self, store: JobStore, session: AnalysisSession, record: JobRecord
+    ) -> Optional[Dict[str, Any]]:
+        # The sleep runs under the lease keeper: a live-but-slow worker
+        # keeps renewing, so only a *dead* worker's lease expires.
+        if self.throttle > 0:
+            time.sleep(self.throttle)
         if record.kind == "block":
             execute_block_task(store, record, session, corpus_cache=self._corpus_cache)
-        elif record.kind == "fit-model":
-            execute_fit_model_task(store, record, session)
-        else:
-            raise JobStoreError(f"worker cannot execute {record.kind!r} tasks")
-
-    def _handle_failure(self, store: JobStore, record: JobRecord, exc: Exception) -> None:
-        message = f"{type(exc).__name__}: {exc}"
-        logger.warning("worker %s failed %s: %s", self.worker_id, record.job_id, message)
-        try:
-            if record.attempts < self.max_attempts:
-                store.release(record.job_id, self.worker_id)
-            else:
-                store.mark_error(
-                    record.job_id, f"failed after {record.attempts} attempts: {message}"
-                )
-        except (LeaseError, JobStoreError, KeyError):
-            pass  # the job moved on without us; nothing left to record
+            return None
+        if record.kind == "fit-model":
+            return fit_model_payload(store, record, session)
+        raise JobStoreError(f"worker cannot execute {record.kind!r} tasks")
 
     def run_forever(
         self,
@@ -541,11 +604,6 @@ class Worker:
     def close(self) -> None:
         self.stop()
         self.persist_metrics()
-        for session in self._tenant_sessions.values():
-            session.shutdown()
-        self._tenant_sessions.clear()
-        if self._owns_session:
-            self.session.shutdown()
         self._doorbell.close()
 
     def __enter__(self) -> "Worker":

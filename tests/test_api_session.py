@@ -2,15 +2,20 @@
 
 from __future__ import annotations
 
+import contextlib
 import os
+import threading
+import time
 
 import numpy as np
 import pytest
 
-from repro.api import AnalysisSession, JobError, make_spec
+from repro.api import AnalysisSession, make_spec
 from repro.core.matrix import compute_kernel_matrix
 from repro.pipeline.config import ExperimentConfig
 from repro.pipeline.pipeline import AnalysisPipeline
+from repro.service import DEFAULT_TENANT, AnalysisServer, JobTimeout, ServiceClient
+from repro.service.protocol import CannotCancel, JobFailed, UnknownJob
 from repro.traces.writer import write_trace
 from repro.workloads.corpus import CorpusConfig, build_corpus
 
@@ -129,182 +134,183 @@ class TestCorpus:
             session.corpus_from_directory(str(tmp_path))
 
 
+class _InProcessTransport:
+    """Hands each wire request straight to an in-process server."""
+
+    def __init__(self, server):
+        self.server = server
+
+    def request(self, payload):
+        return self.server.handle(payload)
+
+    def close(self):
+        pass
+
+
+@pytest.fixture
+def server(session, tmp_path):
+    """A server whose jobs run on the test's session (two job threads)."""
+    with AnalysisServer(state_dir=str(tmp_path / "state"), session=session) as live:
+        yield live
+
+
+@pytest.fixture
+def client(server):
+    with ServiceClient(_InProcessTransport(server)) as live:
+        yield live
+
+
+@contextlib.contextmanager
+def saturated_job_pool(server):
+    """Occupy both default-tenant job threads so new jobs stay queued."""
+    release = threading.Event()
+    executor = server.tenants.context(DEFAULT_TENANT).executor
+    try:
+        for _ in range(2):
+            executor.submit(release.wait)
+        yield
+    finally:
+        release.set()
+
+
+# A session's jobs are job-store records run by the server that fronts it;
+# the classes below drive that one lifecycle with the session's own work.
+
+
 class TestJobs:
-    def test_submit_and_result_roundtrip(self, session, strings):
+    def test_submit_and_result_roundtrip(self, session, client, server, strings):
         spec = make_spec("kast", cut_weight=2)
-        job = session.submit(spec, strings)
-        result = session.result(job, timeout=120)
+        job = client.submit(spec, strings)
+        result = client.result(job, timeout=120)
         np.testing.assert_allclose(result.values, session.matrix(spec, strings).values)
-        assert session.status(job) == "done"
-        assert session.jobs()[job] == "done"
+        assert client.status(job) == "done"
+        assert server.store.get(job).status == "done"
 
-    def test_submit_analyze(self, session, strings):
-        config = ExperimentConfig(corpus=CorpusConfig.small(seed=7))
-        job = session.submit_analyze(config, strings=strings)
-        result = session.result(job, timeout=240)
-        assert "purity" in result.metrics
+    def test_submit_analyze(self, client, strings):
+        job = client.submit_analyze(make_spec("kast"), strings)
+        result = client.result(job, timeout=240)
+        assert "purity" in result["metrics"]
 
-    def test_failed_job_raises_job_error(self, session):
-        job = session.submit(make_spec("kast"), [object()])  # not weighted strings
-        with pytest.raises(JobError):
-            session.result(job, timeout=120)
-        assert session.status(job) == "error"
+    def test_unknown_job_id(self, client):
+        with pytest.raises(UnknownJob) as caught:
+            client.result("matrix-999")
+        assert caught.value.details["job_id"] == "matrix-999"
 
-    def test_unknown_job_id(self, session):
-        with pytest.raises(KeyError):
-            session.result("matrix-999")
+    def test_failed_job_raises_job_error(self, session, client, strings, monkeypatch):
+        def broken(*args, **kwargs):
+            raise RuntimeError("engine exploded")
 
-    def test_submit_after_shutdown_rejected(self, strings):
-        session = AnalysisSession()
-        session.shutdown()
-        with pytest.raises(RuntimeError):
-            session.submit(make_spec("kast"), strings)
-
-
-class TestValidation:
-    def test_bad_constructor_arguments(self):
-        with pytest.raises(ValueError):
-            AnalysisSession(max_job_workers=0)
-
-
-class TestSessionCanonicalization:
-    def test_partial_json_spec_shares_engine_with_canonical(self, session):
-        assert session.engine('{"kind": "kast"}') is session.engine(make_spec("kast"))
+        monkeypatch.setattr(session, "matrix_cached", broken)
+        job = client.submit(make_spec("kast"), strings)
+        with pytest.raises(JobFailed, match="engine exploded"):
+            client.result(job, timeout=120)
+        assert client.status(job) == "error"
 
 
 class TestJobEviction:
-    def test_result_forget_drops_job(self, session, strings):
-        job = session.submit(make_spec("kast"), strings)
-        session.result(job, timeout=120, forget=True)
-        assert job not in session.jobs()
-        with pytest.raises(KeyError):
-            session.status(job)
+    def test_result_forget_drops_job(self, client, server, strings):
+        job = client.submit(make_spec("kast"), strings)
+        client.result(job, timeout=120, forget=True)
+        assert job not in [record.job_id for record in server.store.records()]
+        with pytest.raises(UnknownJob):
+            client.status(job)
 
-    def test_forget_only_finished_jobs(self, session, strings):
-        job = session.submit(make_spec("kast"), strings)
-        session.result(job, timeout=120)
-        assert session.forget(job) is True
-        assert session.forget(job) is False  # already gone
+    def test_forget_only_finished_jobs(self, client, server, strings):
+        with saturated_job_pool(server):
+            job = client.submit(make_spec("kast"), strings)
+            assert server.store.forget(job) is False  # still queued
+        client.result(job, timeout=120)
+        assert server.store.forget(job) is True
+        assert server.store.forget(job) is False  # already gone
 
-    def test_failed_job_forgettable(self, session):
-        job = session.submit(make_spec("kast"), [object()])
-        with pytest.raises(JobError):
-            session.result(job, timeout=120, forget=True)
-        assert job not in session.jobs()
+    def test_failed_job_forgettable(self, session, client, server, strings, monkeypatch):
+        def broken(*args, **kwargs):
+            raise RuntimeError("engine exploded")
+
+        monkeypatch.setattr(session, "matrix_cached", broken)
+        job = client.submit(make_spec("kast"), strings)
+        with pytest.raises(JobFailed):
+            client.result(job, timeout=120)
+        assert server.store.forget(job) is True
+        with pytest.raises(UnknownJob):
+            client.status(job)
 
 
 class TestJobTimeout:
-    def test_timeout_raises_job_timeout_with_id(self, session):
-        import threading
-
-        from repro.api import JobTimeout
-
-        release = threading.Event()
-        try:
-            job = session.submit_work("blocker", release.wait)
+    def test_timeout_raises_job_timeout_with_id(self, client, server, strings):
+        with saturated_job_pool(server):
+            job = client.submit(make_spec("kast"), strings)
             with pytest.raises(JobTimeout) as caught:
-                session.result(job, timeout=0.05)
+                client.result(job, timeout=0.05)
             assert caught.value.job_id == job
             assert caught.value.timeout == 0.05
             # JobTimeout stays catchable as the builtin TimeoutError.
             assert isinstance(caught.value, TimeoutError)
-        finally:
-            release.set()
-        assert session.result(job, timeout=30) is True  # Event.wait's return
+        assert len(client.result(job, timeout=120)) == len(strings)
 
-    def test_timed_out_job_still_collectable(self, session, strings):
-        from repro.api import JobTimeout
-
-        job = session.submit(make_spec("kast"), strings)
+    def test_timed_out_job_still_collectable(self, client, strings):
+        job = client.submit(make_spec("kast"), strings)
         try:
-            session.result(job, timeout=0.0)
+            client.result(job, timeout=0.0)
         except JobTimeout:
             pass
-        result = session.result(job, timeout=120)
+        result = client.result(job, timeout=120)
         assert len(result) == len(strings)
 
 
-class TestSubmitWork:
-    def test_submit_work_runs_arbitrary_callables(self, session):
-        job = session.submit_work("custom", lambda: 41 + 1)
-        assert job.startswith("custom-")
-        assert session.result(job, timeout=30) == 42
-
-    def test_submit_work_rejects_non_callables(self, session):
-        with pytest.raises(TypeError):
-            session.submit_work("custom", 42)
-
-
 class TestCancel:
-    def test_cancel_queued_job(self, session):
-        import threading
+    def test_cancel_queued_job(self, client, server, strings):
+        with saturated_job_pool(server):
+            job = client.submit(make_spec("kast"), strings)
+            assert client.cancel(job) is True
+            assert client.status(job) == "cancelled"
 
-        release = threading.Event()
-        try:
-            # Fill the default two job workers, then queue a third job.
-            for _ in range(2):
-                session.submit_work("blocker", release.wait)
-            job = session.submit_work("victim", lambda: None)
-            assert session.cancel(job) is True
-            assert session.status(job) == "cancelled"
-        finally:
-            release.set()
-
-    def test_cancel_finished_job_returns_false(self, session):
-        job = session.submit_work("quick", lambda: 1)
-        session.result(job, timeout=30)
-        assert session.cancel(job) is False
+    def test_cancel_finished_job_returns_false(self, client, server, strings):
+        # The wire answer for a finished job is a typed refusal, and the
+        # record keeps its terminal status.
+        job = client.submit(make_spec("kast"), strings)
+        client.result(job, timeout=120)
+        with pytest.raises(CannotCancel):
+            client.cancel(job)
+        assert server.store.get(job).status == "done"
 
 
 class TestJobTTLSweep:
     """Finished jobs must not be retained forever when clients never fetch."""
 
-    def test_swept_jobs_stop_reporting(self):
-        import time
+    def test_swept_jobs_stop_reporting(self, client, server, strings):
+        job = client.submit(make_spec("kast"), strings[:3])
+        client.result(job, timeout=120)  # finished (and retained)
+        time.sleep(0.08)
+        evicted = server.store.sweep(0.05)
+        assert job in evicted
+        assert job not in [record.job_id for record in server.store.records()]
+        with pytest.raises(UnknownJob):
+            client.status(job)
 
-        with AnalysisSession(job_ttl=0.05) as session:
-            job = session.submit_work("noop", lambda: 42)
-            assert session.result(job) == 42  # finished (and retained)
-            time.sleep(0.08)
-            evicted = session.sweep_jobs()
-            assert job in evicted
-            assert job not in session.jobs()
-            with pytest.raises(KeyError):
-                session.status(job)
+    def test_ttl_never_evicts_unfinished_jobs(self, client, server, strings):
+        with saturated_job_pool(server):
+            job = client.submit(make_spec("kast"), strings)
+            time.sleep(0.05)
+            assert server.store.sweep(0.0) == []
+            assert client.status(job) in ("queued", "running")
 
-    def test_ttl_never_evicts_unfinished_jobs(self):
-        import threading
-        import time
 
-        release = threading.Event()
-        with AnalysisSession(job_ttl=0.0) as session:
-            try:
-                job = session.submit_work("blocker", release.wait)
-                time.sleep(0.05)
-                assert session.sweep_jobs() == []
-                assert session.status(job) in ("pending", "running")
-            finally:
-                release.set()
+class TestCancelledJobResult:
+    """A cancelled job's result is a job-failed error, never a hang."""
 
-    def test_max_retained_evicts_oldest_finished_first(self):
-        with AnalysisSession(max_retained_jobs=2) as session:
-            jobs = []
-            for value in range(4):
-                job = session.submit_work("noop", lambda value=value: value)
-                assert session.result(job) == value
-                jobs.append(job)
-            session.sweep_jobs()
-            retained = session.jobs()
-            assert len(retained) == 2
-            assert jobs[-1] in retained and jobs[-2] in retained  # newest survive
-            with pytest.raises(KeyError):
-                session.status(jobs[0])
+    def test_result_of_cancelled_job_raises_job_error(self, client, server, strings):
+        with saturated_job_pool(server):
+            job = client.submit(make_spec("kast"), strings)
+            assert client.cancel(job) is True
+            with pytest.raises(JobFailed, match="cancelled"):
+                client.result(job, timeout=5)
+            assert client.status(job) == "cancelled"
 
-    def test_ttl_validation(self):
-        with pytest.raises(ValueError):
-            AnalysisSession(job_ttl=-1)
-        with pytest.raises(ValueError):
-            AnalysisSession(max_retained_jobs=0)
+
+class TestSessionCanonicalization:
+    def test_partial_json_spec_shares_engine_with_canonical(self, session):
+        assert session.engine('{"kind": "kast"}') is session.engine(make_spec("kast"))
 
 
 class TestEngineSignatureDedupe:
@@ -339,41 +345,6 @@ class TestEngineSignatureDedupe:
         assert numpy_spec in session.specs()
         assert python_spec in session.specs()
         assert list(session.cache_info()) == [numpy_spec.canonical()]
-
-
-class TestCancelledJobResult:
-    """Regression: Future.result() on a cancelled job raises the
-    BaseException CancelledError, which used to escape both except clauses
-    of AnalysisSession.result() — violating the JobError contract and
-    skipping forget=True."""
-
-    def _cancelled_job(self, session):
-        import threading
-
-        release = threading.Event()
-        for _ in range(2):  # saturate the default two job workers
-            session.submit_work("blocker", release.wait)
-        job = session.submit_work("victim", lambda: None)
-        assert session.cancel(job) is True
-        return job, release
-
-    def test_result_of_cancelled_job_raises_job_error(self, session):
-        job, release = self._cancelled_job(session)
-        try:
-            with pytest.raises(JobError, match="cancelled"):
-                session.result(job, timeout=5)
-            assert session.status(job) == "cancelled"
-        finally:
-            release.set()
-
-    def test_forget_true_drops_cancelled_job(self, session):
-        job, release = self._cancelled_job(session)
-        try:
-            with pytest.raises(JobError):
-                session.result(job, timeout=5, forget=True)
-            assert job not in session.jobs()
-        finally:
-            release.set()
 
 
 class TestResultCache:

@@ -17,7 +17,7 @@ import threading
 import pytest
 
 from repro.api import AnalysisSession, make_spec
-from repro.service import AnalysisServer
+from repro.service import DEFAULT_TENANT, AnalysisServer
 from repro.service.protocol import (
     CacheStatsRequest,
     ResultRequest,
@@ -199,7 +199,7 @@ class TestCoalescing:
         corpus = strings[:6]
         with AnalysisServer(state_dir=str(tmp_path / "state"), max_job_workers=1) as server:
             release = threading.Event()
-            server.session.submit_work("blocker", lambda: release.wait(30))
+            server.tenants.context(DEFAULT_TENANT).executor.submit(release.wait, 30)
             try:
                 first = submit(server, corpus)
                 second = submit(server, corpus)
@@ -221,7 +221,7 @@ class TestCoalescing:
         corpus = strings[:6]
         with AnalysisServer(state_dir=str(tmp_path / "state"), max_job_workers=1) as server:
             release = threading.Event()
-            server.session.submit_work("blocker", lambda: release.wait(30))
+            server.tenants.context(DEFAULT_TENANT).executor.submit(release.wait, 30)
             try:
                 job_id = submit(server, corpus)["job_id"]
                 coalesced = submit(server, corpus)

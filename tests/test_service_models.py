@@ -27,6 +27,7 @@ from repro.service.protocol import (
     ModelNotFound,
     ModelsRequest,
     ResultRequest,
+    StatusRequest,
     check_response,
     encode_corpus,
 )
@@ -214,8 +215,11 @@ def test_worker_executes_queued_fit_model_job(tmp_path, strings, queries):
     assert summary["name"] == "offline"
     assert summary["landmarks"] == LANDMARKS
 
-    # A server sharing the state dir serves the worker-fitted model.
+    # A server sharing the state dir serves the worker-fitted model, and
+    # reports the fit's cache outcome (a worker opens no result cache).
     with AnalysisServer(state_dir=state_dir) as server:
+        status = check_response(server.handle(StatusRequest(job_id=record.job_id).to_payload()))
+        assert status["cache"] == "bypass"
         response = classify(server, queries[:1], name="offline")
         (entry,) = response["results"]
         assert entry["kernel_evals"] == LANDMARKS

@@ -134,15 +134,15 @@ class TestTracePropagation:
             )
             assert status["trace_id"] == trace_id
 
-        # Both processes' log lines mention the trace.
-        worker_lines = [
+        # Both executors' log lines mention the trace.  One runner logs
+        # every job, naming the executor that started it.
+        job_lines = [
             r.getMessage() for r in caplog.records if r.name == "repro.service.worker"
         ]
-        assert any(trace_id in line for line in worker_lines), worker_lines
-        server_lines = [
-            r.getMessage() for r in caplog.records if r.name == "repro.service.server"
-        ]
-        assert any(trace_id in line for line in server_lines), server_lines
+        for executor in ("obs-worker", server.worker_id):
+            assert any(
+                trace_id in line and f"started by {executor}," in line for line in job_lines
+            ), job_lines
 
     def test_server_mints_trace_when_client_omits_it(self, tmp_path, strings):
         with AnalysisServer(state_dir=str(tmp_path / "state")) as server:
@@ -256,7 +256,7 @@ class TestMetricsEndpoint:
             assert snapshot["origin"] == "snapshot-worker"
             text = server.metrics_text()
         assert 'origin="snapshot-worker"' in text
-        assert "repro_worker_task_seconds" in text
+        assert 'repro_job_seconds_count{kind="block",origin="snapshot-worker"}' in text
 
 
 # ----------------------------------------------------------------------

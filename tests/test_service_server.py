@@ -3,16 +3,20 @@
 from __future__ import annotations
 
 import os
+import sys
 import threading
+import time
 
 import numpy as np
 import pytest
 
-from repro.api import AnalysisSession, JobTimeout, make_spec
+from repro.api import AnalysisSession, make_spec
 from repro.core.matrix import KernelMatrix
 from repro.service import (
+    DEFAULT_TENANT,
     AnalysisServer,
     JobStore,
+    JobTimeout,
     ServiceClient,
     StdioTransport,
     serve_stdio,
@@ -58,6 +62,24 @@ def submit_matrix(server, strings, **options):
         )
     )
     return response["job_id"]
+
+
+def fill_job_pool(server, release):
+    """Occupy both of the default tenant's job threads until *release* is set."""
+    for _ in range(2):
+        server.tenants.context(DEFAULT_TENANT).executor.submit(release.wait)
+
+
+def wait_for_empty(tenant, timeout=10.0):
+    """Whether the tenant's queued set drains (a pool task discards its id
+    just after storing the result a waiter may already have read)."""
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        with tenant.lock:
+            if not tenant.queued:
+                return True
+        time.sleep(0.01)
+    return False
 
 
 def wait_result(server, job_id, wait=60.0, forget=False):
@@ -147,13 +169,21 @@ class TestInProcessProtocol:
         assert SPEC.to_dict() in specs["warm"]
 
 
+class TestValidation:
+    @pytest.mark.parametrize(
+        "options", [{"max_job_workers": 0}, {"job_ttl": -1}], ids=["max_job_workers", "job_ttl"]
+    )
+    def test_bad_constructor_arguments(self, tmp_path, options):
+        with pytest.raises(ValueError):
+            AnalysisServer(state_dir=str(tmp_path / "state"), **options)
+
+
 class TestQueueControl:
     def test_pending_then_cancel_with_saturated_pool(self, server, strings):
         release = threading.Event()
         try:
             # Fill both job workers so the next job stays queued.
-            for _ in range(2):
-                server.session.submit_work("blocker", release.wait)
+            fill_job_pool(server, release)
             job_id = submit_matrix(server, strings)
             response = server.handle(ResultRequest(job_id=job_id, wait=0.0).to_payload())
             assert response["error"]["code"] == "job-pending"
@@ -165,6 +195,72 @@ class TestQueueControl:
             assert response["error"]["code"] == "job-failed"
         finally:
             release.set()
+
+    def test_queued_job_is_claimed_once_across_maintenance_ticks(
+        self, server, strings, local_matrix, monkeypatch
+    ):
+        executor = server.tenants.context(DEFAULT_TENANT).executor
+        scheduled = []
+        submit = executor.submit
+        monkeypatch.setattr(
+            executor, "submit", lambda fn, *args: scheduled.append(fn) or submit(fn, *args)
+        )
+        release = threading.Event()
+        try:
+            fill_job_pool(server, release)
+            job_id = submit_matrix(server, strings)
+            for _ in range(3):  # each tick adopts the store's queued records
+                server._maintenance_tick()
+            assert server.store.get(job_id).status == "queued"
+            assert len(scheduled) == 3  # two blockers and the job, once
+        finally:
+            release.set()
+        matrix = KernelMatrix.from_dict(wait_result(server, job_id))
+        assert np.array_equal(matrix.values, local_matrix.values)
+        assert server.store.counters()["claims"] == 1
+
+    def test_concurrent_submissions_and_ticks_claim_each_job_once(self, tmp_path, strings):
+        # More pool threads than cores, submitters racing maintenance ticks
+        # and a short switch interval: every job is still claimed once, and
+        # leaves no id behind in the tenant's queued set.
+        with AnalysisServer(state_dir=str(tmp_path / "state"), max_job_workers=4) as server:
+            tenant = server.tenants.context(DEFAULT_TENANT)
+            job_ids = []
+            stop = threading.Event()
+
+            def tick():
+                while not stop.is_set():
+                    server._maintenance_tick()
+
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                ticker = threading.Thread(target=tick)
+                ticker.start()
+                submitters = [
+                    threading.Thread(
+                        target=lambda start=start: job_ids.append(
+                            submit_matrix(server, strings[start:start + 3])
+                        )
+                    )
+                    for start in range(6)
+                ]
+                for thread in submitters:
+                    thread.start()
+                for thread in submitters:
+                    thread.join(timeout=60)
+                for job_id in list(job_ids):
+                    wait_result(server, job_id)
+                stop.set()
+                ticker.join(timeout=60)
+            finally:
+                stop.set()
+                sys.setswitchinterval(interval)
+            assert not ticker.is_alive()
+            assert not any(thread.is_alive() for thread in submitters)
+            assert len(set(job_ids)) == 6
+            assert server.store.counters()["claims"] == 6
+            assert wait_for_empty(tenant)
 
     def test_finished_job_cannot_cancel(self, server, strings):
         job_id = submit_matrix(server, strings)
@@ -278,17 +374,22 @@ class TestHTTPTransport:
         assert client.health()["status"] == "ok"
         assert any(entry["kind"] == "kast" for entry in client.specs()["kinds"])
 
-    def test_timeout_raises_job_timeout_with_id(self, server, client, strings):
+    def test_timeout_raises_job_timeout_with_id(self, server, client, strings, local_matrix):
         release = threading.Event()
         try:
-            for _ in range(2):
-                server.session.submit_work("blocker", release.wait)
+            fill_job_pool(server, release)
             job_id = client.submit(SPEC, strings)
             with pytest.raises(JobTimeout) as caught:
                 client.result(job_id, timeout=0.3)
             assert caught.value.job_id == job_id
+            assert caught.value.timeout == 0.3
+            # JobTimeout stays catchable as the builtin TimeoutError.
+            assert isinstance(caught.value, TimeoutError)
         finally:
             release.set()
+        # The timed-out job kept running; its result is still collectable.
+        result = client.result(job_id, timeout=120)
+        assert np.array_equal(result.values, local_matrix.values)
 
     def test_slow_job_survives_short_transport_timeout(self, server, strings, local_matrix):
         # Regression: the per-poll server-side wait hint used to be a flat
@@ -306,8 +407,7 @@ class TestHTTPTransport:
                 # Saturate both job workers so the matrix job stays queued
                 # for ~2.5 s — several polls, each longer than the socket
                 # timeout would allow un-clamped.
-                for _ in range(2):
-                    server.session.submit_work("blocker", release.wait)
+                fill_job_pool(server, release)
                 job_id = client.submit(SPEC, strings)
                 threading.Timer(2.5, release.set).start()
                 result = client.result(job_id, timeout=120)

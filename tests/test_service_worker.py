@@ -20,7 +20,8 @@ import time
 import pytest
 
 from repro.api import AnalysisSession, make_spec
-from repro.service import AnalysisServer, Authenticator, JobStore, Worker
+from repro.obs.metrics import MetricsRegistry
+from repro.service import DEFAULT_TENANT, AnalysisServer, Authenticator, JobStore, Worker
 from repro.service import server as server_module
 from repro.service.protocol import (
     ResultRequest,
@@ -29,7 +30,7 @@ from repro.service.protocol import (
     check_response,
     encode_corpus,
 )
-from repro.service.worker import execute_block_task
+from repro.service.worker import ShutdownRequested, execute_block_task, run_claimed_job
 
 SPEC = make_spec("kast", cut_weight=2)
 
@@ -275,6 +276,33 @@ class TestWorkerUnit:
             assert "matrix-gone" in (final.error or "")
             assert worker.failed == 2 and worker.completed == 0
 
+    @pytest.mark.parametrize(
+        "error, outcome, status",
+        [(ValueError("synthetic"), "error", "error"), (ShutdownRequested(), "released", "queued")],
+        ids=["error", "shutdown"],
+    )
+    def test_runner_failure_policy_at_one_attempt(self, tmp_path, error, outcome, status):
+        # The server's policy (max_attempts=1): a failing job is dead-ended
+        # at once, while a job interrupted by shutdown goes back on the queue.
+        store = JobStore(str(tmp_path / "state"))
+        record = store.create("matrix")
+        claimed = store.claim_job(record.job_id, "w1", lease_seconds=30)
+        metrics = MetricsRegistry()
+
+        def payload(_record):
+            raise error
+
+        with AnalysisSession() as session:
+            assert run_claimed_job(
+                store, claimed, session, payload,
+                worker_id="w1", lease_seconds=30, metrics=metrics,
+            ) == outcome
+        final = store.get(record.job_id)
+        assert final.status == status
+        if status == "error":
+            assert final.error == "ValueError: synthetic"
+        assert f'repro_jobs_executed_total{{kind="matrix",outcome="{outcome}"}} 1' in metrics.render()
+
     def test_worker_idle_exit_and_max_tasks(self, tmp_path, strings):
         state_dir = str(tmp_path / "state")
         store = JobStore(state_dir)
@@ -383,6 +411,30 @@ class TestWakeUps:
                 stop_worker(worker, thread)
         assert payload == local_payload
         assert worker.completed == 6
+        assert elapsed < 10.0
+
+    def test_a_local_job_ends_its_result_wait_without_a_pipe(
+        self, tmp_path, strings, local_payload, slow_fallback, monkeypatch
+    ):
+        # Without mkfifo no wait can register a pipe; a job this server runs
+        # must still end a client's result wait as soon as it is stored.
+        monkeypatch.delattr(os, "mkfifo", raising=False)
+        with AnalysisServer(state_dir=str(tmp_path / "state")) as server:
+            release = threading.Event()
+            for _ in range(2):  # hold the job queued until the wait sleeps
+                server.tenants.context(DEFAULT_TENANT).executor.submit(release.wait)
+            job_id = check_response(
+                server.handle(
+                    SubmitMatrixRequest(
+                        spec=SPEC.to_dict(), strings=tuple(encode_corpus(strings))
+                    ).to_payload()
+                )
+            )["job_id"]
+            threading.Timer(0.5, release.set).start()
+            started = time.monotonic()
+            payload = wait_payload(server, job_id, wait=FALLBACK_SECONDS)
+            elapsed = time.monotonic() - started
+        assert payload == local_payload
         assert elapsed < 10.0
 
     def test_a_new_tenant_namespace_wakes_a_worker_waiting_on_the_root(
