@@ -23,6 +23,29 @@ _literals = st.sampled_from(["a", "b", "c", "d"])
 _tokens = st.tuples(_literals, st.integers(min_value=1, max_value=30))
 _strings = st.lists(_tokens, min_size=0, max_size=18).map(WeightedString.from_pairs)
 
+#: Cut weights the row-path property test covers, and every flag combination.
+_ROW_CUTS = (1, 2, 5, 20)
+_FLAGS = [(filter_tokens, independent) for filter_tokens in (False, True) for independent in (True, False)]
+
+
+@st.composite
+def _rows(draw):
+    """1-7 strings over a 1-4 letter alphabet, so patterns overlap themselves.
+
+    A repeated string and an empty string may be mixed in, at any position
+    (including the row's own string).
+    """
+    alphabet = "abcd"[: draw(st.integers(min_value=1, max_value=4))]
+    tokens = st.tuples(st.sampled_from(alphabet), st.integers(min_value=1, max_value=25))
+    strings = draw(st.lists(
+        st.lists(tokens, min_size=0, max_size=14).map(WeightedString.from_pairs), min_size=1, max_size=5
+    ))
+    if draw(st.booleans()):
+        strings.insert(draw(st.integers(0, len(strings))), strings[draw(st.integers(0, len(strings) - 1))])
+    if draw(st.booleans()):
+        strings.insert(draw(st.integers(0, len(strings))), WeightedString([]))
+    return strings
+
 
 def synthetic(length: int, seed: int, alphabet: int = 6) -> WeightedString:
     rng = random.Random(seed)
@@ -85,6 +108,24 @@ class TestPropertyEquivalence:
                     require_independent_occurrence=independent,
                 )
                 assert python_kernel.value(first, second) == numpy_kernel.value(first, second)
+
+
+class TestRowPathEquivalence:
+    @given(strings=_rows())
+    @settings(max_examples=120, deadline=None)
+    def test_value_row_and_embed_match_python_pairwise(self, strings):
+        first, rest = strings[0], strings[1:]
+        for cut in _ROW_CUTS:
+            for filter_tokens, independent in _FLAGS:
+                python_kernel, numpy_kernel = kernels(
+                    cut, filter_tokens_below_cut=filter_tokens, require_independent_occurrence=independent
+                )
+                expected = [python_kernel.value(first, other) for other in rest]
+                assert numpy_kernel.value_row(first, rest) == expected, (cut, filter_tokens, independent)
+                for other in rest:
+                    assert numpy_kernel.embed(first, other) == python_kernel.embed(first, other), (
+                        cut, filter_tokens, independent
+                    )
 
 
 class TestRandomCorpusEquivalence:
