@@ -19,8 +19,6 @@ move with machine load; the seconds are printed next to the counts.
 
 from __future__ import annotations
 
-import itertools
-
 from repro.core.kast import KastSpectrumKernel
 from repro.pipeline.config import ExperimentConfig
 from repro.pipeline.report import summarise_sweep
@@ -50,17 +48,17 @@ def test_bench_cutweight_sweep_with_bytes(benchmark, strings_with_bytes):
     seconds = [point.kernel_seconds for point in sweep.points]
 
     # Search work per cut weight over a fixed subset of the corpus pairs
-    # (every fifth string: 22 strings, 231 pairs).
-    pairs = list(itertools.combinations(strings_with_bytes[::5], 2))
+    # (every fifth string: 22 strings, 231 pairs), read from the kernel's
+    # own work counters.
+    subset = strings_with_bytes[::5]
     features, occurrences = [], []
     for cut_weight in PAPER_CUT_WEIGHTS:
         kernel = KastSpectrumKernel(cut_weight=cut_weight)
-        embeddings = [kernel.embed(a, b) for a, b in pairs]
-        features.append(sum(len(embedding.features) for embedding in embeddings))
-        occurrences.append(sum(
-            len(feature.occurrences_a) + len(feature.occurrences_b)
-            for embedding in embeddings for feature in embedding.features
-        ))
+        for index, string in enumerate(subset):
+            kernel.value_row(string, subset[index + 1 :])
+        work = kernel.work_counts()
+        features.append(work["selected_features"])
+        occurrences.append(work["selected_occurrences"])
     print(f"{'cut':>5} {'features':>9} {'occurrences':>12} {'seconds':>8}")
     for row in zip(PAPER_CUT_WEIGHTS, features, occurrences, seconds):
         print("{:>5} {:>9} {:>12} {:>8.3f}".format(*row))

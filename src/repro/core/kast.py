@@ -39,18 +39,27 @@ benchmark):
 
 Backends
 --------
-The candidate search (all maximal literal matches between two strings) and
-the occurrence scan dominate the kernel cost.  Two interchangeable
-implementations exist, selected with ``backend``:
+The candidate search (all maximal literal matches between two strings), the
+occurrence scan and the independence selection make up the kernel cost.
+Two interchangeable implementations exist, selected with ``backend``:
 
 * ``"numpy"`` (default) — token literals are interned to small integers
-  through a shared :class:`~repro.strings.interner.TokenInterner`; the
-  match-length dynamic programme becomes a vectorised row-pair accumulation
-  over the integer equality matrix and the occurrence search becomes an
-  array scan.
-* ``"python"`` — the original pure-Python loops, kept as a dependency-free
-  reference; the equivalence of the two backends over randomised corpora is
-  asserted by the test suite.
+  through a shared :class:`~repro.strings.interner.TokenInterner`.  One
+  scorer serves :meth:`~KastSpectrumKernel.value_row`,
+  :meth:`~KastSpectrumKernel.value` and :meth:`~KastSpectrumKernel.embed`
+  (the latter two as a one-target row).  It builds one vectorised
+  match-length table of a string against its whole row of targets,
+  deduplicates the row's maximal spans by content, finds each distinct
+  pattern's non-overlapping qualifying occurrences in array form with
+  exact integer prefix sums, and runs the greedy independence rule per
+  pair over arrays presorted once per row.
+* ``"python"`` — the original pure-Python loops, pair by pair, kept as a
+  dependency-free reference; the equivalence of the two backends over
+  randomised corpora and rows is asserted by the test suite.
+
+Both backends count their search work
+(:meth:`~KastSpectrumKernel.work_counts`), so a cost claim can rest on
+counts as well as seconds.
 """
 
 from __future__ import annotations
@@ -85,17 +94,36 @@ KAST_BACKENDS = ("numpy", "python")
 #: Default bound on the per-kernel prepared-string LRU cache.
 _DEFAULT_PREPARED_CACHE_SIZE = 4096
 
+#: Id that separates the targets of a row's corpus; no interned literal takes it.
+_SEPARATOR = -1
+
+#: The counters :meth:`KastSpectrumKernel.work_counts` reports.
+_WORK_COUNTS = (
+    "maximal_spans",
+    "distinct_patterns",
+    "scored_candidates",
+    "selected_features",
+    "selected_occurrences",
+)
+
 
 class _PreparedString:
-    """Cached per-string data reused across kernel evaluations."""
+    """Cached per-string data reused across kernel evaluations.
+
+    The numpy backend keeps ``ids``, ``first_of_token``, ``row_ids``,
+    ``row_weights`` and an ``int64`` ``occurrence_prefix``; the python
+    backend keeps ``occurrence_prefix`` as a list and the other arrays as
+    ``None``.
+    """
 
     __slots__ = (
         "literals",
         "weights",
         "ids",
-        "interner",
+        "first_of_token",
+        "row_ids",
+        "row_weights",
         "occurrence_prefix",
-        "raw_prefix",
         "occurrence_total",
         "cut_filtered_total",
     )
@@ -109,31 +137,40 @@ class _PreparedString:
     ) -> None:
         self.literals: _Literals = tuple(token.literal for token in string)
         self.weights: Tuple[int, ...] = tuple(token.weight for token in string)
-        #: Integer-encoded literals (numpy backend); ``None`` for the python backend.
-        self.interner = interner
-        self.ids: Optional[np.ndarray] = interner.encode(self.literals) if interner is not None else None
-        # Prefix sums allow O(1) occurrence-weight queries.
         filtered = [weight if weight >= cut_weight else 0 for weight in self.weights]
-        raw = list(self.weights)
-        self.occurrence_prefix = self._prefix(filtered if filter_tokens else raw)
-        self.raw_prefix = self._prefix(raw)
+        occurrence_weights = filtered if filter_tokens else list(self.weights)
         #: Total weight under the occurrence-weight rule (used for self-similarity).
-        self.occurrence_total = self.occurrence_prefix[-1]
+        self.occurrence_total = sum(occurrence_weights)
         #: The paper's ``weight_{w>=cut}``: sum of token weights >= cut weight.
         self.cut_filtered_total = sum(filtered)
-
-    @staticmethod
-    def _prefix(values: Sequence[int]) -> List[int]:
-        prefix = [0]
-        for value in values:
-            prefix.append(prefix[-1] + value)
-        return prefix
+        if interner is None:
+            self.ids: Optional[np.ndarray] = None
+            self.first_of_token: Optional[np.ndarray] = None
+            self.row_ids: Optional[np.ndarray] = None
+            self.row_weights: Optional[np.ndarray] = None
+            # Prefix sums allow O(1) occurrence-weight queries.
+            prefix = [0]
+            for weight in occurrence_weights:
+                prefix.append(prefix[-1] + weight)
+            self.occurrence_prefix = prefix
+            return
+        # A row's corpus is the concatenation of its targets' ``row_ids``:
+        # each is the string's integer-encoded literals behind one separator
+        # id no real token can take, and ``row_weights`` holds the matching
+        # occurrence weights (0 under the separator).
+        self.row_ids = np.concatenate(([_SEPARATOR], interner.encode(self.literals))).astype(np.int32)
+        self.ids = self.row_ids[1:]
+        #: ``first_of_token[i]``: the first position holding the literal at ``i``.
+        _, first, token = np.unique(self.ids, return_index=True, return_inverse=True)
+        self.first_of_token = first[token]
+        self.row_weights = np.asarray([0] + occurrence_weights, dtype=np.int64)
+        self.occurrence_prefix = np.cumsum(self.row_weights)
 
     def occurrence_weight(self, start: int, length: int) -> int:
         """Weight of the occurrence ``[start, start+length)`` under the occurrence-weight rule."""
         return self.occurrence_prefix[start + length] - self.occurrence_prefix[start]
 
-    def find_occurrences(self, pattern: _Literals) -> List[int]:
+    def _find_occurrences_python(self, pattern: _Literals) -> List[int]:
         """Start indices of the non-overlapping appearances of *pattern*.
 
         Occurrences are counted greedily left to right without overlaps, so a
@@ -142,11 +179,6 @@ class _PreparedString:
         self-similarity equal to the squared string weight, which the
         normalisation relies on.
         """
-        if self.ids is not None:
-            return self._find_occurrences_numpy(pattern)
-        return self._find_occurrences_python(pattern)
-
-    def _find_occurrences_python(self, pattern: _Literals) -> List[int]:
         length = len(pattern)
         if length == 0 or length > len(self.literals):
             return []
@@ -162,30 +194,37 @@ class _PreparedString:
                 start += 1
         return starts
 
-    def _find_occurrences_numpy(self, pattern: _Literals) -> List[int]:
-        length = len(pattern)
-        text = self.ids
-        if length == 0 or length > text.shape[0]:
-            return []
-        pattern_ids = self.interner.encode(pattern)
-        window = text.shape[0] - length + 1
-        valid = text[:window] == pattern_ids[0]
-        for offset in range(1, length):
-            if not valid.any():
-                return []
-            valid &= text[offset : offset + window] == pattern_ids[offset]
-        return _greedy_non_overlapping(np.flatnonzero(valid).tolist(), length)
+
+def _dense_unique(keys: np.ndarray, size: int) -> Tuple[np.ndarray, np.ndarray]:
+    """``np.unique(keys, return_inverse=True)`` for keys in ``[0, size)``, through a table, not a sort."""
+    present = np.zeros(size, dtype=bool)
+    present[keys] = True
+    unique = np.flatnonzero(present)
+    slot = np.empty(size, dtype=np.intp)
+    slot[unique] = np.arange(unique.shape[0])
+    return unique, slot[keys]
 
 
-def _greedy_non_overlapping(positions: List[int], length: int) -> List[int]:
-    """Left-to-right greedy selection of non-overlapping match positions."""
-    starts: List[int] = []
-    next_free = 0
-    for position in positions:
-        if position >= next_free:
-            starts.append(position)
-            next_free = position + length
-    return starts
+def _slice_sums(values: np.ndarray, low: np.ndarray, high: np.ndarray) -> np.ndarray:
+    """Exact integer sums of ``values[low[k]:high[k]]`` for every k, from one prefix sum."""
+    running = np.concatenate(([0], np.cumsum(values, dtype=np.int64)))
+    return running[high] - running[low]
+
+
+def _cover(reach: List[int], starts: List[int], length: int) -> None:
+    """Record accepted occurrences: ``reach[p]`` = max end of one covering ``p``."""
+    for start in starts:
+        end = start + length
+        for position in range(start, end):
+            if reach[position] < end:
+                reach[position] = end
+
+
+def _triples(starts: List[int], weights: np.ndarray, low: int, high: int, length: int) -> List[_OccTriple]:
+    return [
+        (start, start + length, weight)
+        for start, weight in zip(starts[low:high], weights[low:high].tolist())
+    ]
 
 
 class KastSpectrumKernel(StringKernel):
@@ -257,6 +296,7 @@ class KastSpectrumKernel(StringKernel):
         self._interner: Optional[TokenInterner] = None
         self._cache: "OrderedDict[str, _PreparedString]" = OrderedDict()
         self._cache_lock = threading.Lock()
+        self._work: Dict[str, int] = dict.fromkeys(_WORK_COUNTS, 0)
         if backend == "numpy":
             self._interner = interner if interner is not None else TokenInterner()
 
@@ -300,80 +340,39 @@ class KastSpectrumKernel(StringKernel):
     def value(self, a: WeightedString, b: WeightedString) -> float:
         """Raw kernel value: inner product of the pairwise feature vectors.
 
-        Fast path: the full embedding (with ``Occurrence``/``KastFeature``
-        objects) is only materialised by :meth:`embed`; the scalar value is
-        accumulated directly from the selected candidates.
+        The numpy backend scores the pair as a one-target row (see
+        :meth:`value_row`); the full embedding (with ``Occurrence`` /
+        ``KastFeature`` objects) is only materialised by :meth:`embed`.
         """
-        selected = self._selected_candidates(self._prepare(a), self._prepare(b))
-        return float(sum(entry[5] * entry[6] for entry in selected))
+        prepared_a = self._prepare(a)
+        prepared_b = self._prepare(b)
+        if prepared_a.ids is not None:
+            return float(self._score_row(prepared_a, [prepared_b])[0][0])
+        return float(sum(entry[5] * entry[6] for entry in self._selected_candidates(prepared_a, prepared_b)))
 
     def value_row(self, a: WeightedString, others: Sequence[WeightedString]) -> List[float]:
-        """Raw kernel values ``[k(a, b) for b in others]``, batched.
+        """Raw kernel values ``[k(a, b) for b in others]``, scored as one row.
 
-        The numpy backend concatenates every target (separated by a sentinel
-        id no real token can take) and computes *one* match-length table of
-        *a* against the whole corpus row, so the per-pair cost reduces to a
-        handful of small slices and gathers.  The sentinel breaks every
-        diagonal run at segment boundaries, which makes the per-segment view
-        of the table exactly equal to the pairwise table — the
-        :class:`~repro.core.engine.GramEngine` uses this as its fast path and
-        the backend-equivalence tests pin it against :meth:`value`.
+        The numpy backend concatenates every target (each behind a
+        separator id no real token can take) and computes *one*
+        match-length table of *a* against the whole corpus row.  It then
+        scores the row's maximal spans together: one set of distinct
+        patterns, their occurrences in *a* and across the row in array
+        form, and one presorted independence pass per pair (see
+        :meth:`_score_row`).  The separator breaks every diagonal run at
+        segment boundaries, so each segment of the row table is exactly the
+        pairwise table.  :meth:`value` and :meth:`embed` go through the same
+        scorer with a one-target row.  The python backend evaluates pair by
+        pair.
         """
         others = list(others)
         if not others:
             return []
         prepared_a = self._prepare(a)
         prepared_others = [self._prepare(b) for b in others]
-        if prepared_a.ids is None or prepared_a.ids.shape[0] == 0:
+        if prepared_a.ids is None:
             return [self.value(a, b) for b in others]
-        separator = np.asarray([-1], dtype=np.int32)
-        chunks: List[np.ndarray] = []
-        starts: List[int] = []
-        cursor = 0
-        for prepared in prepared_others:
-            ids = prepared.ids if prepared.ids is not None else np.zeros(0, dtype=np.int32)
-            chunks.append(separator)
-            chunks.append(ids)
-            cursor += 1
-            starts.append(cursor)
-            cursor += ids.shape[0]
-        corpus = np.concatenate(chunks)
-        lengths = self._match_lengths(prepared_a.ids, corpus)
-        span_rows, span_cols, span_lengths = self._maximal_span_arrays(lengths)
-        order = np.argsort(span_cols, kind="stable")
-        span_rows = span_rows[order]
-        span_cols = span_cols[order]
-        span_lengths = span_lengths[order]
-        lower = np.searchsorted(span_cols, np.asarray(starts)).tolist()
-        ends = [start + (p.ids.shape[0] if p.ids is not None else 0) for start, p in zip(starts, prepared_others)]
-        upper = np.searchsorted(span_cols, np.asarray(ends)).tolist()
-        occurrences_a_for = self._occurrences_a_provider(prepared_a, lengths)
-
-        values: List[float] = []
-        for index, prepared_b in enumerate(prepared_others):
-            if prepared_b.ids is None:
-                values.append(self.value(a, others[index]))
-                continue
-            size = prepared_b.ids.shape[0]
-            low, high = lower[index], upper[index]
-            if size == 0 or low == high:
-                values.append(0.0)
-                continue
-            start = starts[index]
-            segment = lengths[:, start : start + size]
-            scored = self._score_spans(
-                prepared_a,
-                prepared_b,
-                segment,
-                span_rows[low:high],
-                span_cols[low:high] - start,
-                span_lengths[low:high],
-                occurrences_a_for,
-                column_offset=start,
-            )
-            selected = self._greedy_select(prepared_a, prepared_b, scored)
-            values.append(float(sum(entry[5] * entry[6] for entry in selected)))
-        return values
+        return [float(value) for value in self._score_row(prepared_a, prepared_others)[0]]
 
     def self_value(self, a: WeightedString) -> float:
         """``k(a, a)``.
@@ -405,11 +404,10 @@ class KastSpectrumKernel(StringKernel):
     # ------------------------------------------------------------------
     def embed(self, a: WeightedString, b: WeightedString) -> KastEmbedding:
         """Build the full pairwise embedding (features, vectors, kernel value)."""
-        prepared_a = self._prepare(a)
-        prepared_b = self._prepare(b)
-        selected = self._selected_candidates(prepared_a, prepared_b)
         features: List[KastFeature] = []
-        for _, _, pattern, occurrences_a, occurrences_b, weight_a, weight_b in selected:
+        for _, _, pattern, occurrences_a, occurrences_b, weight_a, weight_b in self._selected_candidates(
+            self._prepare(a), self._prepare(b)
+        ):
             features.append(
                 KastFeature(
                     literals=pattern,
@@ -429,13 +427,43 @@ class KastSpectrumKernel(StringKernel):
         return KastEmbedding(features=tuple(features), cut_weight=self.cut_weight, kernel_value=kernel_value)
 
     def _selected_candidates(self, prepared_a: _PreparedString, prepared_b: _PreparedString) -> List["_ScoredCandidate"]:
-        """Scored candidates surviving the greedy independence selection."""
-        if prepared_a.ids is not None and prepared_b.ids is not None:
-            scored = self._scored_candidates_numpy(prepared_a, prepared_b)
-        else:
-            candidates = self._candidate_substrings_python(prepared_a, prepared_b)
-            scored = self._scored_candidates(prepared_a, prepared_b, candidates)
-        return self._greedy_select(prepared_a, prepared_b, scored)
+        """Candidates surviving the greedy independence selection, in selection order."""
+        if prepared_a.ids is not None:
+            return self._score_row(prepared_a, [prepared_b], keep=True)[1][0]
+        candidates, spans = self._candidate_substrings_python(prepared_a, prepared_b)
+        scored = self._scored_candidates(prepared_a, prepared_b, candidates)
+        kept = self._greedy_select(prepared_a, prepared_b, scored)
+        self._count_work(
+            spans, len(candidates), len(scored), len(kept), sum(len(entry[3]) + len(entry[4]) for entry in kept)
+        )
+        return kept
+
+    def work_counts(self) -> Dict[str, int]:
+        """Deterministic counts of the kernel's search work since construction.
+
+        * ``maximal_spans`` — left-maximal literal matches found;
+        * ``distinct_patterns`` — their distinct contents, deduplicated per
+          scoring call (per row for :meth:`value_row`, per pair otherwise);
+        * ``scored_candidates`` — (pair, pattern) candidates with a
+          qualifying occurrence in both strings;
+        * ``selected_features`` — candidates kept by the independence rule;
+        * ``selected_occurrences`` — qualifying occurrences of the selected
+          features, in both strings.
+
+        The last three are per pair, so both backends count them alike.
+        """
+        with self._cache_lock:
+            return dict(self._work)
+
+    def _count_work(self, spans: int, patterns: int, scored: int, selected: int, occurrences: int) -> None:
+        # Added once per call under the lock: server pools share a kernel across threads.
+        with self._cache_lock:
+            work = self._work
+            work["maximal_spans"] += spans
+            work["distinct_patterns"] += patterns
+            work["scored_candidates"] += scored
+            work["selected_features"] += selected
+            work["selected_occurrences"] += occurrences
 
     def string_weight(self, string: WeightedString) -> int:
         """The paper's ``weight_{w>=cut}(string)``: sum of token weights >= the cut weight."""
@@ -526,166 +554,233 @@ class KastSpectrumKernel(StringKernel):
         unequal (``lengths[i-1, j-1] == 0``); right-maximality is implied
         by taking the full match length.
         """
-        mask = lengths > 0
-        maximal = mask.copy()
-        maximal[1:, 1:] &= ~mask[:-1, :-1]
+        maximal = lengths > 0
+        maximal[1:, 1:] &= lengths[:-1, :-1] == 0
         rows, cols = np.nonzero(maximal)
         return rows, cols, lengths[rows, cols]
 
-    def _scored_candidates_numpy(self, a: _PreparedString, b: _PreparedString) -> List["_ScoredCandidate"]:
-        """Score every candidate using only the pairwise match-length table.
-
-        For a span ``(i, j, L)`` the occurrences of the pattern in *b* are
-        the columns ``{q : lengths[i, q] >= L}`` and — because ``j`` is one
-        of them, so ``b[j:j+L]`` *is* the pattern — the occurrences in *a*
-        are the rows ``{p : lengths[p, j] >= L}``.  No string is ever
-        rescanned, and the (overlapping) match positions of *all* candidates
-        are extracted with two matrix comparisons and two ``nonzero`` calls.
-        """
-        if a.ids.shape[0] == 0 or b.ids.shape[0] == 0:
-            return []
-        lengths = self._match_lengths(a.ids, b.ids)
-        span_rows, span_cols, span_lengths = self._maximal_span_arrays(lengths)
-        if span_rows.shape[0] == 0:
-            return []
-        occurrences_a_for = self._occurrences_a_provider(a, lengths)
-        return self._score_spans(a, b, lengths, span_rows, span_cols, span_lengths, occurrences_a_for)
-
-    def _occurrences_a_provider(self, a: _PreparedString, lengths: np.ndarray):
-        """Memoised qualifying-occurrence lookup for patterns of *a*.
-
-        ``lengths[p, column] >= length`` marks every (overlapping) occurrence
-        start of the pattern in *a* — ``target[column:column+length]`` *is*
-        the pattern — and the result only depends on ``(row, length)``, so in
-        the batched row path one cache entry serves every target segment the
-        span appears in.
-        """
-        cache: Dict[Tuple[int, int], Tuple[List[_OccTriple], int]] = {}
-        prefix = a.occurrence_prefix
-        cut = self.cut_weight
-
-        def get(row: int, length: int, column: int) -> Tuple[List[_OccTriple], int]:
-            key = (row, length)
-            got = cache.get(key)
-            if got is None:
-                occurrences: List[_OccTriple] = []
-                total = 0
-                next_free = 0
-                for start in np.flatnonzero(lengths[:, column] >= length).tolist():
-                    if start < next_free:
-                        continue
-                    next_free = start + length
-                    weight = prefix[next_free] - prefix[start]
-                    if weight >= cut:
-                        occurrences.append((start, next_free, weight))
-                        total += weight
-                got = (occurrences, total)
-                cache[key] = got
-            return got
-
-        return get
-
-    def _score_spans(
+    def _score_row(
         self,
         a: _PreparedString,
-        b: _PreparedString,
-        lengths_b: np.ndarray,
-        span_rows: np.ndarray,
-        span_cols: np.ndarray,
-        span_lengths: np.ndarray,
-        occurrences_a_for,
-        column_offset: int = 0,
-    ) -> List["_ScoredCandidate"]:
-        """Score maximal spans against one target string.
+        others: Sequence[_PreparedString],
+        keep: bool = False,
+    ) -> Tuple[List[int], List[List["_ScoredCandidate"]]]:
+        """Score *a* against every target of a row at once (numpy backend).
 
-        ``lengths_b[p, q]`` is the match length of ``a`` at row ``p`` against
-        ``b`` at column ``q`` (a view into a larger corpus table in the
-        batched row path, with ``column_offset`` mapping local columns back
-        to the full table).  For a span ``(i, j, L)`` the occurrences of its
-        pattern in *b* are ``{q : lengths_b[i, q] >= L}`` and the occurrences
-        in *a* come from *occurrences_a_for* — because ``b[j:j+L]`` *is* the
-        pattern.  Neither string is ever rescanned.
+        Returns the integer kernel value of each pair and, with ``keep``,
+        each pair's selected candidates in selection order (empty lists
+        otherwise).  Four steps:
+
+        1. **Content deduplication.**  A maximal span ``(i, j, L)`` holds
+           the pattern ``a[i:i+L]``.  Spans are deduplicated by
+           ``(i, L)`` and then by the first row of *a* holding the same
+           pattern — the token's first position for ``L == 1``,
+           ``(lengths[:, j] >= L).argmax()`` otherwise — which leaves one
+           entry per distinct pattern of the row.
+        2. **Row-wide occurrences.**  The (overlapping) starts of a pattern
+           are ``{p : lengths[p, j] >= L}`` in *a* and
+           ``{q : lengths[i, q] >= L}`` across the whole corpus row — no
+           string is rescanned.  They are made non-overlapping and
+           cut-qualified in array form (:meth:`_qualifying_occurrences_numpy`)
+           and summed per pattern (in *a*) and per (pattern, target) with
+           exact integer prefix sums.
+        3. **Presorted selection.**  The (pair, pattern) candidates with a
+           qualifying occurrence in both strings are sorted once, with
+           ``np.lexsort`` on (pair, −max weight, −length, lexicographic
+           pattern rank) — the reference backend's order — and the greedy
+           independence rule runs per pair over the flat arrays.
+        4. **Read-out.**  Values are the per-pair sums of the kept
+           candidates' weight products; ``keep`` also reads their
+           occurrences back out for :meth:`embed`.
         """
-        # Content deduplication.  Most spans are single tokens, whose pattern
-        # is fully determined by the token id — dedupe those with one
-        # np.unique and no match scan.  A longer span's pattern is fully
-        # determined by (first occurrence in b, length) — b[q:q+L] is one
-        # fixed token sequence — so the (argmax, length) pair deduplicates
-        # the rest without materialising literal tuples.
-        singles = span_lengths == 1
-        single_idx = np.flatnonzero(singles)
-        multi_idx = np.flatnonzero(~singles)
-        keep: List[int] = []
-        if single_idx.shape[0]:
-            _, first = np.unique(a.ids[span_rows[single_idx]], return_index=True)
-            keep.extend(single_idx[first].tolist())
-        if multi_idx.shape[0]:
-            multi_rows = span_rows[multi_idx]
-            multi_lengths = span_lengths[multi_idx]
-            first_b = (lengths_b[multi_rows] >= multi_lengths[:, None]).argmax(axis=1).tolist()
-            multi_list = multi_idx.tolist()
-            seen = set()
-            for position, key in enumerate(zip(first_b, multi_lengths.tolist())):
-                if key not in seen:
-                    seen.add(key)
-                    keep.append(multi_list[position])
-        keep_arr = np.asarray(keep, dtype=np.int64)
-        kept_rows = span_rows[keep_arr]
-        kept_lengths = span_lengths[keep_arr]
-        kept_b = lengths_b[kept_rows] >= kept_lengths[:, None]
-        candidate_b, position_b = np.nonzero(kept_b)
-        bounds_b = np.searchsorted(candidate_b, np.arange(keep_arr.shape[0] + 1)).tolist()
-        position_b = position_b.tolist()
+        count = len(others)
+        values = [0] * count
+        selected: List[List[_ScoredCandidate]] = [[] for _ in range(count)]
+        m = a.ids.shape[0]
+        if m == 0:
+            return values, selected
+        sizes = np.fromiter((other.ids.shape[0] for other in others), dtype=np.int64, count=count)
+        segment_of = np.repeat(np.arange(count), sizes + 1)
+        segment_start = np.cumsum(sizes + 1) - sizes
+        corpus = np.concatenate([other.row_ids for other in others])
+        corpus_prefix = np.concatenate(([0], np.cumsum(np.concatenate([other.row_weights for other in others]))))
+        lengths = self._match_lengths(a.ids, corpus)
+        rows, cols, span_lengths = self._maximal_span_arrays(lengths)
+        if rows.shape[0] == 0:
+            return values, selected
 
-        la = a.literals
-        prefix_b = b.occurrence_prefix
-        cut = self.cut_weight
-        rows_list = kept_rows.tolist()
-        cols_list = span_cols[keep_arr].tolist()
-        length_list = kept_lengths.tolist()
-        scored: List[_ScoredCandidate] = []
-        # Per candidate: greedy left-to-right non-overlap selection over the
-        # (overlapping) match starts, then the occurrence-weight filter —
-        # identical semantics to find_occurrences + the cut-weight check.
-        for index, length in enumerate(length_list):
-            occurrences_b: List[_OccTriple] = []
-            weight_b = 0
-            next_free = 0
-            for start in position_b[bounds_b[index] : bounds_b[index + 1]]:
-                if start < next_free:
-                    continue
-                next_free = start + length
-                weight = prefix_b[next_free] - prefix_b[start]
-                if weight >= cut:
-                    occurrences_b.append((start, next_free, weight))
-                    weight_b += weight
-            if not occurrences_b:
-                continue
-            row = rows_list[index]
-            occurrences_a, weight_a = occurrences_a_for(row, length, cols_list[index] + column_offset)
-            if not occurrences_a:
-                continue
-            pattern = la[row : row + length]
-            scored.append(
-                (max(weight_a, weight_b), length, pattern, occurrences_a, occurrences_b, weight_a, weight_b)
-            )
-        return scored
+        # 1. One entry per distinct pattern of the row.  Keys index dense
+        # tables (rows x lengths, targets x patterns), so no step sorts.
+        width = m + 1
+        span_keys = rows * width + span_lengths
+        keys, span_key = _dense_unique(span_keys, m * width)
+        key_rows, key_lengths = np.divmod(keys, width)
+        # representative[row * width + L]: a corpus column where a[row:row+L] starts.
+        representative = np.empty(m * width, dtype=np.intp)
+        representative[span_keys] = cols
+        canonical = a.first_of_token[key_rows]
+        longer = np.flatnonzero(key_lengths > 1)
+        if longer.shape[0]:
+            canonical[longer] = (lengths[:, representative[keys[longer]]] >= key_lengths[longer]).argmax(axis=0)
+        canonical_keys = canonical * width + key_lengths
+        representative[canonical_keys] = representative[keys]
+        patterns, key_pattern = _dense_unique(canonical_keys, m * width)
+        pattern_rows, pattern_lengths = np.divmod(patterns, width)
+        n_patterns = patterns.shape[0]
+        present = np.zeros(count * n_patterns, dtype=bool)
+        present[segment_of[cols] * n_patterns + key_pattern[span_key]] = True
+        candidates = np.flatnonzero(present)
+        pair = candidates // n_patterns
+        pattern = candidates % n_patterns
+
+        # 2. Qualifying occurrences: in a per pattern, in the corpus per
+        # (pattern, target) — a key that is non-decreasing along the
+        # pattern-major, position-sorted occurrence arrays.
+        occ_a_pattern, occ_a_start, occ_a_weight = self._qualifying_occurrences_numpy(
+            lengths[:, representative[patterns]].T >= pattern_lengths[:, None], pattern_lengths, a.occurrence_prefix
+        )
+        occ_b_pattern, occ_b_start, occ_b_weight = self._qualifying_occurrences_numpy(
+            lengths[pattern_rows] >= pattern_lengths[:, None], pattern_lengths, corpus_prefix
+        )
+        if occ_a_pattern.shape[0] == 0 or occ_b_pattern.shape[0] == 0:
+            self._count_work(rows.shape[0], n_patterns, 0, 0, 0)
+            return values, selected
+        # Each candidate's occurrences are one slice of each sorted array.
+        a_bounds = np.searchsorted(occ_a_pattern, np.arange(n_patterns + 1))
+        a_lo, a_hi = a_bounds[pattern], a_bounds[pattern + 1]
+        occ_b_segment = segment_of[occ_b_start]
+        occ_b_key = occ_b_pattern * count + occ_b_segment
+        candidate_keys = pattern * count + pair
+        b_lo = np.searchsorted(occ_b_key, candidate_keys)
+        b_hi = np.searchsorted(occ_b_key, candidate_keys, side="right")
+        weight_a = _slice_sums(occ_a_weight, a_lo, a_hi)
+        weight_b = _slice_sums(occ_b_weight, b_lo, b_hi)
+        scored = np.flatnonzero((weight_a > 0) & (weight_b > 0))
+        if scored.shape[0] == 0:
+            self._count_work(rows.shape[0], n_patterns, 0, 0, 0)
+            return values, selected
+
+        # 3. Presort once; the tie-break rank is the patterns' literal order.
+        texts = [a.literals[row : row + length] for row, length in zip(pattern_rows.tolist(), pattern_lengths.tolist())]
+        rank = np.empty(n_patterns, dtype=np.int64)
+        rank[sorted(range(n_patterns), key=texts.__getitem__)] = np.arange(n_patterns)
+        top = np.maximum(weight_a, weight_b)
+        candidate_lengths = pattern_lengths[pattern]
+        take = scored[
+            np.lexsort((rank[pattern[scored]], -candidate_lengths[scored], -top[scored], pair[scored]))
+        ]
+        pair, pattern, top, candidate_lengths = pair[take], pattern[take], top[take], candidate_lengths[take]
+        weight_a, weight_b = weight_a[take], weight_b[take]
+        a_lo, a_hi, b_lo, b_hi = a_lo[take], a_hi[take], b_lo[take], b_hi[take]
+        pair_bounds = np.searchsorted(pair, np.arange(count + 1))
+        occurrence_counts = (a_hi - a_lo) + (b_hi - b_lo)
+        kept = np.ones(take.shape[0], dtype=bool)
+        if self.require_independent_occurrence or keep:
+            # Flat lists for the per-pair Python passes; starts in b are target-local.
+            length_list = candidate_lengths.tolist()
+            a_lo, a_hi, b_lo, b_hi = a_lo.tolist(), a_hi.tolist(), b_lo.tolist(), b_hi.tolist()
+            starts_a = occ_a_start.tolist()
+            starts_b = (occ_b_start - segment_start[occ_b_segment]).tolist()
+        if self.require_independent_occurrence:
+            # Greedy independence per pair: a candidate is dropped when every
+            # occurrence, in both strings, lies inside an accepted one.  A
+            # pair's first candidate is always kept.
+            bounds = pair_bounds.tolist()
+            size_list = sizes.tolist()
+            for target in np.flatnonzero(np.diff(pair_bounds) > 1).tolist():
+                low, high = bounds[target], bounds[target + 1]
+                reach_a = [-1] * m
+                reach_b = [-1] * size_list[target]
+                for index in range(low, high):
+                    length = length_list[index]
+                    if index > low:
+                        for start in starts_a[a_lo[index] : a_hi[index]]:
+                            if reach_a[start] < start + length:
+                                break
+                        else:
+                            for start in starts_b[b_lo[index] : b_hi[index]]:
+                                if reach_b[start] < start + length:
+                                    break
+                            else:
+                                kept[index] = False
+                                continue
+                    if index + 1 < high:
+                        _cover(reach_a, starts_a[a_lo[index] : a_hi[index]], length)
+                        _cover(reach_b, starts_b[b_lo[index] : b_hi[index]], length)
+
+        # 4. Read-out.
+        values = _slice_sums(np.where(kept, weight_a * weight_b, 0), pair_bounds[:-1], pair_bounds[1:]).tolist()
+        self._count_work(
+            rows.shape[0], n_patterns, take.shape[0], int(kept.sum()), int(occurrence_counts[kept].sum())
+        )
+        if keep:
+            for index in np.flatnonzero(kept).tolist():
+                length = length_list[index]
+                selected[pair[index]].append(
+                    (
+                        int(top[index]),
+                        length,
+                        texts[pattern[index]],
+                        _triples(starts_a, occ_a_weight, a_lo[index], a_hi[index], length),
+                        _triples(starts_b, occ_b_weight, b_lo[index], b_hi[index], length),
+                        int(weight_a[index]),
+                        int(weight_b[index]),
+                    )
+                )
+        return values, selected
+
+    def _qualifying_occurrences_numpy(
+        self,
+        matches: np.ndarray,
+        pattern_lengths: np.ndarray,
+        prefix: np.ndarray,
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Non-overlapping, cut-qualifying occurrences from a match mask.
+
+        ``matches[k, q]`` marks every (overlapping) start ``q`` of pattern
+        ``k``.  Per pattern, starts are taken greedily left to right without
+        overlaps — the reference backend's rule — and an occurrence counts
+        when its weight (a gather from the ``int64`` *prefix*) reaches the
+        cut weight.  Only the patterns whose starts overlap each other go
+        through a left-to-right Python fix-up.  Returns
+        ``(pattern, start, weight)`` arrays sorted by pattern, then start.
+        """
+        patterns, starts = np.nonzero(matches)
+        lengths = pattern_lengths[patterns]
+        clash = (patterns[1:] == patterns[:-1]) & (starts[1:] - starts[:-1] < lengths[1:])
+        if clash.any():
+            keep = np.ones(patterns.shape[0], dtype=bool)
+            for overlapping in np.unique(patterns[1:][clash]).tolist():
+                low, high = np.searchsorted(patterns, (overlapping, overlapping + 1)).tolist()
+                length = int(pattern_lengths[overlapping])
+                next_free = 0
+                for index, start in enumerate(starts[low:high].tolist(), low):
+                    if start < next_free:
+                        keep[index] = False
+                    else:
+                        next_free = start + length
+            patterns, starts, lengths = patterns[keep], starts[keep], lengths[keep]
+        weights = prefix[starts + lengths] - prefix[starts]
+        qualifying = weights >= self.cut_weight
+        return patterns[qualifying], starts[qualifying], weights[qualifying]
 
     @staticmethod
-    def _candidate_substrings_python(a: _PreparedString, b: _PreparedString) -> List[_Literals]:
+    def _candidate_substrings_python(a: _PreparedString, b: _PreparedString) -> Tuple[List[_Literals], int]:
         """Pure-Python reference: match-length DP over two rolling rows.
 
         ``row[j]`` is the length of the common extension starting at
         ``(i, j)``; rows are computed bottom-up and only the current and next
         row are retained, so memory stays at O(n).  Left-maximality is
         checked directly on the literals, which is what lets the full table
-        be dropped.
+        be dropped.  Returns the distinct candidates and the number of
+        maximal spans behind them.
         """
         la, lb = a.literals, b.literals
         m, n = len(la), len(lb)
         if m == 0 or n == 0:
-            return []
+            return [], 0
         candidates: Dict[_Literals, None] = {}
+        spans = 0
         next_row = [0] * (n + 1)
         for i in range(m - 1, -1, -1):
             row = [0] * (n + 1)
@@ -697,13 +792,14 @@ class KastSpectrumKernel(StringKernel):
                     # Left-maximality: no identical predecessor pair.
                     if i == 0 or j == 0 or la[i - 1] != lb[j - 1]:
                         candidates[la[i : i + length]] = None
+                        spans += 1
             next_row = row
-        return list(candidates)
+        return list(candidates), spans
 
     def _qualifying_occurrences(self, prepared: _PreparedString, pattern: _Literals) -> List[_OccTriple]:
         length = len(pattern)
         occurrences: List[_OccTriple] = []
-        for start in prepared.find_occurrences(pattern):
+        for start in prepared._find_occurrences_python(pattern):
             weight = prepared.occurrence_weight(start, length)
             if weight >= self.cut_weight:
                 occurrences.append((start, start + length, weight))

@@ -10,6 +10,8 @@ exact — the 1e-9 tolerance of the acceptance criterion is only a ceiling.
 from __future__ import annotations
 
 import random
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -171,6 +173,73 @@ class TestRandomCorpusEquivalence:
         for backend in ("python", "numpy"):
             kernel = KastSpectrumKernel(cut_weight=4, normalization="weight", backend=backend)
             assert kernel.value(string_a, string_b) == 1018.0
+
+
+class TestWorkCounts:
+    @staticmethod
+    def corpus(seed=5, size=9):
+        rng = random.Random(seed)
+        return [synthetic(rng.randrange(0, 30), seed=seed * 10 + index, alphabet=3) for index in range(size)]
+
+    def test_pairwise_counts_agree_across_backends(self):
+        corpus = self.corpus()
+        for independent in (True, False):
+            python_kernel, numpy_kernel = kernels(2, require_independent_occurrence=independent)
+            for first in corpus:
+                for second in corpus:
+                    python_kernel.value(first, second)
+                    numpy_kernel.value(first, second)
+            assert python_kernel.work_counts() == numpy_kernel.work_counts()
+            assert numpy_kernel.work_counts()["selected_features"] > 0
+
+    def test_row_counts_per_pair_match_pairwise_calls(self):
+        corpus = self.corpus()
+        _, pairwise = kernels(2)
+        _, row = kernels(2)
+        for index, first in enumerate(corpus):
+            for second in corpus[index + 1 :]:
+                pairwise.value(first, second)
+            row.value_row(first, corpus[index + 1 :])
+        by_pair, by_row = pairwise.work_counts(), row.work_counts()
+        for name in ("maximal_spans", "scored_candidates", "selected_features", "selected_occurrences"):
+            assert by_row[name] == by_pair[name], name
+        # Patterns are deduplicated across a whole row.
+        assert by_row["distinct_patterns"] <= by_pair["distinct_patterns"]
+
+    def test_embed_counts_its_features_and_occurrences(self):
+        first, second = self.corpus()[1:3]
+        for backend in ("numpy", "python"):
+            kernel = KastSpectrumKernel(cut_weight=2, backend=backend)
+            embedding = kernel.embed(first, second)
+            work = kernel.work_counts()
+            assert work["selected_features"] == len(embedding.features)
+            assert work["selected_occurrences"] == sum(
+                len(feature.occurrences_a) + len(feature.occurrences_b) for feature in embedding.features
+            )
+
+    def test_threads_sharing_a_kernel_lose_no_counts(self):
+        corpus = self.corpus(size=12)
+        _, serial = kernels(2)
+        for first in corpus:
+            serial.value_row(first, corpus)
+        _, shared = kernels(2)
+
+        def run(part):
+            for _ in range(3):
+                for first in part:
+                    shared.value_row(first, corpus)
+
+        threads = [threading.Thread(target=run, args=(corpus[index::4],)) for index in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+        finally:
+            sys.setswitchinterval(interval)
+        assert shared.work_counts() == {name: 3 * count for name, count in serial.work_counts().items()}
 
 
 class TestPreparedCache:
