@@ -94,6 +94,9 @@ KAST_BACKENDS = ("numpy", "python")
 #: Default bound on the per-kernel prepared-string LRU cache.
 _DEFAULT_PREPARED_CACHE_SIZE = 4096
 
+#: Largest value the int64 read-out holds exactly.
+_INT64_MAX = np.iinfo(np.int64).max
+
 #: Id that separates the targets of a row's corpus; no interned literal takes it.
 _SEPARATOR = -1
 
@@ -207,7 +210,7 @@ def _dense_unique(keys: np.ndarray, size: int) -> Tuple[np.ndarray, np.ndarray]:
 
 def _slice_sums(values: np.ndarray, low: np.ndarray, high: np.ndarray) -> np.ndarray:
     """Exact integer sums of ``values[low[k]:high[k]]`` for every k, from one prefix sum."""
-    running = np.concatenate(([0], np.cumsum(values, dtype=np.int64)))
+    running = np.concatenate(([0], np.cumsum(values)))
     return running[high] - running[low]
 
 
@@ -404,10 +407,11 @@ class KastSpectrumKernel(StringKernel):
     # ------------------------------------------------------------------
     def embed(self, a: WeightedString, b: WeightedString) -> KastEmbedding:
         """Build the full pairwise embedding (features, vectors, kernel value)."""
+        prepared_a = self._prepare(a)
+        prepared_b = self._prepare(b)
+        selected = self._selected_candidates(prepared_a, prepared_b)
         features: List[KastFeature] = []
-        for _, _, pattern, occurrences_a, occurrences_b, weight_a, weight_b in self._selected_candidates(
-            self._prepare(a), self._prepare(b)
-        ):
+        for _, _, pattern, occurrences_a, occurrences_b, weight_a, weight_b in selected:
             features.append(
                 KastFeature(
                     literals=pattern,
@@ -450,7 +454,8 @@ class KastSpectrumKernel(StringKernel):
         * ``selected_occurrences`` — qualifying occurrences of the selected
           features, in both strings.
 
-        The last three are per pair, so both backends count them alike.
+        Every count but ``distinct_patterns`` of a row is a sum over pairs,
+        so both backends count alike.
         """
         with self._cache_lock:
             return dict(self._work)
@@ -708,8 +713,13 @@ class KastSpectrumKernel(StringKernel):
                         _cover(reach_a, starts_a[a_lo[index] : a_hi[index]], length)
                         _cover(reach_b, starts_b[b_lo[index] : b_hi[index]], length)
 
-        # 4. Read-out.
-        values = _slice_sums(np.where(kept, weight_a * weight_b, 0), pair_bounds[:-1], pair_bounds[1:]).tolist()
+        # 4. Read-out.  Occurrence weights and their sums are bounded by
+        # string weights, but products of two sums can pass int64: those
+        # rows multiply and add Python integers instead.
+        products = weight_a * weight_b
+        if a.occurrence_total * max(other.occurrence_total for other in others) * take.shape[0] > _INT64_MAX:
+            products = weight_a.astype(object) * weight_b.astype(object)
+        values = _slice_sums(np.where(kept, products, 0), pair_bounds[:-1], pair_bounds[1:]).tolist()
         self._count_work(
             rows.shape[0], n_patterns, take.shape[0], int(kept.sum()), int(occurrence_counts[kept].sum())
         )

@@ -155,6 +155,15 @@ class TestRandomCorpusEquivalence:
         assert row == [python_kernel.value(corpus[0], other) for other in corpus[1:]]
         assert row == [numpy_kernel.value(corpus[0], other) for other in corpus[1:]]
 
+    def test_value_row_exact_past_int64_products(self):
+        # Weight sums near 2**33 make feature products pass 2**63.
+        big = WeightedString.parse("a:4000000000 b:4000000000 a:4000000000 c:3")
+        other = WeightedString.parse("a:4000000001 b:4000000001 c:4000000001 a:7")
+        python_kernel, numpy_kernel = kernels(2)
+        expected = [python_kernel.value(big, other), python_kernel.value(big, big)]
+        assert expected[1] == float(12000000003**2)
+        assert numpy_kernel.value_row(big, [other, big]) == expected
+
     def test_value_row_empty_targets(self):
         kernel = KastSpectrumKernel(backend="numpy")
         assert kernel.value_row(synthetic(5, seed=1), []) == []
