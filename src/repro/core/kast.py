@@ -224,6 +224,7 @@ def _cover(reach: List[int], starts: List[int], length: int) -> None:
 
 
 def _triples(starts: List[int], weights: np.ndarray, low: int, high: int, length: int) -> List[_OccTriple]:
+    """The occurrences ``low:high`` of a flat occurrence list as ``(start, end, weight)`` triples."""
     return [
         (start, start + length, weight)
         for start, weight in zip(starts[low:high], weights[low:high].tolist())
@@ -647,9 +648,6 @@ class KastSpectrumKernel(StringKernel):
         occ_b_pattern, occ_b_start, occ_b_weight = self._qualifying_occurrences_numpy(
             lengths[pattern_rows] >= pattern_lengths[:, None], pattern_lengths, corpus_prefix
         )
-        if occ_a_pattern.shape[0] == 0 or occ_b_pattern.shape[0] == 0:
-            self._count_work(rows.shape[0], n_patterns, 0, 0, 0)
-            return values, selected
         # Each candidate's occurrences are one slice of each sorted array.
         a_bounds = np.searchsorted(occ_a_pattern, np.arange(n_patterns + 1))
         a_lo, a_hi = a_bounds[pattern], a_bounds[pattern + 1]

@@ -245,9 +245,10 @@ class TestWorkCounts:
             for thread in threads:
                 thread.start()
             for thread in threads:
-                thread.join()
+                thread.join(timeout=60)
         finally:
             sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
         assert shared.work_counts() == {name: 3 * count for name, count in serial.work_counts().items()}
 
 
