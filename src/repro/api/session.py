@@ -315,19 +315,9 @@ class AnalysisSession:
                 matrix = KernelMatrix.from_dict(found.payload)
                 return (matrix.psd_repaired() if repair else matrix), "hit"
         if pair_values is None:
-            count = len(string_list)
-            raw_by_pair = engine.evaluate_pairs(
-                string_list, [(i, j) for i in range(count) for j in range(i + 1, count)]
-            )
+            matrix = engine.matrix(string_list, normalized=normalized)
         else:
-            raw_by_pair = pair_values()
-        matrix = KernelMatrix(
-            values=engine.assemble_gram(string_list, raw_by_pair, normalized=normalized),
-            names=tuple(string.name for string in string_list),
-            labels=tuple(string.label for string in string_list),
-            kernel_name=engine.kernel.name,
-            normalized=normalized,
-        )
+            matrix = engine.assemble_matrix(string_list, pair_values(), normalized=normalized)
         if cache is not None:
             cache.store(engine.matrix_payload(matrix, string_list))
         status = "bypass" if cache is None else "miss"

@@ -5,21 +5,24 @@ ever consume the pairwise kernel matrix, and building that matrix dominates
 the pipeline cost.  :class:`GramEngine` concentrates everything the matrix
 construction can exploit in one place:
 
-* **symmetric pair-value cache** — ``k(a, b)`` is stored under a
-  content-based symmetric key, so ``k(b, a)``, repeated strings in a corpus
-  and repeated engine calls on overlapping corpora all hit the cache;
-* **content-keyed self-value cache** — normalisation denominators are
-  computed once per distinct string;
-* **row-batched evaluation** — the pairs neither cache layer holds are
+* **one cached-value lookup** — pair values ``k(a, b)`` and self values
+  ``k(a, a)`` (the normalisation denominators) go through one path: an
+  in-memory table, then the persistent
+  :class:`~repro.core.pairstore.PairStore` when one is attached, then the
+  kernel, with computed values written back to both.  Pair values sit in
+  a bounded LRU under a content-based symmetric key, so ``k(b, a)``,
+  repeated strings in a corpus and overlapping corpora (grown, reordered,
+  subset) all hit; self values have their own table.  In the store a
+  self value lives under ``(fp, "self")`` and a pair under its sorted
+  fingerprints, so ``k(a, a)`` never shares a key with the pair of two
+  content-identical strings;
+* **row-batched evaluation** — the pairs neither layer holds are
   evaluated serially, one kernel ``value_row`` call per corpus row (per
-  pair for kernels without it), which amortises the per-pair setup cost;
-* **persistent pair-value store** — with a
-  :class:`~repro.core.pairstore.PairStore` attached, values missing from
-  the in-memory caches are fetched by content fingerprint before any
-  kernel evaluation, so a corpus overlapping earlier work in any way
-  (grown, reordered, subset) costs only its novel pairs.  Finished
-  matrices are persisted by :class:`~repro.core.cachestore.MatrixCache`
-  from :meth:`GramEngine.matrix_payload`.
+  pair for kernels without it), which amortises the per-pair setup cost.
+
+Finished matrices are persisted by
+:class:`~repro.core.cachestore.MatrixCache` from
+:meth:`GramEngine.matrix_payload`.
 
 The engine starts no threads or processes of its own (it is safe to share
 between the threads of concurrent service jobs).  Cross-core parallelism
@@ -34,7 +37,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -57,6 +60,11 @@ PairKey = Tuple[int, int]
 
 #: Default bound on the symmetric pair-value cache.
 _DEFAULT_PAIR_CACHE_SIZE = 262_144
+
+#: Second half of a self value's pair-store key ``(fp, "self")``.  It sorts
+#: after every hex fingerprint, and it keeps ``k(a, a)`` apart from the value
+#: ``(fp, fp)`` of a pair of two content-identical strings.
+_SELF_PARTNER = "self"
 
 
 def string_fingerprint(string: WeightedString) -> str:
@@ -195,8 +203,12 @@ class GramEngine:
         self.pair_cache_size = pair_cache_size
         if interner is not None and hasattr(kernel, "interner"):
             kernel.interner = interner
+        # The two tables of the one lookup (:meth:`_lookup`), both LRUs
+        # bounded by pair_cache_size.  Self values are also evicted with
+        # their key registry entry, so their bound only trims values that
+        # landed under a key retired while they were being computed.
         self._pair_cache: "OrderedDict[PairKey, float]" = OrderedDict()
-        self._self_cache: Dict[int, float] = {}
+        self._self_cache: "OrderedDict[int, float]" = OrderedDict()
         # Content fingerprint → small-int key registry; pair keys are int pairs.
         self._key_registry: "OrderedDict[str, int]" = OrderedDict()
         self._next_key = 0
@@ -219,7 +231,7 @@ class GramEngine:
         self.kernel_evals = 0
 
     # ------------------------------------------------------------------
-    # Single-value entry points (cached)
+    # Keys and the one cached-value lookup
     # ------------------------------------------------------------------
     def _string_key(self, string: WeightedString) -> int:
         """The small-int key of the string's (cached) content fingerprint; pins no string."""
@@ -253,98 +265,149 @@ class GramEngine:
 
     @staticmethod
     def _fingerprint_pair(a: WeightedString, b: WeightedString) -> Tuple[str, str]:
-        """The canonical (sorted) content-fingerprint pair — the store key."""
+        """The store key of ``k(a, b)``: the sorted content-fingerprint pair.
+
+        Two content-identical strings ("twins") give ``(fp, fp)``.  That is
+        never a self value's key (see :data:`_SELF_PARTNER`): for Kast a
+        twin pair and ``k(a, a)`` differ once the string weighs less than
+        the cut weight.
+        """
         first, second = a.fingerprint, b.fingerprint
         return (first, second) if first <= second else (second, first)
 
-    def pair_value(self, a: WeightedString, b: WeightedString) -> float:
-        """Raw ``k(a, b)`` through the symmetric content-keyed cache.
+    @staticmethod
+    def _self_store_key(string: WeightedString) -> Tuple[str, str]:
+        """The store key of ``k(a, a)``: ``(fp, "self")``, already canonical."""
+        return (string.fingerprint, _SELF_PARTNER)
 
-        Misses consult the persistent pair store (when attached) before
-        falling back to a kernel evaluation; either way the value lands in
-        the in-memory cache, and computed values are written back to the
-        store.
+    def _lookup(
+        self,
+        table: "OrderedDict[Any, float]",
+        keys: Sequence[Any],
+        store_key: Callable[[Any], Tuple[str, str]],
+        compute: Callable[[List[Any]], Dict[Any, float]],
+        traffic: bool = True,
+    ) -> Dict[Any, float]:
+        """The one cached-value path: *table* → pair store → *compute*.
+
+        *keys* are distinct *table* keys; *store_key* maps one to its
+        canonical pair-store key.  Table hits refresh their recency, the
+        misses go to the store in one ``get_many``, what it lacks to
+        *compute* (the kernel), and the computed values back to the store
+        in one ``put_many``.  Everything found or computed lands in
+        *table*.  ``pair_hits``/``pair_misses`` count the pair table only;
+        with *traffic* off (priming) no counter moves.
         """
-        key = self._pair_key(a, b)
+        values: Dict[Any, float] = {}
         with self._lock:
-            cached = self._pair_cache.get(key)
-            if cached is not None:
-                self._pair_cache.move_to_end(key)
-                self.pair_hits += 1
-                return cached
-            self.pair_misses += 1
-        fingerprints: Optional[Tuple[str, str]] = None
-        if self.pair_store is not None:
-            fingerprints = self._fingerprint_pair(a, b)
-            found = self.pair_store.get_many(self.kernel_signature(), [fingerprints])
-            stored = found.get(fingerprints)
-            if stored is not None:
-                with self._lock:
-                    self.store_hits += 1
-                    self._fill_pair_cache({key: stored})
-                return stored
-            with self._lock:
-                self.store_misses += 1
-        value = float(self.kernel.value(a, b))
+            for key in keys:
+                cached = table.get(key)
+                if cached is not None:
+                    table.move_to_end(key)
+                    values[key] = cached
+            if traffic and table is self._pair_cache:
+                self.pair_hits += len(values)
+                self.pair_misses += len(keys) - len(values)
+        missing = [key for key in keys if key not in values]
+        pair_store = self.pair_store if missing else None
+        found: Dict[Any, float] = {}
+        if pair_store is not None:
+            signature = self.kernel_signature()
+            wanted = {key: store_key(key) for key in missing}
+            stored = pair_store.get_many(signature, list(wanted.values()))
+            found = {key: stored[pair] for key, pair in wanted.items() if pair in stored}
+            missing = [key for key in missing if key not in found]
+        computed = compute(missing) if missing else {}
         with self._lock:
-            self.kernel_evals += 1
-            self._fill_pair_cache({key: value})
-        if fingerprints is not None:
-            self.pair_store.put_many(self.kernel_signature(), {fingerprints: value})
-        return value
+            if traffic:
+                if pair_store is not None:
+                    self.store_hits += len(found)
+                    self.store_misses += len(missing)
+                self.kernel_evals += len(computed)
+            self._fill(table, {**found, **computed})
+        if pair_store is not None and computed:
+            pair_store.put_many(signature, {wanted[key]: value for key, value in computed.items()})
+        values.update(found)
+        values.update(computed)
+        return values
 
-    def _fill_pair_cache(self, values: Dict[PairKey, float]) -> None:
-        """Insert values into the bounded in-memory LRU (lock held by caller)."""
+    def _fill(self, table: "OrderedDict[Any, float]", values: Dict[Any, float]) -> None:
+        """Insert values into a table, LRU-bounded by ``pair_cache_size`` (lock held)."""
         for key, value in values.items():
-            self._pair_cache[key] = value
-            self._pair_cache.move_to_end(key)
-        while len(self._pair_cache) > self.pair_cache_size:
-            self._pair_cache.popitem(last=False)
+            table[key] = value
+            table.move_to_end(key)
+        while len(table) > self.pair_cache_size:
+            table.popitem(last=False)
+
+    # ------------------------------------------------------------------
+    # Thin callers of the lookup
+    # ------------------------------------------------------------------
+    def pair_value(self, a: WeightedString, b: WeightedString) -> float:
+        """Raw ``k(a, b)`` through the symmetric content-keyed cache (see :meth:`_lookup`)."""
+        key = self._pair_key(a, b)
+        return self._lookup(
+            self._pair_cache,
+            [key],
+            lambda _: self._fingerprint_pair(a, b),
+            lambda _: {key: float(self.kernel.value(a, b))},
+        )[key]
 
     def self_value(self, string: WeightedString) -> float:
         """Cached ``k(a, a)``."""
         return self.self_values([string])[0]
+
+    def self_values(self, strings: Sequence[WeightedString]) -> List[float]:
+        """Cached ``k(a, a)`` for every string, in order (batched).
+
+        Self values have their own table, keyed by the string's key and
+        evicted with the key registry, and go through the same
+        :meth:`_lookup` as pair values.  In the pair store a self value
+        lives under ``(fp, "self")``, apart from a twin pair's ``(fp, fp)``,
+        so normalisation denominators of previously seen traces cost zero
+        kernel evaluations, which is what lets a fully covered resubmission
+        skip the kernel entirely.
+        """
+        string_list = list(strings)
+        keys = [self._string_key(string) for string in string_list]
+        sample = dict(zip(keys, string_list))
+        values = self._lookup(
+            self._self_cache,
+            list(sample),
+            lambda key: self._self_store_key(sample[key]),
+            lambda missing: {key: float(self.kernel.self_value(sample[key])) for key in missing},
+        )
+        return [values[key] for key in keys]
 
     def prime_self_values(self, strings: Sequence[WeightedString], values: Sequence[float]) -> int:
         """Seed known raw self values into the caches; how many were new.
 
         The streaming scorer calls this with the landmark self values a
         :class:`~repro.streaming.model.LandmarkModel` carries, so serving
-        never re-evaluates ``k(l, l)``.  Values the persistent pair store
-        is missing are written through (one batched ``put_many``); values
-        it already holds are left alone so priming an unchanged model does
-        not grow the store.  Counters are untouched — priming is cache
-        *construction*, not traffic.
+        never re-evaluates ``k(l, l)``.  It is :meth:`self_values` with the
+        given values in place of the kernel: values the pair store is
+        missing are written through, values it holds are left alone, so
+        priming an unchanged model does not grow the store.  Counters are
+        untouched — priming is cache *construction*, not traffic.
         """
         string_list = list(strings)
         if len(string_list) != len(values):
             raise ValueError(
                 f"got {len(string_list)} strings but {len(values)} self values"
             )
-        keys = [self._string_key(string) for string in string_list]
-        primed: Dict[int, float] = {}
+        given = {
+            self._string_key(string): (string, float(value))
+            for string, value in zip(string_list, values)
+        }
         with self._lock:
-            for key, value in zip(keys, values):
-                if key not in self._self_cache:
-                    primed[key] = float(value)
-            self._self_cache.update(primed)
-        if self.pair_store is not None and string_list:
-            signature = self.kernel_signature()
-            store_keys = {
-                string.fingerprint: float(value)
-                for string, value in zip(string_list, values)
-            }
-            found = self.pair_store.get_many(
-                signature, [(fp, fp) for fp in store_keys]
-            )
-            missing = {
-                (fp, fp): value
-                for fp, value in store_keys.items()
-                if (fp, fp) not in found
-            }
-            if missing:
-                self.pair_store.put_many(signature, missing)
-        return len(primed)
+            new = sum(key not in self._self_cache for key in given)
+        self._lookup(
+            self._self_cache,
+            list(given),
+            lambda key: self._self_store_key(given[key][0]),
+            lambda missing: {key: given[key][1] for key in missing},
+            traffic=False,
+        )
+        return new
 
     def evaluate_row(
         self, query: WeightedString, references: Sequence[WeightedString]
@@ -364,60 +427,64 @@ class GramEngine:
         values = self.evaluate_pairs(strings, pairs)
         return [values[pair] for pair in pairs]
 
-    def self_values(self, strings: Sequence[WeightedString]) -> List[float]:
-        """Cached ``k(a, a)`` for every string, in order (batched).
+    def evaluate_pairs(
+        self,
+        strings: List[WeightedString],
+        index_pairs: Sequence[Tuple[int, int]],
+    ) -> Dict[Tuple[int, int], float]:
+        """Evaluate the raw kernel for every index pair, deduplicated by content.
 
-        Self values flow through the same two cache layers as pair values:
-        the in-memory content-keyed cache first, then the persistent pair
-        store under the degenerate key ``(fp, fp)`` — so normalisation
-        denominators of previously seen traces cost zero kernel
-        evaluations, which is what lets a fully covered resubmission skip
-        the kernel entirely.  Store misses are batched into one
-        ``get_many``/``put_many`` round trip.
+        This is the engine's scheduling seam: one call is one *task* — the
+        service layer's sharded Gram jobs issue one call per index block and
+        merge through :meth:`assemble_gram`.  Content-identical pairs
+        (including ``(i, j)`` vs ``(j, i)`` requests and duplicate strings
+        in the corpus) map onto one unique evaluation; :meth:`_lookup`
+        serves cached values first, and the remainder is evaluated serially
+        by :meth:`_evaluate_pending`.
         """
-        string_list = list(strings)
-        keys = [self._string_key(string) for string in string_list]
-        sample: Dict[int, WeightedString] = {}
-        for key, string in zip(keys, string_list):
-            sample.setdefault(key, string)
-        values: Dict[int, float] = {}
-        with self._lock:
-            for key in sample:
-                cached = self._self_cache.get(key)
-                if cached is not None:
-                    values[key] = cached
-        missing = [key for key in sample if key not in values]
-        fingerprints: Dict[int, str] = {}
-        if missing and self.pair_store is not None:
-            signature = self.kernel_signature()
-            fingerprints = {key: sample[key].fingerprint for key in missing}
-            found = self.pair_store.get_many(
-                signature, [(fingerprints[key], fingerprints[key]) for key in missing]
-            )
-            still: List[int] = []
-            with self._lock:
-                for key in missing:
-                    stored = found.get((fingerprints[key], fingerprints[key]))
-                    if stored is None:
-                        still.append(key)
-                        self.store_misses += 1
-                    else:
-                        values[key] = stored
-                        self._self_cache[key] = stored
-                        self.store_hits += 1
-            missing = still
-        if missing:
-            computed = {key: float(self.kernel.self_value(sample[key])) for key in missing}
-            with self._lock:
-                self.kernel_evals += len(computed)
-                self._self_cache.update(computed)
-            values.update(computed)
-            if self.pair_store is not None:
-                self.pair_store.put_many(
-                    self.kernel_signature(),
-                    {(fingerprints[key], fingerprints[key]): value for key, value in computed.items()},
-                )
-        return [values[key] for key in keys]
+        tasks: "OrderedDict[PairKey, List[Tuple[int, int]]]" = OrderedDict()
+        for i, j in index_pairs:
+            key = self._pair_key(strings[i], strings[j])
+            tasks.setdefault(key, []).append((i, j))
+
+        def store_key(key: PairKey) -> Tuple[str, str]:
+            i, j = tasks[key][0]
+            return self._fingerprint_pair(strings[i], strings[j])
+
+        raw_by_key = self._lookup(
+            self._pair_cache,
+            list(tasks),
+            store_key,
+            lambda missing: self._evaluate_pending(strings, [(key, tasks[key][0]) for key in missing]),
+        )
+        return {
+            position: raw_by_key[key]
+            for key, positions in tasks.items()
+            for position in positions
+        }
+
+    def _evaluate_pending(
+        self,
+        strings: List[WeightedString],
+        pending: List[Tuple[PairKey, Tuple[int, int]]],
+    ) -> Dict[PairKey, float]:
+        """Evaluate the pairs neither cache layer holds, in order.
+
+        Kernels exposing a ``value_row`` batch method (the Kast kernel's
+        numpy backend does) are driven row by row — one call evaluates one
+        string against all of its pending partners, which amortises the
+        per-pair setup cost; other kernels are evaluated pair by pair.
+        """
+        if not hasattr(self.kernel, "value_row"):
+            return {key: float(self.kernel.value(strings[i], strings[j])) for key, (i, j) in pending}
+        rows: "OrderedDict[int, List[Tuple[PairKey, int]]]" = OrderedDict()
+        for key, (i, j) in pending:
+            rows.setdefault(i, []).append((key, j))
+        computed: Dict[PairKey, float] = {}
+        for i, row in rows.items():
+            values = self.kernel.value_row(strings[i], [strings[j] for _, j in row])
+            computed.update((key, float(value)) for (key, _), value in zip(row, values))
+        return computed
 
     def normalized_pair_value(self, a: WeightedString, b: WeightedString) -> float:
         """Cosine-normalised ``k(a, b)`` through the caches."""
@@ -428,11 +495,7 @@ class GramEngine:
     # ------------------------------------------------------------------
     def gram(self, strings: Sequence[WeightedString], normalized: bool = True) -> np.ndarray:
         """The (square, symmetric) Gram matrix over *strings* as an array."""
-        string_list = list(strings)
-        count = len(string_list)
-        pairs = [(i, j) for i in range(count) for j in range(i + 1, count)]
-        raw_by_pair = self.evaluate_pairs(string_list, pairs)
-        return self.assemble_gram(string_list, raw_by_pair, normalized=normalized)
+        return self.matrix(strings, normalized=normalized).values
 
     def assemble_gram(
         self,
@@ -468,105 +531,6 @@ class GramEngine:
         for i in range(count):
             gram[i, i] = 1.0 if normalized and self_values[i] > 0 else self_values[i]
         return gram
-
-    def evaluate_pairs(
-        self,
-        strings: List[WeightedString],
-        index_pairs: Sequence[Tuple[int, int]],
-    ) -> Dict[Tuple[int, int], float]:
-        """Evaluate the raw kernel for every index pair, deduplicated by content.
-
-        This is the engine's scheduling seam: one call is one *task* — the
-        service layer's sharded Gram jobs issue one call per index block and
-        merge through :meth:`assemble_gram`.  Content-identical pairs
-        (including ``(i, j)`` vs ``(j, i)`` requests and duplicate strings
-        in the corpus) map onto one unique evaluation; cached values are
-        served first, and the remainder is evaluated serially by
-        :meth:`_evaluate_pending`.
-        """
-        tasks: "OrderedDict[PairKey, List[Tuple[int, int]]]" = OrderedDict()
-        for i, j in index_pairs:
-            key = self._pair_key(strings[i], strings[j])
-            tasks.setdefault(key, []).append((i, j))
-
-        raw_by_key: Dict[PairKey, float] = {}
-        pending: List[Tuple[PairKey, Tuple[int, int]]] = []
-        with self._lock:
-            for key, positions in tasks.items():
-                cached = self._pair_cache.get(key)
-                if cached is not None:
-                    raw_by_key[key] = cached
-                    self.pair_hits += 1
-                else:
-                    pending.append((key, positions[0]))
-                    self.pair_misses += 1
-
-        # Second cache layer: fetch in-memory misses from the persistent
-        # pair store by content fingerprint (one batched round trip), then
-        # compute only what neither layer holds.
-        store_keys: Dict[PairKey, Tuple[str, str]] = {}
-        if pending and self.pair_store is not None:
-            signature = self.kernel_signature()
-            for key, (i, j) in pending:
-                store_keys[key] = self._fingerprint_pair(strings[i], strings[j])
-            found = self.pair_store.get_many(signature, store_keys.values())
-            still: List[Tuple[PairKey, Tuple[int, int]]] = []
-            fetched: Dict[PairKey, float] = {}
-            with self._lock:
-                for key, position in pending:
-                    stored = found.get(store_keys[key])
-                    if stored is None:
-                        still.append((key, position))
-                        self.store_misses += 1
-                    else:
-                        raw_by_key[key] = stored
-                        fetched[key] = stored
-                        self.store_hits += 1
-                self._fill_pair_cache(fetched)
-            pending = still
-
-        if pending:
-            computed = self._evaluate_pending(strings, pending)
-            with self._lock:
-                self.kernel_evals += len(computed)
-                self._fill_pair_cache(dict(computed))
-                for key, value in computed:
-                    raw_by_key[key] = value
-            if self.pair_store is not None:
-                self.pair_store.put_many(
-                    self.kernel_signature(),
-                    {store_keys[key]: value for key, value in computed},
-                )
-
-        results: Dict[Tuple[int, int], float] = {}
-        for key, positions in tasks.items():
-            value = raw_by_key[key]
-            for position in positions:
-                results[position] = value
-        return results
-
-    def _evaluate_pending(
-        self,
-        strings: List[WeightedString],
-        pending: List[Tuple[PairKey, Tuple[int, int]]],
-    ) -> List[Tuple[PairKey, float]]:
-        """Evaluate the pairs neither cache layer holds, in order.
-
-        Kernels exposing a ``value_row`` batch method (the Kast kernel's
-        numpy backend does) are driven row by row — one call evaluates one
-        string against all of its pending partners, which amortises the
-        per-pair setup cost; other kernels are evaluated pair by pair.
-        """
-        if not hasattr(self.kernel, "value_row"):
-            return [(key, float(self.kernel.value(strings[i], strings[j]))) for key, (i, j) in pending]
-        rows: "OrderedDict[int, List[Tuple[PairKey, int]]]" = OrderedDict()
-        for key, (i, j) in pending:
-            rows.setdefault(i, []).append((key, j))
-        computed: List[Tuple[PairKey, float]] = []
-        for i, row in rows.items():
-            values = self.kernel.value_row(strings[i], [strings[j] for _, j in row])
-            computed.extend((key, float(value)) for (key, _), value in zip(row, values))
-        return computed
 
     # ------------------------------------------------------------------
     # Labelled matrices and their stamped payload
@@ -613,8 +577,22 @@ class GramEngine:
     def matrix(self, strings: Sequence[WeightedString], normalized: bool = True) -> KernelMatrix:
         """Labelled (pre-repair) kernel matrix over *strings*."""
         string_list = list(strings)
+        count = len(string_list)
+        raw_by_pair = self.evaluate_pairs(
+            string_list, [(i, j) for i in range(count) for j in range(i + 1, count)]
+        )
+        return self.assemble_matrix(string_list, raw_by_pair, normalized=normalized)
+
+    def assemble_matrix(
+        self,
+        strings: Sequence[WeightedString],
+        raw_by_pair: Dict[Tuple[int, int], float],
+        normalized: bool = True,
+    ) -> KernelMatrix:
+        """:meth:`assemble_gram` labelled with the strings' names and labels."""
+        string_list = list(strings)
         return KernelMatrix(
-            values=self.gram(string_list, normalized=normalized),
+            values=self.assemble_gram(string_list, raw_by_pair, normalized=normalized),
             names=tuple(string.name for string in string_list),
             labels=tuple(string.label for string in string_list),
             kernel_name=self.kernel.name,

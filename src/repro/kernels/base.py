@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import abc
 import math
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -70,52 +70,17 @@ class StringKernel(abc.ABC):
     # ------------------------------------------------------------------
     # Gram matrix helpers
     # ------------------------------------------------------------------
-    def matrix(
-        self,
-        strings: Sequence[WeightedString],
-        normalized: bool = True,
-        others: Optional[Sequence[WeightedString]] = None,
-    ) -> np.ndarray:
-        """Compute the Gram matrix over *strings* (or a cross matrix vs *others*).
+    def matrix(self, strings: Sequence[WeightedString], normalized: bool = True) -> np.ndarray:
+        """Compute the square, symmetric Gram matrix over *strings*.
 
-        The symmetric case is delegated to
-        :class:`~repro.core.engine.GramEngine`, which adds a symmetric
-        pair-value cache and row-batched evaluation.
-
-        Parameters
-        ----------
-        strings:
-            Rows of the matrix.
-        normalized:
-            Apply cosine normalisation entry-wise.
-        others:
-            When given, compute the (rectangular) cross-kernel matrix between
-            *strings* and *others* instead of the square symmetric Gram
-            matrix.
+        Delegated to :class:`~repro.core.engine.GramEngine`, which adds a
+        symmetric pair-value cache and row-batched evaluation.  With
+        *normalized* on, entries are cosine-normalised.
         """
-        if others is None:
-            # Imported lazily: repro.core depends on this module.
-            from repro.core.engine import GramEngine
+        # Imported lazily: repro.core depends on this module.
+        from repro.core.engine import GramEngine
 
-            return GramEngine(self).gram(strings, normalized=normalized)
-        return self._cross_matrix(strings, others, normalized)
-
-    def _cross_matrix(
-        self,
-        rows: Sequence[WeightedString],
-        cols: Sequence[WeightedString],
-        normalized: bool,
-    ) -> np.ndarray:
-        matrix = np.zeros((len(rows), len(cols)), dtype=float)
-        row_self = [self.self_value(string) for string in rows]
-        col_self = [self.self_value(string) for string in cols]
-        for i, row in enumerate(rows):
-            for j, col in enumerate(cols):
-                raw = self.value(row, col)
-                if normalized:
-                    raw = normalize_kernel_value(raw, row_self[i], col_self[j])
-                matrix[i, j] = raw
-        return matrix
+        return GramEngine(self).gram(strings, normalized=normalized)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging convenience
         return f"{self.__class__.__name__}(name={self.name!r})"

@@ -9,12 +9,14 @@ import random
 import numpy as np
 import pytest
 
+from repro.api import AnalysisSession, make_spec
 from repro.core.cachestore import MatrixCache
 from repro.core.engine import GramEngine
 from repro.core.kast import KastSpectrumKernel
 from repro.core.matrix import KernelMatrix
 from repro.core.pairstore import PairStore
 from repro.kernels.spectrum import SpectrumKernel
+from repro.pipeline.experiments import paper_strings
 from repro.strings.interner import TokenInterner
 from repro.strings.tokens import Token, WeightedString
 
@@ -498,3 +500,72 @@ class TestKeyRegistryEviction:
         revived = WeightedString(corpus[0].tokens, name="revived")
         engine.self_value(revived)
         assert engine.kernel_evals == before + 1
+
+
+def gram_routes(spec, strings, tmp_path):
+    """The pre-repair Gram over *strings* through every cache route, by name."""
+
+    def matrix(session):
+        return session.matrix(spec, strings, repair=False).values
+
+    def self_values_first(session):
+        session.engine(spec).self_values(strings)
+        return matrix(session)
+
+    fresh, primed = str(tmp_path / "fresh"), str(tmp_path / "self-first")
+    routes = {"store-less, self values first": self_values_first(AnalysisSession())}
+    routes["fresh store"] = matrix(AnalysisSession(pair_store=fresh))
+    routes["self values stored first"] = self_values_first(AnalysisSession(pair_store=primed))
+    routes["reopened in a fresh session"] = matrix(AnalysisSession(pair_store=fresh))
+    routes["reopened after self values"] = matrix(AnalysisSession(pair_store=primed))
+    return routes
+
+
+class TestSelfAndTwinKeys:
+    """``k(a, a)`` and the pair of two content-identical strings never share a key.
+
+    For Kast the two differ once a string weighs less than the cut weight,
+    so a shared key serves one as the other: a diagonal entry of 0, or a
+    twin pair normalised to 1.
+    """
+
+    @pytest.mark.parametrize("backend", ["numpy", "python"])
+    @pytest.mark.parametrize("cut_weight", [2, 5, 20])
+    def test_light_twins_match_the_store_less_gram(self, backend, cut_weight, tmp_path):
+        light = WeightedString.from_pairs([("b", 1)], name="b")
+        strings = [
+            light,
+            WeightedString(light.tokens, name="b-renamed"),
+            WeightedString.from_pairs([("a", 3), ("b", 2)], name="ab"),
+        ]
+        spec = make_spec("kast", cut_weight=cut_weight, backend=backend)
+        expected = AnalysisSession().matrix(spec, strings, repair=False).values
+        for route, values in gram_routes(spec, strings, tmp_path).items():
+            np.testing.assert_array_equal(values, expected, err_msg=route)
+
+    def test_paper_corpus_at_a_high_cut_matches_the_store_less_gram(self, tmp_path):
+        strings = list(paper_strings())
+        spec = make_spec("kast", cut_weight=1024)
+        expected = AnalysisSession().matrix(spec, strings, repair=False).values
+        assert len({string.fingerprint for string in strings}) < len(strings)  # twins present
+        for route, values in gram_routes(spec, strings, tmp_path).items():
+            np.testing.assert_array_equal(values, expected, err_msg=route)
+
+
+class TestPairRecency:
+    @pytest.mark.parametrize("hit", ["evaluate_pairs", "pair_value"])
+    def test_a_hit_refreshes_the_pair_lru(self, hit):
+        # Six pairs fill a six-entry cache; hitting the oldest must make it
+        # the newest, so the next novel pair evicts another one.
+        corpus = [synthetic(10 + index, seed=400 + index) for index in range(5)]
+        engine = GramEngine(KastSpectrumKernel(cut_weight=2), pair_cache_size=6)
+        engine.evaluate_pairs(corpus, [(i, j) for i in range(4) for j in range(i + 1, 4)])
+        assert engine.cache_info()["pair_entries"] == 6
+        if hit == "evaluate_pairs":
+            engine.evaluate_pairs(corpus, [(0, 1)])
+        else:
+            engine.pair_value(corpus[0], corpus[1])
+        engine.evaluate_pairs(corpus, [(0, 4)])
+        before = engine.kernel_evals
+        engine.evaluate_pairs(corpus, [(0, 1)])
+        assert engine.kernel_evals == before

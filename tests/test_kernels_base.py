@@ -50,23 +50,5 @@ class TestStringKernelInterface:
         gram = kernel.matrix(strings, normalized=True)
         assert np.allclose(np.diag(gram), 1.0)
 
-    def test_cross_matrix_shape_and_values(self):
-        kernel = BagOfCharactersKernel()
-        rows = [ws("a:2"), ws("b:3")]
-        cols = [ws("a:1"), ws("b:1"), ws("c:1")]
-        cross = kernel.matrix(rows, normalized=False, others=cols)
-        assert cross.shape == (2, 3)
-        assert cross[0, 0] == 2.0
-        assert cross[0, 1] == 0.0
-        assert cross[1, 1] == 3.0
-
-    def test_cross_matrix_normalized_bounds(self):
-        kernel = BagOfCharactersKernel()
-        rows = [ws("a:2 b:1"), ws("b:3")]
-        cols = [ws("a:1"), ws("b:1 c:4")]
-        cross = kernel.matrix(rows, normalized=True, others=cols)
-        assert np.all(cross <= 1.0 + 1e-9)
-        assert np.all(cross >= 0.0)
-
     def test_repr_mentions_class(self):
         assert "MinimalKernel" in repr(MinimalKernel())
