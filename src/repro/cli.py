@@ -133,12 +133,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="write the bound port here once listening (for scripts using --port 0)",
     )
     serve.add_argument("--stdio", action="store_true", help="serve line-framed JSON on stdin/stdout instead of HTTP")
-    serve.add_argument(
-        "--shards",
-        type=int,
-        default=1,
-        help="default block-shard count for distributed matrix jobs that do not request one (default: 1)",
-    )
     serve.add_argument("--job-workers", type=int, default=2, help="concurrent jobs per tenant (default: 2)")
     serve.add_argument(
         "--no-inline-blocks",
@@ -413,7 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--shards",
         type=int,
         default=None,
-        help="block-shard count for a --distributed job (default: the server's default)",
+        help="block-shard count for a --distributed job (default: 1)",
     )
     remote_matrix.add_argument(
         "--distributed",
@@ -677,7 +671,6 @@ def _command_serve(args: argparse.Namespace) -> int:
     server = AnalysisServer(
         state_dir=args.state_dir,
         max_job_workers=args.job_workers,
-        default_shards=args.shards,
         inline_blocks=not args.no_inline_blocks,
         lease_seconds=args.lease_seconds,
         job_ttl=args.job_ttl,
@@ -761,90 +754,60 @@ def _command_worker(args: argparse.Namespace) -> int:
     return 1 if worker.failed and not worker.completed else 0
 
 
-def _gc_layer_summary(state_dir: str) -> None:
-    """One line per persistent layer, printed on every ``gc`` run.
-
-    Before this, a flagless ``gc`` said nothing about the cache layers at
-    all — operators had no way to see what a state dir holds without
-    opting into a sweep.
-    """
-    from repro.core.cachestore import MatrixCache
-    from repro.core.pairstore import PairStore
-    from repro.streaming.store import ModelStore
-
-    cache_stats = MatrixCache(os.path.join(state_dir, "matrix-cache")).stats()
-    print(
-        f"matrix cache: {cache_stats['entries']} entr(ies), "
-        f"{cache_stats['payload_bytes']} payload byte(s)"
-    )
-    pair_stats = PairStore(os.path.join(state_dir, "pair-store")).stats()
-    print(
-        f"pair store  : {pair_stats['entries']} value(s) in {pair_stats['segments']} "
-        f"segment(s), {pair_stats['payload_bytes']} payload byte(s)"
-    )
-    model_stats = ModelStore(os.path.join(state_dir, "models")).stats()
-    print(
-        f"models      : {model_stats['models']} model(s), "
-        f"{model_stats['payload_bytes']} byte(s), "
-        f"{model_stats['quarantined']} quarantined"
-    )
-
-
-def _gc_namespace(state_dir: str, args: argparse.Namespace) -> None:
-    """Sweep one state namespace (the root dir, or one tenant's)."""
-    from repro.service import JobStore
-
-    store = JobStore(state_dir, recover=False)
-    swept = store.sweep(args.ttl, dry_run=args.dry_run)
-    verb = "would sweep" if args.dry_run else "swept"
-    print(f"{verb} {len(swept)} job(s) from {store.root}")
-    for job_id in swept:
-        print(f"  {job_id}")
-    if args.cache_ttl is not None:
-        from repro.core.cachestore import MatrixCache
-
-        cache = MatrixCache(os.path.join(store.root, "matrix-cache"))
-        if args.dry_run:
-            entries = cache.stats()["entries"]
-            print(f"would sweep up to {entries} result-cache entr(ies) from {cache.root}")
-        else:
-            # Without --max-cache-entries this is a TTL-only sweep: the
-            # serving process owns the LRU bound (it may be configured far
-            # above this offline tool's construction default).
-            evicted = cache.sweep(
-                ttl=args.cache_ttl,
-                max_entries=args.max_cache_entries if args.max_cache_entries is not None else sys.maxsize,
-            )
-            print(f"evicted {len(evicted)} result-cache entr(ies) from {cache.root}")
-    if args.pair_ttl is not None or args.max_pair_bytes is not None:
-        from repro.core.pairstore import PairStore
-
-        pair_store = PairStore(os.path.join(store.root, "pair-store"))
-        if args.dry_run:
-            segments = pair_store.stats()["segments"]
-            print(f"would sweep up to {segments} pair-store segment(s) from {pair_store.root}")
-        else:
-            # Like the matrix-cache sweep above, unset bounds stay with the
-            # serving process: a TTL-only or size-only sweep must not apply
-            # this offline tool's construction defaults for the other knob.
-            dropped = pair_store.sweep(
-                ttl=args.pair_ttl,
-                max_bytes=args.max_pair_bytes if args.max_pair_bytes is not None else sys.maxsize,
-            )
-            print(f"evicted {len(dropped)} pair-store segment(s) from {pair_store.root}")
-    _gc_layer_summary(store.root)
-
-
 def _command_gc(args: argparse.Namespace) -> int:
-    from repro.service.tenancy import TENANTS_DIRNAME, list_tenants
+    from repro.service.tenancy import DEFAULT_TENANT, StateDir, namespace_stats, sweep_namespace
 
-    _gc_namespace(args.state_dir, args)
-    # Tenant namespaces are their own stores and caches; sweep each one
+    # An unset cache bound stays with the serving process: a TTL-only or
+    # size-only sweep must not apply this offline tool's defaults for the
+    # other knob.
+    state = StateDir(
+        args.state_dir,
+        recover=False,
+        max_cache_entries=sys.maxsize if args.max_cache_entries is None else args.max_cache_entries,
+        cache_ttl=args.cache_ttl,
+        max_pair_bytes=sys.maxsize if args.max_pair_bytes is None else args.max_pair_bytes,
+        pair_ttl=args.pair_ttl,
+    )
+    sweep_cache = args.cache_ttl is not None
+    sweep_pairs = args.pair_ttl is not None or args.max_pair_bytes is not None
+    verb = "would sweep" if args.dry_run else "swept"
+    # Tenant namespaces are their own stores and caches; each is swept
     # under the same knobs, with a banner so operators can tell whose
     # layer summary they are reading.
-    for name in list_tenants(args.state_dir):
-        print(f"tenant {name}:")
-        _gc_namespace(os.path.join(args.state_dir, TENANTS_DIRNAME, name), args)
+    for namespace in state.namespaces():
+        if namespace.tenant_id != DEFAULT_TENANT:
+            print(f"tenant {namespace.tenant_id}:")
+        swept = sweep_namespace(
+            namespace, args.ttl, matrix_cache=sweep_cache, pair_store=sweep_pairs,
+            dry_run=args.dry_run,
+        )
+        stats = namespace_stats(namespace, full=True)
+        cache, pairs, models = stats["matrix_cache"], stats["pair_store"], stats["model_store"]
+        print(f"{verb} {len(swept['jobs'])} job(s) from {namespace.root}")
+        for job_id in swept["jobs"]:
+            print(f"  {job_id}")
+        if sweep_cache and args.dry_run:
+            print(f"would sweep up to {cache['entries']} result-cache entr(ies) from {cache['root']}")
+        elif sweep_cache:
+            print(f"evicted {len(swept['matrix_cache'])} result-cache entr(ies) from {cache['root']}")
+        if sweep_pairs and args.dry_run:
+            print(f"would sweep up to {pairs['segments']} pair-store segment(s) from {pairs['root']}")
+        elif sweep_pairs:
+            print(f"evicted {len(swept['pair_store'])} pair-store segment(s) from {pairs['root']}")
+        # One line per persistent layer on every run, sweep or not.
+        print(
+            f"matrix cache: {cache['entries']} entr(ies), "
+            f"{cache['payload_bytes']} payload byte(s)"
+        )
+        print(
+            f"pair store  : {pairs['entries']} value(s) in {pairs['segments']} "
+            f"segment(s), {pairs['payload_bytes']} payload byte(s)"
+        )
+        print(
+            f"models      : {models['models']} model(s), "
+            f"{models['payload_bytes']} byte(s), "
+            f"{models['quarantined']} quarantined"
+        )
     return 0
 
 
@@ -965,7 +928,7 @@ def _command_remote(args: argparse.Namespace) -> int:
             use_cache=not args.no_cache,
             timeout=args.timeout,
         )
-        shard_text = "server-default shards" if args.shards is None else f"{args.shards} shard(s)"
+        shard_text = f"{args.shards or 1} shard(s)"
         if args.distributed:
             shard_text += ", distributed"
         if job.get("cache"):

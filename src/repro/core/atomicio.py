@@ -19,7 +19,9 @@ persists JSON text under the same contract:
   share one temp file and the second ``os.replace`` would find it already
   consumed (the PR 5 temp-file collision bug);
 * **durable**: the data is flushed and fsynced before the rename, so the
-  rename never publishes a name whose bytes are still in flight.
+  rename never publishes a name whose bytes are still in flight, and the
+  parent directory is fsynced after it, so a crash cannot forget the
+  rename once the write has returned.
 
 Four independent copies of this function drifted apart once already (the
 job store kept a pid-only temp name long after the caches grew the uuid
@@ -49,7 +51,7 @@ def temp_name_for(path: str) -> str:
 
 
 def write_text_atomic(path: str, text: str) -> None:
-    """Atomically replace *path* with *text* (UTF-8, fsynced, unique temp).
+    """Atomically and durably replace *path* with *text* (UTF-8, unique temp).
 
     On failure the temporary file is best-effort removed so a full disk
     or permission error does not litter the directory with orphans the
@@ -68,3 +70,9 @@ def write_text_atomic(path: str, text: str) -> None:
         except OSError:
             pass
         raise
+    # The new name lives in the directory's own data: sync that too.
+    directory = os.open(os.path.dirname(path) or ".", os.O_RDONLY)
+    try:
+        os.fsync(directory)
+    finally:
+        os.close(directory)

@@ -41,9 +41,9 @@ job-store record that survives the server process.
   tenant resolution, quotas/rate limiting, metrics and tracing around a
   first-class :class:`Router` dispatch table.
 * :mod:`repro.service.auth` / :mod:`repro.service.tenancy` —
-  :class:`Authenticator` (bearer token → tenant id) and the per-tenant
-  state namespaces (``<state-dir>/tenants/<id>/``) holding each tenant's
-  job store, caches and models with zero cross-tenant sharing.
+  :class:`Authenticator` (bearer token → tenant id) and the owner of the
+  state-dir layout: one namespace per tenant (``<state-dir>/tenants/<id>/``)
+  holding its job store, caches and models with zero cross-tenant sharing.
 
 The CLI wires this up as ``repro-iokast serve``, ``repro-iokast worker``,
 ``repro-iokast remote`` and ``repro-iokast gc``.

