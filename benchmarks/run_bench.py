@@ -39,8 +39,8 @@ import statistics
 import time
 from typing import Callable, Dict, List
 
+from repro.core.engine import GramEngine
 from repro.core.kast import KastSpectrumKernel
-from repro.core.matrix import compute_kernel_matrix
 from repro.obs.metrics import MetricsRegistry
 from repro.pipeline.experiments import DEFAULT_SEED, paper_strings
 from repro.strings.tokens import Token, WeightedString
@@ -93,7 +93,7 @@ def bench_gram(repeats: int, sizes=CORPUS_SIZES) -> Dict[str, Dict[str, float]]:
 
             def build() -> None:
                 kernel = KastSpectrumKernel(cut_weight=2, backend=backend)
-                compute_kernel_matrix(subset, kernel, repair=False)
+                GramEngine(kernel).compute(subset, repair=False)
 
             per_size[str(size)] = median_seconds(build, repeats)
         results[backend] = per_size

@@ -11,11 +11,11 @@ variants not to beat it — the paper makes no quantitative claim about them.
 
 from __future__ import annotations
 
+from repro.core.engine import GramEngine
 from repro.core.kast import KastSpectrumKernel
-from repro.core.matrix import compute_kernel_matrix
 from repro.learn.hierarchical import HierarchicalClustering
 from repro.learn.metrics import adjusted_rand_index
-from repro.pipeline.config import ExperimentConfig
+from repro.pipeline.config import ExperimentConfig, experiment_spec
 from repro.pipeline.experiments import DEFAULT_SEED, paper_corpus
 from repro.pipeline.pipeline import AnalysisPipeline
 from repro.tree.compaction import CompactionConfig
@@ -29,8 +29,7 @@ def _ari(result) -> float:
 
 def _run_variant(corpus, compaction=None, emit_level_up=True) -> float:
     config = ExperimentConfig(
-        kernel="kast",
-        cut_weight=2,
+        spec=experiment_spec("kast", cut_weight=2),
         n_clusters=3,
         compaction=compaction or CompactionConfig.paper(),
         emit_level_up=emit_level_up,
@@ -41,7 +40,7 @@ def _run_variant(corpus, compaction=None, emit_level_up=True) -> float:
 
 def _run_no_independence(strings) -> float:
     kernel = KastSpectrumKernel(cut_weight=2, require_independent_occurrence=False)
-    matrix = compute_kernel_matrix(strings, kernel)
+    matrix = GramEngine(kernel).compute(strings)
     clustering = HierarchicalClustering("single").fit_predict(matrix, n_clusters=3)
     labels = [label or "?" for label in matrix.labels]
     merged = ["CD" if label in ("C", "D") else label for label in labels]

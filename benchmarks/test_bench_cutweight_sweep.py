@@ -20,7 +20,7 @@ move with machine load; the seconds are printed next to the counts.
 from __future__ import annotations
 
 from repro.core.kast import KastSpectrumKernel
-from repro.pipeline.config import ExperimentConfig
+from repro.pipeline.config import ExperimentConfig, experiment_spec
 from repro.pipeline.report import summarise_sweep
 from repro.pipeline.sweep import PAPER_CUT_WEIGHTS, cut_weight_sweep
 
@@ -32,7 +32,9 @@ def test_bench_cutweight_sweep_with_bytes(benchmark, strings_with_bytes):
     # the reference python backend, whose printed seconds follow the search;
     # the vectorised engine backend spends its time in cut-independent
     # match-table sweeps.
-    config = ExperimentConfig(kernel="kast", n_clusters=3, linkage="single", backend="python")
+    config = ExperimentConfig(
+        spec=experiment_spec("kast", backend="python"), n_clusters=3, linkage="single"
+    )
 
     sweep = benchmark.pedantic(
         lambda: cut_weight_sweep(config, cut_weights=PAPER_CUT_WEIGHTS, strings=strings_with_bytes),

@@ -13,7 +13,7 @@ asserts the exact three-group partition.
 from __future__ import annotations
 
 from repro.learn.metrics import adjusted_rand_index, purity
-from repro.pipeline.config import ExperimentConfig
+from repro.pipeline.config import ExperimentConfig, experiment_spec
 from repro.pipeline.pipeline import AnalysisPipeline
 from repro.pipeline.report import cluster_report
 from repro.viz.dendro import cluster_tree_summary
@@ -22,7 +22,9 @@ CUT_WEIGHT = 2
 
 
 def test_bench_fig7_hclust_kast(benchmark, strings_with_bytes):
-    config = ExperimentConfig(kernel="kast", cut_weight=CUT_WEIGHT, n_clusters=3, linkage="single")
+    config = ExperimentConfig(
+        spec=experiment_spec("kast", cut_weight=CUT_WEIGHT), n_clusters=3, linkage="single"
+    )
     pipeline = AnalysisPipeline(config)
 
     result = benchmark.pedantic(lambda: pipeline.run_on_strings(strings_with_bytes), rounds=1, iterations=1)

@@ -14,8 +14,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.engine import GramEngine
 from repro.core.kast import KastSpectrumKernel
-from repro.core.matrix import compute_kernel_matrix
 from repro.kernels.blended import BlendedSpectrumKernel
 from repro.learn.kpca import KernelPCA
 from repro.viz.scatter import ascii_scatter
@@ -24,7 +24,7 @@ CUT_WEIGHT = 2
 
 
 def _fit(strings, kernel):
-    matrix = compute_kernel_matrix(strings, kernel)
+    matrix = GramEngine(kernel).compute(strings)
     return matrix, KernelPCA(n_components=2).fit(matrix)
 
 

@@ -12,7 +12,7 @@ and asserts both halves of that claim.
 from __future__ import annotations
 
 from repro.learn.metrics import adjusted_rand_index
-from repro.pipeline.config import ExperimentConfig
+from repro.pipeline.config import ExperimentConfig, experiment_spec
 from repro.pipeline.pipeline import AnalysisPipeline
 from repro.pipeline.report import cluster_report
 from repro.viz.dendro import cluster_tree_summary
@@ -21,7 +21,9 @@ CUT_WEIGHT = 2
 
 
 def test_bench_fig9_hclust_blended(benchmark, strings_with_bytes):
-    config = ExperimentConfig(kernel="blended", cut_weight=CUT_WEIGHT, n_clusters=2, linkage="single")
+    config = ExperimentConfig(
+        spec=experiment_spec("blended", cut_weight=CUT_WEIGHT), n_clusters=2, linkage="single"
+    )
     pipeline = AnalysisPipeline(config)
 
     result = benchmark.pedantic(lambda: pipeline.run_on_strings(strings_with_bytes), rounds=1, iterations=1)
@@ -37,7 +39,9 @@ def test_bench_fig9_hclust_blended(benchmark, strings_with_bytes):
     assert frozenset({"B", "C", "D"}) in composition
 
     # The three-cluster cut does not recover the paper's Kast partition.
-    three_config = ExperimentConfig(kernel="blended", cut_weight=CUT_WEIGHT, n_clusters=3, linkage="single")
+    three_config = ExperimentConfig(
+        spec=experiment_spec("blended", cut_weight=CUT_WEIGHT), n_clusters=3, linkage="single"
+    )
     three_result = AnalysisPipeline(three_config).run_on_strings(strings_with_bytes)
     labels = [label or "?" for label in three_result.labels]
     merged = ["CD" if label in ("C", "D") else label for label in labels]

@@ -13,13 +13,15 @@ three-group target (with Kast strictly better than the k-spectrum baseline).
 from __future__ import annotations
 
 from repro.learn.metrics import adjusted_rand_index
-from repro.pipeline.config import ExperimentConfig
+from repro.pipeline.config import ExperimentConfig, experiment_spec
 from repro.pipeline.pipeline import AnalysisPipeline
 from repro.pipeline.report import cluster_report
 
 
 def _ari_for(kernel_name: str, strings, n_clusters: int = 3) -> float:
-    config = ExperimentConfig(kernel=kernel_name, cut_weight=2, n_clusters=n_clusters, linkage="single")
+    config = ExperimentConfig(
+        spec=experiment_spec(kernel_name, cut_weight=2), n_clusters=n_clusters, linkage="single"
+    )
     result = AnalysisPipeline(config).run_on_strings(strings)
     labels = [label or "?" for label in result.labels]
     merged = ["CD" if label in ("C", "D") else label for label in labels]
@@ -27,7 +29,9 @@ def _ari_for(kernel_name: str, strings, n_clusters: int = 3) -> float:
 
 
 def test_bench_kspectrum_baseline(benchmark, strings_with_bytes):
-    config = ExperimentConfig(kernel="spectrum", spectrum_k=3, n_clusters=3, linkage="single")
+    config = ExperimentConfig(
+        spec=experiment_spec("spectrum", spectrum_k=3), n_clusters=3, linkage="single"
+    )
     pipeline = AnalysisPipeline(config)
 
     spectrum_result = benchmark.pedantic(lambda: pipeline.run_on_strings(strings_with_bytes), rounds=1, iterations=1)

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.pipeline.config import ExperimentConfig
+from repro.pipeline.config import ExperimentConfig, experiment_spec
 from repro.pipeline.pipeline import AnalysisPipeline
 from repro.pipeline.report import summarise_sweep
 from repro.pipeline.sweep import PAPER_CUT_WEIGHTS, cut_weight_sweep
@@ -29,7 +29,9 @@ CUT_WEIGHT = 2
 
 
 def test_bench_nobytes_variant(benchmark, strings_with_bytes, strings_without_bytes):
-    config = ExperimentConfig(kernel="kast", use_byte_information=False, n_clusters=3, linkage="single")
+    config = ExperimentConfig(
+        spec=experiment_spec("kast"), use_byte_information=False, n_clusters=3, linkage="single"
+    )
 
     sweep = benchmark.pedantic(
         lambda: cut_weight_sweep(config, cut_weights=PAPER_CUT_WEIGHTS, strings=strings_without_bytes),
@@ -42,7 +44,9 @@ def test_bench_nobytes_variant(benchmark, strings_with_bytes, strings_without_by
 
     # Claim 1: at a small cut weight, the 2-cluster structure is {B} vs {A, C, D}.
     two_cluster = AnalysisPipeline(
-        ExperimentConfig(kernel="kast", cut_weight=CUT_WEIGHT, use_byte_information=False, n_clusters=2)
+        ExperimentConfig(
+            spec=experiment_spec("kast", cut_weight=CUT_WEIGHT), use_byte_information=False, n_clusters=2
+        )
     ).run_on_strings(strings_without_bytes)
     composition = {frozenset(counts) for counts in two_cluster.cluster_composition().values()}
     print(f"  2-cluster composition at cut weight 2: "
@@ -52,7 +56,7 @@ def test_bench_nobytes_variant(benchmark, strings_with_bytes, strings_without_by
 
     # Claim 2: never better than the byte-carrying variant at the same cut weight.
     with_bytes = AnalysisPipeline(
-        ExperimentConfig(kernel="kast", cut_weight=CUT_WEIGHT, n_clusters=3)
+        ExperimentConfig(spec=experiment_spec("kast", cut_weight=CUT_WEIGHT), n_clusters=3)
     ).run_on_strings(strings_with_bytes)
     nobytes_ari = sweep.points[0].metrics["adjusted_rand_index"]
     print(f"  ARI at cut weight 2: bytes={with_bytes.metrics['adjusted_rand_index']:.3f} "
@@ -61,7 +65,9 @@ def test_bench_nobytes_variant(benchmark, strings_with_bytes, strings_without_by
 
     # Claim 3: the byte-free kernel evaluations are cheaper.
     bytes_sweep = cut_weight_sweep(
-        ExperimentConfig(kernel="kast", n_clusters=3), cut_weights=(2,), strings=strings_with_bytes
+        ExperimentConfig(spec=experiment_spec("kast"), n_clusters=3),
+        cut_weights=(2,),
+        strings=strings_with_bytes,
     )
     print(f"  kernel seconds at cut weight 2: bytes={bytes_sweep.points[0].kernel_seconds:.2f} "
           f"no-bytes={sweep.points[0].kernel_seconds:.2f}")

@@ -13,8 +13,8 @@ from __future__ import annotations
 import random
 import time
 
+from repro.core.engine import GramEngine
 from repro.core.kast import KastSpectrumKernel
-from repro.core.matrix import compute_kernel_matrix
 from repro.strings.tokens import Token, WeightedString
 
 
@@ -60,16 +60,16 @@ def test_bench_gram_matrix_scaling_with_corpus_size(benchmark, strings_with_byte
     for size in sizes:
         subset = strings_with_bytes[:size]
         start = time.perf_counter()
-        compute_kernel_matrix(subset, KastSpectrumKernel(cut_weight=2), repair=False)
+        GramEngine(KastSpectrumKernel(cut_weight=2)).compute(subset, repair=False)
         timings[size] = time.perf_counter() - start
 
     # Reference: the pure-Python serial backend on the full corpus.
     start = time.perf_counter()
-    compute_kernel_matrix(strings_with_bytes, KastSpectrumKernel(cut_weight=2, backend="python"), repair=False)
+    GramEngine(KastSpectrumKernel(cut_weight=2, backend="python")).compute(strings_with_bytes, repair=False)
     python_seconds = time.perf_counter() - start
 
     benchmark.pedantic(
-        lambda: compute_kernel_matrix(strings_with_bytes, kernel, repair=False), rounds=1, iterations=1
+        lambda: GramEngine(kernel).compute(strings_with_bytes, repair=False), rounds=1, iterations=1
     )
 
     print()

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import argparse
 
-from repro.pipeline.config import ExperimentConfig
+from repro.pipeline.config import ExperimentConfig, experiment_spec
 from repro.pipeline.pipeline import AnalysisPipeline
 from repro.pipeline.report import summarise_result
 from repro.viz.dendro import cluster_tree_summary
@@ -32,8 +32,7 @@ def main() -> None:
 
     corpus_config = CorpusConfig.small(seed=arguments.seed) if arguments.small else CorpusConfig.paper(seed=arguments.seed)
     config = ExperimentConfig(
-        kernel="kast",
-        cut_weight=arguments.cut_weight,
+        spec=experiment_spec("kast", cut_weight=arguments.cut_weight),
         n_clusters=3,
         linkage="single",
         corpus=corpus_config,

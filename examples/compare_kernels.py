@@ -18,7 +18,7 @@ import time
 
 from repro import AnalysisSession, kernel_choices
 from repro.learn.metrics import adjusted_rand_index
-from repro.pipeline.config import ExperimentConfig
+from repro.pipeline.config import ExperimentConfig, experiment_spec
 from repro.pipeline.report import format_table
 from repro.workloads.corpus import CorpusConfig
 
@@ -42,8 +42,7 @@ def main() -> None:
     rows = []
     for kernel_name in kernel_choices():
         config = ExperimentConfig(
-            kernel=kernel_name,
-            cut_weight=arguments.cut_weight,
+            spec=experiment_spec(kernel_name, cut_weight=arguments.cut_weight),
             n_clusters=3,
             linkage="single",
             corpus=corpus_config,

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import argparse
 
-from repro.pipeline.config import ExperimentConfig
+from repro.pipeline.config import ExperimentConfig, experiment_spec
 from repro.pipeline.pipeline import AnalysisPipeline
 from repro.pipeline.report import summarise_sweep
 from repro.pipeline.sweep import cut_weight_sweep
@@ -42,7 +42,7 @@ def main() -> None:
 
     for use_bytes, title in ((True, "byte information kept"), (False, "byte information ignored")):
         config = ExperimentConfig(
-            kernel="kast",
+            spec=experiment_spec("kast"),
             use_byte_information=use_bytes,
             n_clusters=3,
             linkage="single",

@@ -40,7 +40,7 @@ from repro.api import (
     spec_from_kernel,
 )
 from repro.core.kast import KastSpectrumKernel, kast_kernel_value
-from repro.core.matrix import KernelMatrix, compute_kernel_matrix
+from repro.core.matrix import KernelMatrix
 from repro.kernels.bag import BagOfCharactersKernel, BagOfWordsKernel
 from repro.kernels.blended import BlendedSpectrumKernel
 from repro.kernels.spectrum import SpectrumKernel
@@ -69,7 +69,6 @@ __all__ = [
     "KastSpectrumKernel",
     "kast_kernel_value",
     "KernelMatrix",
-    "compute_kernel_matrix",
     "BagOfCharactersKernel",
     "BagOfWordsKernel",
     "BlendedSpectrumKernel",

@@ -14,8 +14,8 @@ the kernel *configuration* as data:
   (:func:`register_kernel`); :func:`kernel_from_spec` instantiates a live
   kernel from a spec and :func:`spec_from_kernel` recovers the canonical spec
   from a live kernel.  Adding a kernel to the library is one registration:
-  the CLI choices, :data:`~repro.pipeline.config.KERNEL_CHOICES` and the
-  persistence signatures all derive from it.
+  the CLI choices (:func:`kernel_choices`) and the persistence signatures
+  all derive from it.
 * :func:`spec_signature` — the canonical serialization of a spec minus its
   declared value-irrelevant parameters (e.g. the Kast kernel's ``backend``,
   whose two implementations produce identical values).  The
@@ -234,7 +234,7 @@ class RegisteredKernel:
     signature_exempt: frozenset = frozenset()
     #: Whether the kind takes child specs (combinators).
     composite: bool = False
-    #: Whether the kind appears in ``KERNEL_CHOICES`` / CLI choice lists.
+    #: Whether the kind appears in :func:`kernel_choices` / CLI choice lists.
     choice: bool = True
     #: One-line human description (CLI help, docs).
     description: str = ""
@@ -279,7 +279,7 @@ def register_kernel(
         Whether the kind consumes child specs.
     choice:
         Whether the kind is offered as a user-facing choice (CLI,
-        ``KERNEL_CHOICES``).  Defaults to ``not composite``.
+        :func:`kernel_choices`).  Defaults to ``not composite``.
     description:
         One-line description used in CLI help.
     replace:
@@ -319,7 +319,7 @@ def registered_kinds(choices_only: bool = False) -> Tuple[str, ...]:
 
 
 def kernel_choices() -> Tuple[str, ...]:
-    """The user-facing kernel kinds (CLI / ``KERNEL_CHOICES``)."""
+    """The user-facing kernel kinds (the CLI's ``--kernel`` choices)."""
     return registered_kinds(choices_only=True)
 
 
@@ -574,7 +574,7 @@ def _normalized_to_spec(kernel: NormalizedKernel) -> KernelSpec:
     return make_spec("normalized", children=[spec_from_kernel(kernel.kernel)])
 
 
-# Registration order fixes the order of KERNEL_CHOICES and the CLI choice
+# Registration order fixes the order of kernel_choices() and the CLI choice
 # lists; the first five entries reproduce the library's historical tuple.
 register_kernel(
     "kast",

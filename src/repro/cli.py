@@ -38,7 +38,7 @@ from typing import Optional, Sequence
 from repro.api import AnalysisSession, KernelSpec, kernel_choices
 from repro.core.atomicio import write_text_atomic
 from repro.core.kast import KAST_BACKENDS
-from repro.pipeline.config import ExperimentConfig, config_from_spec
+from repro.pipeline.config import ExperimentConfig, experiment_spec
 from repro.pipeline.experiments import (
     experiment_cut_weight_sweep,
     experiment_fig6_kpca_kast,
@@ -532,6 +532,18 @@ def _load_spec(path: str) -> KernelSpec:
         return KernelSpec.from_json(handle.read())
 
 
+def _spec_from_args(args: argparse.Namespace) -> KernelSpec:
+    """The ``--spec`` file of a kernel-evaluating command, else the spec its kernel flags name."""
+    if args.spec is not None:
+        return _load_spec(args.spec)
+    return experiment_spec(
+        getattr(args, "kernel", "kast"),
+        cut_weight=args.cut_weight,
+        spectrum_k=getattr(args, "spectrum_k", 3),
+        backend=getattr(args, "backend", "numpy"),
+    )
+
+
 def _command_generate(args: argparse.Namespace) -> int:
     config = CorpusConfig.small(seed=args.seed) if args.small else CorpusConfig.paper(seed=args.seed)
     traces = build_corpus(config)
@@ -556,10 +568,7 @@ def _command_compare(args: argparse.Namespace) -> int:
     use_bytes = not args.no_bytes
     string_a = trace_to_string(trace_a, use_byte_information=use_bytes)
     string_b = trace_to_string(trace_b, use_byte_information=use_bytes)
-    if args.spec is not None:
-        spec = _load_spec(args.spec)
-    else:
-        spec = ExperimentConfig(cut_weight=args.cut_weight, backend=args.backend).kernel_spec()
+    spec = _spec_from_args(args)
     session = AnalysisSession()
     kernel = session.kernel(spec)
     embed = getattr(kernel, "embed", None)
@@ -587,15 +596,7 @@ def _emit_payload(payload: dict, output: Optional[str], summary: str) -> None:
 
 
 def _command_matrix(args: argparse.Namespace) -> int:
-    if args.spec is not None:
-        spec = _load_spec(args.spec)
-    else:
-        spec = ExperimentConfig(
-            kernel=args.kernel,
-            cut_weight=args.cut_weight,
-            spectrum_k=args.spectrum_k,
-            backend=args.backend,
-        ).kernel_spec()
+    spec = _spec_from_args(args)
     session = AnalysisSession()
     strings = session.corpus_from_directory(args.corpus, use_byte_information=not args.no_bytes)
     matrix = session.matrix(spec, strings, normalized=not args.raw)
@@ -625,16 +626,15 @@ def _command_experiment(args: argparse.Namespace) -> int:
 
 def _command_sweep(args: argparse.Namespace) -> int:
     if args.spec is not None:
-        base = ExperimentConfig(
+        config = ExperimentConfig(
+            spec=_load_spec(args.spec),
             use_byte_information=not args.no_bytes,
             n_clusters=3,
             corpus=CorpusConfig.paper(seed=args.seed),
         )
-        config = config_from_spec(_load_spec(args.spec), base)
-        session = AnalysisSession()
-        sweep = cut_weight_sweep(config, session=session)
+        sweep = cut_weight_sweep(config)
         byte_text = "ignored" if args.no_bytes else "kept"
-        title = f"cut-weight sweep ({config.kernel} spec, byte information {byte_text})"
+        title = f"cut-weight sweep ({config.spec.kind} spec, byte information {byte_text})"
     elif args.no_bytes:
         sweep = experiment_nobytes_variant(seed=args.seed, backend=args.backend)
         title = "cut-weight sweep (byte information ignored)"
@@ -877,12 +877,7 @@ def _command_remote(args: argparse.Namespace) -> int:
             print("cancelled")
             return 0
         # matrix / analyze: both read a trace directory under a spec.
-        if args.spec is not None:
-            spec = _load_spec(args.spec)
-        else:
-            spec = ExperimentConfig(
-                kernel=args.kernel, cut_weight=args.cut_weight, spectrum_k=args.spectrum_k
-            ).kernel_spec()
+        spec = _spec_from_args(args)
         session = AnalysisSession()
         strings = session.corpus_from_directory(args.corpus, use_byte_information=not args.no_bytes)
         if args.remote_command == "analyze":
@@ -949,12 +944,7 @@ def _command_model(args: argparse.Namespace) -> int:
             print(json.dumps(client.models(), indent=2, sort_keys=True))
             return 0
         if args.model_command == "fit":
-            if args.spec is not None:
-                spec = _load_spec(args.spec)
-            else:
-                spec = ExperimentConfig(
-                    kernel=args.kernel, cut_weight=args.cut_weight, spectrum_k=args.spectrum_k
-                ).kernel_spec()
+            spec = _spec_from_args(args)
             session = AnalysisSession()
             strings = session.corpus_from_directory(
                 args.corpus, use_byte_information=not args.no_bytes

@@ -14,7 +14,7 @@
 from repro.core.engine import GramEngine
 from repro.core.features import KastEmbedding, KastFeature, Occurrence
 from repro.core.kast import KAST_BACKENDS, KastSpectrumKernel, kast_kernel_value
-from repro.core.matrix import KernelMatrix, compute_kernel_matrix
+from repro.core.matrix import KernelMatrix
 from repro.core.pairstore import PairStore
 from repro.core.normalization import (
     center_kernel_matrix,
@@ -33,7 +33,6 @@ __all__ = [
     "KastSpectrumKernel",
     "kast_kernel_value",
     "KernelMatrix",
-    "compute_kernel_matrix",
     "PairStore",
     "center_kernel_matrix",
     "clip_negative_eigenvalues",

@@ -190,8 +190,8 @@ class GramEngine:
 
             kernel = kernel_from_spec(spec, interner=interner)
         elif spec is None:
-            # Best effort: unregistered kernel classes fall back to the
-            # legacy name/cache_signature identity.
+            # Best effort: unregistered kernel classes fall back to their
+            # name as identity.
             try:
                 from repro.api.spec import spec_from_kernel
 
@@ -543,13 +543,10 @@ class GramEngine:
         marks value-irrelevant, e.g. the Kast backend whose implementations
         are equivalent) — the same description block workers rebuild the
         kernel from.  Kernels whose class is not registered fall back
-        to the legacy ``cache_signature()`` / name identity.
+        to their name.
         """
         if self.spec is not None:
             return self.spec.signature()
-        signature = getattr(self.kernel, "cache_signature", None)
-        if callable(signature):
-            return str(signature())
         return self.kernel.name
 
     def matrix_payload(self, matrix: KernelMatrix, strings: Sequence[WeightedString]) -> Dict[str, Any]:

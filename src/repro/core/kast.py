@@ -326,18 +326,6 @@ class KastSpectrumKernel(StringKernel):
             self._cache.clear()
             self._interner = interner
 
-    def cache_signature(self) -> str:
-        """Identity of every option that affects kernel *values*.
-
-        Used by the engine's on-disk matrix cache.  The backend is
-        deliberately excluded: both implementations produce identical
-        values, so matrices cached by one are valid for the other.
-        """
-        return (
-            f"kast(cut={self.cut_weight},filter={self.filter_tokens_below_cut},"
-            f"independent={self.require_independent_occurrence})"
-        )
-
     # ------------------------------------------------------------------
     # StringKernel interface
     # ------------------------------------------------------------------

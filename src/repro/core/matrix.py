@@ -11,7 +11,7 @@ by zero and the matrices rebuilt", section 4.1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -22,10 +22,8 @@ from repro.core.normalization import (
     is_positive_semidefinite,
     psd_repair,
 )
-from repro.kernels.base import StringKernel
-from repro.strings.tokens import WeightedString
 
-__all__ = ["KernelMatrix", "compute_kernel_matrix"]
+__all__ = ["KernelMatrix"]
 
 
 @dataclass
@@ -168,36 +166,3 @@ class KernelMatrix:
             normalized=bool(payload.get("normalized", True)),
         )
 
-
-def compute_kernel_matrix(
-    strings: Sequence[WeightedString],
-    kernel: StringKernel,
-    normalized: bool = True,
-    repair: bool = True,
-    engine: Optional["GramEngine"] = None,
-) -> KernelMatrix:
-    """Compute the kernel matrix of *strings* under *kernel*.
-
-    The computation goes through a :class:`~repro.core.engine.GramEngine`,
-    which provides symmetric pair caching and row-batched evaluation.
-
-    Parameters
-    ----------
-    strings:
-        The corpus; names and labels are taken from the strings themselves.
-    kernel:
-        Any :class:`~repro.kernels.base.StringKernel`.
-    normalized:
-        Cosine-normalise entries (paper behaviour).
-    repair:
-        Clip negative eigenvalues to zero and rebuild the matrix, as the
-        paper does before handing it to the learning algorithms.
-    engine:
-        Optional pre-built engine; passing one lets callers reuse its pair
-        and self-value caches across several matrix computations.
-    """
-    from repro.core.engine import GramEngine  # local import: engine depends on this module
-
-    if engine is None:
-        engine = GramEngine(kernel)
-    return engine.compute(list(strings), normalized=normalized, repair=repair)

@@ -1,6 +1,6 @@
 """End-to-end experiment pipeline, parameter sweeps and canned experiments."""
 
-from repro.pipeline.config import KERNEL_CHOICES, ExperimentConfig, make_kernel
+from repro.pipeline.config import ExperimentConfig, experiment_spec
 from repro.pipeline.experiments import (
     DEFAULT_SEED,
     experiment_cut_weight_sweep,
@@ -25,9 +25,8 @@ from repro.pipeline.report import cluster_report, format_table, summarise_result
 from repro.pipeline.sweep import PAPER_CUT_WEIGHTS, SweepPoint, SweepResult, cut_weight_sweep
 
 __all__ = [
-    "KERNEL_CHOICES",
     "ExperimentConfig",
-    "make_kernel",
+    "experiment_spec",
     "DEFAULT_SEED",
     "experiment_cut_weight_sweep",
     "experiment_fig6_kpca_kast",

@@ -17,7 +17,7 @@ from functools import lru_cache
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.kast import KastSpectrumKernel
-from repro.pipeline.config import ExperimentConfig
+from repro.pipeline.config import ExperimentConfig, experiment_spec
 from repro.pipeline.pipeline import PAPER_EXPECTED_PARTITION, AnalysisPipeline, AnalysisResult
 from repro.pipeline.sweep import PAPER_CUT_WEIGHTS, SweepResult, cut_weight_sweep
 from repro.strings.tokens import WeightedString
@@ -134,7 +134,8 @@ def experiment_fig6_kpca_kast(
 ) -> AnalysisResult:
     """E2 / Figure 6: Kernel PCA of the Kast kernel matrix (byte info, cut weight 2)."""
     config = ExperimentConfig(
-        kernel="kast", cut_weight=cut_weight, corpus=CorpusConfig.paper(seed=seed), backend=backend
+        spec=experiment_spec("kast", cut_weight=cut_weight, backend=backend),
+        corpus=CorpusConfig.paper(seed=seed),
     )
     return _run(config, seed)
 
@@ -144,12 +145,10 @@ def experiment_fig7_hclust_kast(
 ) -> AnalysisResult:
     """E3 / Figure 7: single-linkage clustering of the Kast kernel matrix."""
     config = ExperimentConfig(
-        kernel="kast",
-        cut_weight=cut_weight,
+        spec=experiment_spec("kast", cut_weight=cut_weight, backend=backend),
         n_clusters=3,
         linkage="single",
         corpus=CorpusConfig.paper(seed=seed),
-        backend=backend,
     )
     return _run(config, seed)
 
@@ -162,7 +161,7 @@ def experiment_fig8_kpca_blended(
     *backend* is accepted for CLI uniformity; the blended kernel ignores it.
     """
     config = ExperimentConfig(
-        kernel="blended", cut_weight=cut_weight, corpus=CorpusConfig.paper(seed=seed), backend=backend
+        spec=experiment_spec("blended", cut_weight=cut_weight), corpus=CorpusConfig.paper(seed=seed)
     )
     return _run(config, seed)
 
@@ -177,12 +176,10 @@ def experiment_fig9_hclust_blended(
     clusters.
     """
     config = ExperimentConfig(
-        kernel="blended",
-        cut_weight=cut_weight,
+        spec=experiment_spec("blended", cut_weight=cut_weight),
         n_clusters=n_clusters,
         linkage="single",
         corpus=CorpusConfig.paper(seed=seed),
-        backend=backend,
     )
     return _run(config, seed)
 
@@ -197,11 +194,10 @@ def experiment_nobytes_variant(
 ) -> SweepResult:
     """E6: Kast kernel on byte-free strings across the cut-weight grid."""
     config = ExperimentConfig(
-        kernel="kast",
+        spec=experiment_spec("kast", backend=backend),
         use_byte_information=False,
         n_clusters=3,
         corpus=CorpusConfig.paper(seed=seed),
-        backend=backend,
     )
     strings = paper_strings(seed, use_byte_information=False)
     return cut_weight_sweep(config, cut_weights=cut_weights, strings=list(strings))
@@ -214,7 +210,7 @@ def experiment_cut_weight_sweep(
 ) -> SweepResult:
     """E7: Kast kernel on byte-carrying strings across the cut-weight grid."""
     config = ExperimentConfig(
-        kernel="kast", n_clusters=3, corpus=CorpusConfig.paper(seed=seed), backend=backend
+        spec=experiment_spec("kast", backend=backend), n_clusters=3, corpus=CorpusConfig.paper(seed=seed)
     )
     strings = paper_strings(seed, use_byte_information=True)
     return cut_weight_sweep(config, cut_weights=cut_weights, strings=list(strings))
@@ -223,8 +219,7 @@ def experiment_cut_weight_sweep(
 def experiment_kspectrum_baseline(seed: int = DEFAULT_SEED, k: int = 3) -> AnalysisResult:
     """E8: the plain k-spectrum kernel baseline the paper discards."""
     config = ExperimentConfig(
-        kernel="spectrum",
-        spectrum_k=k,
+        spec=experiment_spec("spectrum", spectrum_k=k),
         n_clusters=3,
         corpus=CorpusConfig.paper(seed=seed),
     )

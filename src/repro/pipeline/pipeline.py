@@ -6,7 +6,9 @@ through.  Given an :class:`~repro.pipeline.config.ExperimentConfig` it
 1. builds (or accepts) a labelled trace corpus;
 2. converts every trace to a weighted string (with or without byte
    information, with the configured compaction);
-3. computes the normalised kernel matrix and repairs negative eigenvalues;
+3. computes the normalised kernel matrix of the configured kernel spec
+   through an :class:`~repro.api.session.AnalysisSession` and repairs
+   negative eigenvalues;
 4. runs Kernel PCA and hierarchical clustering on the matrix;
 5. evaluates the clustering against the ground-truth labels and against the
    expected label partition (``{A} {B} {C, D}`` for the paper's main result).
@@ -21,10 +23,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
-from repro.core.matrix import KernelMatrix, compute_kernel_matrix
-from repro.kernels.base import StringKernel
+from repro.api.session import AnalysisSession
+from repro.core.matrix import KernelMatrix
 from repro.learn.hierarchical import ClusteringResult, HierarchicalClustering
 from repro.learn.kpca import KernelPCA, KernelPCAResult
 from repro.learn.metrics import (
@@ -118,16 +118,18 @@ class AnalysisPipeline:
     config:
         The experiment configuration (defaults to the paper's main setting).
     session:
-        Optional :class:`~repro.api.session.AnalysisSession`.  When given,
-        the kernel-matrix stage goes through the session's warm per-spec
-        engines (shared pair caches, shared token interner, the session's
-        result cache) instead of building a throwaway kernel and engine.
-        :meth:`AnalysisSession.analyze` constructs pipelines this way.
+        The :class:`~repro.api.session.AnalysisSession` whose warm engine
+        for the configuration's kernel spec computes every matrix (shared
+        pair caches, shared token interner, the session's result cache).
+        Defaults to a fresh session owned by this pipeline.
+        :meth:`AnalysisSession.analyze` passes itself.
     """
 
-    def __init__(self, config: Optional[ExperimentConfig] = None, session: Optional[object] = None) -> None:
+    def __init__(
+        self, config: Optional[ExperimentConfig] = None, session: Optional[AnalysisSession] = None
+    ) -> None:
         self.config = config or ExperimentConfig()
-        self.session = session
+        self.session = session if session is not None else AnalysisSession()
 
     # ------------------------------------------------------------------
     # Stages
@@ -146,34 +148,9 @@ class AnalysisPipeline:
         )
         return encoder.encode_corpus(list(traces))
 
-    def compute_matrix(
-        self,
-        strings: Sequence[WeightedString],
-        kernel: Optional[StringKernel] = None,
-    ) -> KernelMatrix:
-        """Compute the normalised, PSD-repaired kernel matrix.
-
-        The computation goes through the :class:`~repro.core.engine.GramEngine`.
-        *kernel* overrides the configured kernel (the cut-weight sweep
-        passes kernels sharing one token interner).  With a bound session
-        (and no kernel override) the matrix comes from the session's warm
-        engine for this configuration's kernel spec.
-        """
-        if kernel is None and self.session is not None:
-            return self.session.matrix(
-                self.config.kernel_spec(),
-                list(strings),
-                normalized=True,
-                repair=True,
-            )
-        if kernel is None:
-            kernel = self.config.build_kernel()
-        return compute_kernel_matrix(
-            list(strings),
-            kernel,
-            normalized=True,
-            repair=True,
-        )
+    def compute_matrix(self, strings: Sequence[WeightedString]) -> KernelMatrix:
+        """The normalised, PSD-repaired kernel matrix from the session's engine."""
+        return self.session.matrix(self.config.spec, list(strings), normalized=True, repair=True)
 
     def analyse_matrix(
         self,

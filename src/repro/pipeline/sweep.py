@@ -18,9 +18,9 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.api.session import AnalysisSession
 from repro.pipeline.config import ExperimentConfig
 from repro.pipeline.pipeline import AnalysisPipeline, AnalysisResult
-from repro.strings.interner import TokenInterner
 from repro.strings.tokens import WeightedString
 from repro.traces.model import IOTrace
 
@@ -80,7 +80,7 @@ def cut_weight_sweep(
     cut_weights: Sequence[int] = PAPER_CUT_WEIGHTS,
     traces: Optional[Sequence[IOTrace]] = None,
     strings: Optional[Sequence[WeightedString]] = None,
-    session: Optional[object] = None,
+    session: Optional[AnalysisSession] = None,
 ) -> SweepResult:
     """Run the pipeline once per cut weight and collect the metrics.
 
@@ -91,8 +91,8 @@ def cut_weight_sweep(
     Parameters
     ----------
     base_config:
-        Experiment configuration; its ``cut_weight`` field is overridden by
-        every value of *cut_weights*.
+        Experiment configuration; :meth:`ExperimentConfig.with_cut_weight`
+        sets every value of *cut_weights* on its kernel spec.
     cut_weights:
         The grid to sweep (paper default: powers of two, 2..1024).
     traces:
@@ -101,33 +101,26 @@ def cut_weight_sweep(
     strings:
         Optional pre-encoded strings; takes precedence over *traces*.
     session:
-        Optional :class:`~repro.api.session.AnalysisSession`.  When given,
-        each sweep point's matrix comes from the session's warm engine for
-        that cut weight's kernel spec (all sharing the session interner), so
-        repeated or interleaved sweeps reuse each other's pair caches.
-        Without one, a sweep-local token interner provides the same sharing
-        within this sweep only.
+        The :class:`~repro.api.session.AnalysisSession` every sweep point's
+        matrix comes from (a fresh one by default).  Its kernels share one
+        token interner, so the corpus is interned once for the whole sweep,
+        and repeated or interleaved sweeps on one session reuse each
+        other's pair caches.
     """
     base_config = base_config or ExperimentConfig()
-    base_pipeline = AnalysisPipeline(base_config)
+    base_pipeline = AnalysisPipeline(base_config, session=session)
 
     if strings is None:
         trace_list = list(traces) if traces is not None else base_pipeline.build_traces()
         strings = base_pipeline.encode(trace_list)
     string_list = list(strings)
 
-    # One token interner for the whole sweep: the integer encoding of the
-    # corpus does not depend on the cut weight, so every sweep point's kernel
-    # reuses the same literal → id space instead of re-interning the corpus.
-    interner = TokenInterner() if session is None else None
-
     result = SweepResult(config=base_config)
     for cut_weight in cut_weights:
         config = base_config.with_cut_weight(cut_weight)
-        pipeline = AnalysisPipeline(config, session=session)
-        kernel = config.build_kernel(interner=interner) if session is None else None
+        pipeline = AnalysisPipeline(config, session=base_pipeline.session)
         start = time.perf_counter()
-        matrix = pipeline.compute_matrix(string_list, kernel=kernel)
+        matrix = pipeline.compute_matrix(string_list)
         kernel_seconds = time.perf_counter() - start
         analysis: AnalysisResult = pipeline.analyse_matrix(matrix, string_list)
         result.points.append(

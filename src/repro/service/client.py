@@ -562,6 +562,22 @@ class ServiceClient:
                 raise ServiceError(f"job {job_id!r} returned a malformed result payload")
             return response
 
+    def _finished_job(self, job_id: str, timeout: Optional[float]) -> Dict[str, Any]:
+        """Wait for *job_id*, forget it server-side, and return its envelope.
+
+        The envelope is ``{"job_id", "payload", "cache", "trace_id"}``:
+        ``cache`` is the server's result-cache outcome for the job
+        (``"hit"``, ``"miss"`` or ``"bypass"``; ``None`` from a server
+        predating the cache) and ``trace_id`` the id the job ran under.
+        """
+        response = self._result_response(job_id, timeout=timeout, forget=True)
+        return {
+            "job_id": job_id,
+            "payload": response["payload"],
+            "cache": response.get("cache"),
+            "trace_id": response.get("trace_id"),
+        }
+
     def result_payload(
         self, job_id: str, timeout: Optional[float] = None, forget: bool = False
     ) -> Dict[str, Any]:
@@ -614,25 +630,6 @@ class ServiceClient:
             )["payload"]
         )
 
-    def matrix_payload(
-        self,
-        spec: SpecLike,
-        strings: Sequence[WeightedString],
-        normalized: bool = True,
-        repair: bool = True,
-        shards: Optional[int] = None,
-        distributed: bool = False,
-        use_cache: bool = True,
-        timeout: Optional[float] = None,
-        trace_id: Optional[str] = None,
-    ) -> Dict[str, Any]:
-        """Like :meth:`matrix` but returning the stamped wire payload."""
-        return self.matrix_job(
-            spec, strings, normalized=normalized, repair=repair, shards=shards,
-            distributed=distributed, use_cache=use_cache, timeout=timeout,
-            trace_id=trace_id,
-        )["payload"]
-
     def matrix_job(
         self,
         spec: SpecLike,
@@ -657,13 +654,7 @@ class ServiceClient:
             spec, strings, normalized=normalized, repair=repair, shards=shards,
             distributed=distributed, use_cache=use_cache, trace_id=trace_id,
         )
-        response = self._result_response(job_id, timeout=timeout, forget=True)
-        return {
-            "job_id": job_id,
-            "payload": response["payload"],
-            "cache": response.get("cache"),
-            "trace_id": response.get("trace_id"),
-        }
+        return self._finished_job(job_id, timeout)
 
     def analyze(
         self,
@@ -702,13 +693,7 @@ class ServiceClient:
             spec, strings, n_clusters=n_clusters, n_components=n_components,
             linkage=linkage, trace_id=trace_id,
         )
-        response = self._result_response(job_id, timeout=timeout, forget=True)
-        return {
-            "job_id": job_id,
-            "payload": response["payload"],
-            "cache": response.get("cache"),
-            "trace_id": response.get("trace_id"),
-        }
+        return self._finished_job(job_id, timeout)
 
     # ------------------------------------------------------------------
     # Streaming serving (landmark models)
@@ -738,13 +723,7 @@ class ServiceClient:
             seed=seed, n_components=n_components, n_clusters=n_clusters,
             use_cache=use_cache, trace_id=trace_id,
         )
-        response = self._result_response(job_id, timeout=timeout, forget=True)
-        return {
-            "job_id": job_id,
-            "payload": response["payload"],
-            "cache": response.get("cache"),
-            "trace_id": response.get("trace_id"),
-        }
+        return self._finished_job(job_id, timeout)
 
     def classify(
         self,

@@ -565,9 +565,6 @@ class AnalysisServer:
         strings = decode_corpus(request.strings)
         if not strings:
             raise BadRequest("submit-analyze requires a non-empty corpus")
-        # Fail fast on specs the pipeline cannot drive (typed bad-request
-        # at submit time instead of a failed job later).
-        self._analyze_config(spec, request.n_clusters, request.n_components, request.linkage)
         trace_id = request.trace_id or new_trace_id()
         options = {
             "n_clusters": request.n_clusters,
@@ -594,19 +591,6 @@ class AnalysisServer:
         return ok_response(
             "job", job_id=record.job_id, status="queued", kind="analyze", trace_id=trace_id
         )
-
-    def _analyze_config(self, spec: KernelSpec, n_clusters: int, n_components: int, linkage: str) -> Any:
-        from repro.pipeline.config import ExperimentConfig, config_from_spec
-
-        try:
-            return config_from_spec(
-                spec,
-                base=ExperimentConfig(
-                    n_clusters=n_clusters, n_components=n_components, linkage=linkage
-                ),
-            )
-        except ValueError as exc:
-            raise BadRequest(f"spec cannot drive the analysis pipeline: {exc}") from exc
 
     def _handle_fit_model(self, ctx: RequestContext) -> Dict[str, Any]:
         request = ctx.request
@@ -706,13 +690,7 @@ class AnalysisServer:
         if record.kind == "matrix":
             return self._matrix_payload(tenant, record.job_id, spec, strings, record.input)
         if record.kind == "analyze":
-            config = self._analyze_config(
-                spec,
-                int(record.input.get("n_clusters", 3)),
-                int(record.input.get("n_components", 2)),
-                str(record.input.get("linkage", "single")),
-            )
-            return self._analyze_payload(tenant, record.job_id, config, strings)
+            return self._analyze_payload(tenant, record.job_id, spec, strings, record.input)
         raise JobStoreError(f"job {record.job_id!r} has unexecutable kind {record.kind!r}")
 
     def _matrix_payload(
@@ -885,14 +863,26 @@ class AnalysisServer:
                 tenant.store.forget(child_id)
 
     def _analyze_payload(
-        self, tenant: TenantContext, job_id: str, config: Any, strings: List[WeightedString]
+        self,
+        tenant: TenantContext,
+        job_id: str,
+        spec: KernelSpec,
+        strings: List[WeightedString],
+        options: Mapping[str, Any],
     ) -> Dict[str, Any]:
+        from repro.pipeline.config import ExperimentConfig
         from repro.pipeline.pipeline import AnalysisPipeline
         from repro.pipeline.report import summarise_result
 
+        config = ExperimentConfig(
+            spec=spec,
+            n_clusters=int(options.get("n_clusters", 3)),
+            n_components=int(options.get("n_components", 2)),
+            linkage=str(options.get("linkage", "single")),
+        )
         # One result-cache lookup: the matrix (and the hit/miss outcome the
         # record reports, as the matrix path does) feed the analysis stages.
-        matrix, status = tenant.session.matrix_cached(config.kernel_spec(), strings)
+        matrix, status = tenant.session.matrix_cached(config.spec, strings)
         stamp_cache_status(tenant.store, job_id, status)
         result = AnalysisPipeline(config, session=tenant.session).analyse_matrix(matrix, strings)
         return {

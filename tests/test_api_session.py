@@ -10,8 +10,8 @@ import time
 import numpy as np
 import pytest
 
-from repro.api import AnalysisSession, make_spec
-from repro.core.matrix import compute_kernel_matrix
+from repro.api import AnalysisSession, kernel_from_spec, make_spec
+from repro.core.engine import GramEngine
 from repro.pipeline.config import ExperimentConfig
 from repro.pipeline.pipeline import AnalysisPipeline
 from repro.service import DEFAULT_TENANT, AnalysisServer, JobTimeout, ServiceClient
@@ -67,10 +67,10 @@ class TestWarmState:
 
 
 class TestComputation:
-    def test_matrix_matches_compute_kernel_matrix(self, session, strings):
+    def test_matrix_matches_gram_engine(self, session, strings):
         spec = make_spec("kast", cut_weight=2)
         via_session = session.matrix(spec, strings)
-        reference = compute_kernel_matrix(strings, ExperimentConfig().build_kernel())
+        reference = GramEngine(kernel_from_spec(ExperimentConfig().spec)).compute(strings)
         np.testing.assert_allclose(via_session.values, reference.values)
         assert via_session.names == reference.names
 

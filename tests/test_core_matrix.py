@@ -5,8 +5,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.engine import GramEngine
 from repro.core.kast import KastSpectrumKernel
-from repro.core.matrix import KernelMatrix, compute_kernel_matrix
+from repro.core.matrix import KernelMatrix
 from repro.strings.tokens import WeightedString
 
 
@@ -21,7 +22,7 @@ def strings():
 
 @pytest.fixture
 def matrix(strings):
-    return compute_kernel_matrix(strings, KastSpectrumKernel(cut_weight=2))
+    return GramEngine(KastSpectrumKernel(cut_weight=2)).compute(strings)
 
 
 class TestComputeKernelMatrix:
@@ -42,11 +43,11 @@ class TestComputeKernelMatrix:
         assert matrix.similarity(0, 2) == 0.0
 
     def test_unnormalized_matrix(self, strings):
-        raw = compute_kernel_matrix(strings, KastSpectrumKernel(cut_weight=2), normalized=False, repair=False)
+        raw = GramEngine(KastSpectrumKernel(cut_weight=2)).compute(strings, normalized=False, repair=False)
         assert raw.values[0, 0] == pytest.approx((5 + 3 + 7) ** 2)
 
     def test_repair_produces_psd_matrix(self, strings):
-        matrix = compute_kernel_matrix(strings, KastSpectrumKernel(cut_weight=2), repair=True)
+        matrix = GramEngine(KastSpectrumKernel(cut_weight=2)).compute(strings, repair=True)
         assert matrix.is_positive_semidefinite()
 
 

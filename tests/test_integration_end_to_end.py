@@ -12,8 +12,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.engine import GramEngine
 from repro.core.kast import KastSpectrumKernel
-from repro.core.matrix import compute_kernel_matrix
 from repro.kernels.blended import BlendedSpectrumKernel
 from repro.learn.hierarchical import HierarchicalClustering
 from repro.learn.kkmeans import KernelKMeans
@@ -44,7 +44,7 @@ class TestDiskRoundTripPipeline:
             paths.append((path, trace.label))
         parsed = [parse_trace_file(path, label=label) for path, label in paths]
         strings = [trace_to_string(trace) for trace in parsed]
-        matrix = compute_kernel_matrix(strings, KastSpectrumKernel(cut_weight=2))
+        matrix = GramEngine(KastSpectrumKernel(cut_weight=2)).compute(strings)
         clustering = HierarchicalClustering("single").fit_predict(matrix, n_clusters=3)
         labels = [label for _, label in paths]
         assert clusters_exactly_match_partition(list(clustering.assignments), labels, EXPECTED_PARTITION)
@@ -55,8 +55,9 @@ class TestKernelComparison:
         strings = [trace_to_string(trace) for trace in corpus]
         labels = ["CD" if trace.label in ("C", "D") else trace.label for trace in corpus]
 
-        kast_matrix = compute_kernel_matrix(strings, KastSpectrumKernel(cut_weight=2))
-        blended_matrix = compute_kernel_matrix(strings, BlendedSpectrumKernel(max_length=3, weighted=False, min_weight=2))
+        kast_matrix = GramEngine(KastSpectrumKernel(cut_weight=2)).compute(strings)
+        blended = BlendedSpectrumKernel(max_length=3, weighted=False, min_weight=2)
+        blended_matrix = GramEngine(blended).compute(strings)
 
         kast_ari = adjusted_rand_index(
             list(HierarchicalClustering("single").fit_predict(kast_matrix, 3).assignments), labels
@@ -70,7 +71,7 @@ class TestKernelComparison:
     def test_three_readers_agree_on_kast_matrix(self, corpus):
         strings = [trace_to_string(trace) for trace in corpus]
         labels = ["CD" if trace.label in ("C", "D") else trace.label for trace in corpus]
-        matrix = compute_kernel_matrix(strings, KastSpectrumKernel(cut_weight=2))
+        matrix = GramEngine(KastSpectrumKernel(cut_weight=2)).compute(strings)
 
         hierarchical = HierarchicalClustering("single").fit_predict(matrix, 3)
         kmeans = KernelKMeans(n_clusters=3, seed=5, n_restarts=10).fit_predict(matrix)
@@ -79,7 +80,7 @@ class TestKernelComparison:
 
     def test_kpca_separates_flash_io_on_first_components(self, corpus):
         strings = [trace_to_string(trace) for trace in corpus]
-        matrix = compute_kernel_matrix(strings, KastSpectrumKernel(cut_weight=2))
+        matrix = GramEngine(KastSpectrumKernel(cut_weight=2)).compute(strings)
         embedding = KernelPCA(n_components=2).fit(matrix).embedding
         labels = np.array([trace.label for trace in corpus])
         centroid_a = embedding[labels == "A"].mean(axis=0)

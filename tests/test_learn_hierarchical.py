@@ -7,8 +7,8 @@ import pytest
 from scipy.cluster import hierarchy as scipy_hierarchy
 from scipy.spatial.distance import squareform
 
+from repro.core.engine import GramEngine
 from repro.core.kast import KastSpectrumKernel
-from repro.core.matrix import compute_kernel_matrix
 from repro.learn.hierarchical import HierarchicalClustering, cluster_kernel_matrix
 
 
@@ -96,13 +96,13 @@ class TestHierarchicalClustering:
         assert result.assignments[0] != result.assignments[2]
 
     def test_kernel_matrix_input_carries_names(self, small_corpus_strings):
-        matrix = compute_kernel_matrix(small_corpus_strings, KastSpectrumKernel(cut_weight=2))
+        matrix = GramEngine(KastSpectrumKernel(cut_weight=2)).compute(small_corpus_strings)
         dendrogram = HierarchicalClustering("single").fit(matrix)
         assert dendrogram.names == matrix.names
         assert dendrogram.n_leaves == len(small_corpus_strings)
 
     def test_cluster_kernel_matrix_convenience(self, small_corpus_strings):
-        matrix = compute_kernel_matrix(small_corpus_strings, KastSpectrumKernel(cut_weight=2))
+        matrix = GramEngine(KastSpectrumKernel(cut_weight=2)).compute(small_corpus_strings)
         result = cluster_kernel_matrix(matrix, n_clusters=3)
         assert result.n_clusters == 3
         assert len(result.assignments) == len(small_corpus_strings)

@@ -5,8 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.engine import GramEngine
 from repro.core.kast import KastSpectrumKernel
-from repro.core.matrix import compute_kernel_matrix
 from repro.learn.kkmeans import KernelKMeans
 from repro.learn.metrics import adjusted_rand_index
 
@@ -70,7 +70,7 @@ class TestKernelKMeans:
         assert sum(len(group) for group in members) == 10
 
     def test_agrees_with_hierarchical_on_corpus(self, small_corpus_strings):
-        matrix = compute_kernel_matrix(small_corpus_strings, KastSpectrumKernel(cut_weight=2))
+        matrix = GramEngine(KastSpectrumKernel(cut_weight=2)).compute(small_corpus_strings)
         result = KernelKMeans(n_clusters=3, seed=11, n_restarts=10).fit_predict(matrix)
         labels = [string.label for string in small_corpus_strings]
         merged_labels = ["CD" if label in ("C", "D") else label for label in labels]

@@ -5,8 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.engine import GramEngine
 from repro.core.kast import KastSpectrumKernel
-from repro.core.matrix import compute_kernel_matrix
 from repro.learn.kpca import KernelPCA, kernel_pca_embedding
 
 
@@ -64,7 +64,7 @@ class TestKernelPCAGeneral:
         assert np.allclose(result.embedding, 0.0)
 
     def test_fit_on_kernel_matrix_carries_names_and_labels(self, small_corpus_strings):
-        matrix = compute_kernel_matrix(small_corpus_strings, KastSpectrumKernel(cut_weight=2))
+        matrix = GramEngine(KastSpectrumKernel(cut_weight=2)).compute(small_corpus_strings)
         result = KernelPCA(n_components=2).fit(matrix)
         assert result.names == matrix.names
         assert result.labels == matrix.labels

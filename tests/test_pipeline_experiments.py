@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import pytest
 
+from repro.api import make_spec
+from repro.pipeline import experiments
 from repro.pipeline.experiments import (
     experiment_fig7_hclust_kast,
     experiment_fig9_hclust_blended,
@@ -76,3 +78,47 @@ class TestHeadlineExperiments:
         cluster_label_sets = [frozenset(counts) for counts in composition.values()]
         assert frozenset({"A"}) in cluster_label_sets
         assert frozenset({"B", "C", "D"}) in cluster_label_sets
+
+
+class TestCannedSpecs:
+    """Each canned experiment runs the kernel spec the paper's setting names.
+
+    The spectrum baselines count occurrences unweighted, unlike the
+    registry default (``weighted=True``).
+    """
+
+    KAST = make_spec("kast", cut_weight=2, backend="numpy")
+    BLENDED = make_spec("blended", max_length=3, weighted=False, min_weight=2)
+
+    @pytest.fixture
+    def configs(self, monkeypatch):
+        seen = []
+        monkeypatch.setattr(experiments, "_run", lambda config, seed: seen.append(config))
+        monkeypatch.setattr(
+            experiments, "cut_weight_sweep", lambda config, **kwargs: seen.append(config)
+        )
+        return seen
+
+    @pytest.mark.parametrize(
+        "experiment, spec",
+        [
+            (experiments.experiment_fig6_kpca_kast, KAST),
+            (experiments.experiment_fig7_hclust_kast, KAST),
+            (experiments.experiment_fig8_kpca_blended, BLENDED),
+            (experiments.experiment_fig9_hclust_blended, BLENDED),
+            (experiments.experiment_nobytes_variant, KAST),
+            (experiments.experiment_cut_weight_sweep, KAST),
+            (experiments.experiment_kspectrum_baseline, make_spec("spectrum", k=3, weighted=False)),
+        ],
+    )
+    def test_spec_of_each_experiment(self, configs, experiment, spec):
+        experiment()
+        assert [config.spec for config in configs] == [spec]
+
+    def test_cut_weight_and_backend_reach_the_spec(self, configs):
+        experiments.experiment_fig7_hclust_kast(cut_weight=16, backend="python")
+        experiments.experiment_fig9_hclust_blended(cut_weight=16)
+        assert [config.spec for config in configs] == [
+            make_spec("kast", cut_weight=16, backend="python"),
+            make_spec("blended", max_length=3, weighted=False, min_weight=16),
+        ]

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.pipeline.config import ExperimentConfig
+from repro.pipeline.config import ExperimentConfig, experiment_spec
 from repro.pipeline.pipeline import PAPER_EXPECTED_PARTITION, AnalysisPipeline, run_experiment
 from repro.workloads.corpus import CorpusConfig
 
@@ -73,6 +73,6 @@ class TestAnalysisPipeline:
         assert result.metrics["n_clusters"] == 3.0
 
     def test_blended_baseline_runs_through_pipeline(self, small_corpus_strings):
-        config = ExperimentConfig(kernel="blended", n_clusters=2)
+        config = ExperimentConfig(spec=experiment_spec("blended"), n_clusters=2)
         result = AnalysisPipeline(config).run_on_strings(small_corpus_strings)
         assert result.metrics["n_clusters"] == 2.0

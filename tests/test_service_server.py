@@ -420,10 +420,28 @@ class TestHTTPTransport:
             from repro.pipeline.config import ExperimentConfig
 
             local = session.analyze(
-                ExperimentConfig(n_clusters=4, cut_weight=2), strings=list(strings)
+                ExperimentConfig(spec=SPEC, n_clusters=4), strings=list(strings)
             )
         assert report["metrics"]["purity"] == pytest.approx(local.metrics["purity"])
         assert report["assignments"] == list(local.assignments)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            make_spec("sum", children=[make_spec("kast", cut_weight=2), make_spec("bag-of-words")]),
+            make_spec("kast", filter_tokens_below_cut=True),
+        ],
+        ids=["sum-composite", "kast-filter-ablation"],
+    )
+    def test_analyze_runs_any_spec_a_matrix_job_accepts(self, client, strings, spec):
+        report = client.analyze(spec, strings, n_clusters=3, timeout=240)
+        from repro.pipeline.config import ExperimentConfig
+
+        with AnalysisSession() as session:
+            local = session.analyze(ExperimentConfig(spec=spec), strings=list(strings))
+        assert report["metrics"] == {name: float(value) for name, value in local.metrics.items()}
+        assert report["assignments"] == list(local.assignments)
+        assert report["config"] == local.config.describe()
 
     def test_healthz_get_endpoint(self, server, client):
         import urllib.request
