@@ -1,4 +1,4 @@
-"""Before/after timing of the Kast kernel's ``value_row``, in one process.
+"""Before/after timing of the Kast kernel, in one process.
 
 Usage (from the repository root)::
 
@@ -12,9 +12,11 @@ kernels score the very same ``WeightedString`` objects.  Two shapes are
 timed per seed, on the service benchmark's never-seen strings
 (``perfbench/workloads.py``'s ``NeverSeen(seed).take(40)``):
 
-* ``gram40`` — the 40-string Gram, one ``value_row(s[i], s[i+1:])`` per
-  row (780 evaluations), on a fresh kernel (string preparation included),
-  as a cold matrix job runs it;
+* ``gram40`` — the 40-string Gram (780 evaluations) through the kernel's
+  Gram entry, one ``value_pairs`` call over the upper triangle, on a fresh
+  kernel (string preparation included), as a cold matrix job runs it; a
+  baseline without ``value_pairs`` runs one ``value_row(s[i], s[i+1:])``
+  per row instead;
 * ``landmark16`` — each of the other 24 strings against the first 16
   (one ``value_row`` of 16 evaluations each, as a classify request runs
   it), on a kernel whose landmarks are already prepared; the timing is
@@ -22,10 +24,12 @@ timed per seed, on the service benchmark's never-seen strings
 
 Each pair times the baseline and the current kernel once, alternating
 which runs first.  The file records, per shape and seed, the median and
-quartiles of both sides in ms, their ratio, the pairs the current kernel
-won, and the current kernel's work counts for the timed work (they repeat
-exactly).  Milliseconds depend on the machine and its load: compare the
-ratios, not absolute milliseconds across machines.
+quartiles of both sides in ms, their ratio, the median of the per-pair
+ratios (robust to the box changing speed between pairs, which the two
+sides of one pair share), the pairs the current kernel won, and both
+kernels' work counts for the timed work (they repeat exactly).
+Milliseconds depend on the machine and its load: compare the ratios, not
+absolute milliseconds across machines.
 """
 
 from __future__ import annotations
@@ -66,11 +70,16 @@ def work(kernel) -> Dict[str, int]:
 
 
 def gram(kernel_class, strings) -> Callable[[], Tuple[float, Dict[str, int]]]:
+    pairs = [(i, j) for i in range(len(strings)) for j in range(i + 1, len(strings))]
+
     def run():
         start = time.perf_counter()
         kernel = kernel_class(cut_weight=2)
-        for index, string in enumerate(strings):
-            kernel.value_row(string, strings[index + 1 :])
+        if hasattr(kernel, "value_pairs"):
+            kernel.value_pairs(strings, pairs)
+        else:
+            for index, string in enumerate(strings):
+                kernel.value_row(string, strings[index + 1 :])
         return time.perf_counter() - start, work(kernel)
 
     return run
@@ -104,14 +113,12 @@ def measure(shape: str, seed: int, baseline, pairs: int) -> Dict[str, object]:
     for run in runs.values():  # warm imports and allocator, untimed
         run()
     samples: Dict[str, List[float]] = {"before": [], "after": []}
-    counts = None
+    counts: Dict[str, Dict[str, int]] = {}
     for index in range(pairs):
         for side in ("before", "after") if index % 2 == 0 else ("after", "before"):
             elapsed, counted = runs[side]()
             samples[side].append(elapsed * 1000.0)
-            if side == "after":
-                assert counts in (None, counted), "work counts must repeat exactly"
-                counts = counted
+            assert counts.setdefault(side, counted) == counted, "work counts must repeat exactly"
     before, after = quartiles(samples["before"]), quartiles(samples["after"])
     return {
         "shape": shape,
@@ -123,6 +130,7 @@ def measure(shape: str, seed: int, baseline, pairs: int) -> Dict[str, object]:
         "before_ms": before,
         "after_ms": after,
         "ratio_before_over_after": round(before["median"] / after["median"], 3),
+        "median_pair_ratio": round(statistics.median(b / a for b, a in zip(samples["before"], samples["after"])), 3),
         "after_wins": sum(b > a for b, a in zip(samples["before"], samples["after"])),
         "samples_ms": {side: [round(value, 3) for value in values] for side, values in samples.items()},
         "work_counts": counts,
@@ -143,10 +151,11 @@ def main(argv=None) -> int:
         print(
             f"{row['shape']:>10} seed {row['seed']:>6}: before {row['before_ms']['median']:8.3f} "
             f"after {row['after_ms']['median']:8.3f} {row['unit']}  x{row['ratio_before_over_after']:.2f} "
+            f"(pairs x{row['median_pair_ratio']:.2f}) "
             f"({row['after_wins']}/{row['pairs']} pairs)"
         )
     report = {
-        "benchmark": "Kast value_row before/after, in process",
+        "benchmark": "Kast kernel before/after, in process",
         "baseline": args.baseline_label or os.path.basename(args.baseline),
         "machine": {
             "platform": platform.platform(),

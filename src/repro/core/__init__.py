@@ -4,7 +4,7 @@
 * :mod:`repro.core.features` — inspectable pairwise embeddings;
 * :mod:`repro.core.matrix` — labelled kernel matrices over corpora;
 * :mod:`repro.core.engine` — the Gram-matrix evaluation engine (pair
-  caching, row-batched evaluation, stamped matrix payloads);
+  caching, block-batched evaluation, stamped matrix payloads);
 * :mod:`repro.core.pairstore` — the persistent content-addressed store of
   individual kernel pair values shared across sessions and processes;
 * :mod:`repro.core.normalization` — cosine normalisation, centring and the

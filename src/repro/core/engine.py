@@ -16,9 +16,10 @@ construction can exploit in one place:
   self value lives under ``(fp, "self")`` and a pair under its sorted
   fingerprints, so ``k(a, a)`` never shares a key with the pair of two
   content-identical strings;
-* **row-batched evaluation** — the pairs neither layer holds are
-  evaluated serially, one kernel ``value_row`` call per corpus row (per
-  pair for kernels without it), which amortises the per-pair setup cost.
+* **block-batched evaluation** — the pairs neither layer holds go to
+  the kernel in one ``value_pairs`` call (pair by pair for kernels
+  without it); the Kast kernel packs them into blocks of query rows and
+  scores each block at once, which amortises the per-call setup cost.
 
 Finished matrices are persisted by
 :class:`~repro.core.cachestore.MatrixCache` from
@@ -233,34 +234,40 @@ class GramEngine:
     # ------------------------------------------------------------------
     # Keys and the one cached-value lookup
     # ------------------------------------------------------------------
-    def _string_key(self, string: WeightedString) -> int:
-        """The small-int key of the string's (cached) content fingerprint; pins no string."""
-        fingerprint = string.fingerprint
-        with self._lock:
-            key = self._key_registry.get(fingerprint)
-            if key is not None:
-                self._key_registry.move_to_end(fingerprint)
-            else:
-                # Keys are drawn from a monotonic counter and NEVER reused:
-                # an in-flight computation may still hold keys handed out
-                # before an eviction, and reusing their ints would alias
-                # different-content pairs in the caches.
-                key = self._next_key
-                self._next_key += 1
-                self._key_registry[fingerprint] = key
-                # The registry is an LRU bounded by evicting only its
-                # oldest entry (plus that key's self value).  Pair-cache
-                # entries under a retired key are unreachable for new
-                # lookups, so they age out of the pair-cache LRU on their
-                # own — one string past the bound must not wipe every warm
-                # cache.
-                while len(self._key_registry) > self.pair_cache_size:
-                    _, retired = self._key_registry.popitem(last=False)
-                    self._self_cache.pop(retired, None)
-        return key
+    def _string_keys(self, strings: Sequence[WeightedString]) -> List[int]:
+        """The small-int keys of the strings' (cached) content fingerprints, in order; pins no string.
 
-    def _pair_key(self, a: WeightedString, b: WeightedString) -> PairKey:
-        first, second = self._string_key(a), self._string_key(b)
+        One lock round-trip covers the whole batch.
+        """
+        fingerprints = [string.fingerprint for string in strings]
+        keys: List[int] = []
+        with self._lock:
+            for fingerprint in fingerprints:
+                key = self._key_registry.get(fingerprint)
+                if key is not None:
+                    self._key_registry.move_to_end(fingerprint)
+                else:
+                    # Keys are drawn from a monotonic counter and NEVER reused:
+                    # an in-flight computation may still hold keys handed out
+                    # before an eviction, and reusing their ints would alias
+                    # different-content pairs in the caches.
+                    key = self._next_key
+                    self._next_key += 1
+                    self._key_registry[fingerprint] = key
+                    # The registry is an LRU bounded by evicting only its
+                    # oldest entry (plus that key's self value).  Pair-cache
+                    # entries under a retired key are unreachable for new
+                    # lookups, so they age out of the pair-cache LRU on their
+                    # own — one string past the bound must not wipe every warm
+                    # cache.
+                    while len(self._key_registry) > self.pair_cache_size:
+                        _, retired = self._key_registry.popitem(last=False)
+                        self._self_cache.pop(retired, None)
+                keys.append(key)
+        return keys
+
+    @staticmethod
+    def _ordered(first: int, second: int) -> PairKey:
         return (first, second) if first <= second else (second, first)
 
     @staticmethod
@@ -344,7 +351,7 @@ class GramEngine:
     # ------------------------------------------------------------------
     def pair_value(self, a: WeightedString, b: WeightedString) -> float:
         """Raw ``k(a, b)`` through the symmetric content-keyed cache (see :meth:`_lookup`)."""
-        key = self._pair_key(a, b)
+        key = self._ordered(*self._string_keys([a, b]))
         return self._lookup(
             self._pair_cache,
             [key],
@@ -368,7 +375,7 @@ class GramEngine:
         skip the kernel entirely.
         """
         string_list = list(strings)
-        keys = [self._string_key(string) for string in string_list]
+        keys = self._string_keys(string_list)
         sample = dict(zip(keys, string_list))
         values = self._lookup(
             self._self_cache,
@@ -395,8 +402,8 @@ class GramEngine:
                 f"got {len(string_list)} strings but {len(values)} self values"
             )
         given = {
-            self._string_key(string): (string, float(value))
-            for string, value in zip(string_list, values)
+            key: (string, float(value))
+            for key, string, value in zip(self._string_keys(string_list), string_list, values)
         }
         with self._lock:
             new = sum(key not in self._self_cache for key in given)
@@ -417,7 +424,7 @@ class GramEngine:
         The landmark-row seam of the streaming serving path: all cross
         pairs of one query go through :meth:`evaluate_pairs` as a single
         task, so they share its content dedup, both cache layers, and the
-        kernel's ``value_row`` batch evaluation (one call covers the whole
+        kernel's ``value_pairs`` batch evaluation (one call covers the whole
         row).  A cold row against ``m`` novel references costs
         exactly ``m`` kernel evaluations; a covered row costs zero.
         """
@@ -439,13 +446,16 @@ class GramEngine:
         merge through :meth:`assemble_gram`.  Content-identical pairs
         (including ``(i, j)`` vs ``(j, i)`` requests and duplicate strings
         in the corpus) map onto one unique evaluation; :meth:`_lookup`
-        serves cached values first, and the remainder is evaluated serially
-        by :meth:`_evaluate_pending`.
+        serves cached values first, and the remainder is evaluated by
+        :meth:`_evaluate_pending`.  Each string's key is looked up once per
+        call, in order of first appearance.
         """
+        index_pairs = list(index_pairs)
+        used = list(dict.fromkeys(index for pair in index_pairs for index in pair))
+        key_of = dict(zip(used, self._string_keys([strings[index] for index in used])))
         tasks: "OrderedDict[PairKey, List[Tuple[int, int]]]" = OrderedDict()
         for i, j in index_pairs:
-            key = self._pair_key(strings[i], strings[j])
-            tasks.setdefault(key, []).append((i, j))
+            tasks.setdefault(self._ordered(key_of[i], key_of[j]), []).append((i, j))
 
         def store_key(key: PairKey) -> Tuple[str, str]:
             i, j = tasks[key][0]
@@ -468,23 +478,18 @@ class GramEngine:
         strings: List[WeightedString],
         pending: List[Tuple[PairKey, Tuple[int, int]]],
     ) -> Dict[PairKey, float]:
-        """Evaluate the pairs neither cache layer holds, in order.
+        """Evaluate the pairs neither cache layer holds.
 
-        Kernels exposing a ``value_row`` batch method (the Kast kernel's
-        numpy backend does) are driven row by row — one call evaluates one
-        string against all of its pending partners, which amortises the
-        per-pair setup cost; other kernels are evaluated pair by pair.
+        Kernels exposing a ``value_pairs`` batch method (the Kast kernel
+        does) get every pending pair in one call and schedule the scoring
+        themselves; other kernels are evaluated pair by pair.
         """
-        if not hasattr(self.kernel, "value_row"):
-            return {key: float(self.kernel.value(strings[i], strings[j])) for key, (i, j) in pending}
-        rows: "OrderedDict[int, List[Tuple[PairKey, int]]]" = OrderedDict()
-        for key, (i, j) in pending:
-            rows.setdefault(i, []).append((key, j))
-        computed: Dict[PairKey, float] = {}
-        for i, row in rows.items():
-            values = self.kernel.value_row(strings[i], [strings[j] for _, j in row])
-            computed.update((key, float(value)) for (key, _), value in zip(row, values))
-        return computed
+        pairs = [pair for _, pair in pending]
+        if hasattr(self.kernel, "value_pairs"):
+            values = self.kernel.value_pairs(strings, pairs)
+        else:
+            values = [self.kernel.value(strings[i], strings[j]) for i, j in pairs]
+        return {key: float(value) for (key, _), value in zip(pending, values)}
 
     def normalized_pair_value(self, a: WeightedString, b: WeightedString) -> float:
         """Cosine-normalised ``k(a, b)`` through the caches."""

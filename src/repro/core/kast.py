@@ -45,14 +45,18 @@ Two interchangeable implementations exist, selected with ``backend``:
 
 * ``"numpy"`` (default) — token literals are interned to small integers
   through a shared :class:`~repro.strings.interner.TokenInterner`.  One
-  scorer serves :meth:`~KastSpectrumKernel.value_row`,
-  :meth:`~KastSpectrumKernel.value` and :meth:`~KastSpectrumKernel.embed`
-  (the latter two as a one-target row).  It builds one vectorised
-  match-length table of a string against its whole row of targets,
-  deduplicates the row's maximal spans by content, finds each distinct
-  pattern's non-overlapping qualifying occurrences in array form with
-  exact integer prefix sums, and runs the greedy independence rule per
-  pair over arrays presorted once per row.
+  scorer serves :meth:`~KastSpectrumKernel.value_pairs` (the Gram entry,
+  which reads each row of its blocks out through
+  :meth:`~KastSpectrumKernel.value_row`), :meth:`~KastSpectrumKernel.value_row`
+  alone, :meth:`~KastSpectrumKernel.value` and
+  :meth:`~KastSpectrumKernel.embed` (the last three as one-query
+  blocks).  Its unit is a *block* of query strings, packed up to a
+  budget of query tokens: one match-length table of the block's queries
+  against the union of their targets, the block's maximal spans
+  deduplicated by content, each distinct pattern's non-overlapping
+  qualifying occurrences gathered once per (pattern, string) in array
+  form with exact integer prefix sums, and the greedy independence rule
+  run per pair over arrays presorted once per block.
 * ``"python"`` — the original pure-Python loops, pair by pair, kept as a
   dependency-free reference; the equivalence of the two backends over
   randomised corpora and rows is asserted by the test suite.
@@ -97,8 +101,23 @@ _DEFAULT_PREPARED_CACHE_SIZE = 4096
 #: Largest value the int64 read-out holds exactly.
 _INT64_MAX = np.iinfo(np.int64).max
 
-#: Id that separates the targets of a row's corpus; no interned literal takes it.
+#: Id that separates the targets of a block's corpus; no interned literal takes it.
 _SEPARATOR = -1
+
+#: Id that separates the queries of a block.  It differs from
+#: :data:`_SEPARATOR`, so no diagonal run of the match table crosses a
+#: boundary on either side.
+_QUERY_SEPARATOR = -2
+
+#: Query tokens one scoring block holds (a single longer query is a block
+#: of its own).  A block's match table is its query tokens against its
+#: targets' tokens, built a row at a time at a flat cost per cell, so a
+#: bigger block trades fewer calls for more masked-out cells and bigger
+#: transient arrays.  On 40-string corpora of 16-82 tokens a string (2
+#: cores), a Gram took about as long at 128, 256 or 384 tokens (36, 34
+#: and 35 ms), while its transient arrays grew from 1.0 to 2.4 and 3.4 MB
+#: (the one-row scorer's: 1.6 MB), so blocks stop at 128.
+_BLOCK_QUERY_TOKENS = 128
 
 #: The counters :meth:`KastSpectrumKernel.work_counts` reports.
 _WORK_COUNTS = (
@@ -113,17 +132,14 @@ _WORK_COUNTS = (
 class _PreparedString:
     """Cached per-string data reused across kernel evaluations.
 
-    The numpy backend keeps ``ids``, ``first_of_token``, ``row_ids``,
-    ``row_weights`` and an ``int64`` ``occurrence_prefix``; the python
-    backend keeps ``occurrence_prefix`` as a list and the other arrays as
-    ``None``.
+    The numpy backend keeps ``row_ids`` and ``row_weights``; the python
+    backend keeps an ``occurrence_prefix`` list instead (the other is
+    ``None`` on either side).
     """
 
     __slots__ = (
         "literals",
         "weights",
-        "ids",
-        "first_of_token",
         "row_ids",
         "row_weights",
         "occurrence_prefix",
@@ -146,28 +162,22 @@ class _PreparedString:
         self.occurrence_total = sum(occurrence_weights)
         #: The paper's ``weight_{w>=cut}``: sum of token weights >= cut weight.
         self.cut_filtered_total = sum(filtered)
+        self.row_ids: Optional[np.ndarray] = None
+        self.row_weights: Optional[np.ndarray] = None
+        self.occurrence_prefix: Optional[List[int]] = None
         if interner is None:
-            self.ids: Optional[np.ndarray] = None
-            self.first_of_token: Optional[np.ndarray] = None
-            self.row_ids: Optional[np.ndarray] = None
-            self.row_weights: Optional[np.ndarray] = None
             # Prefix sums allow O(1) occurrence-weight queries.
             prefix = [0]
             for weight in occurrence_weights:
                 prefix.append(prefix[-1] + weight)
             self.occurrence_prefix = prefix
             return
-        # A row's corpus is the concatenation of its targets' ``row_ids``:
-        # each is the string's integer-encoded literals behind one separator
-        # id no real token can take, and ``row_weights`` holds the matching
-        # occurrence weights (0 under the separator).
+        # A block's query and target corpora are concatenations of
+        # ``row_ids``: the string's integer-encoded literals behind one
+        # separator id no real token can take; ``row_weights`` holds the
+        # matching occurrence weights (0 under the separator).
         self.row_ids = np.concatenate(([_SEPARATOR], interner.encode(self.literals))).astype(np.int32)
-        self.ids = self.row_ids[1:]
-        #: ``first_of_token[i]``: the first position holding the literal at ``i``.
-        _, first, token = np.unique(self.ids, return_index=True, return_inverse=True)
-        self.first_of_token = first[token]
         self.row_weights = np.asarray([0] + occurrence_weights, dtype=np.int64)
-        self.occurrence_prefix = np.cumsum(self.row_weights)
 
     def occurrence_weight(self, start: int, length: int) -> int:
         """Weight of the occurrence ``[start, start+length)`` under the occurrence-weight rule."""
@@ -214,6 +224,16 @@ def _slice_sums(values: np.ndarray, low: np.ndarray, high: np.ndarray) -> np.nda
     return running[high] - running[low]
 
 
+def _prefix_sums(weights: Sequence[np.ndarray]) -> np.ndarray:
+    """``prefix[k]``: the summed weight of the first ``k`` positions of the concatenated *weights*."""
+    return np.concatenate(([0], np.cumsum(np.concatenate(weights))))
+
+
+def _key_slices(keys: np.ndarray, wanted: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """``(low, high)`` with ``keys[low[k]:high[k]] == wanted[k]`` in the sorted *keys*."""
+    return np.searchsorted(keys, wanted), np.searchsorted(keys, wanted, side="right")
+
+
 def _cover(reach: List[int], starts: List[int], length: int) -> None:
     """Record accepted occurrences: ``reach[p]`` = max end of one covering ``p``."""
     for start in starts:
@@ -229,6 +249,52 @@ def _triples(starts: List[int], weights: np.ndarray, low: int, high: int, length
         (start, start + length, weight)
         for start, weight in zip(starts[low:high], weights[low:high].tolist())
     ]
+
+
+class _ScoringBlock:
+    """Consecutive query rows of one :meth:`KastSpectrumKernel.value_pairs` call, scored together.
+
+    Nothing is scored until a row is read.  The first read prepares the
+    block's strings (through *prepared*, the call's memo shared by all its
+    blocks, so each string is prepared once per call) and scores every row
+    in one :meth:`KastSpectrumKernel._score_block` call.
+    """
+
+    __slots__ = ("_kernel", "_strings", "_prepared", "_rows", "_values")
+
+    def __init__(
+        self,
+        kernel: "KastSpectrumKernel",
+        strings: Sequence[WeightedString],
+        prepared: Dict[int, _PreparedString],
+        rows: List[Tuple[int, List[int]]],
+    ) -> None:
+        self._kernel = kernel
+        self._strings = strings
+        self._prepared = prepared
+        self._rows = rows
+        self._values: Optional[List[List[float]]] = None
+
+    def row(self, position: int) -> List[float]:
+        """The values of the block's row at *position*, in its target order."""
+        if self._values is None:
+            self._values = self._score()
+        return self._values[position]
+
+    def _score(self) -> List[List[float]]:
+        prepared = self._prepared
+        targets = list(dict.fromkeys(j for _, row in self._rows for j in row))
+        for index in [i for i, _ in self._rows] + targets:
+            if index not in prepared:
+                prepared[index] = self._kernel._prepare(self._strings[index])
+        slot = {j: position for position, j in enumerate(targets)}
+        scored = self._kernel._score_block(
+            [prepared[i] for i, _ in self._rows],
+            [prepared[j] for j in targets],
+            [(position, slot[j]) for position, (_, row) in enumerate(self._rows) for j in row],
+        )[0]
+        values = iter(map(float, scored))
+        return [[next(values) for _ in row] for _, row in self._rows]
 
 
 class KastSpectrumKernel(StringKernel):
@@ -317,7 +383,7 @@ class KastSpectrumKernel(StringKernel):
         if self.backend != "numpy":
             # The python backend never uses integer encodings; installing an
             # interner here would silently flip it onto the numpy search
-            # path (prepared strings dispatch on `ids is not None`).
+            # path (prepared strings dispatch on `row_ids is not None`).
             return
         if interner is self._interner:
             return
@@ -332,39 +398,83 @@ class KastSpectrumKernel(StringKernel):
     def value(self, a: WeightedString, b: WeightedString) -> float:
         """Raw kernel value: inner product of the pairwise feature vectors.
 
-        The numpy backend scores the pair as a one-target row (see
-        :meth:`value_row`); the full embedding (with ``Occurrence`` /
+        The numpy backend scores the pair as a one-pair block (see
+        :meth:`value_pairs`); the full embedding (with ``Occurrence`` /
         ``KastFeature`` objects) is only materialised by :meth:`embed`.
         """
         prepared_a = self._prepare(a)
         prepared_b = self._prepare(b)
-        if prepared_a.ids is not None:
-            return float(self._score_row(prepared_a, [prepared_b])[0][0])
+        if prepared_a.row_ids is not None:
+            return float(self._score_block([prepared_a], [prepared_b], [(0, 0)])[0][0])
         return float(sum(entry[5] * entry[6] for entry in self._selected_candidates(prepared_a, prepared_b)))
 
-    def value_row(self, a: WeightedString, others: Sequence[WeightedString]) -> List[float]:
-        """Raw kernel values ``[k(a, b) for b in others]``, scored as one row.
+    def value_row(
+        self,
+        a: WeightedString,
+        others: Sequence[WeightedString],
+        block_row: Optional[Tuple["_ScoringBlock", int]] = None,
+    ) -> List[float]:
+        """Raw kernel values ``[k(a, b) for b in others]``.
 
-        The numpy backend concatenates every target (each behind a
-        separator id no real token can take) and computes *one*
-        match-length table of *a* against the whole corpus row.  It then
-        scores the row's maximal spans together: one set of distinct
-        patterns, their occurrences in *a* and across the row in array
-        form, and one presorted independence pass per pair (see
-        :meth:`_score_row`).  The separator breaks every diagonal run at
-        segment boundaries, so each segment of the row table is exactly the
-        pairwise table.  :meth:`value` and :meth:`embed` go through the same
-        scorer with a one-target row.  The python backend evaluates pair by
-        pair.
+        Alone, the row is a block of one query (see :meth:`value_pairs`).
+        :meth:`value_pairs` reads every row of its blocks through here,
+        passing *block_row*, the ``(block, query position)`` the row
+        belongs to: the block's first row read scores the whole block, the
+        later rows read its stored values.  So every row the kernel scores,
+        alone or in a block, is one ``value_row`` call with its own
+        evaluations, and a profiler that times this method sees all of the
+        numpy backend's pair scoring.
         """
+        if block_row is not None:
+            block, position = block_row
+            return block.row(position)
         others = list(others)
-        if not others:
-            return []
         prepared_a = self._prepare(a)
-        prepared_others = [self._prepare(b) for b in others]
-        if prepared_a.ids is None:
+        if prepared_a.row_ids is None or not others:
             return [self.value(a, b) for b in others]
-        return [float(value) for value in self._score_row(prepared_a, prepared_others)[0]]
+        prepared_others = [self._prepare(b) for b in others]
+        scored = self._score_block([prepared_a], prepared_others, [(0, index) for index in range(len(others))])[0]
+        return [float(value) for value in scored]
+
+    def value_pairs(self, strings: Sequence[WeightedString], index_pairs: Sequence[Tuple[int, int]]) -> List[float]:
+        """Raw kernel values ``k(strings[i], strings[j])`` for every ``(i, j)``, in order.
+
+        The numpy backend groups the pairs by query ``i`` into rows, in
+        order of first appearance, and packs consecutive rows into blocks
+        of at most :data:`_BLOCK_QUERY_TOKENS` query tokens (a longer query
+        is a block of its own).  Each block is one :meth:`_score_block`
+        call: one match-length table of the block's queries against the
+        union of their targets, one set of distinct patterns and their
+        occurrences, and one presorted independence pass per pair.  The
+        rows of a Gram's upper triangle share their targets, so a block
+        costs little more table than its rows would one by one.  Each row
+        is read out through :meth:`value_row`; :meth:`value` and
+        :meth:`embed` are one-query blocks of the same scorer.  The python
+        backend evaluates pair by pair.
+        """
+        index_pairs = [(int(i), int(j)) for i, j in index_pairs]
+        if self.backend == "python":
+            return [self.value(strings[i], strings[j]) for i, j in index_pairs]
+        rows: Dict[int, List[int]] = {}
+        for i, j in dict.fromkeys(index_pairs):
+            rows.setdefault(i, []).append(j)
+        blocks: List[List[int]] = []
+        block_tokens = 0
+        for query in rows:
+            tokens = len(strings[query])
+            if not blocks or block_tokens + tokens > _BLOCK_QUERY_TOKENS:
+                blocks.append([])
+                block_tokens = 0
+            blocks[-1].append(query)
+            block_tokens += tokens
+        prepared: Dict[int, _PreparedString] = {}
+        values: Dict[Tuple[int, int], float] = {}
+        for queries in blocks:
+            block = _ScoringBlock(self, strings, prepared, [(i, rows[i]) for i in queries])
+            for position, i in enumerate(queries):
+                row = self.value_row(strings[i], [strings[j] for j in rows[i]], (block, position))
+                values.update(zip([(i, j) for j in rows[i]], row))
+        return [values[pair] for pair in index_pairs]
 
     def self_value(self, a: WeightedString) -> float:
         """``k(a, a)``.
@@ -421,8 +531,8 @@ class KastSpectrumKernel(StringKernel):
 
     def _selected_candidates(self, prepared_a: _PreparedString, prepared_b: _PreparedString) -> List["_ScoredCandidate"]:
         """Candidates surviving the greedy independence selection, in selection order."""
-        if prepared_a.ids is not None:
-            return self._score_row(prepared_a, [prepared_b], keep=True)[1][0]
+        if prepared_a.row_ids is not None:
+            return self._score_block([prepared_a], [prepared_b], [(0, 0)], keep=True)[1][0]
         candidates, spans = self._candidate_substrings_python(prepared_a, prepared_b)
         scored = self._scored_candidates(prepared_a, prepared_b, candidates)
         kept = self._greedy_select(prepared_a, prepared_b, scored)
@@ -436,15 +546,15 @@ class KastSpectrumKernel(StringKernel):
 
         * ``maximal_spans`` — left-maximal literal matches found;
         * ``distinct_patterns`` — their distinct contents, deduplicated per
-          scoring call (per row for :meth:`value_row`, per pair otherwise);
+          scoring block (see :meth:`value_pairs`);
         * ``scored_candidates`` — (pair, pattern) candidates with a
           qualifying occurrence in both strings;
         * ``selected_features`` — candidates kept by the independence rule;
         * ``selected_occurrences`` — qualifying occurrences of the selected
           features, in both strings.
 
-        Every count but ``distinct_patterns`` of a row is a sum over pairs,
-        so both backends count alike.
+        Every count but ``distinct_patterns`` of a block is a sum over
+        pairs, so both backends count alike.
         """
         with self._cache_lock:
             return dict(self._work)
@@ -497,48 +607,29 @@ class KastSpectrumKernel(StringKernel):
     # ------------------------------------------------------------------
     @staticmethod
     def _match_lengths(ids_a: np.ndarray, ids_b: np.ndarray) -> np.ndarray:
-        """Match-length table between two id arrays, fully vectorised.
+        """Match-length table between two id arrays.
 
         ``lengths[i, j]`` is the length of the common extension starting at
         ``(i, j)`` — the run of True cells down the diagonal of the equality
-        matrix.  Diagonals are mapped to columns of a skewed buffer
-        (``column = j + m - 1 - i``), where the run lengths of consecutive
-        True cells fall out of the classic cumsum/accumulated-reset identity
-        in a constant number of whole-array NumPy passes (no Python loop over
-        rows or diagonals).
+        matrix.  It is built one row at a time from the bottom,
+        ``lengths[i, j] = eq[i, j] * (lengths[i+1, j+1] + 1)``: a Python
+        loop over the shorter side, each step two whole-row NumPy passes
+        over row views taken once.
         """
         m, n = ids_a.shape[0], ids_b.shape[0]
-        eq = np.equal.outer(ids_a, ids_b)
-        width = n + m
-        # Cell (i, j) lives at skew[i, j + m - 1 - i]: flat offset
-        # i*(width-1) + (m-1) + j, i.e. a strided view with row stride
-        # width-1 — no index arrays needed for the scatter.
-        skew = np.zeros(m * width, dtype=bool)
-        scatter = np.lib.stride_tricks.as_strided(
-            skew[m - 1 :], shape=(m, n), strides=(width - 1, 1)
-        )
-        scatter[:] = eq
-        reversed_rows = skew.reshape(m, width)[::-1]
-        # Run lengths are bounded by m, so 16-bit arithmetic is safe for any
-        # realistic string and halves the memory traffic of the three
-        # full-array passes.
-        run_dtype = np.int16 if m < np.iinfo(np.int16).max else np.int32
-        cumulative = np.cumsum(reversed_rows, axis=0, dtype=run_dtype)
-        resets = np.where(reversed_rows, 0, cumulative)
-        np.maximum.accumulate(resets, axis=0, out=resets)
-        runs_ending = cumulative - resets
-        # runs_ending[r] holds runs *ending* at row r of the reversed buffer,
-        # i.e. runs *starting* at row m-1-r of the original orientation:
-        # lengths[i, j] = runs_ending[m-1-i, j + m-1-i], again a (negative
-        # row stride) strided view.
-        itemsize = runs_ending.itemsize
-        flat = runs_ending.reshape(-1)
-        gather = np.lib.stride_tricks.as_strided(
-            flat[(m - 1) * (width + 1) :],
-            shape=(m, n),
-            strides=(-(width + 1) * itemsize, itemsize),
-        )
-        return np.ascontiguousarray(gather)
+        if n < m:
+            return np.ascontiguousarray(KastSpectrumKernel._match_lengths(ids_b, ids_a).T)
+        # Runs are bounded by m, so 16-bit arithmetic is safe for any
+        # realistic string and halves the memory traffic.
+        lengths = np.equal.outer(ids_a, ids_b).astype(np.int16 if m < np.iinfo(np.int16).max else np.int32)
+        # A row starts as eq[i] (0 or 1), so eq * (1 + next) is eq + eq * next.
+        # The last column has no diagonal successor: eq alone holds it.
+        heads, tails = list(lengths[:, :-1]), list(lengths[:, 1:])
+        extension = np.empty(n - 1, dtype=lengths.dtype)
+        for i in range(m - 2, -1, -1):
+            np.multiply(tails[i + 1], heads[i], out=extension)
+            heads[i] += extension
+        return lengths
 
     @staticmethod
     def _maximal_span_arrays(lengths: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -550,33 +641,92 @@ class KastSpectrumKernel(StringKernel):
         """
         maximal = lengths > 0
         maximal[1:, 1:] &= lengths[:-1, :-1] == 0
-        rows, cols = np.nonzero(maximal)
-        return rows, cols, lengths[rows, cols]
+        # One flat scan: a 2-D np.nonzero is several times slower.
+        found = np.flatnonzero(maximal)
+        rows, cols = np.divmod(found, lengths.shape[1])
+        return rows, cols, lengths.ravel()[found]
 
-    def _score_row(
+    @staticmethod
+    def _block_patterns(
+        lengths: np.ndarray,
+        block: np.ndarray,
+        width: int,
+        query_of: np.ndarray,
+        target_of: np.ndarray,
+        pair_of: np.ndarray,
+        count: int,
+    ) -> Tuple[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The distinct patterns of a block's requested pairs, and their candidates.
+
+        The maximal spans ``(i, j, L)`` of the table cells whose (query,
+        target) pair is requested (``pair_of >= 0``) are kept; the rest,
+        such as a query against itself, are masked out.  A span holds the
+        pattern ``block[i:i+L]`` (``L < width``); spans are deduplicated by
+        ``(i, L)`` and then by the first row of the block holding the same
+        pattern — the token's first position for ``L == 1``,
+        ``(lengths[:, j] >= L).argmax()`` otherwise — which leaves one
+        entry per distinct pattern.  Keys index dense tables (rows x
+        lengths, pairs x patterns), so no step sorts.  Returns the number
+        of spans; per pattern its first row, length and a corpus column
+        where it starts; and per (pair, pattern) candidate its pair and
+        pattern.  Only the span count is meaningful when it is 0.
+        """
+        rows, cols, span_lengths = KastSpectrumKernel._maximal_span_arrays(lengths)
+        span_pair = pair_of.ravel()[query_of[rows] * pair_of.shape[1] + target_of[cols]]
+        if count < pair_of.size:
+            requested = span_pair >= 0
+            rows, cols = rows[requested], cols[requested]
+            span_lengths, span_pair = span_lengths[requested], span_pair[requested]
+        if rows.shape[0] == 0:
+            return 0, rows, rows, rows, rows, rows
+        size = block.shape[0] * width
+        span_keys = rows * width + span_lengths
+        keys, span_key = _dense_unique(span_keys, size)
+        key_rows, key_lengths = np.divmod(keys, width)
+        # representative[row * width + L]: a corpus column where block[row:row+L] starts.
+        representative = np.empty(size, dtype=np.intp)
+        representative[span_keys] = cols
+        _, first, token = np.unique(block, return_index=True, return_inverse=True)
+        canonical = first[token[key_rows]]
+        longer = np.flatnonzero(key_lengths > 1)
+        if longer.shape[0]:
+            canonical[longer] = (lengths[:, representative[keys[longer]]] >= key_lengths[longer]).argmax(axis=0)
+        canonical_keys = canonical * width + key_lengths
+        representative[canonical_keys] = representative[keys]
+        patterns, key_pattern = _dense_unique(canonical_keys, size)
+        n_patterns = patterns.shape[0]
+        present = np.zeros(count * n_patterns, dtype=bool)
+        present[span_pair * n_patterns + key_pattern[span_key]] = True
+        pair, pattern = np.divmod(np.flatnonzero(present), n_patterns)
+        pattern_rows, pattern_lengths = np.divmod(patterns, width)
+        return rows.shape[0], pattern_rows, pattern_lengths, representative[patterns], pair, pattern
+
+    def _score_block(
         self,
-        a: _PreparedString,
-        others: Sequence[_PreparedString],
+        queries: Sequence[_PreparedString],
+        targets: Sequence[_PreparedString],
+        pairs: Sequence[Tuple[int, int]],
         keep: bool = False,
     ) -> Tuple[List[int], List[List["_ScoredCandidate"]]]:
-        """Score *a* against every target of a row at once (numpy backend).
+        """Score the ``(query, target)`` *pairs* of one block at once (numpy backend).
 
-        Returns the integer kernel value of each pair and, with ``keep``,
-        each pair's selected candidates in selection order (empty lists
-        otherwise).  Four steps:
+        *pairs* index *queries* and *targets* and are distinct.  Returns
+        the integer kernel value of each pair and, with ``keep``, each
+        pair's selected candidates in selection order (empty lists
+        otherwise).  The queries are concatenated behind one separator id
+        and the targets behind another, so one match-length table of the
+        block against the corpus holds every pairwise table as a segment:
+        the separators break every diagonal run at a boundary.  Four steps:
 
-        1. **Content deduplication.**  A maximal span ``(i, j, L)`` holds
-           the pattern ``a[i:i+L]``.  Spans are deduplicated by
-           ``(i, L)`` and then by the first row of *a* holding the same
-           pattern — the token's first position for ``L == 1``,
-           ``(lengths[:, j] >= L).argmax()`` otherwise — which leaves one
-           entry per distinct pattern of the row.
-        2. **Row-wide occurrences.**  The (overlapping) starts of a pattern
-           are ``{p : lengths[p, j] >= L}`` in *a* and
-           ``{q : lengths[i, q] >= L}`` across the whole corpus row — no
-           string is rescanned.  They are made non-overlapping and
+        1. **Content deduplication** (:meth:`_block_patterns`): one entry
+           per distinct pattern among the requested pairs' maximal spans,
+           and the (pair, pattern) candidates.
+        2. **Occurrences once per (pattern, string).**  The (overlapping)
+           starts of a pattern are ``{p : lengths[p, j] >= L}`` across the
+           queries and ``{q : lengths[i, q] >= L}`` across the targets —
+           no string is rescanned.  They are made non-overlapping and
            cut-qualified in array form (:meth:`_qualifying_occurrences_numpy`)
-           and summed per pattern (in *a*) and per (pattern, target) with
+           and summed per (pattern, query) and per (pattern, target) with
            exact integer prefix sums.
         3. **Presorted selection.**  The (pair, pattern) candidates with a
            qualifying occurrence in both strings are sorted once, with
@@ -587,72 +737,68 @@ class KastSpectrumKernel(StringKernel):
            candidates' weight products; ``keep`` also reads their
            occurrences back out for :meth:`embed`.
         """
-        count = len(others)
+        count = len(pairs)
         values = [0] * count
         selected: List[List[_ScoredCandidate]] = [[] for _ in range(count)]
-        m = a.ids.shape[0]
-        if m == 0:
+        n_queries, n_targets = len(queries), len(targets)
+        query_sizes = np.fromiter((len(query.literals) for query in queries), dtype=np.int64, count=n_queries)
+        target_sizes = np.fromiter((len(target.literals) for target in targets), dtype=np.int64, count=n_targets)
+        if not query_sizes.any() or not target_sizes.any():
             return values, selected
-        sizes = np.fromiter((other.ids.shape[0] for other in others), dtype=np.int64, count=count)
-        segment_of = np.repeat(np.arange(count), sizes + 1)
-        segment_start = np.cumsum(sizes + 1) - sizes
-        corpus = np.concatenate([other.row_ids for other in others])
-        corpus_prefix = np.concatenate(([0], np.cumsum(np.concatenate([other.row_weights for other in others]))))
-        lengths = self._match_lengths(a.ids, corpus)
-        rows, cols, span_lengths = self._maximal_span_arrays(lengths)
-        if rows.shape[0] == 0:
+        query_of = np.repeat(np.arange(n_queries), query_sizes + 1)
+        query_start = np.cumsum(query_sizes + 1) - query_sizes
+        target_of = np.repeat(np.arange(n_targets), target_sizes + 1)
+        target_start = np.cumsum(target_sizes + 1) - target_sizes
+        block = np.concatenate([query.row_ids for query in queries])
+        block[query_start - 1] = _QUERY_SEPARATOR
+        corpus = np.concatenate([target.row_ids for target in targets])
+        lengths = self._match_lengths(block, corpus)
+        pair_query, pair_target = np.asarray(pairs, dtype=np.intp).reshape(count, 2).T
+        pair_of = np.full((n_queries, n_targets), -1, dtype=np.intp)
+        pair_of[pair_query, pair_target] = np.arange(count)
+        spans, pattern_rows, pattern_lengths, pattern_cols, pair, pattern = self._block_patterns(
+            lengths, block, int(query_sizes.max()) + 1, query_of, target_of, pair_of, count
+        )
+        if spans == 0:
             return values, selected
+        n_patterns = pattern_rows.shape[0]
 
-        # 1. One entry per distinct pattern of the row.  Keys index dense
-        # tables (rows x lengths, targets x patterns), so no step sorts.
-        width = m + 1
-        span_keys = rows * width + span_lengths
-        keys, span_key = _dense_unique(span_keys, m * width)
-        key_rows, key_lengths = np.divmod(keys, width)
-        # representative[row * width + L]: a corpus column where a[row:row+L] starts.
-        representative = np.empty(m * width, dtype=np.intp)
-        representative[span_keys] = cols
-        canonical = a.first_of_token[key_rows]
-        longer = np.flatnonzero(key_lengths > 1)
-        if longer.shape[0]:
-            canonical[longer] = (lengths[:, representative[keys[longer]]] >= key_lengths[longer]).argmax(axis=0)
-        canonical_keys = canonical * width + key_lengths
-        representative[canonical_keys] = representative[keys]
-        patterns, key_pattern = _dense_unique(canonical_keys, m * width)
-        pattern_rows, pattern_lengths = np.divmod(patterns, width)
-        n_patterns = patterns.shape[0]
-        present = np.zeros(count * n_patterns, dtype=bool)
-        present[segment_of[cols] * n_patterns + key_pattern[span_key]] = True
-        candidates = np.flatnonzero(present)
-        pair = candidates // n_patterns
-        pattern = candidates % n_patterns
-
-        # 2. Qualifying occurrences: in a per pattern, in the corpus per
-        # (pattern, target) — a key that is non-decreasing along the
-        # pattern-major, position-sorted occurrence arrays.
+        # 2. Qualifying occurrences per (pattern, query) and per (pattern,
+        # target): keys that are non-decreasing along the pattern-major,
+        # position-sorted occurrence arrays.
         occ_a_pattern, occ_a_start, occ_a_weight = self._qualifying_occurrences_numpy(
-            lengths[:, representative[patterns]].T >= pattern_lengths[:, None], pattern_lengths, a.occurrence_prefix
+            lengths[:, pattern_cols].T >= pattern_lengths[:, None],
+            pattern_lengths,
+            _prefix_sums([query.row_weights for query in queries]),
         )
         occ_b_pattern, occ_b_start, occ_b_weight = self._qualifying_occurrences_numpy(
-            lengths[pattern_rows] >= pattern_lengths[:, None], pattern_lengths, corpus_prefix
+            lengths[pattern_rows] >= pattern_lengths[:, None],
+            pattern_lengths,
+            _prefix_sums([target.row_weights for target in targets]),
         )
         # Each candidate's occurrences are one slice of each sorted array.
-        a_bounds = np.searchsorted(occ_a_pattern, np.arange(n_patterns + 1))
-        a_lo, a_hi = a_bounds[pattern], a_bounds[pattern + 1]
-        occ_b_segment = segment_of[occ_b_start]
-        occ_b_key = occ_b_pattern * count + occ_b_segment
-        candidate_keys = pattern * count + pair
-        b_lo = np.searchsorted(occ_b_key, candidate_keys)
-        b_hi = np.searchsorted(occ_b_key, candidate_keys, side="right")
+        occ_a_segment = query_of[occ_a_start]
+        occ_b_segment = target_of[occ_b_start]
+        a_lo, a_hi = _key_slices(
+            occ_a_pattern * n_queries + occ_a_segment, pattern * n_queries + pair_query[pair]
+        )
+        b_lo, b_hi = _key_slices(
+            occ_b_pattern * n_targets + occ_b_segment, pattern * n_targets + pair_target[pair]
+        )
         weight_a = _slice_sums(occ_a_weight, a_lo, a_hi)
         weight_b = _slice_sums(occ_b_weight, b_lo, b_hi)
         scored = np.flatnonzero((weight_a > 0) & (weight_b > 0))
         if scored.shape[0] == 0:
-            self._count_work(rows.shape[0], n_patterns, 0, 0, 0)
+            self._count_work(spans, n_patterns, 0, 0, 0)
             return values, selected
 
         # 3. Presort once; the tie-break rank is the patterns' literal order.
-        texts = [a.literals[row : row + length] for row, length in zip(pattern_rows.tolist(), pattern_lengths.tolist())]
+        pattern_query = query_of[pattern_rows].tolist()
+        pattern_local = (pattern_rows - query_start[query_of[pattern_rows]]).tolist()
+        texts = [
+            queries[query].literals[row : row + length]
+            for query, row, length in zip(pattern_query, pattern_local, pattern_lengths.tolist())
+        ]
         rank = np.empty(n_patterns, dtype=np.int64)
         rank[sorted(range(n_patterns), key=texts.__getitem__)] = np.arange(n_patterns)
         top = np.maximum(weight_a, weight_b)
@@ -667,21 +813,22 @@ class KastSpectrumKernel(StringKernel):
         occurrence_counts = (a_hi - a_lo) + (b_hi - b_lo)
         kept = np.ones(take.shape[0], dtype=bool)
         if self.require_independent_occurrence or keep:
-            # Flat lists for the per-pair Python passes; starts in b are target-local.
+            # Flat lists for the per-pair Python passes; starts are string-local.
             length_list = candidate_lengths.tolist()
             a_lo, a_hi, b_lo, b_hi = a_lo.tolist(), a_hi.tolist(), b_lo.tolist(), b_hi.tolist()
-            starts_a = occ_a_start.tolist()
-            starts_b = (occ_b_start - segment_start[occ_b_segment]).tolist()
+            starts_a = (occ_a_start - query_start[occ_a_segment]).tolist()
+            starts_b = (occ_b_start - target_start[occ_b_segment]).tolist()
         if self.require_independent_occurrence:
             # Greedy independence per pair: a candidate is dropped when every
             # occurrence, in both strings, lies inside an accepted one.  A
             # pair's first candidate is always kept.
             bounds = pair_bounds.tolist()
-            size_list = sizes.tolist()
-            for target in np.flatnonzero(np.diff(pair_bounds) > 1).tolist():
-                low, high = bounds[target], bounds[target + 1]
-                reach_a = [-1] * m
-                reach_b = [-1] * size_list[target]
+            query_size_list = query_sizes[pair_query].tolist()
+            target_size_list = target_sizes[pair_target].tolist()
+            for scored_pair in np.flatnonzero(np.diff(pair_bounds) > 1).tolist():
+                low, high = bounds[scored_pair], bounds[scored_pair + 1]
+                reach_a = [-1] * query_size_list[scored_pair]
+                reach_b = [-1] * target_size_list[scored_pair]
                 for index in range(low, high):
                     length = length_list[index]
                     if index > low:
@@ -701,14 +848,14 @@ class KastSpectrumKernel(StringKernel):
 
         # 4. Read-out.  Occurrence weights and their sums are bounded by
         # string weights, but products of two sums can pass int64: those
-        # rows multiply and add Python integers instead.
+        # blocks multiply and add Python integers instead.
         products = weight_a * weight_b
-        if a.occurrence_total * max(other.occurrence_total for other in others) * take.shape[0] > _INT64_MAX:
+        heaviest_query = max(query.occurrence_total for query in queries)
+        heaviest_target = max(target.occurrence_total for target in targets)
+        if heaviest_query * heaviest_target * take.shape[0] > _INT64_MAX:
             products = weight_a.astype(object) * weight_b.astype(object)
         values = _slice_sums(np.where(kept, products, 0), pair_bounds[:-1], pair_bounds[1:]).tolist()
-        self._count_work(
-            rows.shape[0], n_patterns, take.shape[0], int(kept.sum()), int(occurrence_counts[kept].sum())
-        )
+        self._count_work(spans, n_patterns, take.shape[0], int(kept.sum()), int(occurrence_counts[kept].sum()))
         if keep:
             for index in np.flatnonzero(kept).tolist():
                 length = length_list[index]
@@ -741,7 +888,7 @@ class KastSpectrumKernel(StringKernel):
         through a left-to-right Python fix-up.  Returns
         ``(pattern, start, weight)`` arrays sorted by pattern, then start.
         """
-        patterns, starts = np.nonzero(matches)
+        patterns, starts = np.divmod(np.flatnonzero(matches), matches.shape[1])
         lengths = pattern_lengths[patterns]
         clash = (patterns[1:] == patterns[:-1]) & (starts[1:] - starts[:-1] < lengths[1:])
         if clash.any():

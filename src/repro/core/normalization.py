@@ -46,9 +46,7 @@ def cosine_normalize(matrix: np.ndarray) -> np.ndarray:
 
 def is_positive_semidefinite(matrix: np.ndarray, tolerance: float = _PSD_TOLERANCE) -> bool:
     """Whether the symmetric matrix has no eigenvalue below ``-tolerance``."""
-    matrix = np.asarray(matrix, dtype=float)
-    symmetric = 0.5 * (matrix + matrix.T)
-    eigenvalues = np.linalg.eigvalsh(symmetric)
+    eigenvalues = np.linalg.eigvalsh(_symmetric(matrix))
     return bool(eigenvalues.min() >= -tolerance)
 
 
@@ -65,19 +63,40 @@ def clip_negative_eigenvalues(matrix: np.ndarray, tolerance: float = 0.0) -> np.
 def psd_repair(matrix: np.ndarray) -> Optional[np.ndarray]:
     """:func:`clip_negative_eigenvalues` of *matrix*, or ``None`` when it needs none.
 
-    ``None`` means :func:`is_positive_semidefinite` holds at its default
-    tolerance.  One eigendecomposition both decides and repairs, where
-    that test followed by the clip takes two.
+    ``None`` means the smallest eigenvalue of the symmetrised matrix, as
+    ``np.linalg.eigh`` computes it, is at least ``-_PSD_TOLERANCE`` — the
+    decision one ``eigh`` used to make alone.  Eigenvalues only
+    (``eigvalsh``) cost a fraction of a full decomposition, so they decide
+    first: a smallest eigenvalue clear of the tolerance by more than both
+    routines' rounding error (:func:`_eigenvalue_margin`) needs no
+    eigenvectors.  Inside that band, and for every repair, ``eigh`` decides
+    and rebuilds exactly as before.
     """
-    eigenvalues, eigenvectors = _symmetric_eigh(matrix)
+    symmetric = _symmetric(matrix)
+    if np.linalg.eigvalsh(symmetric).min() >= -_PSD_TOLERANCE + _eigenvalue_margin(symmetric):
+        return None
+    eigenvalues, eigenvectors = np.linalg.eigh(symmetric)
     if eigenvalues.min() >= -_PSD_TOLERANCE:
         return None
     return _rebuild_clipped(eigenvalues, eigenvectors, 0.0)
 
 
-def _symmetric_eigh(matrix: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+def _eigenvalue_margin(symmetric: np.ndarray) -> float:
+    """A bound on how far two backward-stable eigenvalue routines can disagree.
+
+    Each computed eigenvalue lies within ``O(n eps ||A||_2)`` of the exact
+    one; ``64 n eps ||A||_F`` covers both routines with room to spare.
+    """
+    return 64.0 * symmetric.shape[0] * np.finfo(float).eps * float(np.linalg.norm(symmetric))
+
+
+def _symmetric(matrix: np.ndarray) -> np.ndarray:
     matrix = np.asarray(matrix, dtype=float)
-    return np.linalg.eigh(0.5 * (matrix + matrix.T))
+    return 0.5 * (matrix + matrix.T)
+
+
+def _symmetric_eigh(matrix: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    return np.linalg.eigh(_symmetric(matrix))
 
 
 def _rebuild_clipped(

@@ -722,7 +722,11 @@ class JobStore:
     # Result payloads
     # ------------------------------------------------------------------
     def store_result(
-        self, job_id: str, payload: Mapping[str, Any], worker_id: Optional[str] = None
+        self,
+        job_id: str,
+        payload: Mapping[str, Any],
+        worker_id: Optional[str] = None,
+        cache: Optional[str] = None,
     ) -> JobRecord:
         """Persist a job's result payload and flip the record to ``done``.
 
@@ -730,7 +734,8 @@ class JobStore:
         updated with the payload checksum and the ``done`` status — so a
         crash between the two writes leaves a ``running`` record recovery
         will requeue (leased) or mark interrupted (in-process), never a
-        ``done`` record without its payload.
+        ``done`` record without its payload.  A *cache* outcome lands in
+        the record's ``options["cache"]`` in that same record write.
 
         When *worker_id* is given, the write is refused with
         :class:`LeaseError` if the record is ``running`` under a
@@ -757,12 +762,15 @@ class JobStore:
 
         def finish(record: JobRecord) -> Dict[str, Any]:
             verify_owner(record)
-            return {
+            changes: Dict[str, Any] = {
                 "status": "done",
                 "payload_sha256": _payload_checksum(text),
                 "error": None,
                 "lease_expires_at": None,
             }
+            if cache is not None:
+                changes["options"] = {**record.options, "cache": cache}
+            return changes
 
         record = self.mutate(job_id, finish)
         self._count("results")

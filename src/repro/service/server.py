@@ -190,11 +190,11 @@ from repro.service.tenancy import (
 )
 from repro.service.worker import (
     DEFAULT_POLL_INTERVAL,
+    JobResult,
     ShutdownRequested,
     execute_block_task,
     fit_model_payload,
     run_claimed_job,
-    stamp_cache_status,
 )
 from repro.streaming.scorer import StreamingScorer
 from repro.strings.tokens import WeightedString
@@ -670,8 +670,8 @@ class AnalysisServer:
     # ------------------------------------------------------------------
     # Job computation
     # ------------------------------------------------------------------
-    def _payload_for_record(self, tenant: TenantContext, record: JobRecord) -> Dict[str, Any]:
-        """Compute the stamped payload a claimed record describes.
+    def _payload_for_record(self, tenant: TenantContext, record: JobRecord) -> JobResult:
+        """Compute the stamped payload (and cache outcome) a claimed record describes.
 
         Everything needed comes from the record's persisted ``input``, so
         this works identically for freshly submitted jobs and for jobs
@@ -680,17 +680,17 @@ class AnalysisServer:
         if record.input is None:
             raise JobStoreError(f"job {record.job_id!r} carries no stored input")
         if record.kind == "fit-model":
-            summary = fit_model_payload(tenant.namespace, record)
+            result = fit_model_payload(tenant.namespace, record)
             # Serve the fresh fit even where the file's mtime cannot tell.
             with tenant.lock:
-                tenant.scorers.pop(summary["name"], None)
-            return summary
+                tenant.scorers.pop(result.payload["name"], None)
+            return result
         spec = self._coerce_spec(record.input["spec"])
         strings = decode_corpus(record.input["strings"])
         if record.kind == "matrix":
             return self._matrix_payload(tenant, record.job_id, spec, strings, record.input)
         if record.kind == "analyze":
-            return self._analyze_payload(tenant, record.job_id, spec, strings, record.input)
+            return self._analyze_payload(tenant, spec, strings, record.input)
         raise JobStoreError(f"job {record.job_id!r} has unexecutable kind {record.kind!r}")
 
     def _matrix_payload(
@@ -700,14 +700,14 @@ class AnalysisServer:
         spec: KernelSpec,
         strings: List[WeightedString],
         options: Mapping[str, Any],
-    ) -> Dict[str, Any]:
+    ) -> JobResult:
         """The stamped payload of a matrix job, distributed or not.
 
         Runs :meth:`AnalysisSession.matrix_cached` — an exact result-cache
         hit is served with zero kernel evaluations and, for a distributed
         job, without creating a single block record; anything else is
-        assembled from raw pair values, stored and repaired there — and
-        stamps the outcome into the record (``options["cache"]``).  A
+        assembled from raw pair values, stored and repaired there — with
+        the outcome as the result's ``cache`` (``options["cache"]``).  A
         distributed job's raw values come from its block records
         (:meth:`_block_pair_values`); every other job's from the session's
         engine and its pair layers.
@@ -725,8 +725,7 @@ class AnalysisServer:
             use_cache=bool(options.get("use_cache", True)),
             pair_values=pair_values,
         )
-        stamp_cache_status(tenant.store, job_id, status)
-        return tenant.session.engine(spec).matrix_payload(matrix, strings)
+        return JobResult(tenant.session.engine(spec).matrix_payload(matrix, strings), cache=status)
 
     def _block_pair_values(
         self,
@@ -865,11 +864,10 @@ class AnalysisServer:
     def _analyze_payload(
         self,
         tenant: TenantContext,
-        job_id: str,
         spec: KernelSpec,
         strings: List[WeightedString],
         options: Mapping[str, Any],
-    ) -> Dict[str, Any]:
+    ) -> JobResult:
         from repro.pipeline.config import ExperimentConfig
         from repro.pipeline.pipeline import AnalysisPipeline
         from repro.pipeline.report import summarise_result
@@ -883,9 +881,8 @@ class AnalysisServer:
         # One result-cache lookup: the matrix (and the hit/miss outcome the
         # record reports, as the matrix path does) feed the analysis stages.
         matrix, status = tenant.session.matrix_cached(config.spec, strings)
-        stamp_cache_status(tenant.store, job_id, status)
         result = AnalysisPipeline(config, session=tenant.session).analyse_matrix(matrix, strings)
-        return {
+        payload = {
             "config": config.describe(),
             "metrics": {name: float(value) for name, value in result.metrics.items()},
             "assignments": [int(assignment) for assignment in result.assignments],
@@ -893,6 +890,7 @@ class AnalysisServer:
             "labels": [label for label in result.labels],
             "summary": summarise_result(result, title="service analyze"),
         }
+        return JobResult(payload, cache=status)
 
     # ------------------------------------------------------------------
     # Streaming serving (landmark models)

@@ -72,7 +72,7 @@ import os
 import threading
 import time
 import uuid
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.api.session import AnalysisSession
 from repro.api.spec import coerce_spec
@@ -88,10 +88,10 @@ from repro.strings.tokens import WeightedString
 __all__ = [
     "Worker",
     "ShutdownRequested",
+    "JobResult",
     "execute_block_task",
     "fit_model_payload",
     "run_claimed_job",
-    "stamp_cache_status",
     "DEFAULT_LEASE_SECONDS",
     "DEFAULT_POLL_INTERVAL",
 ]
@@ -109,9 +109,24 @@ DEFAULT_LEASE_SECONDS = 30.0
 #: instead of being released back to the queue.
 MAX_TASK_ATTEMPTS = 3
 
-#: A job's payload function: the claimed record in, the result payload out
+
+class JobResult(NamedTuple):
+    """What a payload function hands back for the runner to store.
+
+    ``cache`` is the job's result-cache outcome (``hit``, ``miss``,
+    ``bypass``, ...), or ``None`` for a job that has none.  The runner
+    stores it in the record's options in the same write that marks the
+    job ``done``; ``status`` and ``result`` answers report it as the
+    envelope's ``cache`` field.
+    """
+
+    payload: Dict[str, Any]
+    cache: Optional[str] = None
+
+
+#: A job's payload function: the claimed record in, its result out
 #: (``None`` when the job stored its own result, as block tasks do).
-PayloadFunction = Callable[[JobRecord], Optional[Dict[str, Any]]]
+PayloadFunction = Callable[[JobRecord], Optional[JobResult]]
 
 
 class ShutdownRequested(Exception):
@@ -174,17 +189,7 @@ def execute_block_task(
     )
 
 
-def stamp_cache_status(store: JobStore, job_id: str, status: str) -> None:
-    """Record a job's result-cache outcome in its options (best effort).
-
-    ``status`` and ``result`` answers report it as the envelope's
-    ``cache`` field.
-    """
-    with contextlib.suppress(JobStoreError, KeyError):
-        store.mutate(job_id, lambda current: {"options": {**current.options, "cache": status}})
-
-
-def fit_model_payload(namespace: StateNamespace, record: JobRecord) -> Dict[str, Any]:
+def fit_model_payload(namespace: StateNamespace, record: JobRecord) -> JobResult:
     """Fit and persist the landmark model a claimed ``fit-model`` record describes.
 
     *record* is one of *namespace*'s; its ``input`` is self-contained
@@ -192,7 +197,7 @@ def fit_model_payload(namespace: StateNamespace, record: JobRecord) -> Dict[str,
     any worker sharing the state dir run this same body.  The full Gram
     goes through the namespace session's
     :meth:`~repro.api.session.AnalysisSession.matrix_cached`, and its
-    outcome is stamped into the record (``options["cache"]``).  A worker
+    outcome is the result's ``cache`` (``options["cache"]``).  A worker
     opens no result cache, so a worker-run fit reports ``bypass``.  The
     frozen model lands in the namespace's model store via an atomic
     checksum-stamped write; the server's per-name scorer cache keys on the
@@ -213,11 +218,10 @@ def fit_model_payload(namespace: StateNamespace, record: JobRecord) -> Dict[str,
         use_cache=bool(record.input.get("use_cache", True)),
     )
     path = namespace.model_store.save(model)
-    stamp_cache_status(namespace.store, record.job_id, status)
     summary = model.summary()
     summary["path"] = path
     summary["cache"] = status
-    return summary
+    return JobResult(summary, cache=status)
 
 
 class _LeaseKeeper(threading.Thread):
@@ -298,7 +302,7 @@ def run_claimed_job(
         try:
             result = payload(record)
             if result is not None:
-                store.store_result(job_id, result, worker_id=worker_id)
+                store.store_result(job_id, result.payload, worker_id=worker_id, cache=result.cache)
         except ShutdownRequested:
             outcome = "released"
             with contextlib.suppress(LeaseError, JobStoreError, KeyError):
@@ -486,7 +490,7 @@ class Worker:
         self.persist_metrics()
         return record.job_id
 
-    def _payload(self, namespace: StateNamespace, record: JobRecord) -> Optional[Dict[str, Any]]:
+    def _payload(self, namespace: StateNamespace, record: JobRecord) -> Optional[JobResult]:
         # The sleep runs under the lease keeper: a live-but-slow worker
         # keeps renewing, so only a *dead* worker's lease expires.
         if self.throttle > 0:

@@ -19,6 +19,10 @@ from repro.traces.model import IOOperation, IOTrace
 from repro.workloads.corpus import CorpusConfig, build_corpus
 
 
+def pytest_configure(config):
+    config.addinivalue_line("markers", "slow: a test that runs the paper's full experiments (seconds, not milliseconds)")
+
+
 @pytest.fixture
 def simple_trace() -> IOTrace:
     """A tiny hand-written trace: one handle, one block, a small write loop."""

@@ -38,15 +38,16 @@ class CountingKernel(KastSpectrumKernel):
     def __init__(self, **kwargs):
         super().__init__(**kwargs)
         self.value_calls = 0
-        self.row_values = 0
+        self.batch_values = 0
 
     def value(self, a, b):
         self.value_calls += 1
         return super().value(a, b)
 
-    def value_row(self, a, others):
-        self.row_values += len(others)
-        return super().value_row(a, others)
+    def value_pairs(self, strings, index_pairs):
+        index_pairs = list(index_pairs)
+        self.batch_values += len(index_pairs)
+        return super().value_pairs(strings, index_pairs)
 
 
 def segment_files(root):
@@ -96,9 +97,9 @@ class TestPairCache:
         kernel = CountingKernel(cut_weight=2)
         engine = GramEngine(kernel)
         first = engine.gram(corpus)
-        evaluations = kernel.row_values + kernel.value_calls
+        evaluations = kernel.batch_values + kernel.value_calls
         second = engine.gram(corpus)
-        assert kernel.row_values + kernel.value_calls == evaluations
+        assert kernel.batch_values + kernel.value_calls == evaluations
         np.testing.assert_array_equal(first, second)
 
 
@@ -121,9 +122,9 @@ class TestGram:
         assert np.allclose(gram, gram.T)
 
     def test_kernel_without_value_row_matches_direct_loop(self, corpus):
-        # SpectrumKernel has no value_row: exercises the per-pair fallback.
+        # SpectrumKernel has no value_row or value_pairs: exercises the per-pair fallback.
         kernel = SpectrumKernel(k=2)
-        assert not hasattr(kernel, "value_row")
+        assert not hasattr(kernel, "value_row") and not hasattr(kernel, "value_pairs")
         gram = GramEngine(kernel).gram(corpus, normalized=False)
         reference = SpectrumKernel(k=2)
         for i in range(len(corpus)):
@@ -171,7 +172,7 @@ class TestPersistence:
         kernel = CountingKernel(cut_weight=2)
         engine = stored_engine(kernel, root)
         matrix = engine.compute(corpus)
-        assert kernel.value_calls == 0 and kernel.row_values == 0
+        assert kernel.value_calls == 0 and kernel.batch_values == 0
         assert engine.kernel_evals == 0  # self values came from the store too
         reference = GramEngine(KastSpectrumKernel(cut_weight=2)).compute(corpus)
         np.testing.assert_array_equal(matrix.values, reference.values)
@@ -183,7 +184,7 @@ class TestPersistence:
         extended = stored_engine(kernel, root).compute(corpus)
         # Only pairs touching the 4 appended strings get evaluated:
         # 6*4 cross pairs + C(4,2) new pairs = 30 < C(10,2) = 45.
-        assert kernel.value_calls + kernel.row_values <= 30
+        assert kernel.value_calls + kernel.batch_values <= 30
         full = GramEngine(KastSpectrumKernel(cut_weight=2)).compute(corpus)
         np.testing.assert_array_equal(extended.values, full.values)
 
@@ -204,7 +205,7 @@ class TestPersistence:
                 handle.write(content)
         kernel = CountingKernel(cut_weight=2)
         matrix = stored_engine(kernel, root).compute(corpus)
-        assert kernel.value_calls + kernel.row_values > 0  # damage is never served
+        assert kernel.value_calls + kernel.batch_values > 0  # damage is never served
         reference = GramEngine(KastSpectrumKernel(cut_weight=2)).compute(corpus)
         np.testing.assert_array_equal(matrix.values, reference.values)
 
@@ -239,7 +240,7 @@ class TestPersistence:
         ]
         kernel = CountingKernel(cut_weight=2)
         cached = stored_engine(kernel, root).compute(renamed)
-        assert kernel.value_calls + kernel.row_values > 0
+        assert kernel.value_calls + kernel.batch_values > 0
         fresh = GramEngine(KastSpectrumKernel(cut_weight=2)).compute(renamed)
         np.testing.assert_allclose(cached.values, fresh.values)
 
@@ -250,7 +251,7 @@ class TestPersistence:
         stored_engine(KastSpectrumKernel(cut_weight=2), root).compute(corpus)
         flagged_kernel = CountingKernel(cut_weight=2, filter_tokens_below_cut=True)
         cached = stored_engine(flagged_kernel, root).compute(corpus)
-        assert flagged_kernel.value_calls + flagged_kernel.row_values > 0
+        assert flagged_kernel.value_calls + flagged_kernel.batch_values > 0
         fresh = GramEngine(KastSpectrumKernel(cut_weight=2, filter_tokens_below_cut=True)).compute(corpus)
         np.testing.assert_allclose(cached.values, fresh.values)
 
@@ -261,7 +262,7 @@ class TestBackendIntegrity:
         GramEngine(kernel, interner=TokenInterner())
         assert kernel.interner is None
         prepared = kernel._prepare(corpus[0])
-        assert prepared.ids is None  # still on the pure-python search path
+        assert prepared.row_ids is None  # still on the pure-python search path
 
 
 class TestSpecIntegration:
@@ -299,7 +300,7 @@ class TestSpecIntegration:
         stored_engine(KastSpectrumKernel(cut_weight=2, backend="numpy"), root).compute(corpus)
         kernel = CountingKernel(cut_weight=2, backend="python")
         stored_engine(kernel, root).compute(corpus)
-        assert kernel.value_calls == 0 and kernel.row_values == 0
+        assert kernel.value_calls == 0 and kernel.batch_values == 0
 
     @pytest.mark.parametrize(
         "changed",
@@ -316,12 +317,12 @@ class TestSpecIntegration:
         stored_engine(KastSpectrumKernel(cut_weight=2), root).compute(corpus)
         same = CountingKernel(cut_weight=2)
         stored_engine(same, root).compute(corpus)
-        assert same.value_calls == 0 and same.row_values == 0  # full reuse
+        assert same.value_calls == 0 and same.batch_values == 0  # full reuse
         kwargs = dict(cut_weight=2)
         kwargs.update(changed)
         different = CountingKernel(**kwargs)
         stored_engine(different, root).compute(corpus)
-        assert different.value_calls + different.row_values > 0  # recomputed
+        assert different.value_calls + different.batch_values > 0  # recomputed
 
     def test_matrix_payload_always_stamps(self, corpus):
         engine = GramEngine(KastSpectrumKernel(cut_weight=2))
@@ -373,7 +374,7 @@ class TestExplicitSpecShorthand:
         GramEngine(spec="kast", pair_store=PairStore(root)).compute(corpus)
         counting = CountingKernel(cut_weight=2)
         stored_engine(counting, root, spec='{"kind": "kast"}').compute(corpus)
-        assert counting.value_calls == 0 and counting.row_values == 0
+        assert counting.value_calls == 0 and counting.batch_values == 0
 
 
 class TestBlockSharding:
@@ -472,7 +473,7 @@ class TestKeyRegistryEviction:
         engine = GramEngine(kernel, pair_cache_size=8)
         corpus = [synthetic(10 + index, seed=100 + index) for index in range(8)]
         engine.gram(corpus)
-        warm_pair_evaluations = kernel.value_calls + kernel.row_values
+        warm_pair_evaluations = kernel.value_calls + kernel.batch_values
         warm_evaluations = engine.kernel_evals  # 28 pairs + 8 self values
         assert engine.cache_info()["pair_entries"] == 8  # LRU-bounded
 
@@ -482,7 +483,7 @@ class TestKeyRegistryEviction:
         # pairs and self values costs zero kernel work.
         engine.pair_value(corpus[4], corpus[5])
         engine.self_value(corpus[6])
-        assert kernel.value_calls + kernel.row_values == warm_pair_evaluations
+        assert kernel.value_calls + kernel.batch_values == warm_pair_evaluations
         assert engine.kernel_evals == warm_evaluations + 1  # the novel self value only
 
     def test_evicted_key_recomputes_only_itself(self):

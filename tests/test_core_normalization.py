@@ -59,6 +59,26 @@ class TestPSDRepair:
                 assert repaired is None
             else:
                 assert np.array_equal(repaired, clip_negative_eigenvalues(matrix))
+        # Every decision and every repaired byte equal the single-eigh path,
+        # also where the smallest eigenvalue sits at the tolerance itself.
+        tolerance = 1e-8
+        for size in (12, 40):
+            for _ in range(10):
+                raw = rng.normal(size=(size, size))
+                matrix = raw @ raw.T if rng.random() < 0.5 else raw + raw.T
+                matrix /= np.abs(matrix).max()
+                smallest = np.linalg.eigh(matrix)[0].min()
+                cases = [matrix] + [
+                    matrix - (smallest + tolerance + offset) * np.eye(size)
+                    for offset in (-1e-14, -1e-15, 0.0, 1e-15, 1e-14)
+                ]
+                for case in cases:
+                    eigenvalues = np.linalg.eigh(0.5 * (case + case.T))[0]
+                    repaired = psd_repair(case)
+                    if eigenvalues.min() >= -tolerance:
+                        assert repaired is None
+                    else:
+                        assert np.array_equal(repaired, clip_negative_eigenvalues(case))
 
     def test_nearest_psd_projection_restores_unit_diagonal(self):
         matrix = np.array([[1.0, 0.9, -0.9], [0.9, 1.0, 0.9], [-0.9, 0.9, 1.0]])

@@ -1,14 +1,16 @@
 """Backend equivalence for the Kast kernel (numpy vs python).
 
-The numpy backend (integer interning, vectorised match search, batched row
-evaluation) must produce values identical to the pure-Python reference over
-randomised corpora, for every combination of the kernel's interpretation
-flags.  The values are integer arithmetic in both backends, so equality is
+The numpy backend (integer interning, vectorised match search, rows and
+blocks of rows scored at once) must produce values identical to the
+pure-Python reference over randomised corpora, for every combination of the
+kernel's interpretation flags.  The values are integer arithmetic in both backends, so equality is
 exact — the 1e-9 tolerance of the acceptance criterion is only a ceiling.
 """
 
 from __future__ import annotations
 
+import contextlib
+import hashlib
 import random
 import sys
 import threading
@@ -17,6 +19,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import kast
+from repro.core.engine import GramEngine
 from repro.core.kast import KastSpectrumKernel
 from repro.strings.interner import TokenInterner
 from repro.strings.tokens import Token, WeightedString
@@ -184,6 +188,113 @@ class TestRandomCorpusEquivalence:
             assert kernel.value(string_a, string_b) == 1018.0
 
 
+@contextlib.contextmanager
+def block_budget(tokens):
+    """Score with blocks of at most *tokens* query tokens."""
+    saved = kast._BLOCK_QUERY_TOKENS
+    kast._BLOCK_QUERY_TOKENS = tokens
+    try:
+        yield
+    finally:
+        kast._BLOCK_QUERY_TOKENS = saved
+
+
+@st.composite
+def _pair_sets(draw):
+    """A corpus from :func:`_rows` and any pairs over it: reversed,
+    repeated, self and non-triangular pairs included."""
+    strings = draw(_rows())
+    index = st.integers(min_value=0, max_value=len(strings) - 1)
+    pairs = draw(st.lists(st.tuples(index, index), min_size=0, max_size=16))
+    return strings, pairs
+
+
+class TestBlockPathEquivalence:
+    #: One query token a block (every row its own block, every longer
+    #: query over budget), a budget that splits a Gram mid-way, and the
+    #: module's own.
+    BUDGETS = (1, 9, kast._BLOCK_QUERY_TOKENS)
+
+    @given(case=_pair_sets())
+    @settings(max_examples=80, deadline=None)
+    def test_value_pairs_match_python_pair_by_pair(self, case):
+        strings, pairs = case
+        for cut in _ROW_CUTS:
+            for filter_tokens, independent in _FLAGS:
+                python_kernel, numpy_kernel = kernels(
+                    cut, filter_tokens_below_cut=filter_tokens, require_independent_occurrence=independent
+                )
+                expected = [python_kernel.value(strings[i], strings[j]) for i, j in pairs]
+                assert python_kernel.value_pairs(strings, pairs) == expected
+                for budget in self.BUDGETS:
+                    with block_budget(budget):
+                        assert numpy_kernel.value_pairs(strings, pairs) == expected, (
+                            cut, filter_tokens, independent, budget
+                        )
+
+    @pytest.mark.parametrize("budget", BUDGETS)
+    @pytest.mark.parametrize("cut", [1, 2, 8])
+    def test_random_gram_matches_python(self, budget, cut):
+        rng = random.Random(budget * 100 + cut)
+        corpus = [synthetic(rng.randrange(0, 40), seed=cut * 10 + index, alphabet=rng.choice((2, 4))) for index in range(9)]
+        corpus.insert(4, WeightedString([]))
+        corpus.insert(2, WeightedString(corpus[6].tokens, name="twin"))
+        pairs = [(i, j) for i in range(len(corpus)) for j in range(i + 1, len(corpus))]
+        python_kernel, numpy_kernel = kernels(cut)
+        with block_budget(budget):
+            assert numpy_kernel.value_pairs(corpus, pairs) == [
+                python_kernel.value(corpus[i], corpus[j]) for i, j in pairs
+            ]
+
+    def test_value_pairs_exact_past_int64_products(self):
+        big = WeightedString.parse("a:4000000000 b:4000000000 a:4000000000 c:3")
+        other = WeightedString.parse("a:4000000001 b:4000000001 c:4000000001 a:7")
+        small = synthetic(12, seed=3, alphabet=3)
+        strings = [small, big, other, small]
+        pairs = [(0, 1), (1, 2), (1, 1), (0, 3), (2, 0)]
+        python_kernel, numpy_kernel = kernels(2)
+        expected = [python_kernel.value(strings[i], strings[j]) for i, j in pairs]
+        assert expected[2] == float(12000000003**2)
+        assert numpy_kernel.value_pairs(strings, pairs) == expected
+
+    @pytest.mark.parametrize("budget", BUDGETS)
+    def test_every_row_is_read_through_value_row(self, budget, monkeypatch):
+        # A profiler that wraps value_row must see each row's evaluations
+        # and every block scoring call inside one of its row calls.
+        rng = random.Random(budget)
+        corpus = [synthetic(rng.randrange(1, 30), seed=index, alphabet=3) for index in range(10)]
+        pairs = [(i, j) for i in range(len(corpus)) for j in range(i + 1, len(corpus))]
+        kernel = KastSpectrumKernel(backend="numpy")
+        rows, inside = [], []
+        original_row, original_block = KastSpectrumKernel.value_row, KastSpectrumKernel._score_block
+
+        def value_row(self, a, others, *args):
+            rows.append(len(others))
+            inside.append(True)
+            try:
+                return original_row(self, a, others, *args)
+            finally:
+                inside.pop()
+
+        def score_block(self, *args, **kwargs):
+            assert inside, "a block was scored outside value_row"
+            return original_block(self, *args, **kwargs)
+
+        monkeypatch.setattr(KastSpectrumKernel, "value_row", value_row)
+        monkeypatch.setattr(KastSpectrumKernel, "_score_block", score_block)
+        with block_budget(budget):
+            values = kernel.value_pairs(corpus, pairs)
+        assert rows == [len(corpus) - 1 - i for i in range(len(corpus) - 1)]
+        assert values == [KastSpectrumKernel(backend="python").value(corpus[i], corpus[j]) for i, j in pairs]
+
+    def test_empty_and_single_pair_calls(self):
+        kernel = KastSpectrumKernel(backend="numpy")
+        corpus = [synthetic(5, seed=1), WeightedString([])]
+        assert kernel.value_pairs(corpus, []) == []
+        assert kernel.value_pairs(corpus, [(0, 1), (1, 0), (1, 1)]) == [0.0, 0.0, 0.0]
+        assert kernel.value_pairs(corpus, [(0, 0)]) == [kernel.value(corpus[0], corpus[0])]
+
+
 class TestWorkCounts:
     @staticmethod
     def corpus(seed=5, size=9):
@@ -214,6 +325,21 @@ class TestWorkCounts:
             assert by_row[name] == by_pair[name], name
         # Patterns are deduplicated across a whole row.
         assert by_row["distinct_patterns"] <= by_pair["distinct_patterns"]
+
+    @pytest.mark.parametrize("budget", TestBlockPathEquivalence.BUDGETS)
+    def test_block_counts_are_the_row_sums(self, budget):
+        corpus = self.corpus(size=12)
+        _, row = kernels(2)
+        for index, first in enumerate(corpus):
+            row.value_row(first, corpus[index + 1 :])
+        _, block = kernels(2)
+        with block_budget(budget):
+            block.value_pairs(corpus, [(i, j) for i in range(len(corpus)) for j in range(i + 1, len(corpus))])
+        by_row, by_block = row.work_counts(), block.work_counts()
+        for name in ("maximal_spans", "scored_candidates", "selected_features", "selected_occurrences"):
+            assert by_block[name] == by_row[name], name
+        # Patterns are deduplicated across a whole block.
+        assert by_block["distinct_patterns"] <= by_row["distinct_patterns"]
 
     def test_embed_counts_its_features_and_occurrences(self):
         first, second = self.corpus()[1:3]
@@ -288,3 +414,36 @@ class TestPreparedCache:
         assert len(kernel._cache) == 0
         # Still evaluates correctly with the fresh id space.
         assert kernel.normalized_value(string, string) == pytest.approx(1.0)
+
+
+class TestPaperCorpusGram:
+    def test_gram_is_bit_identical_to_the_row_scorer(self):
+        # Digests of the cut-2 Gram over the 110-string paper corpus as the
+        # one-row-per-call scorer built it: raw, then normalised.
+        from repro.pipeline.experiments import paper_strings
+
+        strings = list(paper_strings())
+        engine = GramEngine(KastSpectrumKernel(cut_weight=2))
+        raw = engine.matrix(strings, normalized=False).values
+        normalized = engine.matrix(strings).values
+        assert hashlib.sha256(raw.tobytes()).hexdigest() == (
+            "45e13470b091e540c5d749e21420c36d9245c93fc7096990912ef23de4813b5e"
+        )
+        assert hashlib.sha256(normalized.tobytes()).hexdigest() == (
+            "d73e518a0b942deaca71e5752488b740faf5a32f06fba93a901bfc082741f9b0"
+        )
+        work = engine.kernel.work_counts()
+        assert {name: work[name] for name in ("maximal_spans", "scored_candidates", "selected_features")} == {
+            "maximal_spans": 1158372,
+            "scored_candidates": 38854,
+            "selected_features": 26460,
+        }
+        assert work["selected_occurrences"] == 115094
+        assert work["distinct_patterns"] <= 3669
+
+    def test_fig7_clustering_is_unchanged(self):
+        from repro.pipeline.experiments import experiment_fig7_hclust_kast
+
+        fig7 = experiment_fig7_hclust_kast()
+        assert round(fig7.metrics["adjusted_rand_index"], 4) == 0.8505
+        assert fig7.misplacements() == 0

@@ -12,6 +12,7 @@ wire (``cache-stats``) and bypassable (``use_cache=False``).
 from __future__ import annotations
 
 import json
+import os
 import threading
 
 import pytest
@@ -120,6 +121,33 @@ class TestLiveResubmission:
         wait_result(server, job_id)
         status = check_response(server.handle(StatusRequest(job_id=job_id).to_payload()))
         assert status.get("cache") == "miss"
+
+
+class TestDurableWrites:
+    def test_a_cold_matrix_job_makes_eight_durable_writes(self, server, strings, monkeypatch, tmp_path):
+        # Record create and claim, two pair-store segments, the matrix-cache
+        # payload and meta, then the result payload before the record that
+        # marks the job done and carries its cache outcome.
+        from repro.core import atomicio, cachestore, pairstore
+        from repro.service import jobstore
+
+        written = []
+        original = atomicio.write_text_atomic
+
+        def counting(path, text):
+            written.append(path)
+            original(path, text)
+
+        for module in (atomicio, cachestore, jobstore, pairstore):
+            monkeypatch.setattr(module, "write_text_atomic", counting)
+        job_id = submit(server, strings[:8])["job_id"]
+        result = wait_result(server, job_id)
+        assert result.get("cache") == "miss"
+        assert len(written) == 8, written
+        record = server.tenants.context(DEFAULT_TENANT).store.get(job_id)
+        assert record.options["cache"] == "miss"
+        assert os.path.basename(written[-2]) == f"{job_id}.json" and "payloads" in written[-2]
+        assert "payloads" not in written[-1] and job_id in written[-1]
 
 
 class TestRestartResubmission:
