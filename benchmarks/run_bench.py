@@ -253,7 +253,7 @@ def main() -> int:
 
     def phase_timer(phase: str):
         return registry.histogram(
-            "bench_phase_seconds", "Wall clock of one benchmark phase.", phase=phase
+            "repro_bench_phase_seconds", "Wall clock of one benchmark phase.", phase=phase
         ).time()
 
     print("E10a: single Kast pair evaluation (ms)")
@@ -297,7 +297,7 @@ def main() -> int:
     phase_seconds = {
         sample["labels"]["phase"]: sample["sum"]
         for family in registry.snapshot()
-        if family["name"] == "bench_phase_seconds"
+        if family["name"] == "repro_bench_phase_seconds"
         for sample in family["samples"]
     }
     print("phase breakdown (s)")

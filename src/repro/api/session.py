@@ -437,7 +437,6 @@ class AnalysisSession:
             "store_hits": 0,
             "store_misses": 0,
             "pair_entries": 0,
-            "self_entries": 0,
         }
         for engine in engines:
             info = engine.cache_info()

@@ -58,8 +58,11 @@ from repro.core.atomicio import write_text_atomic
 
 __all__ = ["CacheLookup", "MatrixCache", "MatrixCacheError", "payload_identity"]
 
-#: Cache entry format version (bump on incompatible layout changes).
-_ENTRY_VERSION = 1
+#: Cache entry format version (bump on incompatible layout or value
+#: changes).  Version 2 entries normalise by the Kast self value that
+#: equals ``value(a, a)`` (0 for a string lighter than the cut weight);
+#: entries of an older version are removed on lookup and recomputed.
+_ENTRY_VERSION = 2
 
 #: Default bound on stored entries (one entry is an O(n^2) payload).
 _DEFAULT_MAX_ENTRIES = 64

@@ -6,16 +6,16 @@ the pipeline cost.  :class:`GramEngine` concentrates everything the matrix
 construction can exploit in one place:
 
 * **one cached-value lookup** — pair values ``k(a, b)`` and self values
-  ``k(a, a)`` (the normalisation denominators) go through one path: an
-  in-memory table, then the persistent
+  ``k(a, a)`` (the normalisation denominators) go through one path: a
+  bounded in-memory LRU, then the persistent
   :class:`~repro.core.pairstore.PairStore` when one is attached, then the
-  kernel, with computed values written back to both.  Pair values sit in
-  a bounded LRU under a content-based symmetric key, so ``k(b, a)``,
-  repeated strings in a corpus and overlapping corpora (grown, reordered,
-  subset) all hit; self values have their own table.  In the store a
-  self value lives under ``(fp, "self")`` and a pair under its sorted
-  fingerprints, so ``k(a, a)`` never shares a key with the pair of two
-  content-identical strings;
+  kernel, with computed values written back to both.  Every value sits
+  under a content-based symmetric key, so ``k(b, a)``, repeated strings in
+  a corpus and overlapping corpora (grown, reordered, subset) all hit.  A
+  self value is the diagonal pair: ``k(a, a)`` and the pair of two
+  content-identical strings are one entry, stored under ``(fp, fp)``, and
+  computed by ``kernel.self_value``, which every kernel keeps equal to
+  ``value(a, a)``;
 * **block-batched evaluation** — the pairs neither layer holds go to
   the kernel in one ``value_pairs`` call (pair by pair for kernels
   without it); the Kast kernel packs them into blocks of query rows and
@@ -59,13 +59,8 @@ __all__ = [
 #: Symmetric content key of an unordered string pair (ordered small-int pair).
 PairKey = Tuple[int, int]
 
-#: Default bound on the symmetric pair-value cache.
+#: Default bound on the symmetric value cache.
 _DEFAULT_PAIR_CACHE_SIZE = 262_144
-
-#: Second half of a self value's pair-store key ``(fp, "self")``.  It sorts
-#: after every hex fingerprint, and it keeps ``k(a, a)`` apart from the value
-#: ``(fp, fp)`` of a pair of two content-identical strings.
-_SELF_PARTNER = "self"
 
 
 def string_fingerprint(string: WeightedString) -> str:
@@ -156,7 +151,7 @@ class GramEngine:
         given, the engine installs it so several engines/kernels can share
         one literal → id space.
     pair_cache_size:
-        Bound on the symmetric pair-value LRU cache.
+        Bound on the symmetric value LRU cache (pair and self values).
     interner:
         Optional shared :class:`~repro.strings.interner.TokenInterner`.
     spec:
@@ -204,12 +199,9 @@ class GramEngine:
         self.pair_cache_size = pair_cache_size
         if interner is not None and hasattr(kernel, "interner"):
             kernel.interner = interner
-        # The two tables of the one lookup (:meth:`_lookup`), both LRUs
-        # bounded by pair_cache_size.  Self values are also evicted with
-        # their key registry entry, so their bound only trims values that
-        # landed under a key retired while they were being computed.
-        self._pair_cache: "OrderedDict[PairKey, float]" = OrderedDict()
-        self._self_cache: "OrderedDict[int, float]" = OrderedDict()
+        # The table of the one lookup (:meth:`_lookup`): pair and self
+        # values by symmetric key, an LRU bounded by pair_cache_size.
+        self._cache: "OrderedDict[PairKey, float]" = OrderedDict()
         # Content fingerprint → small-int key registry; pair keys are int pairs.
         self._key_registry: "OrderedDict[str, int]" = OrderedDict()
         self._next_key = 0
@@ -250,19 +242,17 @@ class GramEngine:
                     # Keys are drawn from a monotonic counter and NEVER reused:
                     # an in-flight computation may still hold keys handed out
                     # before an eviction, and reusing their ints would alias
-                    # different-content pairs in the caches.
+                    # different-content pairs in the cache.
                     key = self._next_key
                     self._next_key += 1
                     self._key_registry[fingerprint] = key
                     # The registry is an LRU bounded by evicting only its
-                    # oldest entry (plus that key's self value).  Pair-cache
-                    # entries under a retired key are unreachable for new
-                    # lookups, so they age out of the pair-cache LRU on their
-                    # own — one string past the bound must not wipe every warm
-                    # cache.
+                    # oldest entry.  Cache entries under a retired key are
+                    # unreachable for new lookups, so they age out of the
+                    # value LRU on their own — one string past the bound
+                    # must not wipe the warm cache.
                     while len(self._key_registry) > self.pair_cache_size:
-                        _, retired = self._key_registry.popitem(last=False)
-                        self._self_cache.pop(retired, None)
+                        self._key_registry.popitem(last=False)
                 keys.append(key)
         return keys
 
@@ -274,90 +264,111 @@ class GramEngine:
     def _fingerprint_pair(a: WeightedString, b: WeightedString) -> Tuple[str, str]:
         """The store key of ``k(a, b)``: the sorted content-fingerprint pair.
 
-        Two content-identical strings ("twins") give ``(fp, fp)``.  That is
-        never a self value's key (see :data:`_SELF_PARTNER`): for Kast a
-        twin pair and ``k(a, a)`` differ once the string weighs less than
-        the cut weight.
+        ``k(a, a)`` and the pair of two content-identical strings ("twins")
+        are one value under one key, ``(fp, fp)``.
         """
         first, second = a.fingerprint, b.fingerprint
         return (first, second) if first <= second else (second, first)
 
-    @staticmethod
-    def _self_store_key(string: WeightedString) -> Tuple[str, str]:
-        """The store key of ``k(a, a)``: ``(fp, "self")``, already canonical."""
-        return (string.fingerprint, _SELF_PARTNER)
-
     def _lookup(
         self,
-        table: "OrderedDict[Any, float]",
-        keys: Sequence[Any],
-        store_key: Callable[[Any], Tuple[str, str]],
-        compute: Callable[[List[Any]], Dict[Any, float]],
-        traffic: bool = True,
-    ) -> Dict[Any, float]:
-        """The one cached-value path: *table* → pair store → *compute*.
+        strings: Sequence[WeightedString],
+        index_pairs: Sequence[Tuple[int, int]],
+        compute: Optional[Callable[[List[Tuple[PairKey, Tuple[int, int]]]], Dict[PairKey, float]]] = None,
+        pair_traffic: bool = True,
+        work: bool = True,
+    ) -> Dict[Tuple[int, int], float]:
+        """The one cached-value path: value LRU → pair store → *compute*.
 
-        *keys* are distinct *table* keys; *store_key* maps one to its
-        canonical pair-store key.  Table hits refresh their recency, the
-        misses go to the store in one ``get_many``, what it lacks to
-        *compute* (the kernel), and the computed values back to the store
-        in one ``put_many``.  Everything found or computed lands in
-        *table*.  ``pair_hits``/``pair_misses`` count the pair table only;
-        with *traffic* off (priming) no counter moves.
+        Content-identical index pairs (either orientation, duplicate
+        strings) map onto one symmetric key; a diagonal key ``(k, k)`` is a
+        self value and a twin pair alike.  Cache hits refresh their
+        recency, the misses go to the store in one ``get_many`` under
+        :meth:`_fingerprint_pair`, what it lacks to *compute* (by default
+        :meth:`_evaluate_pending`) as ``(key, first index pair)`` entries,
+        and the computed values back to the store in one ``put_many``.
+        Everything found or computed lands in the LRU.  ``pair_hits``/``pair_misses`` move only with
+        *pair_traffic*, the store and kernel counters only with *work*
+        (both off when priming).
         """
-        values: Dict[Any, float] = {}
+        index_pairs = list(index_pairs)
+        used = list(dict.fromkeys(index for pair in index_pairs for index in pair))
+        key_of = dict(zip(used, self._string_keys([strings[index] for index in used])))
+        tasks: "OrderedDict[PairKey, List[Tuple[int, int]]]" = OrderedDict()
+        for i, j in index_pairs:
+            tasks.setdefault(self._ordered(key_of[i], key_of[j]), []).append((i, j))
+        values: Dict[PairKey, float] = {}
         with self._lock:
-            for key in keys:
-                cached = table.get(key)
+            for key in tasks:
+                cached = self._cache.get(key)
                 if cached is not None:
-                    table.move_to_end(key)
+                    self._cache.move_to_end(key)
                     values[key] = cached
-            if traffic and table is self._pair_cache:
+            if pair_traffic:
                 self.pair_hits += len(values)
-                self.pair_misses += len(keys) - len(values)
-        missing = [key for key in keys if key not in values]
+                self.pair_misses += len(tasks) - len(values)
+        missing = [key for key in tasks if key not in values]
         pair_store = self.pair_store if missing else None
-        found: Dict[Any, float] = {}
+        found: Dict[PairKey, float] = {}
         if pair_store is not None:
             signature = self.kernel_signature()
-            wanted = {key: store_key(key) for key in missing}
+            wanted = {key: self._fingerprint_pair(*(strings[index] for index in tasks[key][0])) for key in missing}
             stored = pair_store.get_many(signature, list(wanted.values()))
             found = {key: stored[pair] for key, pair in wanted.items() if pair in stored}
             missing = [key for key in missing if key not in found]
-        computed = compute(missing) if missing else {}
+        pending = [(key, tasks[key][0]) for key in missing]
+        computed: Dict[PairKey, float] = {}
+        if pending:
+            computed = compute(pending) if compute is not None else self._evaluate_pending(strings, pending)
         with self._lock:
-            if traffic:
+            if work:
                 if pair_store is not None:
                     self.store_hits += len(found)
                     self.store_misses += len(missing)
                 self.kernel_evals += len(computed)
-            self._fill(table, {**found, **computed})
+            for key, value in {**found, **computed}.items():
+                self._cache[key] = value
+                self._cache.move_to_end(key)
+            while len(self._cache) > self.pair_cache_size:
+                self._cache.popitem(last=False)
         if pair_store is not None and computed:
             pair_store.put_many(signature, {wanted[key]: value for key, value in computed.items()})
         values.update(found)
         values.update(computed)
-        return values
+        return {position: values[key] for key, positions in tasks.items() for position in positions}
 
-    def _fill(self, table: "OrderedDict[Any, float]", values: Dict[Any, float]) -> None:
-        """Insert values into a table, LRU-bounded by ``pair_cache_size`` (lock held)."""
-        for key, value in values.items():
-            table[key] = value
-            table.move_to_end(key)
-        while len(table) > self.pair_cache_size:
-            table.popitem(last=False)
+    def _evaluate_pending(
+        self,
+        strings: Sequence[WeightedString],
+        pending: List[Tuple[PairKey, Tuple[int, int]]],
+        batched: bool = True,
+    ) -> Dict[PairKey, float]:
+        """Evaluate the values no cache layer holds.
+
+        A diagonal key goes to ``kernel.self_value`` (which equals
+        ``value(a, a)``, see :class:`~repro.kernels.base.StringKernel`).
+        The other pairs go to a ``value_pairs`` batch method in one call
+        when the kernel has one (the Kast kernel does) and *batched* is on;
+        otherwise they are evaluated pair by pair.
+        """
+        crossing = [pair for key, pair in pending if key[0] != key[1]]
+        if batched and crossing and hasattr(self.kernel, "value_pairs"):
+            crossing_values = iter(self.kernel.value_pairs(strings, crossing))
+        else:
+            crossing_values = iter([self.kernel.value(strings[i], strings[j]) for i, j in crossing])
+        return {
+            key: float(self.kernel.self_value(strings[i]) if key[0] == key[1] else next(crossing_values))
+            for key, (i, _) in pending
+        }
 
     # ------------------------------------------------------------------
     # Thin callers of the lookup
     # ------------------------------------------------------------------
     def pair_value(self, a: WeightedString, b: WeightedString) -> float:
         """Raw ``k(a, b)`` through the symmetric content-keyed cache (see :meth:`_lookup`)."""
-        key = self._ordered(*self._string_keys([a, b]))
-        return self._lookup(
-            self._pair_cache,
-            [key],
-            lambda _: self._fingerprint_pair(a, b),
-            lambda _: {key: float(self.kernel.value(a, b))},
-        )[key]
+        strings = [a, b]
+        values = self._lookup(strings, [(0, 1)], lambda pending: self._evaluate_pending(strings, pending, False))
+        return values[(0, 1)]
 
     def self_value(self, string: WeightedString) -> float:
         """Cached ``k(a, a)``."""
@@ -366,27 +377,20 @@ class GramEngine:
     def self_values(self, strings: Sequence[WeightedString]) -> List[float]:
         """Cached ``k(a, a)`` for every string, in order (batched).
 
-        Self values have their own table, keyed by the string's key and
-        evicted with the key registry, and go through the same
-        :meth:`_lookup` as pair values.  In the pair store a self value
-        lives under ``(fp, "self")``, apart from a twin pair's ``(fp, fp)``,
-        so normalisation denominators of previously seen traces cost zero
-        kernel evaluations, which is what lets a fully covered resubmission
-        skip the kernel entirely.
+        A self value is the diagonal pair ``(a, a)`` of :meth:`_lookup`:
+        one LRU entry and one pair-store row ``(fp, fp)``, shared with the
+        pair of two content-identical strings.  So normalisation
+        denominators of previously seen traces cost zero kernel
+        evaluations, which is what lets a fully covered resubmission skip
+        the kernel entirely.  They do not count as pair hits or misses.
         """
         string_list = list(strings)
-        keys = self._string_keys(string_list)
-        sample = dict(zip(keys, string_list))
-        values = self._lookup(
-            self._self_cache,
-            list(sample),
-            lambda key: self._self_store_key(sample[key]),
-            lambda missing: {key: float(self.kernel.self_value(sample[key])) for key in missing},
-        )
-        return [values[key] for key in keys]
+        diagonal = [(index, index) for index in range(len(string_list))]
+        values = self._lookup(string_list, diagonal, pair_traffic=False)
+        return [values[pair] for pair in diagonal]
 
-    def prime_self_values(self, strings: Sequence[WeightedString], values: Sequence[float]) -> int:
-        """Seed known raw self values into the caches; how many were new.
+    def prime_self_values(self, strings: Sequence[WeightedString], values: Sequence[float]) -> None:
+        """Seed known raw self values into the caches.
 
         The streaming scorer calls this with the landmark self values a
         :class:`~repro.streaming.model.LandmarkModel` carries, so serving
@@ -401,20 +405,13 @@ class GramEngine:
             raise ValueError(
                 f"got {len(string_list)} strings but {len(values)} self values"
             )
-        given = {
-            key: (string, float(value))
-            for key, string, value in zip(self._string_keys(string_list), string_list, values)
-        }
-        with self._lock:
-            new = sum(key not in self._self_cache for key in given)
         self._lookup(
-            self._self_cache,
-            list(given),
-            lambda key: self._self_store_key(given[key][0]),
-            lambda missing: {key: given[key][1] for key in missing},
-            traffic=False,
+            string_list,
+            [(index, index) for index in range(len(string_list))],
+            lambda pending: {key: float(values[i]) for key, (i, _) in pending},
+            pair_traffic=False,
+            work=False,
         )
-        return new
 
     def evaluate_row(
         self, query: WeightedString, references: Sequence[WeightedString]
@@ -450,46 +447,7 @@ class GramEngine:
         :meth:`_evaluate_pending`.  Each string's key is looked up once per
         call, in order of first appearance.
         """
-        index_pairs = list(index_pairs)
-        used = list(dict.fromkeys(index for pair in index_pairs for index in pair))
-        key_of = dict(zip(used, self._string_keys([strings[index] for index in used])))
-        tasks: "OrderedDict[PairKey, List[Tuple[int, int]]]" = OrderedDict()
-        for i, j in index_pairs:
-            tasks.setdefault(self._ordered(key_of[i], key_of[j]), []).append((i, j))
-
-        def store_key(key: PairKey) -> Tuple[str, str]:
-            i, j = tasks[key][0]
-            return self._fingerprint_pair(strings[i], strings[j])
-
-        raw_by_key = self._lookup(
-            self._pair_cache,
-            list(tasks),
-            store_key,
-            lambda missing: self._evaluate_pending(strings, [(key, tasks[key][0]) for key in missing]),
-        )
-        return {
-            position: raw_by_key[key]
-            for key, positions in tasks.items()
-            for position in positions
-        }
-
-    def _evaluate_pending(
-        self,
-        strings: List[WeightedString],
-        pending: List[Tuple[PairKey, Tuple[int, int]]],
-    ) -> Dict[PairKey, float]:
-        """Evaluate the pairs neither cache layer holds.
-
-        Kernels exposing a ``value_pairs`` batch method (the Kast kernel
-        does) get every pending pair in one call and schedule the scoring
-        themselves; other kernels are evaluated pair by pair.
-        """
-        pairs = [pair for _, pair in pending]
-        if hasattr(self.kernel, "value_pairs"):
-            values = self.kernel.value_pairs(strings, pairs)
-        else:
-            values = [self.kernel.value(strings[i], strings[j]) for i, j in pairs]
-        return {key: float(value) for (key, _), value in zip(pending, values)}
+        return self._lookup(strings, index_pairs)
 
     def normalized_pair_value(self, a: WeightedString, b: WeightedString) -> float:
         """Cosine-normalised ``k(a, b)`` through the caches."""
@@ -617,15 +575,15 @@ class GramEngine:
     def cache_info(self) -> Dict[str, int]:
         """Sizes and hit counters of the engine caches.
 
-        ``pair_hits``/``pair_misses`` describe the in-memory layer,
-        ``store_hits``/``store_misses`` the persistent pair store, and
+        ``pair_entries`` is the size of the value LRU (pair and self
+        values alike), ``pair_hits``/``pair_misses`` the in-memory layer's
+        pair traffic, ``store_hits``/``store_misses`` the persistent pair store, and
         ``kernel_evals`` counts values the kernel actually computed (pair
         and self values alike) — zero on a fully store-covered corpus.
         """
         with self._lock:
             return {
-                "pair_entries": len(self._pair_cache),
-                "self_entries": len(self._self_cache),
+                "pair_entries": len(self._cache),
                 "pair_hits": self.pair_hits,
                 "pair_misses": self.pair_misses,
                 "store_hits": self.store_hits,

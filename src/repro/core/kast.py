@@ -20,16 +20,20 @@ Normalisation (Eq. 12 of the paper) divides by
 substring is the whole string, so ``k(A, A) = weight_{w>=n}(A)^2`` and the
 normalised kernel coincides with the worked example's
 ``k(A, B) / (weight_{w>=n}(A) * weight_{w>=n}(B))`` form.  Both forms are
-available through ``normalization``.
+available through ``normalization``.  A string lighter than the cut weight
+shares nothing that qualifies, even with itself: its ``k(A, A)`` is 0, and
+so is every normalised value it takes part in.
 
 Interpretation choices (documented because the paper under-specifies them;
 each is controlled by a constructor flag and exercised by the ablation
 benchmark):
 
-* **Occurrence weight** — ``filter_tokens_below_cut=True`` (default) sums
-  only the tokens whose individual weight is ``>= cut_weight`` inside an
-  occurrence, matching the paper's :math:`weight_{w \\ge n}` notation in the
-  worked example.  With ``False`` every token of the occurrence counts.
+* **Occurrence weight** — by default (``filter_tokens_below_cut=False``)
+  every token of an occurrence counts, following the paper's definition of
+  a string's weight as the sum of its token weights; this reproduces the
+  worked example exactly.  ``filter_tokens_below_cut=True`` sums only the
+  tokens whose individual weight is ``>= cut_weight`` inside an occurrence,
+  the paper's :math:`weight_{w \\ge n}` notation.
 * **Occurrence qualification** — an occurrence contributes to a feature only
   if its (possibly filtered) weight is ``>= cut_weight``.
 * **Search order** — candidates are ranked by their largest per-string
@@ -477,17 +481,23 @@ class KastSpectrumKernel(StringKernel):
         return [values[pair] for pair in index_pairs]
 
     def self_value(self, a: WeightedString) -> float:
-        """``k(a, a)``.
+        """``k(a, a)``, equal to ``value(a, a)`` bit for bit under every flag.
 
-        For a self comparison the maximal shared substring is the whole
-        string and it covers every other candidate, so the value reduces to
-        the squared string weight (under the occurrence-weight rule).  When
+        Under the independence rule the whole string is the heaviest and
+        longest candidate of a self comparison and it covers every other
+        candidate, so the value is the squared string weight (under the
+        occurrence-weight rule) — or 0 when that weight is below the cut
+        weight and the string has no qualifying occurrence at all.  When
         every token weight reaches the cut weight this coincides with
         ``weight_{w>=cut}(a) ** 2``, which is what makes Eq. 12 and the
         worked example's weight-product normalisation agree in the paper.
+        Without the independence rule every shared substring counts, and
+        there is no closed form: the value is scored like any other pair.
         """
-        prepared = self._prepare(a)
-        return float(prepared.occurrence_total**2)
+        if not self.require_independent_occurrence:
+            return self.value(a, a)
+        total = self._prepare(a).occurrence_total
+        return float(total**2) if total >= self.cut_weight else 0.0
 
     def normalized_value(self, a: WeightedString, b: WeightedString) -> float:
         """Normalised kernel value according to ``self.normalization``."""

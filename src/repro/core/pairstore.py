@@ -12,11 +12,11 @@ raw kernel values ``k(a, b)`` keyed by
 with symmetric canonical ordering (``fp_a <= fp_b``), so any corpus that
 overlaps previously computed traces — in any order, any subset, any
 interleaving — pays only for its novel pairs.  Self values ``k(a, a)``
-(the normalisation denominators) are stored under ``(fp, "self")``, so a
-fully covered resubmission performs *zero* kernel evaluations; ``(fp, fp)``
-is the pair of two content-identical strings, whose Kast value differs
-from ``k(a, a)`` once the string weighs less than the cut weight.  It lives under the service state dir beside ``matrix-cache/``
-and is shared by sessions, servers and pull-loop workers alike.
+(the normalisation denominators) are stored under ``(fp, fp)``, the key
+they share with the pair of two content-identical strings, so a fully
+covered resubmission performs *zero* kernel evaluations.  It lives under
+the service state dir beside ``matrix-cache/`` and is shared by sessions,
+servers and pull-loop workers alike.
 
 Layout
 ------
@@ -92,10 +92,13 @@ from repro.core.atomicio import write_text_atomic
 
 __all__ = ["PairStore", "PairStoreError"]
 
-#: Segment format version (bump on incompatible layout changes).  Version 2
-#: moved self values from ``(fp, fp)`` to ``(fp, "self")``; version-1
-#: segments fail validation, are removed, and their values are recomputed.
-_SEGMENT_VERSION = 2
+#: Segment format version (bump on incompatible layout or value changes).
+#: Version 3 holds every self value as ``value(a, a)`` under ``(fp, fp)``
+#: (a Kast string lighter than the cut weight: 0, equal to its twin pair),
+#: and ``normalized`` kernel values in the cosine form whatever the child's
+#: normalisation; segments of an older version fail validation, are
+#: removed, and their values are recomputed.
+_SEGMENT_VERSION = 3
 
 #: Default size bound on the store's segment bytes (~256 MB of pair values).
 _DEFAULT_MAX_BYTES = 256 * 1024 * 1024

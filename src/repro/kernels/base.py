@@ -13,8 +13,12 @@ Cristianini (and the paper's Eq. 12):
 
 .. math:: \\bar k(A, B) = \\frac{k(A, B)}{\\sqrt{k(A, A)\\, k(B, B)}}
 
-Individual kernels may override it when a cheaper closed form exists (the
-Kast kernel does: its self-similarity is the squared filtered string weight).
+Kernels may override ``self_value`` when a cheaper closed form exists, but
+it must equal ``value(a, a)`` bit for bit: the Gram engine keeps ``k(a, a)``
+and the pair of two content-identical strings under one key, so the two are
+served as each other.  (The Kast kernel's closed form under its independence
+rule is the squared string weight, or 0 for a string lighter than the cut
+weight.)
 """
 
 from __future__ import annotations
@@ -60,7 +64,7 @@ class StringKernel(abc.ABC):
         """Raw (unnormalised) kernel value ``k(a, b)``."""
 
     def self_value(self, a: WeightedString) -> float:
-        """``k(a, a)``; kernels override this when a cheaper form exists."""
+        """``k(a, a)``; an override (a cheaper closed form) must equal ``value(a, a)``."""
         return self.value(a, a)
 
     def normalized_value(self, a: WeightedString, b: WeightedString) -> float:

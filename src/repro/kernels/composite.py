@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from repro.kernels.base import StringKernel
+from repro.kernels.base import StringKernel, normalize_kernel_value
 from repro.strings.tokens import WeightedString
 
 __all__ = ["SumKernel", "ProductKernel", "ScaledKernel", "NormalizedKernel"]
@@ -85,7 +85,9 @@ class NormalizedKernel(StringKernel):
         self.name = f"normalized({kernel.name})"
 
     def value(self, a: WeightedString, b: WeightedString) -> float:
-        return self.kernel.normalized_value(a, b)
+        # The cosine form itself, not the child's normalized_value: a Kast
+        # child may be configured with another normalisation.
+        return normalize_kernel_value(self.kernel.value(a, b), self.kernel.self_value(a), self.kernel.self_value(b))
 
     def self_value(self, a: WeightedString) -> float:
         base = self.kernel.self_value(a)

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 
 import pytest
 
+from repro.api import AnalysisSession, make_spec
 from repro.core.cachestore import MatrixCache, MatrixCacheError, payload_identity
+from repro.strings.tokens import WeightedString
 
 
 def make_payload(signature="sig-a", count=3, normalized=True, start=0, salt=""):
@@ -175,6 +178,37 @@ class TestDamageHandling:
         [payload_file] = [f for f in entry_files(cache) if f.endswith(".payload.json")]
         os.remove(payload_file)
         assert cache.lookup(*identity_args(payload)).status == "miss"
+
+
+class TestFormatUpgrade:
+    def test_version_1_entries_are_dropped_and_recomputed(self, tmp_path):
+        # A version-1 entry normalised a string lighter than the cut weight
+        # by the squared string weight: b:1 at cut 2 had a diagonal of 1.0.
+        root = str(tmp_path / "cache")
+        light = WeightedString.from_pairs([("b", 1)], name="b")
+        strings = [light, WeightedString.from_pairs([("a", 3), ("b", 2)], name="ab")]
+        spec = make_spec("kast", cut_weight=2)
+        expected, status = AnalysisSession(matrix_cache=root).matrix_cached(spec, strings, repair=False)
+        assert status == "miss" and expected.values[0, 0] == 0.0
+        cache = MatrixCache(root)
+        [meta_file] = [f for f in entry_files(cache) if f.endswith(".meta.json")]
+        [payload_file] = [f for f in entry_files(cache) if f.endswith(".payload.json")]
+        payload = read_json(payload_file)
+        payload["values"][0][0] = 1.0
+        text = json.dumps(payload, sort_keys=True)
+        with open(payload_file, "w", encoding="utf-8") as handle:
+            handle.write(text)
+        meta = dict(read_json(meta_file), v=1, payload_sha256=hashlib.sha256(text.encode("utf-8")).hexdigest())
+        with open(meta_file, "w", encoding="utf-8") as handle:
+            json.dump(meta, handle)
+
+        session = AnalysisSession(matrix_cache=root)
+        matrix, status = session.matrix_cached(spec, strings, repair=False)
+        assert status == "miss"
+        assert (matrix.values == expected.values).all()
+        assert session.matrix_cache.counters()["invalid"] == 1
+        assert read_json([f for f in entry_files(cache) if f.endswith(".meta.json")][0])["v"] == 2
+        assert AnalysisSession(matrix_cache=root).matrix_cached(spec, strings, repair=False)[1] == "hit"
 
 
 class TestEviction:

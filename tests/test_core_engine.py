@@ -86,7 +86,10 @@ class TestPairCache:
         kernel = KastSpectrumKernel(cut_weight=2)
         engine = GramEngine(kernel)
         assert engine.self_value(corpus[0]) == engine.self_value(corpus[0])
-        assert engine.cache_info()["self_entries"] == 1
+        info = engine.cache_info()
+        assert info["kernel_evals"] == 1  # the second call is a cache hit
+        assert info["pair_entries"] == 1  # one diagonal entry in the one table
+        assert info["pair_hits"] == info["pair_misses"] == 0  # not pair traffic
 
     def test_normalized_pair_value_in_unit_interval(self, corpus):
         engine = GramEngine(KastSpectrumKernel(cut_weight=2))
@@ -466,21 +469,27 @@ class TestBlockSharding:
 class TestKeyRegistryEviction:
     def test_interning_past_the_bound_does_not_wipe_warm_caches(self):
         # Regression: interning one string past pair_cache_size distinct
-        # token tuples used to clear the ENTIRE pair/self cache.  Eviction
+        # token tuples used to clear the ENTIRE value cache.  Eviction
         # must be incremental — warm entries keep serving hits and the
         # kernel-eval counter must not spike across the boundary.
         kernel = CountingKernel(cut_weight=2)
         engine = GramEngine(kernel, pair_cache_size=8)
         corpus = [synthetic(10 + index, seed=100 + index) for index in range(8)]
-        engine.gram(corpus)
+        # Eight strings fill the key registry, and 4 pairs + 4 self values
+        # fill the value LRU exactly.
+        engine.evaluate_pairs(corpus, [(0, 1), (2, 3), (4, 5), (6, 7)])
+        engine.self_values(corpus[4:])
         warm_pair_evaluations = kernel.value_calls + kernel.batch_values
-        warm_evaluations = engine.kernel_evals  # 28 pairs + 8 self values
-        assert engine.cache_info()["pair_entries"] == 8  # LRU-bounded
+        warm_evaluations = engine.kernel_evals  # 4 pairs + 4 self values
+        assert warm_evaluations == 8
+        assert engine.cache_info()["pair_entries"] == 8
 
-        # One novel string pushes the registry past its bound...
+        # One novel string pushes the registry past its bound (retiring
+        # corpus[0]) and its self value pushes the oldest pair out of the
+        # LRU...
         engine.self_value(synthetic(9, seed=999))
-        # ...and the warm entries must still be there: re-evaluating cached
-        # pairs and self values costs zero kernel work.
+        # ...and the other warm entries must still be there: re-evaluating
+        # cached pairs and self values costs zero kernel work.
         engine.pair_value(corpus[4], corpus[5])
         engine.self_value(corpus[6])
         assert kernel.value_calls + kernel.batch_values == warm_pair_evaluations
@@ -523,11 +532,12 @@ def gram_routes(spec, strings, tmp_path):
 
 
 class TestSelfAndTwinKeys:
-    """``k(a, a)`` and the pair of two content-identical strings never share a key.
+    """A twin pair (two content-identical strings) equals ``k(a, a)``.
 
-    For Kast the two differ once a string weighs less than the cut weight,
-    so a shared key serves one as the other: a diagonal entry of 0, or a
-    twin pair normalised to 1.
+    Both are the diagonal key ``(k, k)`` of one table and ``(fp, fp)`` in the
+    pair store, so whichever route computes or stores the value first, the
+    Gram matches the store-less one — light strings (weight below the cut,
+    ``k(a, a) = 0``) included.
     """
 
     @pytest.mark.parametrize("backend", ["numpy", "python"])
@@ -541,8 +551,28 @@ class TestSelfAndTwinKeys:
         ]
         spec = make_spec("kast", cut_weight=cut_weight, backend=backend)
         expected = AnalysisSession().matrix(spec, strings, repair=False).values
+        raw = AnalysisSession().matrix(spec, strings, normalized=False, repair=False).values
+        assert raw[0, 1] == raw[0, 0] == raw[1, 1] == 0.0  # b:1 is light at every cut here
+        assert expected[0, 1] == expected[0, 0] == 0.0
         for route, values in gram_routes(spec, strings, tmp_path).items():
             np.testing.assert_array_equal(values, expected, err_msg=route)
+
+    @pytest.mark.parametrize("backend", ["numpy", "python"])
+    @pytest.mark.parametrize("cut_weight", [1, 2, 5])
+    def test_a_twin_pair_costs_no_evaluation_beyond_its_self_value(self, backend, cut_weight):
+        heavy = WeightedString.from_pairs([("a", 3), ("b", 2)], name="ab")
+        strings = [heavy, WeightedString(heavy.tokens, name="ab-renamed"), synthetic(6, seed=3)]
+        kernel = KastSpectrumKernel(cut_weight=cut_weight, backend=backend)
+        engine = GramEngine(kernel)
+        raw = engine.gram(strings, normalized=False)
+        # Distinct keys: the twin pair and both twins' self values are the
+        # one (ab, ab) entry, plus (ab, s), (s, s) — 3 evaluations, not the
+        # 2 pairs + 2 self values the 3x3 Gram has by position.
+        assert engine.kernel_evals == 3
+        assert raw[0, 1] == raw[0, 0] == raw[1, 1] == kernel.value(heavy, heavy)
+        engine.pair_value(strings[0], strings[1])
+        engine.self_value(WeightedString(heavy.tokens, name="third"))
+        assert engine.kernel_evals == 3
 
     def test_paper_corpus_at_a_high_cut_matches_the_store_less_gram(self, tmp_path):
         strings = list(paper_strings())

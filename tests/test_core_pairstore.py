@@ -294,3 +294,31 @@ class TestEngineSeam:
         cold = GramEngine(KastSpectrumKernel(cut_weight=2), pair_store=store)
         cold.pair_value(*twins)
         assert cold.kernel_evals == 0
+
+
+class TestFormatUpgrade:
+    def test_version_2_segments_are_dropped_and_recomputed(self, tmp_path):
+        # Version 2 kept a self value under (fp, "self") as the squared
+        # string weight: 1.0 for b:1 at cut 2, where value(a, a) is 0.
+        light = WeightedString.from_pairs([("b", 1)], name="b")
+        kernel = KastSpectrumKernel(cut_weight=2)
+        store = PairStore(str(tmp_path / "pairs"))
+        signature = GramEngine(kernel).kernel_signature()
+        rows = [[light.fingerprint, light.fingerprint, 0.0], [light.fingerprint, "self", 1.0]]
+        checksum = hashlib.sha256(json.dumps(rows, separators=(",", ":")).encode()).hexdigest()
+        directory = store._signature_dir(signature)
+        os.makedirs(directory)
+        old = os.path.join(directory, "seg-old.json")
+        with open(old, "w", encoding="utf-8") as handle:
+            json.dump({"v": 2, "signature": signature, "pairs": rows, "sha256": checksum}, handle)
+
+        engine = GramEngine(kernel, pair_store=store)
+        assert engine.self_value(light) == 0.0 == kernel.value(light, light)
+        assert engine.kernel_evals == 1  # recomputed, not served from the old segment
+        assert store.counters()["invalid"] == 1
+        assert not os.path.exists(old)
+        [segment] = segment_paths(store)
+        with open(segment, "r", encoding="utf-8") as handle:
+            assert json.load(handle)["v"] == 3
+        cold = GramEngine(KastSpectrumKernel(cut_weight=2), pair_store=PairStore(store.root))
+        assert cold.self_value(light) == 0.0 and cold.kernel_evals == 0
