@@ -38,6 +38,7 @@ from typing import Optional, Sequence
 from repro.api import AnalysisSession, KernelSpec, kernel_choices
 from repro.core.atomicio import write_text_atomic
 from repro.core.kast import KAST_BACKENDS
+from repro.learn.hierarchical import LINKAGES
 from repro.pipeline.config import ExperimentConfig, experiment_spec
 from repro.pipeline.experiments import (
     experiment_cut_weight_sweep,
@@ -434,7 +435,7 @@ def build_parser() -> argparse.ArgumentParser:
     remote_analyze.add_argument("--clusters", type=int, default=3, help="cluster count (default: 3)")
     remote_analyze.add_argument("--components", type=int, default=2, help="kernel-PCA components (default: 2)")
     remote_analyze.add_argument(
-        "--linkage", choices=["single", "complete", "average"], default="single",
+        "--linkage", choices=list(LINKAGES), default="single",
         help="hierarchical-clustering linkage (default: single)",
     )
     remote_analyze.add_argument("--no-wait", action="store_true", help="print the job id instead of waiting")

@@ -21,9 +21,10 @@ import numpy as np
 from repro.core.matrix import KernelMatrix
 from repro.learn.dendrogram import Dendrogram, Merge
 
-__all__ = ["HierarchicalClustering", "ClusteringResult", "cluster_kernel_matrix"]
+__all__ = ["LINKAGES", "HierarchicalClustering", "ClusteringResult", "cluster_kernel_matrix"]
 
-_LINKAGES = ("single", "complete", "average", "ward")
+#: The linkage methods :class:`HierarchicalClustering` accepts.
+LINKAGES = ("single", "complete", "average", "ward")
 
 
 @dataclass(frozen=True)
@@ -58,8 +59,8 @@ class HierarchicalClustering:
     """
 
     def __init__(self, linkage: str = "single") -> None:
-        if linkage not in _LINKAGES:
-            raise ValueError(f"linkage must be one of {_LINKAGES}, got {linkage!r}")
+        if linkage not in LINKAGES:
+            raise ValueError(f"linkage must be one of {LINKAGES}, got {linkage!r}")
         self.linkage = linkage
 
     # ------------------------------------------------------------------

@@ -3,7 +3,7 @@
 Each job owns files under the service's state directory::
 
     state_dir/
-        jobs/<job_id>.json        # small record: kind, status, spec, lease, error
+        jobs/<job_id>.json        # small record: kind, status, input, options, lease, error
         payloads/<job_id>.json    # the stamped result payload (written once)
         locks/<job_id>.lock       # per-record advisory file lock
         quarantine/               # damaged files moved here, never trusted
@@ -162,12 +162,16 @@ def _payload_checksum(text: str) -> str:
 
 @dataclass(frozen=True)
 class JobRecord:
-    """One job's durable metadata (everything except the result payload)."""
+    """One job's durable metadata (everything except the result payload).
+
+    ``input`` is the job's work description — for the service's job kinds,
+    the validated wire request that submitted it — and ``options`` its run
+    metadata (tenant, trace, and what the run reported back).
+    """
 
     job_id: str
     kind: str
     status: str = "queued"
-    spec: Optional[Dict[str, Any]] = None
     options: Dict[str, Any] = field(default_factory=dict)
     input: Optional[Dict[str, Any]] = None
     error: Optional[str] = None
@@ -211,7 +215,6 @@ class JobRecord:
             "job_id": self.job_id,
             "kind": self.kind,
             "status": self.status,
-            "spec": self.spec,
             "options": dict(self.options),
             "input": self.input,
             "error": self.error,
@@ -227,6 +230,8 @@ class JobRecord:
     def from_dict(cls, payload: Mapping[str, Any]) -> "JobRecord":
         if not isinstance(payload, Mapping):
             raise JobStoreError(f"job record must be a mapping, got {type(payload).__name__}")
+        # "spec" is accepted and dropped: older records carried a copy of
+        # their input's spec there.
         unknown = set(payload) - {
             "job_id", "kind", "status", "spec", "options", "input", "error",
             "payload_sha256", "worker_id", "lease_expires_at", "attempts",
@@ -234,9 +239,6 @@ class JobRecord:
         }
         if unknown:
             raise JobStoreError(f"job record has unknown keys {sorted(unknown)}")
-        spec = payload.get("spec")
-        if spec is not None and not isinstance(spec, Mapping):
-            raise JobStoreError("job record 'spec' must be an object or null")
         options = payload.get("options", {})
         if not isinstance(options, Mapping):
             raise JobStoreError("job record 'options' must be an object")
@@ -249,7 +251,6 @@ class JobRecord:
                 job_id=str(payload.get("job_id", "")),
                 kind=str(payload.get("kind", "job")),
                 status=str(payload.get("status", "queued")),
-                spec=dict(spec) if spec is not None else None,
                 options=dict(options),
                 input=dict(stored_input) if stored_input is not None else None,
                 error=str(payload["error"]) if payload.get("error") is not None else None,
@@ -427,24 +428,22 @@ class JobStore:
     def create(
         self,
         kind: str,
-        spec: Optional[Mapping[str, Any]] = None,
         options: Optional[Mapping[str, Any]] = None,
         job_id: Optional[str] = None,
         input: Optional[Mapping[str, Any]] = None,
     ) -> JobRecord:
         """Persist a new ``queued`` record and return it.
 
-        *input* is the job's JSON-representable work description (spec,
-        encoded corpus, evaluation options).  A record carrying its input
-        is *resumable*: recovery requeues it and any process sharing the
-        state dir can claim and execute it.
+        *input* is the job's JSON-representable work description (the
+        service stores the submitting request there).  A record carrying
+        its input is *resumable*: recovery requeues it and any process
+        sharing the state dir can claim and execute it.
         """
         now = time.time()
         record = JobRecord(
             job_id=job_id or self.new_job_id(kind),
             kind=kind,
             status="queued",
-            spec=dict(spec) if spec is not None else None,
             options=dict(options or {}),
             input=dict(input) if input is not None else None,
             created_at=now,
@@ -621,13 +620,11 @@ class JobStore:
         worker_id: str,
         lease_seconds: float,
         kinds: Optional[Sequence[str]] = None,
-        parent: Optional[str] = None,
     ) -> Optional[JobRecord]:
         """Claim the oldest claimable job, or ``None`` when the queue is dry.
 
         *kinds* restricts the scan to those record kinds (e.g. a block
-        worker claims only ``("block",)``); *parent* restricts it to block
-        tasks of one parent job.  Candidates are screened without the lock
+        worker claims only ``("block",)``).  Candidates are screened without the lock
         and re-verified under it, so racing claimants (threads or
         processes) each walk away with distinct jobs.
         """
@@ -635,8 +632,6 @@ class JobStore:
         now = time.time()
         for record in self.records():
             if wanted is not None and record.kind not in wanted:
-                continue
-            if parent is not None and record.options.get("parent") != parent:
                 continue
             if not record.claimable(now):
                 continue
@@ -781,26 +776,36 @@ class JobStore:
         record = self.get(job_id)
         if record.status != "done":
             raise JobStoreError(f"job {job_id!r} is {record.status}, not done; no result to load")
-        path = self._payload_path(job_id)
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                text = handle.read()
-            payload = json.loads(text)
-        except (OSError, json.JSONDecodeError) as exc:
-            self._quarantine(path, f"unreadable payload: {exc}")
-            self.mark_damaged(job_id, f"result payload unreadable: {exc}")
-            raise JobStoreError(f"result payload of job {job_id!r} is damaged and was quarantined") from exc
-        if record.payload_sha256 is not None and _payload_checksum(text) != record.payload_sha256:
-            self._quarantine(path, "payload checksum mismatch")
-            self.mark_damaged(job_id, "result payload failed its checksum")
-            raise JobStoreError(
-                f"result payload of job {job_id!r} failed its checksum and was quarantined"
-            )
-        if not isinstance(payload, dict):
-            self._quarantine(path, "payload is not an object")
-            self.mark_damaged(job_id, "result payload is not a JSON object")
-            raise JobStoreError(f"result payload of job {job_id!r} is not a JSON object")
+        payload, damage = self._read_payload(record)
+        if damage is not None:
+            self._quarantine(self._payload_path(job_id), damage)
+            self.mark_damaged(job_id, f"result payload unusable: {damage}")
+            raise JobStoreError(f"result payload of job {job_id!r} is damaged ({damage}) and was quarantined")
         return payload
+
+    def _read_payload(self, record: JobRecord) -> Tuple[Dict[str, Any], Optional[str]]:
+        """A ``done`` record's payload, and why it is unusable (``None`` when fine).
+
+        The one check of a stored payload, for :meth:`load_result` and
+        recovery alike: the file must exist, match the record's checksum
+        and hold one JSON object.
+        """
+        try:
+            with open(self._payload_path(record.job_id), "r", encoding="utf-8") as handle:
+                text = handle.read()
+        except FileNotFoundError:
+            return {}, "done record has no payload file"
+        except OSError as exc:  # pragma: no cover - exotic I/O failure
+            return {}, f"payload unreadable: {exc}"
+        if record.payload_sha256 is not None and _payload_checksum(text) != record.payload_sha256:
+            return {}, "payload checksum mismatch (half-written file?)"
+        try:
+            payload = json.loads(text)
+        except json.JSONDecodeError as exc:
+            return {}, f"payload is not valid JSON: {exc}"
+        if not isinstance(payload, dict):
+            return {}, "payload is not a JSON object"
+        return payload, None
 
     def mark_damaged(self, job_id: str, error: str) -> JobRecord:
         """Force a record to ``error`` after its payload proved unusable."""
@@ -857,7 +862,7 @@ class JobStore:
                 continue
             known_ids.add(job_id)
             if record.status == "done":
-                damage = self._verify_payload(record)
+                _, damage = self._read_payload(record)
                 if damage is not None:
                     moved = self._quarantine(self._payload_path(job_id), damage)
                     if moved:
@@ -908,24 +913,6 @@ class JobStore:
             interrupted=tuple(interrupted),
             requeued=tuple(requeued),
         )
-
-    def _verify_payload(self, record: JobRecord) -> Optional[str]:
-        """Reason the record's payload is unusable, or None when it is fine."""
-        path = self._payload_path(record.job_id)
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                text = handle.read()
-        except FileNotFoundError:
-            return "done record has no payload file"
-        except OSError as exc:  # pragma: no cover - exotic I/O failure
-            return f"payload unreadable: {exc}"
-        if record.payload_sha256 is not None and _payload_checksum(text) != record.payload_sha256:
-            return "payload checksum mismatch (half-written file?)"
-        try:
-            json.loads(text)
-        except json.JSONDecodeError as exc:
-            return f"payload is not valid JSON: {exc}"
-        return None
 
     # ------------------------------------------------------------------
     # Garbage collection

@@ -42,6 +42,7 @@ import re
 from dataclasses import dataclass, fields as dataclass_fields
 from typing import Any, ClassVar, Dict, List, Mapping, Optional, Sequence, Tuple, Type
 
+from repro.api.spec import KernelSpecError, coerce_spec
 from repro.obs.tracing import TRACE_ID_PATTERN, valid_trace_id
 from repro.strings.tokens import WeightedString
 
@@ -73,6 +74,9 @@ __all__ = [
     "SpecsRequest",
     "HealthRequest",
     "CacheStatsRequest",
+    "JOB_REQUESTS",
+    "job_input",
+    "job_request",
     "parse_request",
     "ok_response",
     "error_response",
@@ -349,10 +353,10 @@ class SubmitMatrixRequest(Request):
 
     ``spec`` is a :meth:`KernelSpec.to_dict` payload (or a bare kind name),
     ``strings`` an :func:`encode_corpus` list.  ``shards`` is the number
-    of symmetric index blocks a ``distributed`` job is split into
-    (``None``, the default, leaves the choice to the server's configured
-    default); a non-distributed job is evaluated monolithically whatever
-    its ``shards``.
+    of symmetric index blocks a ``distributed`` job is split into; an
+    omitted ``shards`` (``None``) means one block, and the job records 1
+    (:attr:`shard_count`).  A non-distributed job is evaluated
+    monolithically whatever its ``shards``.
 
     ``distributed=True`` persists each index-block pair as an
     individually *leasable* block-task record in the server's job store,
@@ -392,6 +396,17 @@ class SubmitMatrixRequest(Request):
         ):
             raise BadRequest(f"'shards' must be a positive integer or null, got {self.shards!r}")
 
+    @property
+    def shard_count(self) -> int:
+        """The index blocks a distributed job splits into (``None`` is one)."""
+        return 1 if self.shards is None else self.shards
+
+
+#: Linkages :class:`SubmitAnalyzeRequest` accepts (mirrors
+#: :data:`repro.learn.hierarchical.LINKAGES`, duplicated here so the wire
+#: layer validates without importing the learning package).
+_LINKAGES = ("single", "complete", "average", "ward")
+
 
 @dataclass(frozen=True)
 class SubmitAnalyzeRequest(Request):
@@ -412,7 +427,8 @@ class SubmitAnalyzeRequest(Request):
         for name, value in (("n_clusters", self.n_clusters), ("n_components", self.n_components)):
             if not isinstance(value, int) or isinstance(value, bool) or value < 1:
                 raise BadRequest(f"{name!r} must be a positive integer, got {value!r}")
-        _require_str(self.linkage, "'linkage'")
+        if self.linkage not in _LINKAGES:
+            raise BadRequest(f"'linkage' must be one of {', '.join(_LINKAGES)}, got {self.linkage!r}")
 
 
 #: Strategies :class:`FitModelRequest` accepts (mirrors
@@ -608,6 +624,51 @@ _REQUEST_TYPES: Dict[str, Type[Request]] = {
         CacheStatsRequest,
     )
 }
+
+
+#: The job kind each submission creates, and the request its record stores.
+JOB_REQUESTS: Dict[str, Type[Request]] = {
+    "matrix": SubmitMatrixRequest,
+    "analyze": SubmitAnalyzeRequest,
+    "fit-model": FitModelRequest,
+}
+
+
+def job_input(request: Request) -> Dict[str, Any]:
+    """The ``input`` a job record stores for a submission: its wire request.
+
+    Every dataclass field except ``trace_id`` (run metadata, which the
+    record keeps in its options), with ``spec`` canonicalised to its
+    :meth:`~repro.api.spec.KernelSpec.to_dict` form and a matrix job's
+    ``shards`` resolved to :attr:`SubmitMatrixRequest.shard_count`.
+    :func:`job_request` reads it back.
+    """
+    stored = {
+        field.name: getattr(request, field.name)
+        for field in dataclass_fields(request)
+        if field.name != "trace_id"
+    }
+    try:
+        stored["spec"] = coerce_spec(stored["spec"]).to_dict()
+    except KernelSpecError as exc:
+        raise BadRequest(f"invalid kernel spec: {exc}") from exc
+    stored["strings"] = list(stored["strings"])
+    if isinstance(request, SubmitMatrixRequest):
+        stored["shards"] = request.shard_count
+    return stored
+
+
+def job_request(kind: str, stored_input: Mapping[str, Any]) -> Request:
+    """The validated request a ``kind`` record's stored ``input`` describes.
+
+    The inverse of :func:`job_input`: the input goes back through the
+    request dataclass, so an omitted field takes the dataclass default and
+    an invalid one raises :class:`BadRequest` exactly as on the wire.
+    """
+    request_class = JOB_REQUESTS.get(kind)
+    if request_class is None:
+        raise BadRequest(f"no request describes {kind!r} jobs; job kinds: {', '.join(JOB_REQUESTS)}")
+    return request_class._from_fields(stored_input)
 
 
 def parse_request(payload: Any) -> Request:

@@ -54,8 +54,9 @@ metrics and failure policy for every job.  Status, result waits and
 cancellation read and write only the record: a result wait sleeps on the
 store's doorbell, which a job finishing in this process rings directly,
 and a cancel flips a still-``queued`` record atomically, which makes its
-pool task a no-op.  Every record carries its *input* (spec, encoded
-corpus, evaluation options), so it is resumable: start-up recovery
+pool task a no-op.  Every record carries its *input*, the validated
+submit request (:func:`~repro.service.protocol.job_input`) that is read
+back through the same dataclass, so it is resumable: start-up recovery
 requeues queued / expired-lease jobs and the server re-adopts them — a
 restart re-runs interrupted work instead of dead-ending it.  Because every
 run claims first, two servers sharing one state dir never compute the
@@ -132,7 +133,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Callable, Dict, List, Mapping, Optional, TextIO, Tuple
 
 from repro.api.session import AnalysisSession
-from repro.api.spec import KernelSpec, KernelSpecError, coerce_spec, registered_kinds, registry_entry
+from repro.api.spec import KernelSpec, coerce_spec, registered_kinds, registry_entry
 from repro.core.cachestore import MatrixCache
 from repro.obs.metrics import MetricsRegistry, render_fleet
 from repro.obs.tracing import new_span_id, new_trace_id, trace_context
@@ -151,6 +152,7 @@ from repro.service.middleware import (
     tracing_middleware,
 )
 from repro.service.protocol import (
+    JOB_REQUESTS,
     PROTOCOL_VERSION,
     BadRequest,
     CacheStatsRequest,
@@ -174,6 +176,7 @@ from repro.service.protocol import (
     dump_message,
     error_response,
     http_status_for_response,
+    job_input,
     load_message,
     ok_response,
 )
@@ -195,6 +198,7 @@ from repro.service.worker import (
     execute_block_task,
     fit_model_payload,
     run_claimed_job,
+    stored_request,
 )
 from repro.streaming.scorer import StreamingScorer
 from repro.strings.tokens import WeightedString
@@ -202,6 +206,9 @@ from repro.strings.tokens import WeightedString
 __all__ = ["AnalysisServer", "serve_stdio"]
 
 logger = logging.getLogger(__name__)
+
+#: The job kind each submission request creates.
+_JOB_KINDS = {request_type: kind for kind, request_type in JOB_REQUESTS.items()}
 
 #: Default bound on one request body (HTTP ``POST /v1`` or one stdio line).
 DEFAULT_MAX_REQUEST_BYTES = 64 * 1024 * 1024
@@ -394,9 +401,9 @@ class AnalysisServer:
 
     def _register_routes(self) -> None:
         for request_type, handler in (
-            (SubmitMatrixRequest, self._handle_submit_matrix),
-            (SubmitAnalyzeRequest, self._handle_submit_analyze),
-            (FitModelRequest, self._handle_fit_model),
+            (SubmitMatrixRequest, self._handle_submit),
+            (SubmitAnalyzeRequest, self._handle_submit),
+            (FitModelRequest, self._handle_submit),
             (ClassifyRequest, self._handle_classify),
             (ModelsRequest, self._handle_models),
             (StatusRequest, self._handle_status),
@@ -426,108 +433,72 @@ class AnalysisServer:
     # ------------------------------------------------------------------
     # Job submission
     # ------------------------------------------------------------------
-    def _coerce_spec(self, raw: Any) -> KernelSpec:
-        try:
-            return coerce_spec(raw)
-        except KernelSpecError as exc:
-            raise BadRequest(f"invalid kernel spec: {exc}") from exc
-
     def _submission_key(
-        self, tenant: TenantContext, spec: KernelSpec,
-        strings: List[WeightedString], **options: Any
+        self, tenant: TenantContext, stored: Mapping[str, Any], strings: List[WeightedString]
     ) -> str:
-        """Content identity of one matrix submission (spec values + corpus + options)."""
-        identity = {
-            "signature": tenant.session.engine(spec).kernel_signature(),
-            "fingerprints": [string_fingerprint(string) for string in strings],
-            "names": [string.name for string in strings],
-            "labels": [string.label for string in strings],
-            **options,
-        }
+        """Content identity of one matrix submission: its stored input, with
+        the spec by kernel signature and the corpus by string content."""
+        identity = {name: value for name, value in stored.items() if name not in ("spec", "strings")}
+        identity.update(
+            signature=tenant.session.engine(coerce_spec(stored["spec"])).kernel_signature(),
+            fingerprints=[string_fingerprint(string) for string in strings],
+            names=[string.name for string in strings],
+            labels=[string.label for string in strings],
+        )
         return hashlib.sha256(
             json.dumps(identity, sort_keys=True, separators=(",", ":")).encode("utf-8")
         ).hexdigest()
 
-    def _handle_submit_matrix(self, ctx: RequestContext) -> Dict[str, Any]:
+    def _handle_submit(self, ctx: RequestContext) -> Dict[str, Any]:
+        """Store a submission as one queued job record and start it.
+
+        The record's ``input`` is the validated request itself
+        (:func:`~repro.service.protocol.job_input`); its ``options`` start
+        as run metadata only: the tenant, and the trace the job runs
+        under.
+        """
         request = ctx.request
-        assert isinstance(request, SubmitMatrixRequest)
+        kind = _JOB_KINDS[type(request)]
         tenant = self._require_tenant(ctx)
-        spec = self._coerce_spec(request.spec)
+        stored = job_input(request)
         strings = decode_corpus(request.strings)
         if not strings:
-            raise BadRequest("submit-matrix requires a non-empty corpus")
-        shards = request.shards if request.shards is not None else 1
-        submission_key = self._submission_key(
-            tenant,
-            spec,
-            strings,
-            normalized=request.normalized,
-            repair=request.repair,
-            shards=shards,
-            distributed=request.distributed,
-            use_cache=request.use_cache,
-        )
+            raise BadRequest(f"{request.TYPE} requires a non-empty corpus")
         # The trace follows the *request*; coalesced duplicates are answered
         # with the trace of the job actually doing the work, so their logs
         # still join up.  The submission key deliberately excludes the trace.
         trace_id = request.trace_id or new_trace_id()
-        options = {
-            "normalized": request.normalized,
-            "repair": request.repair,
-            "shards": shards,
-            "distributed": request.distributed,
-            "use_cache": request.use_cache,
-            "examples": len(strings),
-            "blocks": plan_index_blocks(len(strings), shards),
-            "submission_key": submission_key,
-            "tenant": tenant.tenant_id,
-            "trace_id": trace_id,
-            "span_id": new_span_id(),
-        }
-        # Coalesce identical in-flight submissions onto the job already
-        # queued for them: the whole check-and-create runs under the
-        # tenant's lock, so two racing equal submissions get one record and
-        # one engine run.  Coalescing is per-tenant by construction — the
-        # inflight map lives on the tenant — so equal submissions from two
-        # tenants run twice, once in each namespace.
+        options = {"tenant": tenant.tenant_id, "trace_id": trace_id, "span_id": new_span_id()}
+        submission_key = self._submission_key(tenant, stored, strings) if kind == "matrix" else None
+        # Coalesce identical in-flight matrix submissions onto the job
+        # already queued for them: the whole check-and-create runs under
+        # the tenant's lock, so two racing equal submissions get one record
+        # and one engine run.  Coalescing is per-tenant by construction —
+        # the inflight map lives on the tenant — so equal submissions from
+        # two tenants run twice, once in each namespace.
         with tenant.lock:
-            existing_id = tenant.inflight.get(submission_key)
-            if existing_id is not None:
-                existing = self._unfinished_record(tenant, existing_id)
-                if existing is not None:
-                    tenant.result_waiters[existing.job_id] = (
-                        tenant.result_waiters.get(existing.job_id, 1) + 1
-                    )
-                    return ok_response(
-                        "job",
-                        job_id=existing.job_id,
-                        status=existing.status,
-                        kind="matrix",
-                        coalesced=True,
-                        trace_id=existing.options.get("trace_id"),
-                    )
-                # The finished job's result_waiters entry (if any) stays:
-                # its uncollected waiters still hold the old job id.
-                del tenant.inflight[submission_key]
-            record = tenant.store.create(
-                "matrix",
-                spec=spec.to_dict(),
-                options=options,
-                input={
-                    "spec": spec.to_dict(),
-                    "strings": list(request.strings),
-                    "normalized": request.normalized,
-                    "repair": request.repair,
-                    "shards": shards,
-                    "distributed": request.distributed,
-                    "use_cache": request.use_cache,
-                },
-            )
-            tenant.inflight[submission_key] = record.job_id
+            existing = None
+            if submission_key in tenant.inflight:
+                existing = self._unfinished_record(tenant, tenant.inflight[submission_key])
+                if existing is None:
+                    # The finished job's result_waiters entry (if any) stays:
+                    # its uncollected waiters still hold the old job id.
+                    del tenant.inflight[submission_key]
+            if existing is not None:
+                tenant.result_waiters[existing.job_id] = tenant.result_waiters.get(existing.job_id, 1) + 1
+                return ok_response(
+                    "job",
+                    job_id=existing.job_id,
+                    status=existing.status,
+                    kind=kind,
+                    coalesced=True,
+                    trace_id=existing.options.get("trace_id"),
+                )
+            record = tenant.store.create(kind, options=options, input=stored)
+            if submission_key is not None:
+                tenant.inflight[submission_key] = record.job_id
         self._start_record(tenant, record)
-        return ok_response(
-            "job", job_id=record.job_id, status="queued", kind="matrix", trace_id=trace_id
-        )
+        return ok_response("job", job_id=record.job_id, status="queued", kind=kind, trace_id=trace_id)
 
     @staticmethod
     def _require_tenant(ctx: RequestContext) -> TenantContext:
@@ -556,80 +527,6 @@ class AnalysisServer:
                 return False
             tenant.result_waiters.pop(job_id, None)
             return True
-
-    def _handle_submit_analyze(self, ctx: RequestContext) -> Dict[str, Any]:
-        request = ctx.request
-        assert isinstance(request, SubmitAnalyzeRequest)
-        tenant = self._require_tenant(ctx)
-        spec = self._coerce_spec(request.spec)
-        strings = decode_corpus(request.strings)
-        if not strings:
-            raise BadRequest("submit-analyze requires a non-empty corpus")
-        trace_id = request.trace_id or new_trace_id()
-        options = {
-            "n_clusters": request.n_clusters,
-            "n_components": request.n_components,
-            "linkage": request.linkage,
-            "examples": len(strings),
-            "tenant": tenant.tenant_id,
-            "trace_id": trace_id,
-            "span_id": new_span_id(),
-        }
-        record = tenant.store.create(
-            "analyze",
-            spec=spec.to_dict(),
-            options=options,
-            input={
-                "spec": spec.to_dict(),
-                "strings": list(request.strings),
-                "n_clusters": request.n_clusters,
-                "n_components": request.n_components,
-                "linkage": request.linkage,
-            },
-        )
-        self._start_record(tenant, record)
-        return ok_response(
-            "job", job_id=record.job_id, status="queued", kind="analyze", trace_id=trace_id
-        )
-
-    def _handle_fit_model(self, ctx: RequestContext) -> Dict[str, Any]:
-        request = ctx.request
-        assert isinstance(request, FitModelRequest)
-        tenant = self._require_tenant(ctx)
-        spec = self._coerce_spec(request.spec)
-        strings = decode_corpus(request.strings)
-        if not strings:
-            raise BadRequest("fit-model requires a non-empty corpus")
-        trace_id = request.trace_id or new_trace_id()
-        options = {
-            "model": request.name,
-            "landmarks": request.landmarks,
-            "strategy": request.strategy,
-            "examples": len(strings),
-            "tenant": tenant.tenant_id,
-            "trace_id": trace_id,
-            "span_id": new_span_id(),
-        }
-        record = tenant.store.create(
-            "fit-model",
-            spec=spec.to_dict(),
-            options=options,
-            input={
-                "spec": spec.to_dict(),
-                "strings": list(request.strings),
-                "name": request.name,
-                "landmarks": request.landmarks,
-                "strategy": request.strategy,
-                "seed": request.seed,
-                "n_components": request.n_components,
-                "n_clusters": request.n_clusters,
-                "use_cache": request.use_cache,
-            },
-        )
-        self._start_record(tenant, record)
-        return ok_response(
-            "job", job_id=record.job_id, status="queued", kind="fit-model", trace_id=trace_id
-        )
 
     def _start_record(self, tenant: TenantContext, record: JobRecord) -> None:
         """Queue a stored record on the tenant's job pool, once.
@@ -673,34 +570,24 @@ class AnalysisServer:
     def _payload_for_record(self, tenant: TenantContext, record: JobRecord) -> JobResult:
         """Compute the stamped payload (and cache outcome) a claimed record describes.
 
-        Everything needed comes from the record's persisted ``input``, so
-        this works identically for freshly submitted jobs and for jobs
-        requeued by recovery in a later server process.
+        Everything needed comes from the request the record stores as its
+        ``input``, so this works identically for freshly submitted jobs and
+        for jobs requeued by recovery in a later server process.
         """
-        if record.input is None:
-            raise JobStoreError(f"job {record.job_id!r} carries no stored input")
         if record.kind == "fit-model":
             result = fit_model_payload(tenant.namespace, record)
             # Serve the fresh fit even where the file's mtime cannot tell.
             with tenant.lock:
                 tenant.scorers.pop(result.payload["name"], None)
             return result
-        spec = self._coerce_spec(record.input["spec"])
-        strings = decode_corpus(record.input["strings"])
-        if record.kind == "matrix":
-            return self._matrix_payload(tenant, record.job_id, spec, strings, record.input)
-        if record.kind == "analyze":
-            return self._analyze_payload(tenant, spec, strings, record.input)
+        request = stored_request(record)
+        if isinstance(request, SubmitMatrixRequest):
+            return self._matrix_payload(tenant, record.job_id, request)
+        if isinstance(request, SubmitAnalyzeRequest):
+            return self._analyze_payload(tenant, request)
         raise JobStoreError(f"job {record.job_id!r} has unexecutable kind {record.kind!r}")
 
-    def _matrix_payload(
-        self,
-        tenant: TenantContext,
-        job_id: str,
-        spec: KernelSpec,
-        strings: List[WeightedString],
-        options: Mapping[str, Any],
-    ) -> JobResult:
+    def _matrix_payload(self, tenant: TenantContext, job_id: str, request: SubmitMatrixRequest) -> JobResult:
         """The stamped payload of a matrix job, distributed or not.
 
         Runs :meth:`AnalysisSession.matrix_cached` — an exact result-cache
@@ -712,17 +599,19 @@ class AnalysisServer:
         (:meth:`_block_pair_values`); every other job's from the session's
         engine and its pair layers.
         """
+        spec = coerce_spec(request.spec)
+        strings = decode_corpus(request.strings)
         pair_values = None
-        if bool(options.get("distributed")):
+        if request.distributed:
             pair_values = functools.partial(
-                self._block_pair_values, tenant, job_id, spec, strings, int(options.get("shards", 1))
+                self._block_pair_values, tenant, job_id, spec, strings, request.shard_count
             )
         matrix, status = tenant.session.matrix_cached(
             spec,
             strings,
-            normalized=bool(options.get("normalized", True)),
-            repair=bool(options.get("repair", True)),
-            use_cache=bool(options.get("use_cache", True)),
+            normalized=request.normalized,
+            repair=request.repair,
+            use_cache=request.use_cache,
             pair_values=pair_values,
         )
         return JobResult(tenant.session.engine(spec).matrix_payload(matrix, strings), cache=status)
@@ -756,7 +645,6 @@ class AnalysisServer:
         come from the pair layers of whoever evaluates them.
         """
         blocks = plan_index_blocks(len(strings), shards)
-        spec_dict = spec.to_dict()
         # Children inherit the parent's trace id (each with a span of its
         # own), so a worker claiming a block logs under the same trace the
         # client submitted.
@@ -782,7 +670,7 @@ class AnalysisServer:
                     if trace_id is not None:
                         child_options["trace_id"] = trace_id
                         child_options["span_id"] = new_span_id()
-                    child = tenant.store.create("block", spec=spec_dict, options=child_options)
+                    child = tenant.store.create("block", options=child_options)
                 child_ids.append(child.job_id)
         corpus_cache = {job_id: strings}
         done_ids: set = set()
@@ -861,22 +749,17 @@ class AnalysisServer:
             with contextlib.suppress(JobStoreError, KeyError):
                 tenant.store.forget(child_id)
 
-    def _analyze_payload(
-        self,
-        tenant: TenantContext,
-        spec: KernelSpec,
-        strings: List[WeightedString],
-        options: Mapping[str, Any],
-    ) -> JobResult:
+    def _analyze_payload(self, tenant: TenantContext, request: SubmitAnalyzeRequest) -> JobResult:
         from repro.pipeline.config import ExperimentConfig
         from repro.pipeline.pipeline import AnalysisPipeline
         from repro.pipeline.report import summarise_result
 
+        strings = decode_corpus(request.strings)
         config = ExperimentConfig(
-            spec=spec,
-            n_clusters=int(options.get("n_clusters", 3)),
-            n_components=int(options.get("n_components", 2)),
-            linkage=str(options.get("linkage", "single")),
+            spec=coerce_spec(request.spec),
+            n_clusters=request.n_clusters,
+            n_components=request.n_components,
+            linkage=request.linkage,
         )
         # One result-cache lookup: the matrix (and the hit/miss outcome the
         # record reports, as the matrix path does) feed the analysis stages.

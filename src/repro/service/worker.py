@@ -7,9 +7,17 @@ whoever runs it — keeps its lease alive the same way, logs the same
 ``job-started`` / ``job-finished`` lines under the client's trace, feeds
 the same ``repro_jobs_executed_total{kind,outcome}`` and
 ``repro_job_seconds{kind}`` families, and follows one failure policy.
-Each record kind has one payload function (:func:`execute_block_task`,
-:func:`fit_model_payload`; the server adds its matrix and analyze
-payloads), so a fit runs the same body in a server and in a worker.
+Each record kind has one payload function, and every one of them reads
+its job's description — the wire request stored as the record's
+``input`` — through :func:`stored_request`:
+
+* ``block`` — :func:`execute_block_task`, run by ``repro worker``
+  processes and, unless ``inline_blocks`` is off, by the server
+  coordinating the parent matrix job;
+* ``fit-model`` — :func:`fit_model_payload`, run by the server's job pool
+  and by workers alike, so a fit runs the same body in either;
+* ``matrix`` and ``analyze`` — the server's own payloads, run only in the
+  server, whose matrix job coordinates its block records.
 
 :class:`Worker` is the pull loop.  A ``submit-matrix`` request with
 ``distributed=True`` makes the server persist one *block-task* record per
@@ -81,7 +89,7 @@ from repro.core.engine import block_index_pairs, encode_pair_values
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracing import trace_context
 from repro.service.jobstore import Doorbell, JobRecord, JobStore, JobStoreError, LeaseError
-from repro.service.protocol import decode_corpus
+from repro.service.protocol import Request, decode_corpus, job_request
 from repro.service.tenancy import StateDir, StateNamespace, mirror_namespace_counters
 from repro.strings.tokens import WeightedString
 
@@ -92,6 +100,7 @@ __all__ = [
     "execute_block_task",
     "fit_model_payload",
     "run_claimed_job",
+    "stored_request",
     "DEFAULT_LEASE_SECONDS",
     "DEFAULT_POLL_INTERVAL",
 ]
@@ -137,6 +146,17 @@ class ShutdownRequested(Exception):
     """
 
 
+def stored_request(record: JobRecord) -> Request:
+    """The validated wire request a job record's ``input`` holds.
+
+    The one reader of a stored input (:func:`~repro.service.protocol.job_request`),
+    so the request dataclass alone owns each field's default and validation.
+    """
+    if record.input is None:
+        raise JobStoreError(f"job {record.job_id!r} carries no stored input")
+    return job_request(record.kind, record.input)
+
+
 def execute_block_task(
     store: JobStore,
     record: JobRecord,
@@ -145,9 +165,10 @@ def execute_block_task(
 ) -> None:
     """Evaluate one claimed block-task record and store its raw pair values.
 
-    The task's parent matrix record carries the work description
-    (``input``: spec, encoded corpus); the task's options name the two
-    index blocks.  The payload is ``{"parent", "first", "second",
+    The task's parent matrix record carries the work description (its
+    stored :class:`~repro.service.protocol.SubmitMatrixRequest`: spec,
+    encoded corpus); the task's options name the parent and the two index
+    blocks.  The payload is ``{"parent", "first", "second",
     "pairs"}`` with ``pairs`` in :func:`encode_pair_values` form — *raw*
     kernel values only, because normalisation denominators and the
     diagonal are applied once, by the assembling server.  Used identically
@@ -160,17 +181,16 @@ def execute_block_task(
     if not parent_id:
         raise JobStoreError(f"block task {record.job_id!r} names no parent job")
     parent = store.get(str(parent_id))
-    if parent.input is None:
-        raise JobStoreError(f"parent job {parent.job_id!r} carries no stored input")
+    request = stored_request(parent)
     strings: Optional[List[WeightedString]] = None
     if corpus_cache is not None:
         strings = corpus_cache.get(parent.job_id)
     if strings is None:
-        strings = decode_corpus(parent.input["strings"])
+        strings = decode_corpus(request.strings)
         if corpus_cache is not None:
             corpus_cache.clear()  # one warm corpus at a time is enough
             corpus_cache[parent.job_id] = strings
-    spec = coerce_spec(parent.input["spec"])
+    spec = coerce_spec(request.spec)
     first = tuple(int(index) for index in record.options["first"])
     second = tuple(int(index) for index in record.options["second"])
     pairs = block_index_pairs(first, second)
@@ -192,9 +212,10 @@ def execute_block_task(
 def fit_model_payload(namespace: StateNamespace, record: JobRecord) -> JobResult:
     """Fit and persist the landmark model a claimed ``fit-model`` record describes.
 
-    *record* is one of *namespace*'s; its ``input`` is self-contained
-    (spec, encoded corpus, model name and fit options), so the server and
-    any worker sharing the state dir run this same body.  The full Gram
+    *record* is one of *namespace*'s; its ``input`` is the self-contained
+    :class:`~repro.service.protocol.FitModelRequest` (spec, encoded
+    corpus, model name and fit options), so the server and any worker
+    sharing the state dir run this same body.  The full Gram
     goes through the namespace session's
     :meth:`~repro.api.session.AnalysisSession.matrix_cached`, and its
     outcome is the result's ``cache`` (``options["cache"]``).  A worker
@@ -204,18 +225,17 @@ def fit_model_payload(namespace: StateNamespace, record: JobRecord) -> JobResult
     model file's mtime, so a fit written by any process is served by the
     next ``classify``.  The returned payload is the small model summary.
     """
-    if record.input is None:
-        raise JobStoreError(f"fit-model job {record.job_id!r} carries no stored input")
+    request = stored_request(record)
     model, status = namespace.session.fit_landmark_model(
-        coerce_spec(record.input["spec"]),
-        decode_corpus(record.input["strings"]),
-        name=str(record.input["name"]),
-        landmarks=int(record.input.get("landmarks", 16)),
-        strategy=str(record.input.get("strategy", "kcenter")),
-        seed=int(record.input.get("seed", 2017)),
-        n_components=int(record.input.get("n_components", 2)),
-        n_clusters=record.input.get("n_clusters"),
-        use_cache=bool(record.input.get("use_cache", True)),
+        coerce_spec(request.spec),
+        decode_corpus(request.strings),
+        name=request.name,
+        landmarks=request.landmarks,
+        strategy=request.strategy,
+        seed=request.seed,
+        n_components=request.n_components,
+        n_clusters=request.n_clusters,
+        use_cache=request.use_cache,
     )
     path = namespace.model_store.save(model)
     summary = model.summary()

@@ -244,12 +244,10 @@ class TestWorkerAndGcCommands:
         store = JobStore(state_dir)
         parent = store.create(
             "matrix",
-            spec=spec.to_dict(),
             input={"spec": spec.to_dict(), "strings": list(encode_corpus(strings))},
         )
         store.create(
             "block",
-            spec=spec.to_dict(),
             options={"parent": parent.job_id, "first": [0, 2], "second": [2, 4]},
         )
         assert main(["worker", "--state-dir", state_dir, "--max-tasks", "1"]) == 0

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import socket
@@ -19,13 +20,29 @@ def store(tmp_path):
 
 class TestLifecycle:
     def test_create_get_round_trip(self, store):
-        record = store.create("matrix", spec={"kind": "kast"}, options={"shards": 2})
+        record = store.create("matrix", input={"spec": {"kind": "kast"}}, options={"shards": 2})
         loaded = store.get(record.job_id)
         assert loaded == record
         assert loaded.status == "queued"
-        assert loaded.spec == {"kind": "kast"}
+        assert loaded.input == {"spec": {"kind": "kast"}}
         assert loaded.options == {"shards": 2}
         assert not loaded.finished
+
+    def test_a_legacy_top_level_spec_is_dropped_not_quarantined(self, store):
+        # Older records carried a copy of their input's spec at the top
+        # level; such a record still loads, and recovery keeps it.
+        record = store.create("matrix", input={"spec": {"kind": "kast"}})
+        path = os.path.join(store.jobs_dir, f"{record.job_id}.json")
+        with open(path, "r", encoding="utf-8") as handle:
+            stored = json.load(handle)
+        assert "spec" not in stored
+        stored["spec"] = {"kind": "kast"}
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(stored, handle)
+        reopened = JobStore(store.root)
+        assert reopened.recovery.quarantined == ()
+        assert reopened.recovery.requeued == (record.job_id,)
+        assert reopened.get(record.job_id).input == {"spec": {"kind": "kast"}}
 
     def test_job_ids_are_unique_and_kind_prefixed(self, store):
         ids = {store.create("matrix").job_id for _ in range(20)}
@@ -166,6 +183,20 @@ class TestCrashRecovery:
         reopened = JobStore(store.root)
         assert reopened.get(record.job_id).status == "error"
 
+    def test_done_record_whose_payload_is_not_an_object_flipped_to_error(self, store):
+        # A payload with a matching checksum that parses, but not to a JSON
+        # object, is as unusable at recovery as it is to load_result.
+        record = store.create("matrix")
+        store.store_result(record.job_id, {"x": 1})
+        text = "[1]"
+        with open(os.path.join(store.payloads_dir, f"{record.job_id}.json"), "w", encoding="utf-8") as handle:
+            handle.write(text)
+        store.update(record.job_id, payload_sha256=hashlib.sha256(text.encode("utf-8")).hexdigest())
+        reopened = JobStore(store.root)
+        assert dict(reopened.recovery.quarantined) == {f"{record.job_id}.json": "payload is not a JSON object"}
+        damaged = reopened.get(record.job_id)
+        assert damaged.status == "error" and "not a JSON object" in damaged.error
+
     def test_unreadable_record_quarantined_with_payload(self, store):
         record = store.create("matrix")
         store.store_result(record.job_id, {"x": 1})
@@ -239,13 +270,12 @@ class TestLeasing:
         store.mark_running(inprocess.job_id)  # no lease: in-process job
         assert store.claim("w1", lease_seconds=30) is None
 
-    def test_claim_kind_and_parent_filters(self, store):
+    def test_claim_kind_filter(self, store):
         store.create("matrix")
-        mine = store.create("block", options={"parent": "matrix-a"})
-        store.create("block", options={"parent": "matrix-b"})
-        claimed = store.claim("w1", lease_seconds=30, kinds=("block",), parent="matrix-a")
-        assert claimed is not None and claimed.job_id == mine.job_id
-        assert store.claim("w1", lease_seconds=30, kinds=("block",), parent="matrix-a") is None
+        block = store.create("block", options={"parent": "matrix-a"})
+        claimed = store.claim("w1", lease_seconds=30, kinds=("block",))
+        assert claimed is not None and claimed.job_id == block.job_id
+        assert store.claim("w1", lease_seconds=30, kinds=("block",)) is None
 
     def test_renew_extends_only_for_the_owner(self, store):
         record = store.create("block")

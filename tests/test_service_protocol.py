@@ -6,12 +6,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.api.spec import coerce_spec
+from repro.learn.hierarchical import LINKAGES
+from repro.service import protocol
 from repro.service.protocol import (
+    JOB_REQUESTS,
     PROTOCOL_VERSION,
     BadRequest,
     CacheStatsRequest,
     CancelRequest,
     CannotCancel,
+    FitModelRequest,
     HealthRequest,
     JobFailed,
     JobPending,
@@ -29,10 +34,13 @@ from repro.service.protocol import (
     encode_corpus,
     error_response,
     http_status_for_response,
+    job_input,
+    job_request,
     load_message,
     ok_response,
     parse_request,
 )
+from repro.streaming.landmarks import LANDMARK_STRATEGIES
 from repro.strings.tokens import Token, WeightedString
 
 # Literal alphabet mirroring what the string encoder can emit: printable,
@@ -101,7 +109,7 @@ _requests = st.one_of(
         strings=st.lists(_strings, min_size=0, max_size=3).map(lambda ws: tuple(encode_corpus(ws))),
         n_clusters=st.integers(min_value=1, max_value=8),
         n_components=st.integers(min_value=1, max_value=4),
-        linkage=st.sampled_from(["single", "average", "complete"]),
+        linkage=st.sampled_from(LINKAGES),
     ),
     st.builds(StatusRequest, job_id=st.text(min_size=1, max_size=24)),
     st.builds(
@@ -153,6 +161,8 @@ class TestRequestRoundTrip:
             {"type": "submit-matrix", "spec": "kast", "shards": True},
             {"type": "submit-matrix", "spec": "kast", "normalized": "yes"},
             {"type": "submit-matrix", "spec": "kast", "distributed": "yes"},
+            {"type": "submit-analyze", "spec": "kast", "linkage": "foo"},
+            {"type": "submit-analyze", "spec": "kast", "linkage": 1},
             {"type": "result", "job_id": "x", "wait": -1},
             {"type": "result", "job_id": ""},
             {"type": "status"},
@@ -161,6 +171,70 @@ class TestRequestRoundTrip:
     def test_invalid_field_values_rejected(self, fields):
         with pytest.raises(BadRequest):
             parse_request({"v": PROTOCOL_VERSION, **fields})
+
+
+_submissions = st.one_of(
+    _requests.filter(lambda request: isinstance(request, (SubmitMatrixRequest, SubmitAnalyzeRequest))),
+    st.builds(
+        FitModelRequest,
+        spec=st.sampled_from(["kast", {"kind": "kast", "params": {"cut_weight": 4}}]),
+        strings=st.lists(_strings, min_size=0, max_size=3).map(lambda ws: tuple(encode_corpus(ws))),
+        name=st.sampled_from(["m", "model-1", "a.b_c"]),
+        landmarks=st.integers(min_value=1, max_value=64),
+        strategy=st.sampled_from(LANDMARK_STRATEGIES),
+        seed=st.integers(min_value=1, max_value=10_000),
+        n_components=st.integers(min_value=1, max_value=4),
+        n_clusters=st.one_of(st.none(), st.integers(min_value=1, max_value=8)),
+        use_cache=st.booleans(),
+    ),
+)
+
+
+class TestJobRequests:
+    """A job record's ``input`` is its wire request, read back through the dataclass."""
+
+    def test_the_wire_mirrors_equal_the_library_tuples(self):
+        assert protocol._LINKAGES == LINKAGES
+        assert protocol._LANDMARK_STRATEGIES == LANDMARK_STRATEGIES
+
+    def test_the_kind_table_names_the_three_submissions(self):
+        assert JOB_REQUESTS == {
+            "matrix": SubmitMatrixRequest,
+            "analyze": SubmitAnalyzeRequest,
+            "fit-model": FitModelRequest,
+        }
+
+    @settings(max_examples=60, deadline=None)
+    @given(request=_submissions)
+    def test_a_stored_input_reads_back_to_the_same_input(self, request):
+        kind = {request_class: kind for kind, request_class in JOB_REQUESTS.items()}[type(request)]
+        stored = job_input(request)
+        assert "trace_id" not in stored
+        assert stored["spec"] == coerce_spec(request.spec).to_dict()
+        reread = job_request(kind, load_message(dump_message(stored)))
+        assert type(reread) is type(request)
+        assert job_input(reread) == stored
+
+    def test_the_input_resolves_shards_and_drops_the_trace(self):
+        request = SubmitMatrixRequest(spec="kast", strings=(), trace_id="abc")
+        stored = job_input(request)
+        assert stored["shards"] == 1
+        assert set(stored) == {"spec", "strings", "normalized", "repair", "shards", "distributed", "use_cache"}
+        assert job_request("matrix", stored).trace_id is None
+
+    def test_omitted_fields_take_the_dataclass_defaults(self):
+        request = job_request("fit-model", {"spec": "kast", "strings": [], "name": "m"})
+        assert request == FitModelRequest(spec="kast", name="m")
+
+    def test_an_invalid_stored_input_is_a_bad_request(self):
+        with pytest.raises(BadRequest):
+            job_request("analyze", {"spec": "kast", "linkage": "foo"})
+        with pytest.raises(BadRequest):
+            job_request("matrix", {"spec": "kast", "surprise": 1})
+        with pytest.raises(BadRequest):
+            job_request("block", {"spec": "kast"})
+        with pytest.raises(BadRequest, match="invalid kernel spec"):
+            job_input(SubmitMatrixRequest(spec="no-such-kernel"))
 
 
 _ERROR_CLASSES = [

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import os
 import sys
 import threading
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 
 from repro.api import AnalysisSession, make_spec
+from repro.core.engine import plan_index_blocks
 from repro.core.matrix import KernelMatrix
 from repro.service import (
     DEFAULT_TENANT,
@@ -108,16 +110,16 @@ class TestInProcessProtocol:
         # one that asks for shards=1.
         defaulted = submit_matrix(server, strings, distributed=True)
         explicit = submit_matrix(server, strings, shards=1, distributed=True, use_cache=False)
-        assert server.store.get(defaulted).options["shards"] == 1
-        assert server.store.get(explicit).options["shards"] == 1
+        assert server.store.get(defaulted).input["shards"] == 1
+        assert server.store.get(explicit).input["shards"] == 1
         assert wait_result(server, defaulted) == wait_result(server, explicit)
 
     @pytest.mark.parametrize("shards", [2, 3, 8])
     def test_sharded_job_bit_identical(self, server, strings, local_matrix, shards):
         job_id = submit_matrix(server, strings, shards=shards)
         record = server.store.get(job_id)
-        assert record.options["shards"] == shards
-        assert len(record.options["blocks"]) == min(shards, len(strings))
+        assert record.input["shards"] == shards
+        assert len(plan_index_blocks(len(strings), record.input["shards"])) == min(shards, len(strings))
         matrix = KernelMatrix.from_dict(wait_result(server, job_id))
         assert np.array_equal(matrix.values, local_matrix.values)
 
@@ -290,7 +292,6 @@ class TestRestartRecovery:
         dead = JobStore(state_dir)
         queued = dead.create(
             "matrix",
-            spec=SPEC.to_dict(),
             input={
                 "spec": SPEC.to_dict(),
                 "strings": list(encode_corpus(strings)),
@@ -300,7 +301,7 @@ class TestRestartRecovery:
                 "distributed": False,
             },
         )
-        running = dead.create("matrix", spec=SPEC.to_dict())
+        running = dead.create("matrix")
         dead.mark_running(running.job_id)
         with AnalysisServer(state_dir=state_dir) as second:
             assert set(second.store.recovery.requeued) == {queued.job_id}
@@ -317,7 +318,7 @@ class TestRestartRecovery:
         # leaving them queued forever.
         state_dir = str(tmp_path / "state")
         dead = JobStore(state_dir)
-        legacy = dead.create("matrix", spec=SPEC.to_dict())
+        legacy = dead.create("matrix")
         with AnalysisServer(state_dir=state_dir) as second:
             assert legacy.job_id in second.store.recovery.requeued
             response = second.handle(ResultRequest(job_id=legacy.job_id).to_payload())
@@ -492,3 +493,110 @@ class TestStoreIsSharedFormat:
         engine = server.session.engine(SPEC)
         matrix = server.session.matrix(SPEC, strings)
         assert stored == engine.matrix_payload(matrix, strings)
+
+
+def _submissions(strings):
+    """One submission of each job kind, and the ``input`` its record stores.
+
+    The inputs are written out field by field, as the service stored them
+    before a record's input was defined as its wire request, so a change
+    to what a record holds shows here.
+    """
+    corpus = list(encode_corpus(strings))
+    return [
+        (
+            "matrix",
+            {"v": PROTOCOL_VERSION, "type": "submit-matrix", "spec": "kast", "strings": corpus},
+            {"spec": make_spec("kast").to_dict(), "strings": corpus, "normalized": True, "repair": True,
+             "shards": 1, "distributed": False, "use_cache": True},
+        ),
+        (
+            "analyze",
+            {"v": PROTOCOL_VERSION, "type": "submit-analyze", "spec": SPEC.to_dict(), "strings": corpus,
+             "linkage": "ward"},
+            {"spec": SPEC.to_dict(), "strings": corpus, "n_clusters": 3, "n_components": 2,
+             "linkage": "ward"},
+        ),
+        (
+            "fit-model",
+            {"v": PROTOCOL_VERSION, "type": "fit-model", "spec": SPEC.to_dict(), "strings": corpus,
+             "name": "inputs", "landmarks": 3, "trace_id": "fit-trace"},
+            {"spec": SPEC.to_dict(), "strings": corpus, "name": "inputs", "landmarks": 3,
+             "strategy": "kcenter", "seed": 2017, "n_components": 2, "n_clusters": None,
+             "use_cache": True},
+        ),
+    ]
+
+
+class TestJobRecordsStoreTheirRequest:
+    def test_input_is_the_request_and_options_are_run_metadata(self, server, strings):
+        release = threading.Event()
+        job_ids = []
+        try:
+            fill_job_pool(server, release)  # every record stays as created
+            for kind, payload, expected_input in _submissions(strings):
+                response = check_response(server.handle(payload))
+                record = server.store.get(response["job_id"])
+                assert record.kind == kind and record.status == "queued"
+                assert json.dumps(record.input, sort_keys=True) == json.dumps(expected_input, sort_keys=True)
+                assert set(record.options) == {"tenant", "trace_id", "span_id"}
+                assert record.options["trace_id"] == payload.get("trace_id", response["trace_id"])
+                assert "spec" not in record.to_dict()
+                job_ids.append(response["job_id"])
+        finally:
+            release.set()
+        for job_id in job_ids:
+            wait_result(server, job_id)
+
+    def test_an_unknown_linkage_is_refused_before_any_work(self, server, strings):
+        response = server.handle({
+            "v": PROTOCOL_VERSION, "type": "submit-analyze", "spec": SPEC.to_dict(),
+            "strings": list(encode_corpus(strings)), "linkage": "foo",
+        })
+        assert response["ok"] is False
+        assert response["error"]["code"] == "bad-request"
+        assert "linkage" in response["error"]["message"]
+        assert server.store.records() == []
+        assert server.session.engine_counters()["kernel_evals"] == 0
+
+    def test_records_in_the_older_format_still_run(self, tmp_path, strings):
+        # Records written before the input became the only job description:
+        # a top-level spec, and most input fields copied into the options.
+        state_dir = str(tmp_path / "state")
+        jobs_dir = os.path.join(state_dir, "jobs")
+        os.makedirs(jobs_dir)
+        corpus = list(encode_corpus(strings))
+        trace = {"tenant": DEFAULT_TENANT, "trace_id": "old-trace", "span_id": "old-span"}
+        matrix_input = {"spec": SPEC.to_dict(), "strings": corpus, "normalized": True, "repair": True,
+                        "shards": 2, "distributed": True, "use_cache": True}
+        fit_input = {"spec": SPEC.to_dict(), "strings": corpus, "name": "legacy", "landmarks": 3,
+                     "strategy": "kcenter", "seed": 2017, "n_components": 2, "n_clusters": None,
+                     "use_cache": True}
+        old_records = {
+            "matrix-0000000000aa": ("matrix", matrix_input, {
+                "normalized": True, "repair": True, "shards": 2, "distributed": True, "use_cache": True,
+                "examples": len(strings), "blocks": [[0, 1, 2, 3], [4, 5, 6, 7]],
+                "submission_key": "0" * 64, **trace,
+            }),
+            "fit-model-0000000000bb": ("fit-model", fit_input, {
+                "model": "legacy", "landmarks": 3, "strategy": "kcenter", "examples": len(strings), **trace,
+            }),
+        }
+        for job_id, (kind, stored_input, options) in old_records.items():
+            record = {
+                "job_id": job_id, "kind": kind, "status": "queued", "spec": SPEC.to_dict(),
+                "options": options, "input": stored_input, "error": None, "payload_sha256": None,
+                "worker_id": None, "lease_expires_at": None, "attempts": 0,
+                "created_at": 1.0, "updated_at": 1.0,
+            }
+            with open(os.path.join(jobs_dir, f"{job_id}.json"), "w", encoding="utf-8") as handle:
+                json.dump(record, handle, indent=2, sort_keys=True)
+        with AnalysisServer(state_dir=state_dir) as fresh:
+            assert fresh.store.recovery.quarantined == ()
+            assert set(fresh.store.recovery.requeued) == set(old_records)
+            payload = wait_result(fresh, "matrix-0000000000aa")
+            summary = wait_result(fresh, "fit-model-0000000000bb")
+        with AnalysisSession() as session:
+            expected = session.engine(SPEC).matrix_payload(session.matrix(SPEC, strings), strings)
+        assert json.dumps(payload, sort_keys=True) == json.dumps(expected, sort_keys=True)
+        assert summary["name"] == "legacy" and summary["landmarks"] == 3

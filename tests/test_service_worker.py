@@ -20,6 +20,7 @@ import time
 import pytest
 
 from repro.api import AnalysisSession, make_spec
+from repro.core.engine import plan_index_blocks
 from repro.obs.metrics import MetricsRegistry
 from repro.service import DEFAULT_TENANT, AnalysisServer, Authenticator, JobStore, Worker
 from repro.service import server as server_module
@@ -167,9 +168,8 @@ class TestExternalWorkers:
             record = server.store.get(job_id)
             assert record.options["workers"]
             assert all(worker_id.startswith("puller-") for worker_id in record.options["workers"])
-            assert sum(worker.completed for worker in workers) == len(record.options["blocks"]) * (
-                len(record.options["blocks"]) + 1
-            ) // 2
+            blocks = plan_index_blocks(len(strings), record.input["shards"])
+            assert sum(worker.completed for worker in workers) == len(blocks) * (len(blocks) + 1) // 2
 
     def test_two_worker_processes_drain_the_blocks(self, tmp_path, strings, local_payload):
         # The acceptance criterion: >= 2 external worker *processes*
@@ -241,12 +241,10 @@ class TestWorkerUnit:
         store = JobStore(str(tmp_path / "state"))
         parent = store.create(
             "matrix",
-            spec=SPEC.to_dict(),
             input={"spec": SPEC.to_dict(), "strings": list(encode_corpus(strings))},
         )
         child = store.create(
             "block",
-            spec=SPEC.to_dict(),
             options={"parent": parent.job_id, "first": [0, 4], "second": [4, 8]},
         )
         claimed = store.claim_job(child.job_id, "w1", lease_seconds=30)
@@ -308,7 +306,6 @@ class TestWorkerUnit:
         store = JobStore(state_dir)
         parent = store.create(
             "matrix",
-            spec=SPEC.to_dict(),
             input={"spec": SPEC.to_dict(), "strings": list(encode_corpus(strings))},
         )
         for start in range(2):
@@ -378,7 +375,6 @@ class TestWakeUps:
         store = JobStore(state_dir)
         parent = store.create(
             "matrix",
-            spec=SPEC.to_dict(),
             input={"spec": SPEC.to_dict(), "strings": list(encode_corpus(strings))},
         )
         worker, thread = start_sleeping_worker(state_dir)
