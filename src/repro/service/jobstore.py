@@ -624,9 +624,9 @@ class JobStore:
         """Claim the oldest claimable job, or ``None`` when the queue is dry.
 
         *kinds* restricts the scan to those record kinds (e.g. a block
-        worker claims only ``("block",)``).  Candidates are screened without the lock
-        and re-verified under it, so racing claimants (threads or
-        processes) each walk away with distinct jobs.
+        worker claims only ``("block",)``).  Candidates are screened
+        without the lock and re-verified under it, so racing claimants
+        (threads or processes) each walk away with distinct jobs.
         """
         wanted = set(kinds) if kinds is not None else None
         now = time.time()
@@ -780,7 +780,7 @@ class JobStore:
         if damage is not None:
             self._quarantine(self._payload_path(job_id), damage)
             self.mark_damaged(job_id, f"result payload unusable: {damage}")
-            raise JobStoreError(f"result payload of job {job_id!r} is damaged ({damage}) and was quarantined")
+            raise JobStoreError(f"result payload of job {job_id!r} was quarantined: {damage}")
         return payload
 
     def _read_payload(self, record: JobRecord) -> Tuple[Dict[str, Any], Optional[str]]:

@@ -197,13 +197,6 @@ class TestJobRequests:
         assert protocol._LINKAGES == LINKAGES
         assert protocol._LANDMARK_STRATEGIES == LANDMARK_STRATEGIES
 
-    def test_the_kind_table_names_the_three_submissions(self):
-        assert JOB_REQUESTS == {
-            "matrix": SubmitMatrixRequest,
-            "analyze": SubmitAnalyzeRequest,
-            "fit-model": FitModelRequest,
-        }
-
     @settings(max_examples=60, deadline=None)
     @given(request=_submissions)
     def test_a_stored_input_reads_back_to_the_same_input(self, request):
