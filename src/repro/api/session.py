@@ -331,25 +331,18 @@ class AnalysisSession:
         spec: SpecLike,
         strings: Sequence[WeightedString],
         name: str,
-        landmarks: int = 16,
-        strategy: str = "kcenter",
-        seed: int = 2017,
-        n_components: int = 2,
-        n_clusters: Optional[int] = None,
-        use_cache: bool = True,
+        **options: Any,
     ) -> Tuple[Any, str]:
         """Fit a frozen :class:`~repro.streaming.model.LandmarkModel`.
 
+        *options* are those of :func:`repro.streaming.model.fit_landmark_model`.
         The full Gram comes from :meth:`matrix_cached` (zero evaluations
         when the result cache covers the corpus); returns ``(model,
         cache_status)``.  Serve the model with :meth:`streaming_scorer`.
         """
         from repro.streaming.model import fit_landmark_model
 
-        return fit_landmark_model(
-            self, spec, strings, name=name, landmarks=landmarks, strategy=strategy,
-            seed=seed, n_components=n_components, n_clusters=n_clusters, use_cache=use_cache,
-        )
+        return fit_landmark_model(self, spec, strings, name=name, **options)
 
     def streaming_scorer(self, model: Any) -> Any:
         """An online :class:`~repro.streaming.scorer.StreamingScorer` bound

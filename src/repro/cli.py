@@ -30,13 +30,14 @@ options (``--kernel``, ``--cut-weight``, …) or a full declarative spec via
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
-from typing import Optional, Sequence
+from typing import Any, Dict, Optional, Sequence
 
 from repro.api import AnalysisSession, KernelSpec, kernel_choices
-from repro.core.atomicio import write_text_atomic
+from repro.core.atomicio import remove_stale_temp_files, write_text_atomic
 from repro.core.kast import KAST_BACKENDS
 from repro.learn.hierarchical import LINKAGES
 from repro.pipeline.config import ExperimentConfig, experiment_spec
@@ -51,6 +52,12 @@ from repro.pipeline.experiments import (
 )
 from repro.pipeline.report import summarise_result, summarise_sweep
 from repro.pipeline.sweep import cut_weight_sweep
+from repro.service.protocol import (
+    CannotCancel,
+    FitModelRequest,
+    SubmitAnalyzeRequest,
+    SubmitMatrixRequest,
+)
 from repro.streaming.landmarks import LANDMARK_STRATEGIES
 from repro.strings.encoder import trace_to_string
 from repro.traces.parser import parse_trace_file
@@ -98,13 +105,9 @@ def build_parser() -> argparse.ArgumentParser:
         "matrix", help="compute the JSON Gram matrix of a directory of trace files"
     )
     matrix.add_argument("corpus", help="directory containing *.trace files")
-    matrix.add_argument("--kernel", choices=list(kernel_choices()), default="kast", help="kernel kind")
-    matrix.add_argument("--cut-weight", type=int, default=2, help="cut weight / minimum substring weight")
-    matrix.add_argument("--spectrum-k", type=int, default=3, help="substring length bound (spectrum/blended)")
-    matrix.add_argument("--no-bytes", action="store_true", help="ignore byte information")
+    _add_kernel_arguments(matrix)
     matrix.add_argument("--raw", action="store_true", help="skip cosine normalisation")
     matrix.add_argument("--output", default=None, help="write the JSON payload here instead of stdout")
-    _add_spec_argument(matrix)
     _add_backend_argument(matrix)
 
     experiment = subparsers.add_parser("experiment", help="run one of the canned paper experiments")
@@ -376,14 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     remote = subparsers.add_parser("remote", help="talk to a running analysis service")
-    remote.add_argument("--url", required=True, help="server base URL, e.g. http://127.0.0.1:8123")
-    remote.add_argument("--timeout", type=float, default=600.0, help="seconds to wait for results (default: 600)")
-    remote.add_argument(
-        "--token",
-        default=None,
-        metavar="SECRET",
-        help="bearer token for an auth-enabled server (default: $REPRO_SERVICE_TOKEN)",
-    )
+    _add_server_arguments(remote, waits_for="results")
     remote_actions = remote.add_subparsers(dest="remote_command", required=True)
 
     remote_actions.add_parser("health", help="print the server health snapshot")
@@ -399,48 +395,46 @@ def build_parser() -> argparse.ArgumentParser:
         "matrix", help="compute a Gram matrix remotely from a directory of trace files"
     )
     remote_matrix.add_argument("corpus", help="directory containing *.trace files")
-    remote_matrix.add_argument("--kernel", choices=list(kernel_choices()), default="kast", help="kernel kind")
-    remote_matrix.add_argument("--cut-weight", type=int, default=2, help="cut weight / minimum substring weight")
-    remote_matrix.add_argument("--spectrum-k", type=int, default=3, help="substring length bound (spectrum/blended)")
-    remote_matrix.add_argument("--no-bytes", action="store_true", help="ignore byte information")
-    remote_matrix.add_argument("--raw", action="store_true", help="skip cosine normalisation")
+    _add_kernel_arguments(remote_matrix)
+    # A job flag stores into its request field, with that field's default.
     remote_matrix.add_argument(
-        "--shards",
-        type=int,
-        default=None,
+        "--raw", dest="normalized", action="store_false", default=SubmitMatrixRequest.normalized,
+        help="skip cosine normalisation",
+    )
+    remote_matrix.add_argument(
+        "--shards", type=int, default=SubmitMatrixRequest.shards,
         help="block-shard count for a --distributed job (default: 1)",
     )
     remote_matrix.add_argument(
-        "--distributed",
-        action="store_true",
+        "--distributed", action="store_true", default=SubmitMatrixRequest.distributed,
         help="persist the shard blocks as leasable tasks for external `repro-iokast worker` processes",
     )
     remote_matrix.add_argument(
-        "--no-cache",
-        action="store_true",
+        "--no-cache", dest="use_cache", action="store_false", default=SubmitMatrixRequest.use_cache,
         help="bypass the server's matrix result cache (always re-evaluate kernel pairs)",
     )
     remote_matrix.add_argument("--no-wait", action="store_true", help="print the job id instead of waiting")
     remote_matrix.add_argument("--output", default=None, help="write the JSON payload here instead of stdout")
-    _add_spec_argument(remote_matrix)
 
     remote_analyze = remote_actions.add_parser(
         "analyze", help="run the full analysis pipeline remotely from a directory of trace files"
     )
     remote_analyze.add_argument("corpus", help="directory containing *.trace files")
-    remote_analyze.add_argument("--kernel", choices=list(kernel_choices()), default="kast", help="kernel kind")
-    remote_analyze.add_argument("--cut-weight", type=int, default=2, help="cut weight / minimum substring weight")
-    remote_analyze.add_argument("--spectrum-k", type=int, default=3, help="substring length bound (spectrum/blended)")
-    remote_analyze.add_argument("--no-bytes", action="store_true", help="ignore byte information")
-    remote_analyze.add_argument("--clusters", type=int, default=3, help="cluster count (default: 3)")
-    remote_analyze.add_argument("--components", type=int, default=2, help="kernel-PCA components (default: 2)")
+    _add_kernel_arguments(remote_analyze)
     remote_analyze.add_argument(
-        "--linkage", choices=list(LINKAGES), default="single",
-        help="hierarchical-clustering linkage (default: single)",
+        "--clusters", dest="n_clusters", default=SubmitAnalyzeRequest.n_clusters,
+        type=int, metavar="CLUSTERS", help="cluster count (default: %(default)s)",
+    )
+    remote_analyze.add_argument(
+        "--components", dest="n_components", default=SubmitAnalyzeRequest.n_components,
+        type=int, metavar="COMPONENTS", help="kernel-PCA components (default: %(default)s)",
+    )
+    remote_analyze.add_argument(
+        "--linkage", choices=list(LINKAGES), default=SubmitAnalyzeRequest.linkage,
+        help="hierarchical-clustering linkage (default: %(default)s)",
     )
     remote_analyze.add_argument("--no-wait", action="store_true", help="print the job id instead of waiting")
     remote_analyze.add_argument("--output", default=None, help="write the JSON payload here instead of stdout")
-    _add_spec_argument(remote_analyze)
 
     remote_status = remote_actions.add_parser("status", help="print one job's status")
     remote_status.add_argument("job_id", help="job id returned by a submit")
@@ -456,14 +450,7 @@ def build_parser() -> argparse.ArgumentParser:
     model = subparsers.add_parser(
         "model", help="fit and serve streaming landmark models on a running analysis service"
     )
-    model.add_argument("--url", required=True, help="server base URL, e.g. http://127.0.0.1:8123")
-    model.add_argument("--timeout", type=float, default=600.0, help="seconds to wait for fits (default: 600)")
-    model.add_argument(
-        "--token",
-        default=None,
-        metavar="SECRET",
-        help="bearer token for an auth-enabled server (default: $REPRO_SERVICE_TOKEN)",
-    )
+    _add_server_arguments(model, waits_for="fits")
     model_actions = model.add_subparsers(dest="model_command", required=True)
 
     model_fit = model_actions.add_parser(
@@ -471,27 +458,31 @@ def build_parser() -> argparse.ArgumentParser:
     )
     model_fit.add_argument("corpus", help="directory containing *.trace files")
     model_fit.add_argument("--name", required=True, help="model name (the store key)")
-    model_fit.add_argument("--kernel", choices=list(kernel_choices()), default="kast", help="kernel kind")
-    model_fit.add_argument("--cut-weight", type=int, default=2, help="cut weight / minimum substring weight")
-    model_fit.add_argument("--spectrum-k", type=int, default=3, help="substring length bound (spectrum/blended)")
-    model_fit.add_argument("--no-bytes", action="store_true", help="ignore byte information")
-    model_fit.add_argument("--landmarks", type=int, default=16, help="landmark count m (default: 16)")
+    _add_kernel_arguments(model_fit)
     model_fit.add_argument(
-        "--strategy", choices=list(LANDMARK_STRATEGIES), default="kcenter",
-        help="landmark selection strategy (default: kcenter)",
+        "--landmarks", type=int, default=FitModelRequest.landmarks,
+        help="landmark count m (default: %(default)s)",
     )
-    model_fit.add_argument("--seed", type=int, default=2017, help="selection seed (default: 2017)")
-    model_fit.add_argument("--components", type=int, default=2, help="Nyström/kPCA components (default: 2)")
     model_fit.add_argument(
-        "--clusters", type=int, default=None,
+        "--strategy", choices=list(LANDMARK_STRATEGIES), default=FitModelRequest.strategy,
+        help="landmark selection strategy (default: %(default)s)",
+    )
+    model_fit.add_argument(
+        "--seed", type=int, default=FitModelRequest.seed, help="selection seed (default: %(default)s)"
+    )
+    model_fit.add_argument(
+        "--components", dest="n_components", default=FitModelRequest.n_components,
+        type=int, metavar="COMPONENTS", help="Nyström/kPCA components (default: %(default)s)",
+    )
+    model_fit.add_argument(
+        "--clusters", dest="n_clusters", default=FitModelRequest.n_clusters, type=int, metavar="CLUSTERS",
         help="fit kernel k-means pseudo-labels with this many clusters "
         "(default: only when the corpus is unlabelled)",
     )
     model_fit.add_argument(
-        "--no-cache", action="store_true",
+        "--no-cache", dest="use_cache", action="store_false", default=FitModelRequest.use_cache,
         help="bypass the server's matrix result cache when computing the fitting Gram",
     )
-    _add_spec_argument(model_fit)
 
     model_classify = model_actions.add_parser(
         "classify", help="classify trace files against a stored model"
@@ -507,6 +498,41 @@ def build_parser() -> argparse.ArgumentParser:
     model_actions.add_parser("list", help="list the server's stored models and serve counters")
 
     return parser
+
+
+def _add_kernel_arguments(parser: argparse.ArgumentParser) -> None:
+    """The kernel flags of a command that reads a trace directory, and ``--spec``."""
+    parser.add_argument("--kernel", choices=list(kernel_choices()), default="kast", help="kernel kind")
+    parser.add_argument("--cut-weight", type=int, default=2, help="cut weight / minimum substring weight")
+    parser.add_argument("--spectrum-k", type=int, default=3, help="substring length bound (spectrum/blended)")
+    parser.add_argument("--no-bytes", action="store_true", help="ignore byte information")
+    _add_spec_argument(parser)
+
+
+def _add_server_arguments(parser: argparse.ArgumentParser, waits_for: str) -> None:
+    """The flags that reach a running analysis service."""
+    parser.add_argument("--url", required=True, help="server base URL, e.g. http://127.0.0.1:8123")
+    parser.add_argument(
+        "--timeout", type=float, default=600.0, help=f"seconds to wait for {waits_for} (default: 600)"
+    )
+    parser.add_argument(
+        "--token", default=None, metavar="SECRET",
+        help="bearer token for an auth-enabled server (default: $REPRO_SERVICE_TOKEN)",
+    )
+
+
+def _job_fields(args: argparse.Namespace, request_type: type) -> Dict[str, Any]:
+    """The job fields of *request_type* that *args* carries.
+
+    A job flag stores into its request field (``--clusters`` into
+    ``n_clusters``) with that field's default, so the request dataclass
+    stays the one place a job field and its default are written.
+    """
+    return {
+        field.name: getattr(args, field.name)
+        for field in dataclasses.fields(request_type)
+        if field.name not in ("spec", "strings", "trace_id") and hasattr(args, field.name)
+    }
 
 
 def _add_spec_argument(parser: argparse.ArgumentParser) -> None:
@@ -809,6 +835,8 @@ def _command_gc(args: argparse.Namespace) -> int:
             f"{models['payload_bytes']} byte(s), "
             f"{models['quarantined']} quarantined"
         )
+    if not args.dry_run:
+        remove_stale_temp_files(state.metrics_dir)
     return 0
 
 
@@ -868,8 +896,6 @@ def _command_remote(args: argparse.Namespace) -> int:
             _emit_payload(payload, args.output, f"wrote result of {args.job_id} to {args.output}")
             return 0
         if args.remote_command == "cancel":
-            from repro.service.protocol import CannotCancel
-
             try:
                 client.cancel(args.job_id)
             except CannotCancel as exc:
@@ -879,61 +905,27 @@ def _command_remote(args: argparse.Namespace) -> int:
             return 0
         # matrix / analyze: both read a trace directory under a spec.
         spec = _spec_from_args(args)
-        session = AnalysisSession()
-        strings = session.corpus_from_directory(args.corpus, use_byte_information=not args.no_bytes)
-        if args.remote_command == "analyze":
-            if args.no_wait:
-                print(client.submit_analyze(
-                    spec, strings, n_clusters=args.clusters,
-                    n_components=args.components, linkage=args.linkage,
-                ))
-                return 0
-            job = client.analyze_job(
-                spec, strings, n_clusters=args.clusters, n_components=args.components,
-                linkage=args.linkage, timeout=args.timeout,
-            )
-            # Report the matrix-stage cache outcome exactly like `remote
-            # matrix` does — the analyze path went silent on it before.
-            cache_text = f", matrix cache {job['cache']}" if job.get("cache") else ""
-            _emit_payload(
-                job["payload"],
-                args.output,
-                f"wrote analysis of {len(strings)} trace(s) under {spec.kind}"
-                f"{cache_text} to {args.output}",
-            )
-            if not args.output and job.get("cache"):
-                print(f"# matrix cache: {job['cache']}", file=sys.stderr)
-            return 0
+        strings = AnalysisSession().corpus_from_directory(args.corpus, use_byte_information=not args.no_bytes)
+        analyze = args.remote_command == "analyze"
+        fields = _job_fields(args, SubmitAnalyzeRequest if analyze else SubmitMatrixRequest)
         if args.no_wait:
-            job_id = client.submit(
-                spec,
-                strings,
-                normalized=not args.raw,
-                shards=args.shards,
-                distributed=args.distributed,
-                use_cache=not args.no_cache,
-            )
-            print(job_id)
+            print((client.submit_analyze if analyze else client.submit)(spec, strings, **fields))
             return 0
-        job = client.matrix_job(
-            spec,
-            strings,
-            normalized=not args.raw,
-            shards=args.shards,
-            distributed=args.distributed,
-            use_cache=not args.no_cache,
-            timeout=args.timeout,
-        )
-        shard_text = f"{args.shards or 1} shard(s)"
-        if args.distributed:
-            shard_text += ", distributed"
-        if job.get("cache"):
-            shard_text += f", cache {job['cache']}"
-        _emit_payload(
-            job["payload"],
-            args.output,
-            f"wrote {len(strings)}x{len(strings)} {spec.kind} matrix ({shard_text}) to {args.output}",
-        )
+        run = client.analyze_job if analyze else client.matrix_job
+        job = run(spec, strings, timeout=args.timeout, **fields)
+        cache = job.get("cache")
+        if analyze:
+            cache_text = f", matrix cache {cache}" if cache else ""
+            summary = f"wrote analysis of {len(strings)} trace(s) under {spec.kind}{cache_text}"
+        else:
+            request = SubmitMatrixRequest(spec=spec.to_dict(), **fields)
+            details = [f"{request.shard_count} shard(s), distributed"] if request.distributed else []
+            details += [f"cache {cache}"] if cache else []
+            detail_text = f" ({', '.join(details)})" if details else ""
+            summary = f"wrote {len(strings)}x{len(strings)} {spec.kind} matrix{detail_text}"
+        _emit_payload(job["payload"], args.output, f"{summary} to {args.output}")
+        if analyze and not args.output and cache:
+            print(f"# matrix cache: {cache}", file=sys.stderr)
         return 0
 
 
@@ -950,18 +942,7 @@ def _command_model(args: argparse.Namespace) -> int:
             strings = session.corpus_from_directory(
                 args.corpus, use_byte_information=not args.no_bytes
             )
-            job = client.fit_model(
-                spec,
-                strings,
-                name=args.name,
-                landmarks=args.landmarks,
-                strategy=args.strategy,
-                seed=args.seed,
-                n_components=args.components,
-                n_clusters=args.clusters,
-                use_cache=not args.no_cache,
-                timeout=args.timeout,
-            )
+            job = client.fit_model(spec, strings, timeout=args.timeout, **_job_fields(args, FitModelRequest))
             summary = job["payload"]
             cache_text = f", cache {job['cache']}" if job.get("cache") else ""
             print(

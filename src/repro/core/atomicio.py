@@ -32,10 +32,20 @@ write sneaks back in — is what makes the discipline auditable.
 
 from __future__ import annotations
 
+import contextlib
 import os
+import re
+import time
 import uuid
+from typing import Optional
 
-__all__ = ["temp_name_for", "write_text_atomic"]
+__all__ = ["remove_stale_temp_files", "temp_name_for", "write_text_atomic"]
+
+#: Age after which a temporary file is taken for a dead writer's and removed.
+TEMP_STALE_SECONDS = 3600.0
+
+#: Exactly what :func:`temp_name_for` appends: a model named ``a.tmp.b`` is no temporary.
+_TEMP_SUFFIX = re.compile(r"\.tmp\.\d+\.[0-9a-f]{8}$")
 
 
 def temp_name_for(path: str) -> str:
@@ -43,7 +53,7 @@ def temp_name_for(path: str) -> str:
 
     Unique per *call*, not per process: the pid isolates concurrent
     processes, the ``uuid4`` component isolates concurrent threads (and
-    re-entrant writes) within one.  The ``.tmp.`` infix is part of the
+    re-entrant writes) within one.  The ``.tmp.<pid>.<hex>`` suffix is the
     contract — recovery and sweep passes recognise orphaned temporaries
     (a crashed writer's leavings) by it and clean them up.
     """
@@ -76,3 +86,22 @@ def write_text_atomic(path: str, text: str) -> None:
         os.fsync(directory)
     finally:
         os.close(directory)
+
+
+def remove_stale_temp_files(directory: str, now: Optional[float] = None) -> None:
+    """Remove the temporaries of writes into *directory* that died long ago.
+
+    A writer killed inside :func:`write_text_atomic` leaves its
+    ``<name>.tmp.<pid>.<hex>`` file behind.  One older than
+    :data:`TEMP_STALE_SECONDS` belongs to no live write, so it goes; a
+    younger one may still be renamed into place.  A missing *directory*
+    is left alone.
+    """
+    now = time.time() if now is None else now  # repro: lint-ok[REP003] temp-file age clock, not stored content
+    with contextlib.suppress(OSError):
+        for name in os.listdir(directory):
+            if _TEMP_SUFFIX.search(name):
+                path = os.path.join(directory, name)
+                with contextlib.suppress(OSError):
+                    if now - os.path.getmtime(path) >= TEMP_STALE_SECONDS:
+                        os.remove(path)

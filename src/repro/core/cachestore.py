@@ -54,7 +54,7 @@ import time
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.core.atomicio import write_text_atomic
+from repro.core.atomicio import remove_stale_temp_files, write_text_atomic
 
 __all__ = ["CacheLookup", "MatrixCache", "MatrixCacheError", "payload_identity"]
 
@@ -343,22 +343,9 @@ class MatrixCache:
             self._remove_entry(bucket, key)
             evicted.append(key)
         self._counts.evictions += len(evicted)
-        self._drop_stale_temp_files(moment)
-        return evicted
-
-    #: Age after which an orphaned ``.tmp.`` file (a crashed writer's) is removed.
-    _TEMP_STALE_SECONDS = 3600.0
-
-    def _drop_stale_temp_files(self, now: float) -> None:
         for bucket in self._bucket_dirs():
-            with contextlib.suppress(OSError):
-                for name in os.listdir(bucket):
-                    if ".tmp." not in name:
-                        continue
-                    path = os.path.join(bucket, name)
-                    with contextlib.suppress(OSError):
-                        if now - os.path.getmtime(path) >= self._TEMP_STALE_SECONDS:
-                            os.remove(path)
+            remove_stale_temp_files(bucket, moment)
+        return evicted
 
     def clear(self) -> int:
         """Drop every entry; returns how many were removed."""

@@ -88,7 +88,7 @@ from array import array
 from bisect import bisect_left
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
 
-from repro.core.atomicio import write_text_atomic
+from repro.core.atomicio import remove_stale_temp_files, write_text_atomic
 
 __all__ = ["PairStore", "PairStoreError"]
 
@@ -209,9 +209,6 @@ class PairStore:
 
     #: Row cap of a merged segment; segments above half of it are never rewritten.
     COMPACT_ROWS = 8192
-
-    #: Age after which an orphaned ``.tmp.`` file (a crashed writer's) is removed.
-    _TEMP_STALE_SECONDS = 3600.0
 
     def __init__(
         self,
@@ -438,10 +435,7 @@ class PairStore:
                 path = os.path.join(directory, name)
                 if os.path.isdir(path):
                     shutil.rmtree(path, ignore_errors=True)
-                elif ".tmp." in name:
-                    with contextlib.suppress(OSError):
-                        if now - os.path.getmtime(path) >= self._TEMP_STALE_SECONDS:
-                            os.remove(path)
+            remove_stale_temp_files(directory, now)
 
     def sweep(
         self,

@@ -54,7 +54,7 @@ import threading
 import time
 import urllib.error
 import urllib.request
-from typing import Any, Callable, Dict, Mapping, Optional, Sequence, TextIO, Union
+from typing import Any, Callable, Dict, Mapping, Optional, Sequence, TextIO, Type, Union
 
 from repro.api.spec import KernelSpec, coerce_spec
 from repro.core.matrix import KernelMatrix
@@ -393,10 +393,6 @@ class ServiceClient:
             attempt += 1
             time.sleep(delay)
 
-    @staticmethod
-    def _spec_payload(spec: SpecLike) -> Dict[str, Any]:
-        return coerce_spec(spec).to_dict()
-
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
@@ -446,18 +442,39 @@ class ServiceClient:
     # ------------------------------------------------------------------
     # Job handles
     # ------------------------------------------------------------------
-    def submit(
-        self,
-        spec: SpecLike,
-        strings: Sequence[WeightedString],
-        normalized: bool = True,
-        repair: bool = True,
-        shards: Optional[int] = None,
-        distributed: bool = False,
-        use_cache: bool = True,
-        trace_id: Optional[str] = None,
+    # A job's fields and their defaults are those of its request dataclass
+    # (SubmitMatrixRequest, SubmitAnalyzeRequest, FitModelRequest); the
+    # methods below forward them as keywords and restate none of them.
+    def _submit(
+        self, request_type: Type[Request], spec: SpecLike, strings: Sequence[WeightedString],
+        trace_id: Optional[str], fields: Mapping[str, Any],
     ) -> str:
-        """Queue a matrix job; returns its id.
+        """Queue one *request_type* job; returns its id.
+
+        *trace_id* (client-minted when empty) follows the job through the
+        server, its block records and the worker logs.
+        """
+        request = request_type(
+            spec=coerce_spec(spec).to_dict(),
+            strings=tuple(encode_corpus(strings)),
+            trace_id=trace_id or new_trace_id(),
+            **fields,
+        )
+        return str(self._call(request)["job_id"])
+
+    def _run(
+        self, request_type: Type[Request], spec: SpecLike, strings: Sequence[WeightedString],
+        trace_id: Optional[str], timeout: Optional[float], fields: Mapping[str, Any],
+    ) -> Dict[str, Any]:
+        """Submit + wait: ``{"job_id", "payload", "cache", "trace_id"}``."""
+        job_id = self._submit(request_type, spec, strings, trace_id, fields)
+        return self._finished_job(job_id, timeout)
+
+    def submit(
+        self, spec: SpecLike, strings: Sequence[WeightedString], *, trace_id: Optional[str] = None,
+        **fields: Any,
+    ) -> str:
+        """Queue a matrix job (:class:`SubmitMatrixRequest` *fields*); returns its id.
 
         ``distributed=True`` splits the evaluation into ``shards`` index
         blocks and persists them as leasable worker tasks, so
@@ -466,74 +483,23 @@ class ServiceClient:
         ``use_cache=False`` makes the server bypass its persistent result
         cache and re-evaluate every kernel pair.  An identical submission
         already in flight is *coalesced*: the returned id names the job
-        the equal submissions share.  *trace_id* (client-minted by default)
-        follows the job through server, block records, and worker logs.
+        the equal submissions share.
         """
-        response = self._call(
-            SubmitMatrixRequest(
-                spec=self._spec_payload(spec),
-                strings=tuple(encode_corpus(strings)),
-                normalized=normalized,
-                repair=repair,
-                shards=shards,
-                distributed=distributed,
-                use_cache=use_cache,
-                trace_id=trace_id or new_trace_id(),
-            )
-        )
-        return str(response["job_id"])
+        return self._submit(SubmitMatrixRequest, spec, strings, trace_id, fields)
 
     def submit_analyze(
-        self,
-        spec: SpecLike,
-        strings: Sequence[WeightedString],
-        n_clusters: int = 3,
-        n_components: int = 2,
-        linkage: str = "single",
-        trace_id: Optional[str] = None,
+        self, spec: SpecLike, strings: Sequence[WeightedString], *, trace_id: Optional[str] = None,
+        **fields: Any,
     ) -> str:
-        """Queue a full pipeline run; returns its job id."""
-        response = self._call(
-            SubmitAnalyzeRequest(
-                spec=self._spec_payload(spec),
-                strings=tuple(encode_corpus(strings)),
-                n_clusters=n_clusters,
-                n_components=n_components,
-                linkage=linkage,
-                trace_id=trace_id or new_trace_id(),
-            )
-        )
-        return str(response["job_id"])
+        """Queue a full pipeline run (:class:`SubmitAnalyzeRequest` *fields*); returns its job id."""
+        return self._submit(SubmitAnalyzeRequest, spec, strings, trace_id, fields)
 
     def submit_fit_model(
-        self,
-        spec: SpecLike,
-        strings: Sequence[WeightedString],
-        name: str,
-        landmarks: int = 16,
-        strategy: str = "kcenter",
-        seed: int = 2017,
-        n_components: int = 2,
-        n_clusters: Optional[int] = None,
-        use_cache: bool = True,
-        trace_id: Optional[str] = None,
+        self, spec: SpecLike, strings: Sequence[WeightedString], *, trace_id: Optional[str] = None,
+        **fields: Any,
     ) -> str:
-        """Queue a streaming landmark-model fit; returns its job id."""
-        response = self._call(
-            FitModelRequest(
-                spec=self._spec_payload(spec),
-                strings=tuple(encode_corpus(strings)),
-                name=name,
-                landmarks=landmarks,
-                strategy=strategy,
-                seed=seed,
-                n_components=n_components,
-                n_clusters=n_clusters,
-                use_cache=use_cache,
-                trace_id=trace_id or new_trace_id(),
-            )
-        )
-        return str(response["job_id"])
+        """Queue a landmark-model fit (:class:`FitModelRequest` *fields*); returns its job id."""
+        return self._submit(FitModelRequest, spec, strings, trace_id, fields)
 
     def status(self, job_id: str) -> str:
         """The job's store status (``queued``/``running``/``done``/...)."""
@@ -606,41 +572,20 @@ class ServiceClient:
     # Blocking conveniences (the session look-alikes)
     # ------------------------------------------------------------------
     def matrix(
-        self,
-        spec: SpecLike,
-        strings: Sequence[WeightedString],
-        normalized: bool = True,
-        repair: bool = True,
-        shards: Optional[int] = None,
-        distributed: bool = False,
-        use_cache: bool = True,
-        timeout: Optional[float] = None,
-        trace_id: Optional[str] = None,
+        self, spec: SpecLike, strings: Sequence[WeightedString], *, trace_id: Optional[str] = None,
+        timeout: Optional[float] = None, **fields: Any,
     ) -> KernelMatrix:
         """Compute a labelled kernel matrix remotely (submit + wait + decode).
 
         The finished job is forgotten server-side after delivery, matching
         the one-shot semantics of :meth:`AnalysisSession.matrix`.
         """
-        return KernelMatrix.from_dict(
-            self.matrix_job(
-                spec, strings, normalized=normalized, repair=repair, shards=shards,
-                distributed=distributed, use_cache=use_cache, timeout=timeout,
-                trace_id=trace_id,
-            )["payload"]
-        )
+        job = self._run(SubmitMatrixRequest, spec, strings, trace_id, timeout, fields)
+        return KernelMatrix.from_dict(job["payload"])
 
     def matrix_job(
-        self,
-        spec: SpecLike,
-        strings: Sequence[WeightedString],
-        normalized: bool = True,
-        repair: bool = True,
-        shards: Optional[int] = None,
-        distributed: bool = False,
-        use_cache: bool = True,
-        timeout: Optional[float] = None,
-        trace_id: Optional[str] = None,
+        self, spec: SpecLike, strings: Sequence[WeightedString], *, trace_id: Optional[str] = None,
+        timeout: Optional[float] = None, **fields: Any,
     ) -> Dict[str, Any]:
         """Submit + wait, returning ``{"job_id", "payload", "cache", "trace_id"}``.
 
@@ -650,37 +595,18 @@ class ServiceClient:
         id the job ran under (the caller's, or a freshly minted one).  The
         payload is bit-identical across all outcomes.
         """
-        job_id = self.submit(
-            spec, strings, normalized=normalized, repair=repair, shards=shards,
-            distributed=distributed, use_cache=use_cache, trace_id=trace_id,
-        )
-        return self._finished_job(job_id, timeout)
+        return self._run(SubmitMatrixRequest, spec, strings, trace_id, timeout, fields)
 
     def analyze(
-        self,
-        spec: SpecLike,
-        strings: Sequence[WeightedString],
-        n_clusters: int = 3,
-        n_components: int = 2,
-        linkage: str = "single",
-        timeout: Optional[float] = None,
-        trace_id: Optional[str] = None,
+        self, spec: SpecLike, strings: Sequence[WeightedString], *, trace_id: Optional[str] = None,
+        timeout: Optional[float] = None, **fields: Any,
     ) -> Dict[str, Any]:
         """Run the full pipeline remotely; returns the metrics/assignments report."""
-        return self.analyze_job(
-            spec, strings, n_clusters=n_clusters, n_components=n_components,
-            linkage=linkage, timeout=timeout, trace_id=trace_id,
-        )["payload"]
+        return self._run(SubmitAnalyzeRequest, spec, strings, trace_id, timeout, fields)["payload"]
 
     def analyze_job(
-        self,
-        spec: SpecLike,
-        strings: Sequence[WeightedString],
-        n_clusters: int = 3,
-        n_components: int = 2,
-        linkage: str = "single",
-        timeout: Optional[float] = None,
-        trace_id: Optional[str] = None,
+        self, spec: SpecLike, strings: Sequence[WeightedString], *, trace_id: Optional[str] = None,
+        timeout: Optional[float] = None, **fields: Any,
     ) -> Dict[str, Any]:
         """Submit + wait a pipeline run: ``{"job_id", "payload", "cache", "trace_id"}``.
 
@@ -689,28 +615,14 @@ class ServiceClient:
         predating the stamp) — the same envelope field :meth:`matrix_job`
         reports, so remote analyses are auditable the same way.
         """
-        job_id = self.submit_analyze(
-            spec, strings, n_clusters=n_clusters, n_components=n_components,
-            linkage=linkage, trace_id=trace_id,
-        )
-        return self._finished_job(job_id, timeout)
+        return self._run(SubmitAnalyzeRequest, spec, strings, trace_id, timeout, fields)
 
     # ------------------------------------------------------------------
     # Streaming serving (landmark models)
     # ------------------------------------------------------------------
     def fit_model(
-        self,
-        spec: SpecLike,
-        strings: Sequence[WeightedString],
-        name: str,
-        landmarks: int = 16,
-        strategy: str = "kcenter",
-        seed: int = 2017,
-        n_components: int = 2,
-        n_clusters: Optional[int] = None,
-        use_cache: bool = True,
-        timeout: Optional[float] = None,
-        trace_id: Optional[str] = None,
+        self, spec: SpecLike, strings: Sequence[WeightedString], *, trace_id: Optional[str] = None,
+        timeout: Optional[float] = None, **fields: Any,
     ) -> Dict[str, Any]:
         """Fit and persist a landmark model server-side (submit + wait).
 
@@ -718,12 +630,7 @@ class ServiceClient:
         payload is the stored model's summary and ``cache`` the fitting
         Gram's result-cache outcome.
         """
-        job_id = self.submit_fit_model(
-            spec, strings, name=name, landmarks=landmarks, strategy=strategy,
-            seed=seed, n_components=n_components, n_clusters=n_clusters,
-            use_cache=use_cache, trace_id=trace_id,
-        )
-        return self._finished_job(job_id, timeout)
+        return self._run(FitModelRequest, spec, strings, trace_id, timeout, fields)
 
     def classify(
         self,

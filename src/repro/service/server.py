@@ -134,6 +134,7 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, TextIO, Tuple
 
 from repro.api.session import AnalysisSession
 from repro.api.spec import KernelSpec, coerce_spec, registered_kinds, registry_entry
+from repro.core.atomicio import remove_stale_temp_files
 from repro.core.cachestore import MatrixCache
 from repro.obs.metrics import MetricsRegistry, render_fleet
 from repro.obs.tracing import new_span_id, new_trace_id, trace_context
@@ -945,6 +946,7 @@ class AnalysisServer:
         # tick get woken here, so their orphaned jobs are adopted too.
         for tenant in self._tenants.refresh():
             self._maintain_tenant(tenant)
+        remove_stale_temp_files(self.metrics_dir)
 
     def _maintain_tenant(self, tenant: TenantContext) -> None:
         requeued = tenant.store.requeue_expired()

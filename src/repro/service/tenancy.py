@@ -31,6 +31,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, Iterator, List, Mapping, Optional, Set, Tuple, TYPE_CHECKING
 
 from repro.api.session import AnalysisSession
+from repro.core.atomicio import remove_stale_temp_files
 from repro.core.cachestore import MatrixCache
 from repro.core.pairstore import PairStore
 from repro.obs.metrics import MetricsRegistry
@@ -217,8 +218,9 @@ def sweep_namespace(
 
     Terminal job records older than *job_ttl* seconds go (none when it is
     ``None``); the result cache and the pair store, where open and not
-    opted out, evict past their TTL and size bounds.  *dry_run* lists the
-    jobs that would go and leaves every layer as it is.
+    opted out, evict past their TTL and size bounds; dead writers'
+    temporary files go from ``jobs/`` and ``models/``.  *dry_run* lists
+    the jobs that would go and leaves every layer as it is.
     """
     session = namespace.session
     swept: Dict[str, List[str]] = {
@@ -227,6 +229,8 @@ def sweep_namespace(
         "pair_store": [],
     }
     if not dry_run:
+        remove_stale_temp_files(namespace.store.jobs_dir)
+        remove_stale_temp_files(namespace.model_store.root)
         if matrix_cache and session.matrix_cache is not None:
             swept["matrix_cache"] = session.matrix_cache.sweep()
         if pair_store and session.pair_store is not None:

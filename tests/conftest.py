@@ -8,6 +8,7 @@ by the benchmarks.
 
 from __future__ import annotations
 
+import logging
 from typing import List
 
 import pytest
@@ -21,6 +22,21 @@ from repro.workloads.corpus import CorpusConfig, build_corpus
 
 def pytest_configure(config):
     config.addinivalue_line("markers", "slow: a test that runs the paper's full experiments (seconds, not milliseconds)")
+
+
+@pytest.fixture(autouse=True)
+def restore_root_logger():
+    """Give each test the root logger's handlers and level back as it found them.
+
+    ``repro serve`` / ``repro worker`` run in-process call
+    ``configure_logging()``, which leaves a root handler on the stream that
+    was ``sys.stderr`` then: pytest's capture, closed once the test ends.
+    """
+    root = logging.getLogger()
+    handlers, level = list(root.handlers), root.level
+    yield
+    root.handlers[:] = handlers
+    root.setLevel(level)
 
 
 @pytest.fixture

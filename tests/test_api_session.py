@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import os
 import threading
 import time
@@ -15,7 +16,16 @@ from repro.core.engine import GramEngine
 from repro.pipeline.config import ExperimentConfig
 from repro.pipeline.pipeline import AnalysisPipeline
 from repro.service import DEFAULT_TENANT, AnalysisServer, JobTimeout, ServiceClient
-from repro.service.protocol import CannotCancel, JobFailed, UnknownJob
+from repro.service.protocol import (
+    CannotCancel,
+    FitModelRequest,
+    JobFailed,
+    SubmitAnalyzeRequest,
+    SubmitMatrixRequest,
+    UnknownJob,
+    encode_corpus,
+    job_input,
+)
 from repro.traces.writer import write_trace
 from repro.workloads.corpus import CorpusConfig, build_corpus
 
@@ -205,6 +215,64 @@ class TestJobs:
         with pytest.raises(JobFailed, match="engine exploded"):
             client.result(job, timeout=120)
         assert client.status(job) == "error"
+
+
+class _RecordingTransport(_InProcessTransport):
+    """An in-process transport that keeps every request it carries."""
+
+    def __init__(self, server):
+        super().__init__(server)
+        self.sent = []
+
+    def request(self, payload):
+        self.sent.append(payload)
+        return super().request(payload)
+
+
+#: Per job kind: the client's submit method, its request class, the fields
+#: of a minimal call and of a call that sets every job field.
+JOB_KINDS = {
+    "matrix": (
+        "submit", SubmitMatrixRequest, {},
+        {"normalized": False, "repair": False, "shards": 2, "distributed": True, "use_cache": False},
+    ),
+    "analyze": (
+        "submit_analyze", SubmitAnalyzeRequest, {},
+        {"n_clusters": 2, "n_components": 3, "linkage": "average"},
+    ),
+    "fit-model": (
+        "submit_fit_model", FitModelRequest, {"name": "minimal"},
+        {
+            "name": "full", "landmarks": 3, "strategy": "uniform", "seed": 5,
+            "n_components": 1, "n_clusters": 2, "use_cache": False,
+        },
+    ),
+}
+
+
+class TestClientRequests:
+    """A job the client submits is its request dataclass, field for field."""
+
+    @pytest.mark.parametrize("kind", sorted(JOB_KINDS))
+    def test_the_client_sends_and_the_server_stores_the_dataclass_request(
+        self, server, strings, monkeypatch, kind
+    ):
+        method, request_type, minimal, full = JOB_KINDS[kind]
+        job_fields = {field.name for field in dataclasses.fields(request_type)}
+        assert set(full) == job_fields - {"spec", "strings", "trace_id"}
+        monkeypatch.delenv("REPRO_SERVICE_TOKEN", raising=False)
+        spec = make_spec("kast", cut_weight=2)
+        transport = _RecordingTransport(server)
+        with ServiceClient(transport) as client, saturated_job_pool(server):
+            for fields in (minimal, full):
+                job_id = getattr(client, method)(spec, strings, trace_id="trace-1", **fields)
+                expected = request_type(
+                    spec=spec.to_dict(), strings=tuple(encode_corpus(strings)),
+                    trace_id="trace-1", **fields,
+                )
+                assert transport.sent[-1] == expected.to_payload()
+                assert server.store.get(job_id).input == job_input(expected)
+                client.cancel(job_id)
 
 
 class TestJobEviction:

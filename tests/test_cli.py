@@ -254,3 +254,33 @@ class TestWorkerAndGcCommands:
         block = store.records(kind="block")[0]
         assert block.status == "done"
         assert len(store.load_result(block.job_id)["pairs"]) == 4
+
+
+class TestRemoteMatrixCommand:
+    @pytest.fixture
+    def url(self, tmp_path):
+        from repro.service import AnalysisServer
+
+        with AnalysisServer(state_dir=str(tmp_path / "state")) as server:
+            host, port = server.start_http()
+            yield f"http://{host}:{port}"
+
+    @pytest.fixture
+    def corpus_dir(self, tmp_path):
+        from repro.workloads.corpus import CorpusConfig, build_corpus
+
+        output = tmp_path / "corpus"
+        output.mkdir()
+        for trace in build_corpus(CorpusConfig.small(seed=5))[:4]:
+            write_trace(trace, str(output / f"{trace.name}.trace"))
+        return str(output)
+
+    def test_the_summary_names_shards_only_for_a_distributed_job(self, url, corpus_dir, tmp_path, capsys):
+        output = str(tmp_path / "gram.json")
+        matrix = ["remote", "--url", url, "matrix", corpus_dir, "--shards", "3", "--output", output]
+        assert main(matrix) == 0
+        assert capsys.readouterr().out == f"wrote 4x4 kast matrix (cache miss) to {output}\n"
+        assert main(matrix + ["--distributed", "--no-cache"]) == 0
+        assert capsys.readouterr().out == (
+            f"wrote 4x4 kast matrix (3 shard(s), distributed, cache bypass) to {output}\n"
+        )

@@ -5,10 +5,16 @@ from __future__ import annotations
 import json
 import os
 import threading
+import time
 
 import pytest
 
-from repro.core.atomicio import temp_name_for, write_text_atomic
+from repro.core.atomicio import (
+    TEMP_STALE_SECONDS,
+    remove_stale_temp_files,
+    temp_name_for,
+    write_text_atomic,
+)
 
 
 def test_write_creates_file_with_exact_content(tmp_path):
@@ -35,6 +41,19 @@ def test_temp_names_are_unique_per_call_not_per_process():
     for name in names:
         assert ".tmp." in name
         assert str(os.getpid()) in name
+
+
+def test_only_stale_temp_files_are_removed(tmp_path):
+    write_text_atomic(str(tmp_path / "state.json"), "payload")
+    stale = temp_name_for(str(tmp_path / "state.json"))
+    fresh = temp_name_for(str(tmp_path / "state.json"))
+    for path in (stale, fresh):
+        open(path, "x").close()
+    now = time.time()
+    os.utime(stale, (now - TEMP_STALE_SECONDS, now - TEMP_STALE_SECONDS))
+    remove_stale_temp_files(str(tmp_path), now)
+    assert sorted(os.listdir(tmp_path)) == sorted(["state.json", os.path.basename(fresh)])
+    remove_stale_temp_files(str(tmp_path / "missing"))
 
 
 def test_no_temp_files_left_behind(tmp_path):

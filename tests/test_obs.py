@@ -25,48 +25,50 @@ from repro.obs.tracing import (
 class TestCounter:
     def test_starts_at_zero_and_increments(self):
         registry = MetricsRegistry()
-        counter = registry.counter("t_total", "help")
+        counter = registry.counter("repro_t_total", "help")
         assert counter.value == 0.0
         counter.inc()
         counter.inc(2.5)
         assert counter.value == 3.5
 
     def test_negative_increment_rejected(self):
-        counter = MetricsRegistry().counter("t_total")
+        counter = MetricsRegistry().counter("repro_t_total")
         with pytest.raises(ValueError):
             counter.inc(-1)
 
     def test_set_total_mirrors_external_counter(self):
-        counter = MetricsRegistry().counter("t_total")
+        counter = MetricsRegistry().counter("repro_t_total")
         counter.set_total(41)
         counter.set_total(42)
         assert counter.value == 42.0
 
     def test_same_labels_share_a_cell(self):
         registry = MetricsRegistry()
-        registry.counter("t_total", method="a").inc()
-        registry.counter("t_total", method="a").inc()
-        registry.counter("t_total", method="b").inc()
-        assert registry.counter("t_total", method="a").value == 2.0
-        assert registry.counter("t_total", method="b").value == 1.0
+        registry.counter("repro_t_total", method="a").inc()
+        registry.counter("repro_t_total", method="a").inc()
+        registry.counter("repro_t_total", method="b").inc()
+        assert registry.counter("repro_t_total", method="a").value == 2.0
+        assert registry.counter("repro_t_total", method="b").value == 1.0
 
     def test_kind_mismatch_rejected(self):
         registry = MetricsRegistry()
-        registry.counter("t_total")
+        registry.counter("repro_t_total")
         with pytest.raises(ValueError, match="already registered"):
-            registry.gauge("t_total")
+            # repro: lint-ok[REP006] a counter name reused as a gauge is the error under test
+            registry.gauge("repro_t_total")
 
     def test_invalid_metric_and_label_names_rejected(self):
         registry = MetricsRegistry()
         with pytest.raises(ValueError):
+            # repro: lint-ok[REP006] an invalid metric name is the error under test
             registry.counter("bad name")
         with pytest.raises(ValueError):
-            registry.counter("ok_total", **{"bad-label": "x"})
+            registry.counter("repro_ok_total", **{"bad-label": "x"})
 
 
 class TestGauge:
     def test_set_inc_dec(self):
-        gauge = MetricsRegistry().gauge("g")
+        gauge = MetricsRegistry().gauge("repro_g")
         gauge.set(10)
         gauge.inc(5)
         gauge.dec(3)
@@ -76,7 +78,7 @@ class TestGauge:
 class TestHistogram:
     def test_observe_buckets_sum_count(self):
         registry = MetricsRegistry()
-        histogram = registry.histogram("h_seconds", "help", buckets=(1.0, 5.0))
+        histogram = registry.histogram("repro_h_seconds", "help", buckets=(1.0, 5.0))
         histogram.observe(0.5)
         histogram.observe(3.0)
         histogram.observe(100.0)  # beyond the last bound: +Inf only
@@ -88,7 +90,7 @@ class TestHistogram:
         assert sample["count"] == 3
 
     def test_timer_context_manager(self):
-        histogram = MetricsRegistry().histogram("h_seconds")
+        histogram = MetricsRegistry().histogram("repro_h_seconds")
         with histogram.time():
             pass
         assert histogram.count == 1
@@ -96,11 +98,11 @@ class TestHistogram:
 
     def test_non_increasing_buckets_rejected(self):
         with pytest.raises(ValueError):
-            MetricsRegistry().histogram("h_seconds", buckets=(1.0, 1.0))
+            MetricsRegistry().histogram("repro_h_seconds", buckets=(1.0, 1.0))
 
     def test_default_buckets_used_when_unspecified(self):
         registry = MetricsRegistry()
-        registry.histogram("h_seconds").observe(0.01)
+        registry.histogram("repro_h_seconds").observe(0.01)
         (family,) = registry.snapshot()
         assert tuple(family["buckets"]) == DEFAULT_BUCKETS
 
@@ -108,16 +110,16 @@ class TestHistogram:
 class TestRegistry:
     def test_snapshot_sorted_by_name(self):
         registry = MetricsRegistry()
-        registry.counter("z_total").inc()
-        registry.counter("a_total").inc()
+        registry.counter("repro_z_total").inc()
+        registry.counter("repro_a_total").inc()
         names = [family["name"] for family in registry.snapshot()]
-        assert names == ["a_total", "z_total"]
+        assert names == ["repro_a_total", "repro_z_total"]
 
     def test_collectors_run_before_snapshot_and_swallow_errors(self):
         registry = MetricsRegistry()
 
         def fill(r):
-            r.gauge("live").set(7)
+            r.gauge("repro_live").set(7)
 
         def boom(r):
             raise RuntimeError("collector exploded")
@@ -125,12 +127,12 @@ class TestRegistry:
         registry.add_collector(fill)
         registry.add_collector(boom)
         snapshot = registry.snapshot()
-        live = next(f for f in snapshot if f["name"] == "live")
+        live = next(f for f in snapshot if f["name"] == "repro_live")
         assert live["samples"][0]["value"] == 7.0
 
     def test_thread_safety_under_concurrent_increments(self):
         registry = MetricsRegistry()
-        counter = registry.counter("t_total")
+        counter = registry.counter("repro_t_total")
 
         def spin():
             for _ in range(1000):
@@ -150,47 +152,47 @@ class TestRegistry:
 class TestRender:
     def test_counter_and_gauge_lines(self):
         registry = MetricsRegistry()
-        registry.counter("req_total", "Requests.", method="submit").inc(3)
-        registry.gauge("depth", "Queue depth.").set(2)
+        registry.counter("repro_req_total", "Requests.", method="submit").inc(3)
+        registry.gauge("repro_depth", "Queue depth.").set(2)
         text = registry.render()
-        assert "# HELP req_total Requests." in text
-        assert "# TYPE req_total counter" in text
-        assert 'req_total{method="submit"} 3' in text
-        assert "# TYPE depth gauge" in text
-        assert "depth 2" in text
+        assert "# HELP repro_req_total Requests." in text
+        assert "# TYPE repro_req_total counter" in text
+        assert 'repro_req_total{method="submit"} 3' in text
+        assert "# TYPE repro_depth gauge" in text
+        assert "repro_depth 2" in text
         assert text.endswith("\n")
 
     def test_histogram_lines_include_inf_sum_count(self):
         registry = MetricsRegistry()
-        registry.histogram("lat_seconds", buckets=(0.1, 1.0)).observe(0.05)
+        registry.histogram("repro_lat_seconds", buckets=(0.1, 1.0)).observe(0.05)
         text = registry.render()
-        assert 'lat_seconds_bucket{le="0.1"} 1' in text
-        assert 'lat_seconds_bucket{le="1"} 1' in text
-        assert 'lat_seconds_bucket{le="+Inf"} 1' in text
-        assert "lat_seconds_sum 0.05" in text
-        assert "lat_seconds_count 1" in text
+        assert 'repro_lat_seconds_bucket{le="0.1"} 1' in text
+        assert 'repro_lat_seconds_bucket{le="1"} 1' in text
+        assert 'repro_lat_seconds_bucket{le="+Inf"} 1' in text
+        assert "repro_lat_seconds_sum 0.05" in text
+        assert "repro_lat_seconds_count 1" in text
 
     def test_label_values_escaped(self):
         registry = MetricsRegistry()
-        registry.counter("t_total", path='a"b\\c\nd').inc()
+        registry.counter("repro_escaped_total", path='a"b\\c\nd').inc()
         text = registry.render()
         assert 'path="a\\"b\\\\c\\nd"' in text
 
     def test_render_fleet_adds_origin_labels(self):
         server = MetricsRegistry()
-        server.counter("req_total", method="submit").inc(2)
+        server.counter("repro_req_total", method="submit").inc(2)
         worker = MetricsRegistry()
-        worker.counter("req_total", method="submit").inc(5)
+        worker.counter("repro_req_total", method="submit").inc(5)
         text = render_fleet(
             [
                 {"origin": "server-1", "families": server.snapshot()},
                 {"origin": "worker-1", "families": worker.snapshot()},
             ]
         )
-        assert 'req_total{method="submit",origin="server-1"} 2' in text
-        assert 'req_total{method="submit",origin="worker-1"} 5' in text
+        assert 'repro_req_total{method="submit",origin="server-1"} 2' in text
+        assert 'repro_req_total{method="submit",origin="worker-1"} 5' in text
         # One TYPE header even though two sources carry the family.
-        assert text.count("# TYPE req_total counter") == 1
+        assert text.count("# TYPE repro_req_total counter") == 1
 
     def test_render_fleet_skips_malformed_families(self):
         text = render_fleet(

@@ -15,6 +15,7 @@ import pytest
 
 from repro.api import AnalysisSession, make_spec
 from repro.cli import main
+from repro.core.atomicio import TEMP_STALE_SECONDS
 from repro.core.pairstore import PairStore
 from repro.obs.metrics import MetricsRegistry
 from repro.service import AnalysisServer, Authenticator, Worker
@@ -114,6 +115,18 @@ class TestNamespaces:
         assert [namespace.tenant_id for namespace in walk] == ["late"]
 
 
+def _dead_temp_files(directory):
+    """A stale and a fresh temporary of writes that died in *directory*."""
+    os.makedirs(directory, exist_ok=True)
+    stale = os.path.join(directory, "a.json.tmp.1.deadbeef")
+    fresh = os.path.join(directory, "b.json.tmp.1.cafef00d")
+    for path in (stale, fresh):
+        open(path, "x").close()
+    long_ago = time.time() - 2 * TEMP_STALE_SECONDS
+    os.utime(stale, (long_ago, long_ago))
+    return stale, fresh
+
+
 class TestSweepAndStats:
     def _finished_job(self, namespace, age):
         record = namespace.store.create("matrix")
@@ -130,6 +143,31 @@ class TestSweepAndStats:
         assert namespace.store.get(old).status == "done"
         assert sweep_namespace(namespace, 50)["jobs"] == [old]
         assert [record.job_id for record in namespace.store.records()] == [fresh]
+
+    def test_sweep_removes_stale_temp_files_from_jobs_and_models(self, tmp_path):
+        namespace = StateDir(str(tmp_path / "state")).open("acme")
+        temps = [
+            _dead_temp_files(directory)
+            for directory in (namespace.store.jobs_dir, namespace.model_store.root)
+        ]
+        sweep_namespace(namespace, dry_run=True)
+        for stale, fresh in temps:
+            assert os.path.exists(stale) and os.path.exists(fresh)
+        sweep_namespace(namespace)
+        for stale, fresh in temps:
+            assert not os.path.exists(stale) and os.path.exists(fresh)
+        assert namespace.store.records() == []
+
+    def test_sweep_keeps_a_model_whose_name_looks_like_a_temp_file(self, tmp_path, strings):
+        namespace = StateDir(str(tmp_path / "state")).open("acme")
+        model, _ = namespace.session.fit_landmark_model(
+            SPEC, strings, name="x.tmp.1.deadbeef", landmarks=3
+        )
+        path = namespace.model_store.save(model)
+        long_ago = time.time() - 2 * TEMP_STALE_SECONDS
+        os.utime(path, (long_ago, long_ago))
+        sweep_namespace(namespace)
+        assert namespace.model_store.load("x.tmp.1.deadbeef") == model
 
     def test_sweep_evicts_cache_entries_past_the_open_bound(self, tmp_path, strings):
         StateDir(str(tmp_path / "state")).open().session.matrix_cached(SPEC, strings)
@@ -220,7 +258,26 @@ class TestGcCommand:
         assert state.open("acme").store.records() == []
 
 
+    def test_gc_removes_stale_temp_files_from_metrics(self, tmp_path):
+        state = StateDir(str(tmp_path / "state"))
+        stale, fresh = _dead_temp_files(state.metrics_dir)
+        assert main(["gc", "--state-dir", state.path, "--ttl", "0", "--dry-run"]) == 0
+        assert os.path.exists(stale)
+        assert main(["gc", "--state-dir", state.path, "--ttl", "0"]) == 0
+        assert not os.path.exists(stale) and os.path.exists(fresh)
+
+
 class TestServerNamespaces:
+    def test_maintenance_removes_stale_temp_files(self, tmp_path):
+        with AnalysisServer(state_dir=str(tmp_path / "state"), gc_interval=3600) as server:
+            temps = [
+                _dead_temp_files(directory)
+                for directory in (server.metrics_dir, server.store.jobs_dir, server.model_store.root)
+            ]
+            server._maintenance_tick()
+            for stale, fresh in temps:
+                assert not os.path.exists(stale) and os.path.exists(fresh)
+
     def test_tenant_contexts_wrap_the_state_dir_namespaces(self, tmp_path):
         auth = Authenticator.single("acme-secret", tenant="acme")
         with AnalysisServer(state_dir=str(tmp_path / "state"), authenticator=auth) as server:
