@@ -57,11 +57,19 @@ by :meth:`stats`, which re-verifies every segment.
 Compaction
 ----------
 A segment is *small* while it holds at most half of ``COMPACT_ROWS``
-rows.  When a signature has more than ``COMPACT_SEGMENTS`` small
-segments, the smallest are merged, as many as fit in ``COMPACT_ROWS``
-rows, into one segment written from the index.  Any two small segments
-fit, so every merge makes progress; larger segments are never rewritten,
-so LRU eviction keeps a fine granularity.
+rows.  The :meth:`put_many` whose segment leaves a signature with more
+than ``COMPACT_SEGMENTS`` small segments merges some of them before it
+returns, under the store lock, into one segment written from the index.
+The merge is size-tiered: it takes the small segments smallest first,
+always at least two, and stops at the first one holding more rows than
+those taken so far, or that would pass ``COMPACT_ROWS``.  A row is thus
+rewritten only into a segment about twice its own, never into one that
+merely swallows a few tiny ones.  A stream of ``b``-row batches then
+writes each row about ``1 + log2((COMPACT_ROWS // 2) / b)`` times at
+most, however large the store grows: 4.7 times for 16-row classify
+batches, 2.9 for 205-row and 1.9 for 820-row Gram batches.  Any two
+small segments fit, so every merge makes progress; larger segments are
+never rewritten, so LRU eviction keeps a fine granularity.
 
 Durability and multi-process sharing
 ------------------------------------
@@ -297,15 +305,17 @@ class PairStore:
     def _write_segment(directory: str, signature: str, values: Mapping[PairFingerprints, float]) -> str:
         """Write one segment atomically; returns its file name."""
         os.makedirs(directory, exist_ok=True)
-        rows = [[fp_a, fp_b, float(value)] for (fp_a, fp_b), value in sorted(values.items())]
-        payload = {
-            "v": _SEGMENT_VERSION,
-            "signature": signature,
-            "pairs": rows,
-            "sha256": _digest(_rows_text(rows)),
-        }
+        rows_text = _rows_text([[fp_a, fp_b, float(value)] for (fp_a, fp_b), value in sorted(values.items())])
+        # The bytes of json.dumps({"v", "signature", "pairs", "sha256"},
+        # separators=(",", ":")), with the rows serialised only once.
+        text = '{"v":%d,"signature":%s,"pairs":%s,"sha256":"%s"}' % (
+            _SEGMENT_VERSION,
+            json.dumps(signature),
+            rows_text,
+            _digest(rows_text),
+        )
         name = f"seg-{uuid.uuid4().hex}.json"
-        write_text_atomic(os.path.join(directory, name), json.dumps(payload, separators=(",", ":")))
+        write_text_atomic(os.path.join(directory, name), text)
         return name
 
     # ------------------------------------------------------------------
@@ -345,7 +355,7 @@ class PairStore:
             chosen: List[str] = []
             total = 0
             for rows, name in small:
-                if total + rows > self.COMPACT_ROWS:
+                if total + rows > self.COMPACT_ROWS or (len(chosen) >= 2 and rows > total):
                     break
                 chosen.append(name)
                 total += rows

@@ -73,6 +73,7 @@ layout, and how a namespace is opened and counted, belong to
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import functools
 import json
 import logging
@@ -226,16 +227,13 @@ def fit_model_payload(namespace: StateNamespace, record: JobRecord) -> JobResult
     next ``classify``.  The returned payload is the small model summary.
     """
     request = stored_request(record)
+    options = {
+        field.name: getattr(request, field.name)
+        for field in dataclasses.fields(request)
+        if field.name not in ("spec", "strings", "trace_id")
+    }
     model, status = namespace.session.fit_landmark_model(
-        coerce_spec(request.spec),
-        decode_corpus(request.strings),
-        name=request.name,
-        landmarks=request.landmarks,
-        strategy=request.strategy,
-        seed=request.seed,
-        n_components=request.n_components,
-        n_clusters=request.n_clusters,
-        use_cache=request.use_cache,
+        coerce_spec(request.spec), decode_corpus(request.strings), **options
     )
     path = namespace.model_store.save(model)
     summary = model.summary()

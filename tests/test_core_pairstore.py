@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import random
 
@@ -130,6 +131,66 @@ class TestSegments:
         assert len(segment_paths(store)) <= 3
         assert store.get_many(SIG, list(values)) == values
         assert PairStore(store.root).get_many(SIG, list(values)) == values
+
+    @staticmethod
+    def dict_dump(signature, values):
+        """A segment's text as the dump of its whole dict, the earlier writer."""
+        rows = [[fp_a, fp_b, value] for (fp_a, fp_b), value in sorted(values.items())]
+        checksum = hashlib.sha256(json.dumps(rows, separators=(",", ":")).encode()).hexdigest()
+        payload = {"v": 3, "signature": signature, "pairs": rows, "sha256": checksum}
+        return json.dumps(payload, separators=(",", ":"))
+
+    def test_segment_text_is_the_one_dict_dump_and_old_files_load(self, tmp_path):
+        signature = 'kast|name="quoted"|café'
+        values = {(fp(1), fp(2)): 0.1, (fp(3), fp(4)): 1e300, (fp(5), fp(5)): 12.0}
+        store = PairStore(str(tmp_path / "pairs"))
+        store.put_many(signature, values)
+        (path,) = segment_paths(store)
+        with open(path, "r", encoding="utf-8") as handle:
+            assert handle.read() == self.dict_dump(signature, values)
+        # A segment written by the dict dump itself loads as well.
+        old = os.path.join(os.path.dirname(path), "seg-old.json")
+        with open(old, "w", encoding="utf-8") as handle:
+            handle.write(self.dict_dump(signature, {(fp(6), fp(7)): 0.5}))
+        reader = PairStore(store.root)
+        assert reader.get_many(signature, [*values, (fp(6), fp(7))]) == {**values, (fp(6), fp(7)): 0.5}
+        assert reader.counters()["invalid"] == 0
+
+
+class TestWriteAmplification:
+    """Rows handed to ``_write_segment`` per fresh row: counts, not seconds."""
+
+    @staticmethod
+    def put_batches(monkeypatch, root, batch, puts):
+        written = []
+        write = PairStore._write_segment
+
+        def counting(directory, signature, values):
+            written.append(len(values))
+            return write(directory, signature, values)
+
+        monkeypatch.setattr(PairStore, "_write_segment", staticmethod(counting))
+        store = PairStore(root)
+        stored = {}
+        for put in range(puts):
+            values = {(fp(put * batch + i), fp(put * batch + i)): (put * batch + i) / 7 for i in range(batch)}
+            store.put_many(SIG, values)
+            stored.update(values)
+        return sum(written), stored
+
+    def test_classify_batches_are_rewritten_a_logarithmic_number_of_times(self, tmp_path, monkeypatch):
+        rows, stored = self.put_batches(monkeypatch, str(tmp_path / "pairs"), batch=16, puts=1000)
+        # A row is rewritten only into a segment about twice its own, so at
+        # most log2 of the small-segment cap over the batch, plus its first write.
+        bound = 1 + math.log2((PairStore.COMPACT_ROWS // 2) / 16)
+        assert rows <= bound * len(stored)
+        assert PairStore(str(tmp_path / "pairs")).get_many(SIG, list(stored)) == stored
+
+    def test_gram_batches_keep_their_merge_schedule(self, tmp_path, monkeypatch):
+        rows, stored = self.put_batches(monkeypatch, str(tmp_path / "pairs"), batch=820, puts=40)
+        assert len(stored) == 32800
+        assert rows == 62320
+        assert PairStore(str(tmp_path / "pairs")).get_many(SIG, list(stored)) == stored
 
 
 class TestIndex:

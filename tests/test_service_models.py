@@ -11,10 +11,12 @@ typed quarantining error instead of a traceback.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
 
+import repro.streaming.model
 from repro.api import AnalysisSession, make_spec
 from repro.service import AnalysisServer, Worker
 from repro.service.jobstore import JobStore
@@ -30,6 +32,7 @@ from repro.service.protocol import (
     StatusRequest,
     check_response,
     encode_corpus,
+    job_input,
 )
 
 SPEC = make_spec("kast", cut_weight=2)
@@ -223,6 +226,44 @@ def test_worker_executes_queued_fit_model_job(tmp_path, strings, queries):
         response = classify(server, queries[:1], name="offline")
         (entry,) = response["results"]
         assert entry["kernel_evals"] == LANDMARKS
+
+
+#: A value other than the dataclass default for every fit option of a request.
+FIT_OPTIONS = {
+    "name": "forwarded",
+    "landmarks": 3,
+    "strategy": "uniform",
+    "seed": 5,
+    "n_components": 1,
+    "n_clusters": 2,
+    "use_cache": False,
+}
+
+
+@pytest.mark.parametrize("runner", ["server", "worker"])
+def test_every_fit_option_reaches_the_fit(tmp_path, monkeypatch, strings, runner):
+    defaults = {field.name: field.default for field in dataclasses.fields(FitModelRequest)}
+    assert set(FIT_OPTIONS) == set(defaults) - {"spec", "strings", "trace_id"}
+    assert all(value != defaults[name] for name, value in FIT_OPTIONS.items())
+    received = []
+    fit_landmark_model = repro.streaming.model.fit_landmark_model
+
+    def spy(session, spec, corpus, **options):
+        received.append(options)
+        return fit_landmark_model(session, spec, corpus, **options)
+
+    monkeypatch.setattr(repro.streaming.model, "fit_landmark_model", spy)
+    state_dir = str(tmp_path / "state")
+    if runner == "server":
+        with AnalysisServer(state_dir=state_dir) as server:
+            assert fit(server, strings, **FIT_OPTIONS)["payload"]["landmarks"] == 3
+    else:
+        request = FitModelRequest(spec=SPEC.to_dict(), strings=tuple(encode_corpus(strings)), **FIT_OPTIONS)
+        store = JobStore(state_dir)
+        record = store.create(kind="fit-model", options={}, input=job_input(request))
+        assert Worker(state_dir).run_once() == record.job_id
+        assert store.load_result(record.job_id)["landmarks"] == 3
+    assert received == [FIT_OPTIONS]
 
 
 def test_refit_invalidates_the_servers_scorer_cache(server, strings, queries):
