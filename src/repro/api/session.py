@@ -346,7 +346,8 @@ class AnalysisSession:
 
     def streaming_scorer(self, model: Any) -> Any:
         """An online :class:`~repro.streaming.scorer.StreamingScorer` bound
-        to this session's warm engine (and shared pair store) for *model*."""
+        to this session's warm engine for *model* (it reads the pair store
+        but never writes it)."""
         from repro.streaming.scorer import StreamingScorer
 
         return StreamingScorer(model, self)

@@ -9,7 +9,9 @@ construction can exploit in one place:
   ``k(a, a)`` (the normalisation denominators) go through one path: a
   bounded in-memory LRU, then the persistent
   :class:`~repro.core.pairstore.PairStore` when one is attached, then the
-  kernel, with computed values written back to both.  Every value sits
+  kernel, with computed values written back to both — except a streaming
+  query row (:meth:`GramEngine.evaluate_row`), which reads the store but
+  is kept in memory only.  Every value sits
   under a content-based symmetric key, so ``k(b, a)``, repeated strings in
   a corpus and overlapping corpora (grown, reordered, subset) all hit.  A
   self value is the diagonal pair: ``k(a, a)`` and the pair of two
@@ -210,7 +212,8 @@ class GramEngine:
         #: (:class:`~repro.core.pairstore.PairStore`): values missing from
         #: the in-memory caches are fetched by content fingerprint before
         #: any kernel evaluation, and freshly computed values are written
-        #: back — the cross-session / cross-process reuse layer.
+        #: back (query rows excepted, see :meth:`_lookup`) — the
+        #: cross-session / cross-process reuse layer.
         self.pair_store = pair_store
         #: Cache observability (used by tests and benchmarks).
         #: ``pair_hits``/``pair_misses`` count the in-memory layer;
@@ -276,7 +279,7 @@ class GramEngine:
         index_pairs: Sequence[Tuple[int, int]],
         compute: Optional[Callable[[List[Tuple[PairKey, Tuple[int, int]]]], Dict[PairKey, float]]] = None,
         pair_traffic: bool = True,
-        work: bool = True,
+        persist: bool = True,
     ) -> Dict[Tuple[int, int], float]:
         """The one cached-value path: value LRU → pair store → *compute*.
 
@@ -286,10 +289,17 @@ class GramEngine:
         recency, the misses go to the store in one ``get_many`` under
         :meth:`_fingerprint_pair`, what it lacks to *compute* (by default
         :meth:`_evaluate_pending`) as ``(key, first index pair)`` entries,
-        and the computed values back to the store in one ``put_many``.
-        Everything found or computed lands in the LRU.  ``pair_hits``/``pair_misses`` move only with
-        *pair_traffic*, the store and kernel counters only with *work*
-        (both off when priming).
+        and, with *persist*, the computed values back to the store in one
+        ``put_many``.  Everything found or computed lands in the LRU.
+        ``pair_hits``/``pair_misses`` move only with *pair_traffic*.
+
+        Which values reach the store is one rule: a query row of the
+        streaming scorer (:meth:`evaluate_row`) passes ``persist=False``
+        and writes the LRU only, since a never-seen trace's row is not
+        read back; every other caller writes through.  A row computed
+        without *persist* is only in memory: a later matrix job that finds
+        it in the LRU does not back-fill it into the store (it computed
+        nothing), so after a restart that value is a store miss.
         """
         index_pairs = list(index_pairs)
         used = list(dict.fromkeys(index for pair in index_pairs for index in pair))
@@ -321,21 +331,24 @@ class GramEngine:
         if pending:
             computed = compute(pending) if compute is not None else self._evaluate_pending(strings, pending)
         with self._lock:
-            if work:
-                if pair_store is not None:
-                    self.store_hits += len(found)
-                    self.store_misses += len(missing)
-                self.kernel_evals += len(computed)
-            for key, value in {**found, **computed}.items():
-                self._cache[key] = value
-                self._cache.move_to_end(key)
-            while len(self._cache) > self.pair_cache_size:
-                self._cache.popitem(last=False)
-        if pair_store is not None and computed:
+            if pair_store is not None:
+                self.store_hits += len(found)
+                self.store_misses += len(missing)
+            self.kernel_evals += len(computed)
+            self._remember({**found, **computed})
+        if pair_store is not None and computed and persist:
             pair_store.put_many(signature, {wanted[key]: value for key, value in computed.items()})
         values.update(found)
         values.update(computed)
         return {position: values[key] for key, positions in tasks.items() for position in positions}
+
+    def _remember(self, values: Dict[PairKey, float]) -> None:
+        """Insert *values* into the value LRU and evict past its bound (lock held)."""
+        for key, value in values.items():
+            self._cache[key] = value
+            self._cache.move_to_end(key)
+        while len(self._cache) > self.pair_cache_size:
+            self._cache.popitem(last=False)
 
     def _evaluate_pending(
         self,
@@ -390,14 +403,13 @@ class GramEngine:
         return [values[pair] for pair in diagonal]
 
     def prime_self_values(self, strings: Sequence[WeightedString], values: Sequence[float]) -> None:
-        """Seed known raw self values into the caches.
+        """Seed known raw self values into the value LRU.
 
         The streaming scorer calls this with the landmark self values a
         :class:`~repro.streaming.model.LandmarkModel` carries, so serving
-        never re-evaluates ``k(l, l)``.  It is :meth:`self_values` with the
-        given values in place of the kernel: values the pair store is
-        missing are written through, values it holds are left alone, so
-        priming an unchanged model does not grow the store.  Counters are
+        never re-evaluates ``k(l, l)``.  It is a plain LRU insert under
+        the diagonal keys: the pair store is neither read nor written
+        (the model is the durable copy of these values), and counters are
         untouched — priming is cache *construction*, not traffic.
         """
         string_list = list(strings)
@@ -405,30 +417,34 @@ class GramEngine:
             raise ValueError(
                 f"got {len(string_list)} strings but {len(values)} self values"
             )
-        self._lookup(
-            string_list,
-            [(index, index) for index in range(len(string_list))],
-            lambda pending: {key: float(values[i]) for key, (i, _) in pending},
-            pair_traffic=False,
-            work=False,
-        )
+        keys = self._string_keys(string_list)
+        with self._lock:
+            self._remember({(key, key): float(value) for key, value in zip(keys, values)})
 
     def evaluate_row(
         self, query: WeightedString, references: Sequence[WeightedString]
     ) -> List[float]:
         """Raw ``k(query, ref)`` for every reference — one batched row.
 
-        The landmark-row seam of the streaming serving path: all cross
-        pairs of one query go through :meth:`evaluate_pairs` as a single
-        task, so they share its content dedup, both cache layers, and the
-        kernel's ``value_pairs`` batch evaluation (one call covers the whole
-        row).  A cold row against ``m`` novel references costs
-        exactly ``m`` kernel evaluations; a covered row costs zero.
+        The landmark-row seam of the streaming serving path: all pairs of
+        one query go through :meth:`_lookup` as a single task, so they
+        share its content dedup, both cache layers, and the kernel's
+        ``value_pairs`` batch evaluation (one call covers the whole row).
+        A cold row against ``m`` novel references costs exactly ``m``
+        kernel evaluations; a covered row costs zero.  A reference
+        content-identical to the query is the diagonal key, so
+        ``evaluate_row(q, [q])`` is ``k(q, q)``, bit-identical to
+        :meth:`self_value`.
+
+        The row reads the pair store but never writes it (``persist=False``,
+        see :meth:`_lookup`): computed values land in the in-memory LRU
+        only, so a classify request makes no durable write.  A row that a
+        matrix job stored is still served from the store.
         """
         reference_list = list(references)
         strings = [query, *reference_list]
         pairs = [(0, index + 1) for index in range(len(reference_list))]
-        values = self.evaluate_pairs(strings, pairs)
+        values = self._lookup(strings, pairs, persist=False)
         return [values[pair] for pair in pairs]
 
     def evaluate_pairs(

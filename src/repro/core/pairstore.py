@@ -66,10 +66,12 @@ those taken so far, or that would pass ``COMPACT_ROWS``.  A row is thus
 rewritten only into a segment about twice its own, never into one that
 merely swallows a few tiny ones.  A stream of ``b``-row batches then
 writes each row about ``1 + log2((COMPACT_ROWS // 2) / b)`` times at
-most, however large the store grows: 4.7 times for 16-row classify
-batches, 2.9 for 205-row and 1.9 for 820-row Gram batches.  Any two
-small segments fit, so every merge makes progress; larger segments are
-never rewritten, so LRU eviction keeps a fine granularity.
+most, however large the store grows: 4.7 times for 16-row batches, 2.9
+for 205-row and 1.9 for 820-row Gram batches.  Any two small segments
+fit, so every merge makes progress; larger segments are never rewritten,
+so LRU eviction keeps a fine granularity.  Streaming ``classify`` puts
+nothing: its query rows stay in the engine's memory
+(``GramEngine.evaluate_row``), so no merge runs on the online path.
 
 Durability and multi-process sharing
 ------------------------------------

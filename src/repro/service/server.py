@@ -92,9 +92,11 @@ Next to the batch job path the server keeps a
 synchronous ``classify`` requests then score arriving traces against only
 the model's ``m`` landmarks through a warm
 :class:`~repro.streaming.scorer.StreamingScorer` — at most ``m`` kernel
-evaluations per cold trace, zero per repeated one, because the scorer
-shares the session's engines and persistent pair store with the batch
-tier.  Per-model serve counters (requests, warm traces, kernel
+evaluations per cold trace, zero per one repeated while the server runs,
+because the scorer shares the session's engines with the batch tier.  The
+scorer reads the persistent pair store (rows a matrix job stored cost
+nothing) but never writes it, so a classify request makes no durable
+write; after a restart a repeated trace costs ``m`` again.  Per-model serve counters (requests, warm traces, kernel
 evaluations, latency) surface in ``health``/``/healthz`` and
 ``cache-stats``.
 

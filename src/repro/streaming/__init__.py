@@ -16,8 +16,9 @@ fixed landmark count instead of O(n) in corpus size:
    discipline as the matrix result cache;
 4. :class:`~repro.streaming.scorer.StreamingScorer` classifies/embeds each
    arriving trace against only the ``m`` landmarks through the warm
-   :class:`~repro.core.engine.GramEngine` and the shared pair store — a
-   repeated trace costs *zero* kernel evaluations.
+   :class:`~repro.core.engine.GramEngine`, reading the shared pair store
+   but never writing it — a trace repeated in session costs *zero* kernel
+   evaluations.
 
 The service layer exposes the same tier over the wire (``fit-model`` /
 ``classify`` / ``models`` protocol messages and the

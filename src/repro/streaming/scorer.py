@@ -10,9 +10,15 @@ layers:
 * a **cold** trace costs exactly ``m`` kernel evaluations (the cross row
   against the landmarks — classification is scale-invariant in the
   query's own self value, so it is never computed);
-* a **repeated** trace costs zero — the in-memory pair cache serves it in
-  session, and the shared persistent pair store serves it across
-  processes and restarts.
+* a **repeated** trace costs zero in session — the engine's in-memory
+  pair cache serves it.
+
+The scorer reads the session's persistent pair store but never writes it:
+a query row and the primed landmark self values stay in memory (see
+:meth:`GramEngine.evaluate_row <repro.core.engine.GramEngine.evaluate_row>`),
+so a request makes no durable write.  A row that a matrix job over the
+same traces stored is still served from the store, with zero evaluations;
+a repeat after a restart, with no such job in between, costs ``m`` again.
 
 That accounting is observable through
 :meth:`GramEngine.cache_info <repro.core.engine.GramEngine.cache_info>`,
@@ -41,9 +47,9 @@ class StreamingScorer:
     model:
         The frozen landmark model to serve.
     session:
-        The warm session whose engine (and pair store) evaluations go
-        through — typically the server's session, shared with the batch
-        matrix path so the two tiers warm each other's caches.
+        The warm session whose engine evaluations go through — typically
+        the server's session, shared with the batch matrix path so rows a
+        matrix job computed serve classify requests too.
     """
 
     def __init__(self, model: LandmarkModel, session: Any) -> None:
@@ -52,9 +58,8 @@ class StreamingScorer:
         self.spec = model.spec()
         self.engine = session.engine(self.spec)
         self.landmarks = model.landmark_strings()
-        # The model carries the raw landmark self values: prime the engine
-        # (and write any the shared pair store is missing) so serving never
-        # re-evaluates k(l, l).
+        # The model carries the raw landmark self values: prime the engine's
+        # in-memory cache so serving never re-evaluates k(l, l).
         self.engine.prime_self_values(self.landmarks, model.self_values)
         self._inv_sqrt_self = np.asarray(
             [1.0 / math.sqrt(value) if value > 0 else 0.0 for value in model.self_values],
@@ -85,7 +90,8 @@ class StreamingScorer:
         """Cosine-normalised cross row (needs the query's self value)."""
         if raw is None:
             raw = self.cross_row(string)
-        self_value = self.engine.self_value(string)
+        # k(q, q) as the row's diagonal key, so it is not persisted either.
+        self_value = self.engine.evaluate_row(string, [string])[0]
         query_scale = 1.0 / math.sqrt(self_value) if self_value > 0 else 0.0
         return raw * self._inv_sqrt_self * query_scale
 

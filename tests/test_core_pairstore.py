@@ -356,6 +356,45 @@ class TestEngineSeam:
         cold.pair_value(*twins)
         assert cold.kernel_evals == 0
 
+    def test_query_rows_and_priming_read_the_store_but_never_write_it(self, tmp_path):
+        kernel = KastSpectrumKernel(cut_weight=2)
+        query, *landmarks = [synthetic(12 + index, seed=index) for index in range(5)]
+        store = PairStore(str(tmp_path / "pairs"))
+        scorer_side = GramEngine(kernel, pair_store=store)
+        scorer_side.prime_self_values(landmarks, [kernel.self_value(landmark) for landmark in landmarks])
+        row = scorer_side.evaluate_row(query, landmarks)
+        self_value = scorer_side.evaluate_row(query, [query])[0]
+        assert scorer_side.kernel_evals == len(landmarks) + 1
+        assert self_value == kernel.self_value(query)
+        assert store.counters()["puts"] == 0 and segment_paths(store) == []
+
+        # Matrix and self-value lookups still write through.
+        batch_side = GramEngine(kernel, pair_store=store)
+        batch_side.matrix([query, *landmarks])
+        puts = store.counters()["puts"]
+        # One segment of the 10 pairs, one of the 5 self values.
+        assert puts == 10 + 5 and len(segment_paths(store)) == 2
+        batch_side.self_values([synthetic(30, seed=99)])
+        assert store.counters()["puts"] == puts + 1
+
+        # A cold engine serves the stored row from disk, evaluating nothing.
+        cold = GramEngine(kernel, pair_store=store)
+        assert cold.evaluate_row(query, landmarks) == row
+        assert cold.kernel_evals == 0 and cold.store_hits == len(landmarks)
+
+    def test_a_matrix_does_not_back_fill_a_row_it_found_in_memory(self, tmp_path):
+        kernel = KastSpectrumKernel(cut_weight=2)
+        query, *landmarks = [synthetic(12 + index, seed=index) for index in range(5)]
+        store = PairStore(str(tmp_path / "pairs"))
+        engine = GramEngine(kernel, pair_store=store)
+        engine.evaluate_row(query, landmarks)
+        engine.matrix([query, *landmarks])
+        # The matrix computed only the landmark pairs and the self values;
+        # the query row it read from memory is a store miss after a restart.
+        cold = GramEngine(kernel, pair_store=store)
+        cold.evaluate_row(query, landmarks)
+        assert cold.kernel_evals == len(landmarks) and cold.store_hits == 0
+
 
 class TestFormatUpgrade:
     def test_version_2_segments_are_dropped_and_recomputed(self, tmp_path):

@@ -30,6 +30,7 @@ from repro.service.protocol import (
     ModelsRequest,
     ResultRequest,
     StatusRequest,
+    SubmitMatrixRequest,
     check_response,
     encode_corpus,
     job_input,
@@ -277,3 +278,33 @@ def test_refit_invalidates_the_servers_scorer_cache(server, strings, queries):
     (entry,) = fresh_query_response["results"]
     assert entry["kernel_evals"] == 2
     assert first["model_id"] != fresh_query_response["model_id"]
+
+
+def test_classify_reads_the_pair_store_but_never_writes_it(tmp_path, strings, queries):
+    state_dir = str(tmp_path / "state")
+    with AnalysisServer(state_dir=state_dir) as server:
+        fit(server, strings)
+        store = server.session.pair_store
+        puts = store.counters()["puts"]
+        for embed in (False, True, False, True):
+            classify(server, queries, embed=embed)
+        assert store.counters()["puts"] == puts
+        landmarks = server.model_store.load("served").landmark_strings()
+
+    # The rows lived in memory only: after a restart a repeat costs m again.
+    with AnalysisServer(state_dir=state_dir) as server:
+        response = classify(server, queries)
+        assert [entry["kernel_evals"] for entry in response["results"]] == [LANDMARKS] * len(queries)
+        assert server.session.pair_store.counters()["puts"] == 0
+
+        # A matrix job over the same traces still matches a local session.
+        corpus = [*queries, *landmarks]
+        submitted = check_response(
+            server.handle(
+                SubmitMatrixRequest(spec=SPEC.to_dict(), strings=tuple(encode_corpus(corpus))).to_payload()
+            )
+        )
+        result = check_response(server.handle(ResultRequest(job_id=submitted["job_id"], wait=120.0).to_payload()))
+    with AnalysisSession() as session:
+        local = session.engine(SPEC).matrix_payload(session.matrix(SPEC, corpus), corpus)
+    assert json.dumps(result["payload"], sort_keys=True) == json.dumps(local, sort_keys=True)
