@@ -51,6 +51,7 @@ from repro.strings.tokens import WeightedString
 
 __all__ = [
     "GramEngine",
+    "thread_tally",
     "string_fingerprint",
     "plan_index_blocks",
     "block_index_pairs",
@@ -63,6 +64,28 @@ PairKey = Tuple[int, int]
 
 #: Default bound on the symmetric value cache.
 _DEFAULT_PAIR_CACHE_SIZE = 262_144
+
+
+class _ThreadTally(threading.local):
+    """What the calling thread's lookups cost, over every engine."""
+
+    kernel_evals = 0
+    store_hits = 0
+
+
+_TALLY = _ThreadTally()
+
+
+def thread_tally() -> Dict[str, int]:
+    """Kernel evaluations and pair-store hits spent on the calling thread so far.
+
+    Engines are shared between the threads of concurrent requests and
+    jobs, so a difference of an engine's own counters (:meth:`GramEngine.cache_info`)
+    across one request also counts every other thread's work in between.
+    A before/after difference of this tally, taken on the thread that does
+    the work, counts that work alone.
+    """
+    return {"kernel_evals": _TALLY.kernel_evals, "store_hits": _TALLY.store_hits}
 
 
 def string_fingerprint(string: WeightedString) -> str:
@@ -336,6 +359,8 @@ class GramEngine:
                 self.store_misses += len(missing)
             self.kernel_evals += len(computed)
             self._remember({**found, **computed})
+        _TALLY.kernel_evals += len(computed)
+        _TALLY.store_hits += len(found)
         if pair_store is not None and computed and persist:
             pair_store.put_many(signature, {wanted[key]: value for key, value in computed.items()})
         values.update(found)

@@ -131,7 +131,7 @@ class ProtocolCompletenessChecker(Checker):
                     protocol.path,
                     class_node.lineno,
                     class_node.col_offset,
-                    f"{name} is not in _REQUEST_TYPES: the middleware cannot "
+                    f"{name} is not in _REQUEST_TYPES: the server cannot "
                     "parse it off the wire",
                 )
             if route_names is not None and name not in route_names:

@@ -29,7 +29,6 @@ from repro.devtools.lint.source import Project, SourceFile
 #: The request-path modules where every raise is answerable over the wire.
 SCOPE = (
     "repro/service/server.py",
-    "repro/service/middleware.py",
     "repro/service/router.py",
     "repro/service/auth.py",
     "repro/service/tenancy.py",

@@ -1,7 +1,7 @@
 """REP006 — metric naming and label-set consistency.
 
-The ``/metrics`` endpoint aggregates families from the server, the
-middleware pipeline and every worker snapshot, so naming is a cross-file
+The ``/metrics`` endpoint aggregates families from the server, its
+request path and every worker snapshot, so naming is a cross-file
 contract: all families carry the ``repro_`` prefix (lowercase,
 underscores), counters end in ``_total`` (and only counters do), and one
 metric name always means one label schema.  A site that adds a label the

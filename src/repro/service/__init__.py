@@ -36,10 +36,11 @@ job-store record that survives the server process.
   stdio transport, plus the job handles (``submit()/status()/result()/
   cancel()``) the synchronous session does not have, with bearer-token
   auth and transient failure retries.
-* :mod:`repro.service.router` / :mod:`repro.service.middleware` — the
-  request pipeline every front end shares: parsing, authentication,
-  tenant resolution, quotas/rate limiting, metrics and tracing around a
-  first-class :class:`Router` dispatch table.
+* :mod:`repro.service.router` — the :class:`Router` dispatch table from
+  request type to handler.  :meth:`AnalysisServer.handle`, which every
+  front end calls, counts and times each request, parses it,
+  authenticates it, resolves its tenant, charges the tenant's quotas and
+  then dispatches it through the router.
 * :mod:`repro.service.auth` / :mod:`repro.service.tenancy` —
   :class:`Authenticator` (bearer token → tenant id) and the owner of the
   state-dir layout: one namespace per tenant (``<state-dir>/tenants/<id>/``)
@@ -59,7 +60,6 @@ from repro.service.client import (
     TransportError,
 )
 from repro.service.jobstore import JobRecord, JobStore, LeaseError, RecoveryReport
-from repro.service.middleware import RequestContext, compose
 from repro.service.protocol import (
     PROTOCOL_VERSION,
     BadRequest,
@@ -105,7 +105,6 @@ __all__ = [
     "QuotaExceeded",
     "RateLimited",
     "RecoveryReport",
-    "RequestContext",
     "RequestTooLarge",
     "Router",
     "ServiceClient",
@@ -118,7 +117,6 @@ __all__ = [
     "Unauthorized",
     "UnknownJob",
     "Worker",
-    "compose",
     "decode_corpus",
     "encode_corpus",
     "execute_block_task",

@@ -1,7 +1,8 @@
 """Bearer-token authentication mapping tokens to tenant ids.
 
 :class:`Authenticator` is the single auth decision point of the service:
-the auth middleware hands it the request's bearer token (from the HTTP
+:meth:`AnalysisServer.handle <repro.service.server.AnalysisServer.handle>`
+hands it the request's bearer token (from the HTTP
 ``Authorization`` header or the envelope-level ``token`` field, so HTTP
 and stdio authenticate identically) and gets back the tenant id the token
 names — or a typed :class:`~repro.service.protocol.Unauthorized` error.

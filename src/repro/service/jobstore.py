@@ -838,7 +838,10 @@ class JobStore:
         * ``running`` jobs with *no* lease are marked ``interrupted`` —
           their callable lived in a process that is gone, and nothing on
           disk can resume it;
-        * orphan / torn payload files are quarantined.
+        * payload files without a record are quarantined.  Temporary
+          payload files are left alone: one may belong to a live write in
+          another process, and the namespace sweep ages out the dead
+          writers' ones (``remove_stale_temp_files``).
         """
         quarantined: List[Tuple[str, str]] = []
         interrupted: List[str] = []
@@ -895,13 +898,6 @@ class JobStore:
                     continue
                 interrupted.append(job_id)
         for name in sorted(os.listdir(self.payloads_dir)):
-            if ".tmp" in name:
-                moved = self._quarantine(
-                    os.path.join(self.payloads_dir, name), "torn temporary payload"
-                )
-                if moved:
-                    quarantined.append(moved)
-                continue
             if not name.endswith(".json"):
                 continue
             if name[: -len(".json")] not in known_ids:

@@ -1,24 +1,22 @@
 """The router: typed protocol requests mapped to handler functions.
 
-The tail of the middleware pipeline.  Where :meth:`AnalysisServer.handle`
-used to close over a literal dict of ``request type -> bound method``,
-the :class:`Router` makes the dispatch table a first-class object:
-handlers are *registered* (so extensions — new message kinds, per-route
-wrappers, A/B handlers — compose instead of editing one monolithic
-method), the table is introspectable, and double registration is a loud
-error instead of a silent overwrite.
+The last step of :meth:`AnalysisServer.handle
+<repro.service.server.AnalysisServer.handle>`.  Handlers are
+*registered*, and a double registration is a loud error instead of a
+silent overwrite.
 
-Handlers have the middleware signature ``(RequestContext) -> response``:
-by the time the router runs, the context carries the parsed request and
-the resolved tenant, so a handler body is purely business logic.
+A handler takes ``(request, tenant)``: by the time the router runs, the
+request is parsed and authenticated, its tenant's
+:class:`~repro.service.tenancy.TenantContext` resolved and its quotas
+charged, so a handler body is purely business logic.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Type
+from typing import Any, Callable, Dict, Type
 
-from repro.service.middleware import Handler, RequestContext
 from repro.service.protocol import BadRequest, Request
+from repro.service.tenancy import TenantContext
 
 __all__ = ["Router"]
 
@@ -27,9 +25,11 @@ class Router:
     """Dispatch table from request dataclass type to handler."""
 
     def __init__(self) -> None:
-        self._routes: Dict[Type[Request], Handler] = {}
+        self._routes: Dict[Type[Request], Callable[[Any, TenantContext], Dict[str, Any]]] = {}
 
-    def register(self, request_type: Type[Request], handler: Handler) -> None:
+    def register(
+        self, request_type: Type[Request], handler: Callable[[Any, TenantContext], Dict[str, Any]]
+    ) -> None:
         """Route *request_type* to *handler* (double registration is an error)."""
         if not (isinstance(request_type, type) and issubclass(request_type, Request)):
             raise TypeError(f"can only route Request subclasses, got {request_type!r}")
@@ -37,27 +37,18 @@ class Router:
             raise ValueError(f"{request_type.TYPE!r} is already routed")
         self._routes[request_type] = handler
 
-    def routes(self) -> Dict[Type[Request], Handler]:
-        """A copy of the dispatch table (introspection, tests)."""
-        return dict(self._routes)
-
-    def dispatch(self, ctx: RequestContext) -> Dict[str, object]:
-        """Invoke the handler routed for the context's parsed request.
+    def dispatch(self, request: Request, tenant: TenantContext) -> Dict[str, Any]:
+        """Invoke the handler routed for *request* on behalf of *tenant*.
 
         An unrouted type is a ``bad-request``: the protocol knows the
         message but this server exposes no handler for it (e.g. a
         restricted deployment) — distinct from the parse-time "unknown
         type" error only in its message.
         """
-        if ctx.request is None:
-            raise BadRequest("no parsed request to dispatch (parsing middleware missing?)")
-        handler = self._routes.get(type(ctx.request))
+        handler = self._routes.get(type(request))
         if handler is None:
-            raise BadRequest(f"this server exposes no handler for {ctx.request.TYPE!r} requests")
-        return handler(ctx)
-
-    def __len__(self) -> int:
-        return len(self._routes)
+            raise BadRequest(f"this server exposes no handler for {request.TYPE!r} requests")
+        return handler(request, tenant)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging convenience
         kinds = ", ".join(sorted(route.TYPE for route in self._routes))

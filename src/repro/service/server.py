@@ -100,19 +100,22 @@ write; after a restart a repeated trace costs ``m`` again.  Per-model serve coun
 evaluations, latency) surface in ``health``/``/healthz`` and
 ``cache-stats``.
 
-Request pipeline, auth and tenancy
-----------------------------------
-Dispatch is layered, not monolithic: every request — HTTP, stdio, or an
-in-process :meth:`AnalysisServer.handle` call — flows through the same
-:mod:`~repro.service.middleware` chain (metrics/error boundary → parsing
-→ bearer-token auth → tenant resolution → quotas/rate limit → tracing)
-into a :class:`~repro.service.router.Router` that maps typed requests to
-handler methods.  With an :class:`~repro.service.auth.Authenticator`
+Request path, auth and tenancy
+------------------------------
+Every request — HTTP, stdio, or an in-process call — is one
+:meth:`AnalysisServer.handle` call, which runs the front-end steps in one
+place and in one order: count and time the request, parse it,
+authenticate its bearer token, resolve the tenant, charge the tenant's
+quotas, log it under its trace id, and dispatch it through a
+:class:`~repro.service.router.Router` to a handler method taking
+``(request, tenant)``.  With an :class:`~repro.service.auth.Authenticator`
 configured, tokens resolve to per-tenant namespaces of the state dir, so
 caches and models never leak across tenants; quotas answer with typed
-``rate-limited`` / ``quota-exceeded`` errors carrying ``retry_after``.  With auth disabled (the default) every
-request is the *default tenant*, whose namespace is the state dir itself
-— the exact pre-tenancy behaviour.  ``/healthz`` stays unauthenticated.
+``rate-limited`` / ``quota-exceeded`` errors, the retryable ones carrying
+``retry_after``.  With auth disabled (the default) every request is the
+*default tenant*, whose namespace is the state dir itself — the exact
+pre-tenancy behaviour.  Health probes (``/healthz``) need no token and
+spend no quota.
 
 The state-dir layout, and how every namespace in it is opened, swept,
 summarised and counted, belong to :mod:`~repro.service.tenancy` (README,
@@ -140,20 +143,10 @@ from repro.core.atomicio import remove_stale_temp_files
 from repro.core.cachestore import MatrixCache
 from repro.obs.metrics import MetricsRegistry, render_fleet
 from repro.obs.tracing import new_span_id, new_trace_id, trace_context
-from repro.core.engine import decode_pair_values, plan_index_blocks, string_fingerprint
+from repro.core.engine import decode_pair_values, plan_index_blocks, string_fingerprint, thread_tally
 from repro.core.pairstore import PairStore
 from repro.service.auth import Authenticator
 from repro.service.jobstore import Doorbell, JobRecord, JobStoreError
-from repro.service.middleware import (
-    RequestContext,
-    auth_middleware,
-    compose,
-    metrics_middleware,
-    parsing_middleware,
-    quota_middleware,
-    tenant_middleware,
-    tracing_middleware,
-)
 from repro.service.protocol import (
     JOB_REQUESTS,
     PROTOCOL_VERSION,
@@ -167,6 +160,7 @@ from repro.service.protocol import (
     JobFailed,
     JobPending,
     ModelsRequest,
+    Request,
     RequestTooLarge,
     ResultRequest,
     ServiceError,
@@ -182,13 +176,17 @@ from repro.service.protocol import (
     job_input,
     load_message,
     ok_response,
+    parse_request,
+    payload_token,
 )
 from repro.service.router import Router
 from repro.service.tenancy import (
+    DEFAULT_TENANT,
     StateDir,
     TenantContext,
     TenantQuotas,
     TenantRegistry,
+    enforce_quotas,
     job_counts,
     mirror_namespace_counters,
     namespace_stats,
@@ -334,7 +332,7 @@ class AnalysisServer:
         self.job_ttl = job_ttl
         self.gc_interval = float(gc_interval)
         self.max_request_bytes = int(max_request_bytes)
-        #: The auth decision point of the middleware chain.
+        #: Resolves each request's bearer token to its tenant (see :meth:`handle`).
         self.auth = authenticator if authenticator is not None else Authenticator.disabled()
         #: Identity stamped into records this server claims.
         self.worker_id = f"server-{uuid.uuid4().hex[:8]}"
@@ -355,21 +353,9 @@ class AnalysisServer:
             default_quotas=default_quotas,
             quota_overrides=self.auth.quota_overrides,
         )
-        #: The request pipeline every front end funnels through: one
-        #: middleware chain (outermost first) ending in the router.
+        #: Maps each parsed request to its handler (the last step of :meth:`handle`).
         self.router = Router()
         self._register_routes()
-        self._pipeline = compose(
-            [
-                metrics_middleware(self.metrics),
-                parsing_middleware(),
-                auth_middleware(self.auth),
-                tenant_middleware(self._tenants.context),
-                quota_middleware(),
-                tracing_middleware(),
-            ],
-            self.router.dispatch,
-        )
         # Wakes this process's waits on its stores: coordinators and
         # result waits on records other processes own.
         self._doorbell = Doorbell()
@@ -392,15 +378,73 @@ class AnalysisServer:
     ) -> Dict[str, Any]:
         """Answer one wire request; every failure becomes a typed error envelope.
 
-        The request runs the full middleware pipeline — metrics, parsing,
-        auth, tenant resolution, quotas, tracing, then the router — so
-        in-process callers are authenticated and rate-limited exactly like
-        HTTP and stdio clients.  *token* is the transport-level bearer
-        token (the HTTP front end passes the ``Authorization`` header's);
-        an envelope-level ``token`` field is honoured when the transport
-        supplied none.
+        HTTP, stdio and in-process callers all come through here, so they
+        are authenticated and rate-limited alike.  The steps, in order:
+
+        1. parse the wire object into a typed request.  *token* is the
+           transport's bearer token (the HTTP front end passes the
+           ``Authorization`` header's); an envelope-level ``token`` field
+           is used only when the transport supplied none, so a body field
+           cannot override a header a proxy set;
+        2. authenticate the token to a tenant id.  A health probe without a
+           token is the default tenant: load balancers and uptime probes
+           must be able to ask without holding a secret;
+        3. resolve the tenant's :class:`~repro.service.tenancy.TenantContext`;
+        4. charge the tenant's quotas (:func:`~repro.service.tenancy.enforce_quotas`);
+           health probes are exempt, for the same reason;
+        5. log one ``request`` line under the request's trace id, and run
+           the handler the router maps the request to.
+
+        Every request is counted in ``repro_requests_total{method,status,tenant}``
+        and timed in ``repro_request_seconds{method}``, including the ones
+        that fail: ``method`` is ``invalid`` until the request parses,
+        ``tenant`` is ``unauthenticated`` until the token authenticates,
+        and ``status`` is ``ok`` or the error code.  No exception of any
+        kind escapes to a transport.
         """
-        return self._pipeline(RequestContext(payload=payload, token=token, transport=transport))
+        started = time.perf_counter()
+        request: Optional[Request] = None
+        tenant_id: Optional[str] = None
+        status = "error"
+        try:
+            envelope_token = payload_token(payload)
+            if token is None:
+                token = envelope_token
+            request = parse_request(payload)
+            if isinstance(request, HealthRequest) and token is None:
+                tenant_id = DEFAULT_TENANT
+            else:
+                tenant_id = self.auth.authenticate(token)
+            tenant = self._tenants.context(tenant_id)
+            if not isinstance(request, HealthRequest):
+                enforce_quotas(tenant, request)
+            trace_id = getattr(request, "trace_id", None)
+            with trace_context(trace_id):
+                logger.debug(
+                    "request %s tenant=%s transport=%s trace=%s",
+                    request.TYPE, tenant_id, transport, trace_id,
+                    extra={"event": "request", "method": request.TYPE,
+                           "tenant": tenant_id, "transport": transport},
+                )
+                response = self.router.dispatch(request, tenant)
+            status = "ok"
+            return response
+        except ServiceError as exc:
+            status = exc.code
+            return error_response(exc)
+        except Exception as exc:  # noqa: BLE001 - the wire must always get an envelope
+            status = "internal"
+            logger.exception("unhandled error serving request")
+            return error_response(ServiceError(f"internal error: {type(exc).__name__}: {exc}"))
+        finally:
+            method = request.TYPE if request is not None else "invalid"
+            self.metrics.counter(
+                "repro_requests_total", "Protocol requests by method, outcome and tenant.",
+                method=method, status=status, tenant=tenant_id or "unauthenticated",
+            ).inc()
+            self.metrics.histogram(
+                "repro_request_seconds", "Protocol request latency by method.", method=method,
+            ).observe(time.perf_counter() - started)
 
     def _register_routes(self) -> None:
         for request_type, handler in (
@@ -452,7 +496,7 @@ class AnalysisServer:
             json.dumps(identity, sort_keys=True, separators=(",", ":")).encode("utf-8")
         ).hexdigest()
 
-    def _handle_submit(self, ctx: RequestContext) -> Dict[str, Any]:
+    def _handle_submit(self, request: Request, tenant: TenantContext) -> Dict[str, Any]:
         """Store a submission as one queued job record and start it.
 
         The record's ``input`` is the validated request itself
@@ -460,9 +504,7 @@ class AnalysisServer:
         as run metadata only: the tenant, and the trace the job runs
         under.
         """
-        request = ctx.request
         kind = _JOB_KINDS[type(request)]
-        tenant = self._require_tenant(ctx)
         stored = job_input(request)
         strings = decode_corpus(request.strings)
         if not strings:
@@ -503,12 +545,6 @@ class AnalysisServer:
         self._start_record(tenant, record)
         return ok_response("job", job_id=record.job_id, status="queued", kind=kind, trace_id=trace_id)
 
-    @staticmethod
-    def _require_tenant(ctx: RequestContext) -> TenantContext:
-        if ctx.tenant is None:
-            raise ServiceError("request reached a handler without a resolved tenant")
-        return ctx.tenant
-
     def _unfinished_record(self, tenant: TenantContext, job_id: str) -> Optional[JobRecord]:
         """The live (non-terminal) record for *job_id*, else ``None``."""
         try:
@@ -547,8 +583,7 @@ class AnalysisServer:
                 claimed = tenant.store.claim_job(job_id, self.worker_id, self.lease_seconds)
                 if claimed is not None:
                     run_claimed_job(
-                        tenant.store, claimed, tenant.session,
-                        functools.partial(self._payload_for_record, tenant),
+                        tenant.store, claimed, functools.partial(self._payload_for_record, tenant),
                         worker_id=self.worker_id, lease_seconds=self.lease_seconds,
                         metrics=self.metrics,
                     )
@@ -805,27 +840,24 @@ class AnalysisServer:
             tenant.scorers[name] = (mtime, scorer)
         return scorer
 
-    def _handle_classify(self, ctx: RequestContext) -> Dict[str, Any]:
-        request = ctx.request
-        assert isinstance(request, ClassifyRequest)
-        tenant = self._require_tenant(ctx)
+    def _handle_classify(self, request: ClassifyRequest, tenant: TenantContext) -> Dict[str, Any]:
         strings = decode_corpus(request.strings)
         if not strings:
             raise BadRequest("classify requires at least one trace")
         scorer = self._scorer(tenant, request.name)
-        engine = scorer.engine
         started = time.perf_counter()
         results: List[Dict[str, Any]] = []
         evals_total = 0
         warm_traces = 0
         try:
             for string in strings:
-                before = engine.cache_info()["kernel_evals"]
+                # Counted on this thread: other requests share the engine.
+                before = thread_tally()["kernel_evals"]
                 if request.embed:
                     outcome, embedding = scorer.classify_with_embedding(string)
                 else:
                     outcome, embedding = scorer.classify(string), None
-                evals = engine.cache_info()["kernel_evals"] - before
+                evals = thread_tally()["kernel_evals"] - before
                 evals_total += evals
                 if evals == 0:
                     warm_traces += 1
@@ -906,8 +938,7 @@ class AnalysisServer:
             ),
         }
 
-    def _handle_models(self, ctx: RequestContext) -> Dict[str, Any]:
-        tenant = self._require_tenant(ctx)
+    def _handle_models(self, request: ModelsRequest, tenant: TenantContext) -> Dict[str, Any]:
         entries = tenant.model_store.entries()
         with tenant.lock:
             metrics = {name: dict(values) for name, values in tenant.model_metrics.items()}
@@ -1010,10 +1041,7 @@ class AnalysisServer:
         except JobStoreError as exc:
             raise ServiceError(f"job record {job_id!r} unreadable: {exc}", details={"job_id": job_id}) from exc
 
-    def _handle_status(self, ctx: RequestContext) -> Dict[str, Any]:
-        request = ctx.request
-        assert isinstance(request, StatusRequest)
-        tenant = self._require_tenant(ctx)
+    def _handle_status(self, request: StatusRequest, tenant: TenantContext) -> Dict[str, Any]:
         record = self._record(tenant, request.job_id)
         response = ok_response(
             "status",
@@ -1054,10 +1082,7 @@ class AnalysisServer:
             if local or not self._doorbell.watch(tenant.store):
                 self._doorbell.wait(seen, min(DEFAULT_POLL_INTERVAL, remaining))
 
-    def _handle_result(self, ctx: RequestContext) -> Dict[str, Any]:
-        request = ctx.request
-        assert isinstance(request, ResultRequest)
-        tenant = self._require_tenant(ctx)
+    def _handle_result(self, request: ResultRequest, tenant: TenantContext) -> Dict[str, Any]:
         record = self._wait_for_record(tenant, request.job_id, request.wait)
         if record.status == "done":
             try:
@@ -1086,10 +1111,7 @@ class AnalysisServer:
             details={"job_id": record.job_id, "status": record.status},
         )
 
-    def _handle_cancel(self, ctx: RequestContext) -> Dict[str, Any]:
-        request = ctx.request
-        assert isinstance(request, CancelRequest)
-        tenant = self._require_tenant(ctx)
+    def _handle_cancel(self, request: CancelRequest, tenant: TenantContext) -> Dict[str, Any]:
         record = self._record(tenant, request.job_id)
         if record.finished:
             raise CannotCancel(
@@ -1117,8 +1139,7 @@ class AnalysisServer:
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-    def _handle_specs(self, ctx: RequestContext) -> Dict[str, Any]:
-        tenant = self._require_tenant(ctx)
+    def _handle_specs(self, request: SpecsRequest, tenant: TenantContext) -> Dict[str, Any]:
         kinds = []
         for kind in registered_kinds():
             entry = registry_entry(kind)
@@ -1152,8 +1173,7 @@ class AnalysisServer:
             "models": stats["model_store"]["models"],
         }
 
-    def _handle_health(self, ctx: RequestContext) -> Dict[str, Any]:
-        tenant = self._require_tenant(ctx)
+    def _handle_health(self, request: HealthRequest, tenant: TenantContext) -> Dict[str, Any]:
         stats = namespace_stats(tenant.namespace)
         counts, matrix, pairs = stats["jobs"], stats["matrix_cache"], stats["pair_store"]
         # Warm-routing signals for load balancers: how deep the queue is
@@ -1221,8 +1241,7 @@ class AnalysisServer:
             }
         return response
 
-    def _handle_cache_stats(self, ctx: RequestContext) -> Dict[str, Any]:
-        tenant = self._require_tenant(ctx)
+    def _handle_cache_stats(self, request: CacheStatsRequest, tenant: TenantContext) -> Dict[str, Any]:
         stats = namespace_stats(tenant.namespace, full=True)
         pair_section = (
             {"enabled": True, **stats["pair_store"]}

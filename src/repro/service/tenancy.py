@@ -13,8 +13,9 @@ submitting the identical corpus each pay for (and keep) their own cache
 entries, pair values and models.  The *default* tenant's namespace is the
 state dir itself, so a server with auth disabled keeps the single-tenant
 layout.  :class:`TenantQuotas` bounds a tenant's resource use (request
-rate through a :class:`TokenBucket`, queued jobs, corpus size); the quota
-middleware turns an exhausted budget into the typed ``rate-limited`` /
+rate through a :class:`TokenBucket`, queued jobs, corpus size), and
+:func:`enforce_quotas`, which every request but a health probe passes
+through, turns an exhausted budget into the typed ``rate-limited`` /
 ``quota-exceeded`` wire errors.
 """
 
@@ -36,7 +37,7 @@ from repro.core.cachestore import MatrixCache
 from repro.core.pairstore import PairStore
 from repro.obs.metrics import MetricsRegistry
 from repro.service.jobstore import JobStore
-from repro.service.protocol import BadRequest
+from repro.service.protocol import JOB_REQUESTS, BadRequest, QuotaExceeded, RateLimited, Request
 from repro.streaming.store import ModelStore
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -51,6 +52,7 @@ __all__ = [
     "TokenBucket",
     "TenantContext",
     "TenantRegistry",
+    "enforce_quotas",
     "job_counts",
     "mirror_namespace_counters",
     "namespace_stats",
@@ -219,8 +221,8 @@ def sweep_namespace(
     Terminal job records older than *job_ttl* seconds go (none when it is
     ``None``); the result cache and the pair store, where open and not
     opted out, evict past their TTL and size bounds; dead writers'
-    temporary files go from ``jobs/`` and ``models/``.  *dry_run* lists
-    the jobs that would go and leaves every layer as it is.
+    temporary files go from ``jobs/``, ``payloads/`` and ``models/``.
+    *dry_run* lists the jobs that would go and leaves every layer as it is.
     """
     session = namespace.session
     swept: Dict[str, List[str]] = {
@@ -230,6 +232,7 @@ def sweep_namespace(
     }
     if not dry_run:
         remove_stale_temp_files(namespace.store.jobs_dir)
+        remove_stale_temp_files(namespace.store.payloads_dir)
         remove_stale_temp_files(namespace.model_store.root)
         if matrix_cache and session.matrix_cache is not None:
             swept["matrix_cache"] = session.matrix_cache.sweep()
@@ -375,6 +378,54 @@ class TokenBucket:
                 self._tokens -= 1.0
                 return None
             return max(0.001, (1.0 - self._tokens) / self.rate)
+
+
+def enforce_quotas(tenant: "TenantContext", request: Request) -> None:
+    """Charge *request* against *tenant*'s budgets; raise when one is spent.
+
+    * Token bucket → typed ``rate-limited`` with ``retry_after``.
+    * ``max_corpus_strings`` (submissions only) → ``quota-exceeded``
+      *without* ``retry_after``: resubmitting the same oversized corpus
+      can never succeed, so clients must not burn retries on it.
+    * ``max_queued_jobs`` (submissions only) → ``quota-exceeded`` with a
+      ``retry_after`` hint, because the queue drains.
+    """
+    if tenant.bucket is not None:
+        retry_after = tenant.bucket.acquire()
+        if retry_after is not None:
+            raise RateLimited(
+                f"tenant {tenant.tenant_id!r} exceeded its request rate "
+                f"({tenant.quotas.requests_per_second:g}/s)",
+                details={
+                    "retry_after": round(retry_after, 3),
+                    "tenant": tenant.tenant_id,
+                },
+            )
+    if type(request) not in JOB_REQUESTS.values():
+        return
+    quotas = tenant.quotas
+    if quotas.max_corpus_strings is not None:
+        strings = getattr(request, "strings", ()) or ()
+        if len(strings) > quotas.max_corpus_strings:
+            raise QuotaExceeded(
+                f"corpus of {len(strings)} string(s) exceeds tenant "
+                f"{tenant.tenant_id!r}'s limit of {quotas.max_corpus_strings}",
+                details={"tenant": tenant.tenant_id,
+                         "max_corpus_strings": quotas.max_corpus_strings},
+            )
+    if quotas.max_queued_jobs is not None:
+        live = tenant.live_job_count()
+        if live >= quotas.max_queued_jobs:
+            raise QuotaExceeded(
+                f"tenant {tenant.tenant_id!r} already has {live} live job(s) "
+                f"(limit {quotas.max_queued_jobs}); retry once the queue drains",
+                details={
+                    "retry_after": 1.0,
+                    "tenant": tenant.tenant_id,
+                    "max_queued_jobs": quotas.max_queued_jobs,
+                    "live_jobs": live,
+                },
+            )
 
 
 class TenantContext:

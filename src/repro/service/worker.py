@@ -86,7 +86,7 @@ from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tu
 from repro.api.session import AnalysisSession
 from repro.api.spec import coerce_spec
 from repro.core.atomicio import write_text_atomic
-from repro.core.engine import block_index_pairs, encode_pair_values
+from repro.core.engine import block_index_pairs, encode_pair_values, thread_tally
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracing import trace_context
 from repro.service.jobstore import Doorbell, JobRecord, JobStore, JobStoreError, LeaseError
@@ -275,7 +275,6 @@ class _LeaseKeeper(threading.Thread):
 def run_claimed_job(
     store: JobStore,
     record: JobRecord,
-    session: AnalysisSession,
     payload: PayloadFunction,
     *,
     worker_id: str,
@@ -289,8 +288,9 @@ def run_claimed_job(
     renews the claim, so only a dead process's lease expires.  The job
     runs inside the trace context stamped on the record and logs
     ``job-started`` / ``job-finished`` (with the kernel evaluations and
-    pair-store hits it cost *session*).  A returned payload is stored under
-    this claim.
+    pair-store hits it cost, counted on this thread: the jobs and requests
+    other threads run on the same engines meanwhile are not).  A returned
+    payload is stored under this claim.
 
     The outcome is ``done``; ``released`` (back on the queue); ``error``;
     or ``lease-lost`` (the claim was reclaimed while the job ran, and the
@@ -309,7 +309,7 @@ def run_claimed_job(
     keeper = _LeaseKeeper(store, job_id, worker_id, lease_seconds)
     keeper.start()
     started = time.perf_counter()
-    evals_before = session.engine_counters()
+    tally_before = thread_tally()
     outcome = "done"
     with trace_context(trace_id, record.options.get("span_id")):
         logger.info(
@@ -342,7 +342,7 @@ def run_claimed_job(
             keeper.stop()
             keeper.join(timeout=1.0)
             elapsed = time.perf_counter() - started
-            evals_after = session.engine_counters()
+            tally_after = thread_tally()
             metrics.counter(
                 "repro_jobs_executed_total", "Jobs this process executed, by kind and outcome.",
                 kind=kind, outcome=outcome,
@@ -353,8 +353,8 @@ def run_claimed_job(
             logger.info(
                 "job %s (%s) %s in %.3fs trace=%s kernel_evals=%d store_hits=%d",
                 job_id, kind, outcome, elapsed, trace_id,
-                evals_after["kernel_evals"] - evals_before["kernel_evals"],
-                evals_after["store_hits"] - evals_before["store_hits"],
+                tally_after["kernel_evals"] - tally_before["kernel_evals"],
+                tally_after["store_hits"] - tally_before["store_hits"],
                 extra={"job_id": job_id, "kind": kind, "worker_id": worker_id, "event": "job-finished"},
             )
     return outcome
@@ -497,7 +497,7 @@ class Worker:
             return None
         record, namespace = claimed
         outcome = run_claimed_job(
-            namespace.store, record, namespace.session, functools.partial(self._payload, namespace),
+            namespace.store, record, functools.partial(self._payload, namespace),
             worker_id=self.worker_id, lease_seconds=self.lease_seconds,
             metrics=self.metrics, max_attempts=self.max_attempts,
         )

@@ -9,7 +9,8 @@ layers:
 
 * a **cold** trace costs exactly ``m`` kernel evaluations (the cross row
   against the landmarks — classification is scale-invariant in the
-  query's own self value, so it is never computed);
+  query's own self value, so it is never computed); an embedding needs
+  that self value, which rides on the same row as its ``m + 1``-th entry;
 * a **repeated** trace costs zero in session — the engine's in-memory
   pair cache serves it.
 
@@ -28,7 +29,7 @@ which is how the acceptance tests pin it down.
 from __future__ import annotations
 
 import math
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 
 import numpy as np
 
@@ -82,18 +83,38 @@ class StreamingScorer:
     # ------------------------------------------------------------------
     # Kernel plumbing
     # ------------------------------------------------------------------
-    def cross_row(self, string: WeightedString) -> np.ndarray:
-        """Raw ``k(string, landmark_j)`` for every landmark (one batched row)."""
-        return np.asarray(self.engine.evaluate_row(string, self.landmarks), dtype=float)
+    def cross_row(self, string: WeightedString, with_self: bool = False) -> np.ndarray:
+        """Raw ``k(string, landmark_j)`` for every landmark (one batched row).
 
-    def _normalized_row(self, string: WeightedString, raw: Optional[np.ndarray] = None) -> np.ndarray:
-        """Cosine-normalised cross row (needs the query's self value)."""
-        if raw is None:
-            raw = self.cross_row(string)
-        # k(q, q) as the row's diagonal key, so it is not persisted either.
-        self_value = self.engine.evaluate_row(string, [string])[0]
+        With *with_self* the row ends in ``k(string, string)``: the query
+        is its own last reference, the engine's diagonal key, so the self
+        value comes from the same lookup and is not persisted either.
+        """
+        references = [*self.landmarks, string] if with_self else self.landmarks
+        return np.asarray(self.engine.evaluate_row(string, references), dtype=float)
+
+    def _classification(self, raw: np.ndarray) -> ClassificationResult:
+        """Nearest-centroid label of a raw landmark cross row."""
+        if not self._label_groups:
+            raise ValueError(f"model {self.model.name!r} carries no labelled landmarks")
+        partial = raw * self._inv_sqrt_self
+        scores = {
+            label: float(np.mean(partial[indices]))
+            for label, indices in self._label_groups.items()
+        }
+        best = max(scores.items(), key=lambda item: (item[1], item[0]))
+        return ClassificationResult(label=best[0], scores=scores)
+
+    def _embedding(self, row: np.ndarray) -> np.ndarray:
+        """kPCA coordinates of a cross row that ends in the query's self value."""
+        raw, self_value = row[:-1], row[-1]
         query_scale = 1.0 / math.sqrt(self_value) if self_value > 0 else 0.0
-        return raw * self._inv_sqrt_self * query_scale
+        normalized = (raw * self._inv_sqrt_self * query_scale)[None, :]
+        centred = (
+            normalized - normalized.mean(axis=1, keepdims=True)
+            - self._column_means[None, :] + self._total_mean
+        )
+        return (centred @ self._eigenvectors * self._inv_sqrt_eigenvalues[None, :])[0]
 
     # ------------------------------------------------------------------
     # Serving
@@ -106,9 +127,7 @@ class StreamingScorer:
         fitting corpus this reproduces the full-Gram kernel-PCA embedding
         exactly (up to eigenvector sign).
         """
-        row = self._normalized_row(string)[None, :]
-        centred = row - row.mean(axis=1, keepdims=True) - self._column_means[None, :] + self._total_mean
-        return (centred @ self._eigenvectors * self._inv_sqrt_eigenvalues[None, :])[0]
+        return self._embedding(self.cross_row(string, with_self=True))
 
     def classify(self, string: WeightedString) -> ClassificationResult:
         """Nearest-centroid label of one trace, in exactly ``m`` evaluations.
@@ -119,25 +138,14 @@ class StreamingScorer:
         identical to :class:`~repro.learn.classify.KernelNearestCentroid`
         while the query's own self value is never evaluated.
         """
-        if not self._label_groups:
-            raise ValueError(f"model {self.model.name!r} carries no labelled landmarks")
-        raw = self.cross_row(string)
-        partial = raw * self._inv_sqrt_self
-        scores = {
-            label: float(np.mean(partial[indices]))
-            for label, indices in self._label_groups.items()
-        }
-        best = max(scores.items(), key=lambda item: (item[1], item[0]))
-        return ClassificationResult(label=best[0], scores=scores)
+        return self._classification(self.cross_row(string))
 
     def classify_with_embedding(
         self, string: WeightedString
     ) -> Tuple[ClassificationResult, np.ndarray]:
-        """Classify and embed in one pass over a single shared cross row."""
-        result = self.classify(string)
-        # The cross row is warm in the engine cache now; the embedding pays
-        # only the query self value on top.
-        return result, self.embed(string)
+        """Classify and embed from one row lookup (``m + 1`` values, self included)."""
+        row = self.cross_row(string, with_self=True)
+        return self._classification(row[:-1]), self._embedding(row)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging convenience
         return f"StreamingScorer(model={self.model.name!r}, m={self.model.m})"

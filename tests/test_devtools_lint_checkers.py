@@ -460,7 +460,7 @@ class TestRep005TypedErrors:
         findings = run_rule(
             "REP005",
             {
-                "repro/service/middleware.py": dedent(
+                "repro/service/router.py": dedent(
                     """
                     def handle(request):
                         raise RuntimeError("nope")
@@ -475,7 +475,7 @@ class TestRep005TypedErrors:
         findings = run_rule(
             "REP005",
             {
-                "repro/service/middleware.py": dedent(
+                "repro/service/router.py": dedent(
                     """
                     def handle(request):
                         raise JobNotFoundError("job-1")

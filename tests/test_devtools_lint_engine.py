@@ -145,7 +145,7 @@ class TestBaseline:
 class TestFilteringAndRegistry:
     def test_select_runs_only_named_rules(self):
         texts = {
-            "repro/service/middleware.py": "def f():\n    raise RuntimeError('x')\n",
+            "repro/service/router.py": "def f():\n    raise RuntimeError('x')\n",
             PATH: VIOLATION,
         }
         report = run(texts, select=["REP005"])
@@ -153,7 +153,7 @@ class TestFilteringAndRegistry:
 
     def test_ignore_drops_named_rules(self):
         texts = {
-            "repro/service/middleware.py": "def f():\n    raise RuntimeError('x')\n",
+            "repro/service/router.py": "def f():\n    raise RuntimeError('x')\n",
             PATH: VIOLATION,
         }
         report = run(texts, ignore=["REP005"])

@@ -9,9 +9,12 @@ committed baseline.
 
 from __future__ import annotations
 
+import importlib
 import pathlib
+import pkgutil
 
 import repro
+import repro.devtools.lint.checkers
 from repro.devtools.lint import Baseline, lint_paths, registered_rules
 
 SRC = pathlib.Path(repro.__file__).resolve().parent.parent
@@ -56,3 +59,23 @@ def test_scan_covers_the_whole_package():
     # The tree has ~100 modules; a collapse of the walker to a handful
     # of files would silently void every other assertion here.
     assert report.files > 80
+
+
+def test_every_module_a_checker_names_exists():
+    # A rule scoped to (or exempting) a module by path silently checks
+    # nothing once that module is deleted or renamed.
+    package = repro.devtools.lint.checkers
+    named = []
+    for info in pkgutil.iter_modules(package.__path__):
+        module = importlib.import_module(f"{package.__name__}.{info.name}")
+        for attribute, value in vars(module).items():
+            values = value if isinstance(value, (tuple, list, frozenset, set)) else (value,)
+            for path in values:
+                if isinstance(path, str) and path.startswith("repro/") and path.endswith(".py"):
+                    named.append((f"{info.name}.{attribute}", path))
+    assert {path for _, path in named} >= {
+        "repro/core/atomicio.py", "repro/service/jobstore.py", "repro/service/protocol.py",
+        "repro/service/server.py", "repro/service/client.py", "repro/obs/metrics.py",
+    }
+    missing = [(where, path) for where, path in named if "*" not in path and not (SRC / path).is_file()]
+    assert missing == [], f"checkers name modules that do not exist under src/: {missing}"

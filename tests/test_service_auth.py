@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import io
 import os
+import re
 import threading
 
 import pytest
@@ -263,6 +264,58 @@ class TestTenantIsolation:
             # The restarted server re-discovers alpha's namespace and record.
             record = server.tenants.context("alpha").store.get(job_a)
             assert record.status == "done"
+
+
+def request_samples(text):
+    """``repro_requests_total`` samples by ``(method, status, tenant)``."""
+    samples = {}
+    for line in text.splitlines():
+        match = re.match(r"repro_requests_total\{(.*)\} (\S+)$", line)
+        if match:
+            labels = dict(re.findall(r'(\w+)="([^"]*)"', match.group(1)))
+            key = (labels["method"], labels["status"], labels["tenant"])
+            samples[key] = samples.get(key, 0.0) + float(match.group(2))
+    return samples
+
+
+class TestRequestMetrics:
+    def test_every_front_end_outcome_is_counted_under_its_labels(self, tmp_path, strings):
+        path = tmp_path / "tenants.json"
+        path.write_text(json.dumps({
+            "tenants": {
+                "alpha": {"token": "alpha-secret"},
+                "small": {"token": "small-secret", "quotas": {"max_corpus_strings": 2}},
+            }
+        }), encoding="utf-8")
+        with AnalysisServer(
+            state_dir=str(tmp_path / "state"),
+            authenticator=Authenticator.from_file(str(path)),
+            default_quotas=TenantQuotas(requests_per_second=0.001, burst=1),
+        ) as server:
+            specs = SpecsRequest().to_payload()
+            assert server.handle(specs, token="alpha-secret")["ok"]
+            assert server.handle(specs, token="alpha-secret")["error"]["code"] == "rate-limited"
+            oversized = SubmitMatrixRequest(spec=SPEC.to_dict(), strings=tuple(encode_corpus(strings)))
+            refused = server.handle(oversized.to_payload(), token="small-secret")
+            assert refused["error"]["code"] == "quota-exceeded"
+            assert server.handle("not a JSON object")["error"]["code"] == "bad-request"
+            assert server.handle(specs)["error"]["code"] == "unauthorized"
+            for _ in range(2):
+                assert server.handle(HealthRequest().to_payload())["ok"]
+            text = server.metrics_text()
+        assert request_samples(text) == {
+            ("specs", "ok", "alpha"): 1,
+            ("specs", "rate-limited", "alpha"): 1,
+            ("submit-matrix", "quota-exceeded", "small"): 1,
+            ("invalid", "bad-request", "unauthenticated"): 1,
+            ("specs", "unauthorized", "unauthenticated"): 1,
+            ("health", "ok", "default"): 2,
+        }
+        for method, count in (("specs", 3), ("submit-matrix", 1), ("invalid", 1), ("health", 2)):
+            assert re.search(
+                rf'repro_request_seconds_count\{{method="{method}",origin="[^"]+"\}} {count}$',
+                text, re.MULTILINE,
+            )
 
 
 class TestQuotas:

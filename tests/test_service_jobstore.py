@@ -10,7 +10,9 @@ import time
 
 import pytest
 
+from repro.core.atomicio import temp_name_for
 from repro.service.jobstore import Doorbell, JobRecord, JobStore, JobStoreError, LeaseError
+from repro.service.tenancy import StateDir, sweep_namespace
 
 
 @pytest.fixture
@@ -207,16 +209,26 @@ class TestCrashRecovery:
         with pytest.raises(KeyError):
             reopened.get(record.job_id)
 
-    def test_orphan_and_temporary_payloads_quarantined(self, store):
+    def test_orphan_payloads_quarantined_and_stale_temporaries_swept(self, store):
         with open(os.path.join(store.payloads_dir, "ghost-1.json"), "w") as handle:
             json.dump({"x": 1}, handle)
-        with open(os.path.join(store.payloads_dir, "half.json.tmp"), "w") as handle:
-            handle.write('{"x"')
-        reopened = JobStore(store.root)
-        reasons = dict(reopened.recovery.quarantined)
-        assert "ghost-1.json" in reasons
-        assert "half.json.tmp" in reasons
-        assert os.listdir(reopened.payloads_dir) == []
+        # A live write's temporary (another process may still rename it
+        # into place) and a dead writer's one, two hours old.
+        fresh = temp_name_for(os.path.join(store.payloads_dir, "live.json"))
+        stale = temp_name_for(os.path.join(store.payloads_dir, "dead.json"))
+        for path in (fresh, stale):
+            with open(path, "w") as handle:
+                handle.write('{"x"')
+        two_hours_ago = time.time() - 2 * 3600
+        os.utime(stale, (two_hours_ago, two_hours_ago))
+        state = StateDir(store.root)
+        reopened = state.open().store
+        assert "ghost-1.json" in dict(reopened.recovery.quarantined)
+        assert sorted(os.listdir(reopened.payloads_dir)) == sorted(
+            os.path.basename(path) for path in (fresh, stale)
+        )
+        sweep_namespace(state.open())
+        assert os.listdir(reopened.payloads_dir) == [os.path.basename(fresh)]
 
     def test_record_with_malformed_fields_quarantined_not_crashing(self, store):
         # Regression: a record that is valid JSON but has e.g. a non-numeric

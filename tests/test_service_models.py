@@ -13,11 +13,13 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import threading
 
 import pytest
 
 import repro.streaming.model
 from repro.api import AnalysisSession, make_spec
+from repro.core.engine import GramEngine
 from repro.service import AnalysisServer, Worker
 from repro.service.jobstore import JobStore
 from repro.service.protocol import (
@@ -128,6 +130,38 @@ def test_classify_with_embedding(server, strings, queries):
     assert len(entry["embedding"]) == 2
     # Cold embed pays the cross row plus the query's own self value.
     assert entry["kernel_evals"] == LANDMARKS + 1
+
+
+def test_concurrent_classifies_report_only_their_own_evaluations(server, strings, queries, monkeypatch):
+    fit(server, strings, landmarks=16)
+    engine = server.session.engine(SPEC)
+    evaluate_row = GramEngine.evaluate_row
+    # Both cold rows are evaluated before either request reads its count.
+    barrier = threading.Barrier(2)
+
+    def row_then_wait(self, query, references):
+        values = evaluate_row(self, query, references)
+        barrier.wait(timeout=60)
+        return values
+
+    monkeypatch.setattr(GramEngine, "evaluate_row", row_then_wait)
+    before = engine.cache_info()["kernel_evals"]
+    responses = [None, None]
+
+    def request(index):
+        responses[index] = classify(server, queries[index : index + 1])
+
+    threads = [threading.Thread(target=request, args=(index,)) for index in range(2)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=120)
+    spent = engine.cache_info()["kernel_evals"] - before
+    # A cold row costs one evaluation per distinct landmark content.
+    row = len({string.fingerprint for string in strings})
+    assert [response["kernel_evals"] for response in responses] == [row, row]
+    assert [response["results"][0]["kernel_evals"] for response in responses] == [row, row]
+    assert sum(response["kernel_evals"] for response in responses) == spent
 
 
 def test_models_listing_carries_serve_counters(server, strings, queries):

@@ -290,11 +290,9 @@ class TestWorkerUnit:
         def payload(_record):
             raise error
 
-        with AnalysisSession() as session:
-            assert run_claimed_job(
-                store, claimed, session, payload,
-                worker_id="w1", lease_seconds=30, metrics=metrics,
-            ) == outcome
+        assert run_claimed_job(
+            store, claimed, payload, worker_id="w1", lease_seconds=30, metrics=metrics,
+        ) == outcome
         final = store.get(record.job_id)
         assert final.status == status
         if status == "error":

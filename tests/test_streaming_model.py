@@ -177,6 +177,32 @@ def test_cold_classify_costs_m_evals_and_warm_costs_zero(model, queries):
         assert engine.cache_info()["kernel_evals"] - before == 0
 
 
+def test_classify_with_embedding_is_one_row_lookup(model, queries, monkeypatch):
+    query = queries[0]
+    with AnalysisSession() as fresh:
+        separate = StreamingScorer(model, fresh)
+        expected = separate.classify(query), separate.embed(query)
+    with AnalysisSession() as fresh:
+        scorer = StreamingScorer(model, fresh)
+        lookup, calls = scorer.engine._lookup, []
+
+        def counting_lookup(*args, **kwargs):
+            calls.append(args)
+            return lookup(*args, **kwargs)
+
+        monkeypatch.setattr(scorer.engine, "_lookup", counting_lookup)
+        before = scorer.engine.cache_info()
+        result, embedding = scorer.classify_with_embedding(query)
+        after = scorer.engine.cache_info()
+    assert len(calls) == 1
+    # The cold row: m landmark values plus the query's own self value.
+    assert after["kernel_evals"] - before["kernel_evals"] == model.m + 1
+    assert after["pair_misses"] - before["pair_misses"] == model.m + 1
+    assert result.label == expected[0].label
+    assert result.scores == expected[0].scores
+    np.testing.assert_array_equal(embedding, expected[1])
+
+
 def test_classify_deterministic_across_sessions(model, queries):
     results = []
     for _ in range(2):
