@@ -160,19 +160,14 @@ def build_parser() -> argparse.ArgumentParser:
         "--gc-interval",
         type=float,
         default=30.0,
-        help="seconds between maintenance passes (lease requeue, adoption, TTL sweep; default: 30)",
-    )
-    serve.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="disable the persistent matrix result cache (default: cache under <state-dir>/matrix-cache)",
+        help="seconds between maintenance passes (lease requeue, adoption, TTL and cache-bound sweeps; default: 30)",
     )
     serve.add_argument(
         "--cache-entries",
         type=int,
         default=64,
         metavar="N",
-        help="LRU bound on result-cache entries (default: 64)",
+        help="LRU bound on result-cache entries, enforced by the maintenance sweep (default: 64)",
     )
     serve.add_argument(
         "--cache-ttl",
@@ -180,11 +175,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="SECONDS",
         help="evict result-cache entries idle longer than this (default: LRU eviction only)",
-    )
-    serve.add_argument(
-        "--no-pair-store",
-        action="store_true",
-        help="disable the persistent pair-value store (default: store under <state-dir>/pair-store)",
     )
     serve.add_argument(
         "--max-pair-bytes",
@@ -282,11 +272,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=0.0,
         metavar="SECONDS",
         help="sleep between claiming and executing each task (rate limit; default: 0)",
-    )
-    worker.add_argument(
-        "--no-pair-store",
-        action="store_true",
-        help="do not share the pair-value store under <state-dir>/pair-store",
     )
 
     gc = subparsers.add_parser("gc", help="sweep expired terminal jobs out of a state directory")
@@ -702,10 +687,8 @@ def _command_serve(args: argparse.Namespace) -> int:
         lease_seconds=args.lease_seconds,
         job_ttl=args.job_ttl,
         gc_interval=args.gc_interval,
-        result_cache=not args.no_cache,
         max_cache_entries=args.cache_entries,
         cache_ttl=args.cache_ttl,
-        pair_store=not args.no_pair_store,
         max_pair_bytes=args.max_pair_bytes,
         pair_ttl=args.pair_ttl,
         authenticator=authenticator,
@@ -756,7 +739,6 @@ def _command_worker(args: argparse.Namespace) -> int:
         poll_interval=DEFAULT_POLL_INTERVAL if args.poll_interval is None else args.poll_interval,
         lease_seconds=args.lease_seconds,
         throttle=args.throttle,
-        pair_store=not args.no_pair_store,
     )
     # Drain the current task, then exit cleanly on SIGTERM/SIGINT; SIGKILL
     # needs no handling — the lease expires and the task is reclaimed.

@@ -40,8 +40,9 @@ Entries store the **pre-repair** matrix.  PSD repair is deterministic and
 cheap next to kernel evaluation, so callers re-apply it after a hit.
 
 Eviction is LRU (meta-file mtime, touched on every hit) bounded by
-``max_entries``, plus an optional TTL; :meth:`sweep` enforces both and is
-wired into the server's maintenance loop and ``repro-iokast gc``.
+``max_entries``, plus an optional TTL.  Only :meth:`sweep` enforces them,
+never :meth:`store`; it is wired into the server's maintenance loop and
+``repro-iokast gc``.
 """
 
 from __future__ import annotations
@@ -142,7 +143,7 @@ class MatrixCache:
         Cache directory (created if missing).
     max_entries:
         LRU bound on stored entries; the least-recently-used entries
-        beyond it are evicted on :meth:`store` and :meth:`sweep`.
+        beyond it are evicted by :meth:`sweep`.
     ttl:
         Optional seconds of idleness (no store, no hit) after which an
         entry is dropped by :meth:`sweep`.  ``None`` keeps entries until
@@ -277,7 +278,6 @@ class MatrixCache:
         meta = {"v": _ENTRY_VERSION, "payload_sha256": _digest(text), "created_at": time.time(), **identity}
         write_text_atomic(self._meta_path(bucket, key), json.dumps(meta, sort_keys=True))
         self._counts.stores += 1
-        self.sweep()
         return key
 
     # ------------------------------------------------------------------

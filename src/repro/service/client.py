@@ -400,8 +400,7 @@ class ServiceClient:
         """The server's health snapshot (uptime, job counts, recovery info).
 
         Includes the warm-routing fields: ``queue_depth`` plus the
-        ``matrix_cache`` / ``pair_store`` hit-rate summaries (``None``
-        for a disabled layer).
+        ``matrix_cache`` / ``pair_store`` hit-rate summaries.
         """
         return self._call(HealthRequest(), idempotent=True)
 
@@ -412,8 +411,7 @@ class ServiceClient:
     def cache_stats(self) -> Dict[str, Any]:
         """The server's persistent cache state and counters.
 
-        ``enabled`` is ``False`` when the server runs without a matrix
-        result cache; otherwise the top level carries entry counts,
+        ``enabled`` is always ``True``; the top level carries entry counts,
         payload bytes and the hit/miss/store/eviction counters
         of :meth:`MatrixCache.stats
         <repro.core.cachestore.MatrixCache.stats>`.  The ``pair_store``

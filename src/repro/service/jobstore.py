@@ -832,7 +832,9 @@ class JobStore:
         * unparseable records are quarantined (with their payloads);
         * ``done`` records without a verifiable payload flip to ``error``;
         * ``queued`` jobs and ``running`` jobs with an *expired* lease are
-          requeued — work that never completed is always safe to rerun;
+          reported as requeued — work that never completed is always safe
+          to rerun.  Only the expired leases are rewritten: a queued
+          record is already claimable as it stands;
         * ``running`` jobs with a *live* lease are left untouched (another
           process legitimately owns them);
         * ``running`` jobs with *no* lease are marked ``interrupted`` —
@@ -871,7 +873,9 @@ class JobStore:
                     if moved:
                         quarantined.append(moved)
                     self.mark_damaged(job_id, f"recovery: {damage}")
-            elif record.status == "queued" or record.lease_expired(now):
+            elif record.status == "queued":
+                requeued.append(job_id)
+            elif record.lease_expired(now):
                 try:
                     fresh = self.mutate(
                         job_id,

@@ -587,7 +587,8 @@ class HealthRequest(Request):
     Besides uptime, job counts and recovery info, the answer carries the
     load-balancer warm-routing signals: ``queue_depth`` (queued records)
     and the hit-rate summaries of both persistent cache layers
-    (``matrix_cache`` and ``pair_store``, each ``None`` when disabled).
+    (``matrix_cache`` and ``pair_store``); ``result_cache`` is always
+    ``true``.
     """
 
     TYPE: ClassVar[str] = "health"
@@ -597,10 +598,10 @@ class HealthRequest(Request):
 class CacheStatsRequest(Request):
     """Probe the server's persistent caches.
 
-    Answers with ``enabled`` plus, when the matrix result cache is
-    configured, its counters and on-disk state (entries, bytes,
-    hits/misses, stores, evictions), and a ``pair_store``
-    section carrying the pair-value store's own ``enabled`` flag and
+    Answers with ``enabled`` (always ``true``) plus the matrix result
+    cache's counters and on-disk state (entries, bytes, hits/misses,
+    stores, evictions), and a ``pair_store`` section carrying its own
+    ``enabled`` flag (``true``) and
     :meth:`PairStore.stats <repro.core.pairstore.PairStore.stats>` —
     the observability hook behind ``repro-iokast remote cache-stats``.
     """

@@ -69,7 +69,8 @@ Result caching and request coalescing
 -------------------------------------
 The server keeps a persistent, signature-keyed
 :class:`~repro.core.cachestore.MatrixCache` in its state dir (shared with
-the session, and with any sibling server on the same state dir).  Matrix
+the session, and with the workers and any sibling server on the same state
+dir), whose bounds only the maintenance sweep and ``gc`` enforce.  Matrix
 jobs consult it before evaluating anything: an identical ``(spec, corpus,
 normalized)`` request — to this server, a restarted one, or a sibling — is
 served bit-identically with zero kernel evaluations (``cache="hit"`` in
@@ -140,11 +141,9 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, TextIO, Tuple
 from repro.api.session import AnalysisSession
 from repro.api.spec import KernelSpec, coerce_spec, registered_kinds, registry_entry
 from repro.core.atomicio import remove_stale_temp_files
-from repro.core.cachestore import MatrixCache
 from repro.obs.metrics import MetricsRegistry, render_fleet
 from repro.obs.tracing import new_span_id, new_trace_id, trace_context
 from repro.core.engine import decode_pair_values, plan_index_blocks, string_fingerprint, thread_tally
-from repro.core.pairstore import PairStore
 from repro.service.auth import Authenticator
 from repro.service.jobstore import Doorbell, JobRecord, JobStoreError
 from repro.service.protocol import (
@@ -227,7 +226,8 @@ class AnalysisServer:
         reuses the directory.
     session:
         An existing :class:`AnalysisSession` to serve the default tenant
-        with.  When omitted the server creates one.
+        with; a result cache or pair store it carries is used instead of
+        the state dir's.  When omitted the server creates one.
     max_job_workers:
         Threads in each tenant's job pool: how many of one tenant's jobs
         run at once.
@@ -246,28 +246,19 @@ class AnalysisServer:
         garbage-collected by the maintenance thread.
     gc_interval:
         Seconds between maintenance passes (lease requeue, orphan-job
-        adoption, TTL sweep, result-cache sweep).
-    result_cache:
-        Whether to keep the persistent matrix result cache (on by
-        default).  When a *session* with its own
-        :class:`~repro.core.cachestore.MatrixCache` is passed in, that
-        cache is used instead.
+        adoption, TTL sweep, result-cache and pair-store sweep).
     max_cache_entries / cache_ttl:
-        LRU bound and optional idle TTL of the result cache, enforced by
-        the maintenance loop (and on every store).
-    pair_store:
-        Whether to keep the persistent pair-value store
-        (:class:`~repro.core.pairstore.PairStore`; on by default).  It
-        memoises *individual* kernel values by content fingerprint, so
-        reordered / subset / interleaved resubmissions of previously
-        computed traces — which miss the matrix cache — skip every
-        already-known kernel evaluation, on the monolithic, sharded and
-        distributed paths alike (external workers share the same
-        directory).  When a *session* with its own store is passed in,
-        that store is used instead.
+        LRU bound and optional idle TTL of the persistent matrix result
+        cache (:class:`~repro.core.cachestore.MatrixCache`), enforced by
+        the maintenance sweep once per *gc_interval*, never on a store.
     max_pair_bytes / pair_ttl:
-        Size bound and optional idle TTL of the pair store, enforced by
-        the maintenance loop.
+        Size bound and optional idle TTL of the persistent pair-value
+        store (:class:`~repro.core.pairstore.PairStore`), enforced the
+        same way.  The store memoises *individual* kernel values by
+        content fingerprint, so reordered / subset / interleaved
+        resubmissions of previously computed traces — which miss the
+        matrix cache — skip every already-known kernel evaluation (workers
+        share the same directory).
     authenticator:
         The bearer-token :class:`~repro.service.auth.Authenticator`.
         Omitted or :meth:`Authenticator.disabled`, every request is the
@@ -290,10 +281,8 @@ class AnalysisServer:
         lease_seconds: float = 900.0,
         job_ttl: Optional[float] = None,
         gc_interval: float = 30.0,
-        result_cache: bool = True,
         max_cache_entries: int = 64,
         cache_ttl: Optional[float] = None,
-        pair_store: bool = True,
         max_pair_bytes: Optional[int] = None,
         pair_ttl: Optional[float] = None,
         authenticator: Optional[Authenticator] = None,
@@ -315,15 +304,17 @@ class AnalysisServer:
             self._tempdir = tempfile.TemporaryDirectory(prefix="repro-service-")
             state_dir = self._tempdir.name
         #: The state dir; every tenant namespace in it is opened with these
-        #: cache options.
+        #: bounds.
         self.state = StateDir(
-            state_dir, result_cache=result_cache, max_cache_entries=max_cache_entries,
-            cache_ttl=cache_ttl, pair_store=pair_store, max_pair_bytes=max_pair_bytes,
-            pair_ttl=pair_ttl,
+            state_dir, max_cache_entries=max_cache_entries, cache_ttl=cache_ttl,
+            max_pair_bytes=max_pair_bytes, pair_ttl=pair_ttl,
         )
         # The default tenant's namespace is the state dir itself.
         root = self.state.open(session=session)
         self.store, self.session = root.store, root.session
+        #: The persistent result cache the session serves matrix jobs from,
+        #: and the pair-value store its engines consult.
+        self.matrix_cache, self.pair_store = root.matrix_cache, root.pair_store
         #: Persistent landmark models (the streaming serving tier), shared
         #: through the state dir with workers executing ``fit-model`` jobs.
         self.model_store = root.model_store
@@ -399,8 +390,9 @@ class AnalysisServer:
         and timed in ``repro_request_seconds{method}``, including the ones
         that fail: ``method`` is ``invalid`` until the request parses,
         ``tenant`` is ``unauthenticated`` until the token authenticates,
-        and ``status`` is ``ok`` or the error code.  No exception of any
-        kind escapes to a transport.
+        and ``status`` is ``ok`` or the error code.  A request a front end
+        refuses before it gets here is counted the same way (:meth:`refuse`).
+        No exception of any kind escapes to a transport.
         """
         started = time.perf_counter()
         request: Optional[Request] = None
@@ -438,13 +430,26 @@ class AnalysisServer:
             return error_response(ServiceError(f"internal error: {type(exc).__name__}: {exc}"))
         finally:
             method = request.TYPE if request is not None else "invalid"
-            self.metrics.counter(
-                "repro_requests_total", "Protocol requests by method, outcome and tenant.",
-                method=method, status=status, tenant=tenant_id or "unauthenticated",
-            ).inc()
-            self.metrics.histogram(
-                "repro_request_seconds", "Protocol request latency by method.", method=method,
-            ).observe(time.perf_counter() - started)
+            self._count_request(method, status, tenant_id, started)
+
+    def refuse(self, error: ServiceError) -> Dict[str, Any]:
+        """The envelope of a request a front end refused before :meth:`handle`.
+
+        An unknown endpoint, a bad ``Content-Length``, an oversized or
+        non-JSON body or stdio line: counted as a request that did not
+        parse (``method="invalid"``, ``tenant="unauthenticated"``).
+        """
+        self._count_request("invalid", error.code, None, time.perf_counter())
+        return error_response(error)
+
+    def _count_request(self, method: str, status: str, tenant_id: Optional[str], started: float) -> None:
+        self.metrics.counter(
+            "repro_requests_total", "Protocol requests by method, outcome and tenant.",
+            method=method, status=status, tenant=tenant_id or "unauthenticated",
+        ).inc()
+        self.metrics.histogram(
+            "repro_request_seconds", "Protocol request latency by method.", method=method,
+        ).observe(time.perf_counter() - started)
 
     def _register_routes(self) -> None:
         for request_type, handler in (
@@ -461,16 +466,6 @@ class AnalysisServer:
             (CacheStatsRequest, self._handle_cache_stats),
         ):
             self.router.register(request_type, handler)
-
-    @property
-    def matrix_cache(self) -> Optional[MatrixCache]:
-        """The persistent result cache the session serves matrix jobs from."""
-        return self.session.matrix_cache
-
-    @property
-    def pair_store(self) -> Optional[PairStore]:
-        """The persistent pair-value store the session's engines consult."""
-        return self.session.pair_store
 
     @property
     def tenants(self) -> TenantRegistry:
@@ -667,8 +662,9 @@ class AnalysisServer:
         One leasable ``block`` record is persisted per unordered
         index-block pair (idempotently — a requeued coordination reuses
         the children that already exist, including finished ones).  The
-        coordinator then drains the queue: claiming and executing blocks
-        inline (when ``inline_blocks``), requeueing blocks whose worker's
+        coordinator then drains the queue: claiming blocks and running
+        them inline through :func:`~repro.service.worker.run_claimed_job`
+        (when ``inline_blocks``), requeueing blocks whose worker's
         lease expired, and waiting on blocks leased to live external
         workers — until every block is ``done`` — then reads every block's
         raw ``{(i, j): value}`` rows and forgets the finished children.
@@ -745,7 +741,16 @@ class AnalysisServer:
                     if candidate is not None:
                         task = tenant.store.claim_job(candidate.job_id, self.worker_id, self.lease_seconds)
                         if task is not None:
-                            execute_block_task(tenant.store, task, tenant.session, corpus_cache=corpus_cache)
+                            # The one job runner: a failed block is marked
+                            # error, and the scan above fails the parent.
+                            run_claimed_job(
+                                tenant.store, task,
+                                lambda block: execute_block_task(
+                                    tenant.store, block, tenant.session, corpus_cache=corpus_cache
+                                ),
+                                worker_id=self.worker_id, lease_seconds=self.lease_seconds,
+                                metrics=self.metrics,
+                            )
                             progressed = True
                 if not progressed and not self._doorbell.watch(tenant.store):
                     # Every remaining block is leased to a live worker (or
@@ -1169,7 +1174,7 @@ class AnalysisServer:
             "root": tenant.root,
             "jobs": stats["jobs"],
             "queue_depth": stats["jobs"].get("queued", 0),
-            "matrix_cache_entries": (stats["matrix_cache"] or {"entries": 0})["entries"],
+            "matrix_cache_entries": stats["matrix_cache"]["entries"],
             "models": stats["model_store"]["models"],
         }
 
@@ -1178,21 +1183,17 @@ class AnalysisServer:
         counts, matrix, pairs = stats["jobs"], stats["matrix_cache"], stats["pair_store"]
         # Warm-routing signals for load balancers: how deep the queue is
         # and how warm each persistent cache layer runs on this replica.
-        matrix_health: Optional[Dict[str, Any]] = None
-        if matrix is not None:
-            matrix_health = {
-                "hits": matrix["hits"],
-                "misses": matrix["misses"],
-                "entries": matrix["entries"],
-                "hit_rate": self._hit_rate(matrix["hits"], matrix["misses"]),
-            }
-        pair_health: Optional[Dict[str, Any]] = None
-        if pairs is not None:
-            pair_health = {
-                "hits": pairs["hits"],
-                "misses": pairs["misses"],
-                "hit_rate": self._hit_rate(pairs["hits"], pairs["misses"]),
-            }
+        matrix_health = {
+            "hits": matrix["hits"],
+            "misses": matrix["misses"],
+            "entries": matrix["entries"],
+            "hit_rate": self._hit_rate(matrix["hits"], matrix["misses"]),
+        }
+        pair_health = {
+            "hits": pairs["hits"],
+            "misses": pairs["misses"],
+            "hit_rate": self._hit_rate(pairs["hits"], pairs["misses"]),
+        }
         # Streaming tier: stored models plus aggregate serve counters —
         # warm_rate is the share of classified traces that cost zero
         # kernel evaluations.
@@ -1224,7 +1225,7 @@ class AnalysisServer:
             queue_depth=counts.get("queued", 0),
             warm_specs=len(tenant.session.specs()),
             worker_id=self.worker_id,
-            result_cache=tenant.session.matrix_cache is not None,
+            result_cache=True,
             matrix_cache=matrix_health,
             pair_store=pair_health,
             models=models_health,
@@ -1243,11 +1244,6 @@ class AnalysisServer:
 
     def _handle_cache_stats(self, request: CacheStatsRequest, tenant: TenantContext) -> Dict[str, Any]:
         stats = namespace_stats(tenant.namespace, full=True)
-        pair_section = (
-            {"enabled": True, **stats["pair_store"]}
-            if stats["pair_store"] is not None
-            else {"enabled": False}
-        )
         with tenant.lock:
             served = {
                 name: self._served_metrics(metrics)
@@ -1256,11 +1252,11 @@ class AnalysisServer:
         models_section = {"enabled": True, **stats["model_store"], "served": served}
         return ok_response(
             "cache-stats",
-            enabled=stats["matrix_cache"] is not None,
+            enabled=True,
             tenant=tenant.tenant_id,
-            pair_store=pair_section,
+            pair_store={"enabled": True, **stats["pair_store"]},
             models=models_section,
-            **(stats["matrix_cache"] or {}),
+            **stats["matrix_cache"],
         )
 
     # ------------------------------------------------------------------
@@ -1465,33 +1461,36 @@ class _ServiceHTTPHandler(BaseHTTPRequestHandler):
             return None
         return credentials.strip() or None
 
+    def _refuse(self, error: ServiceError) -> None:
+        self._respond(self.analysis_server.refuse(error))
+
     def do_POST(self) -> None:  # noqa: N802 - BaseHTTPRequestHandler API
         if self.path.rstrip("/") not in ("", "/v1"):
-            self._respond(error_response(BadRequest(f"unknown endpoint {self.path!r}; POST /v1")))
+            self._refuse(BadRequest(f"unknown endpoint {self.path!r}; POST /v1"))
             return
         try:
             length = int(self.headers.get("Content-Length", "0"))
         except ValueError:
-            self._respond(error_response(BadRequest("Content-Length header is not an integer")))
+            self._refuse(BadRequest("Content-Length header is not an integer"))
             return
         # Refuse oversized bodies before reading a single byte of them:
         # an unbounded read would let one client balloon server memory.
         limit = self.analysis_server.max_request_bytes
         if length > limit:
             self.close_connection = True  # the unread body poisons the connection
-            self._respond(error_response(RequestTooLarge(
+            self._refuse(RequestTooLarge(
                 f"request body of {length} bytes exceeds the server's limit of {limit}",
                 details={"max_request_bytes": limit, "content_length": length},
-            )))
+            ))
             return
         try:
             body = self.rfile.read(length).decode("utf-8")
             payload = load_message(body)
         except (ValueError, UnicodeDecodeError) as exc:
-            self._respond(error_response(BadRequest(f"request body is not JSON: {exc}")))
+            self._refuse(BadRequest(f"request body is not JSON: {exc}"))
             return
         except BadRequest as exc:
-            self._respond(error_response(exc))
+            self._refuse(exc)
             return
         self._respond(
             self.analysis_server.handle(payload, token=self._bearer_token(), transport="http")
@@ -1513,7 +1512,7 @@ class _ServiceHTTPHandler(BaseHTTPRequestHandler):
             self.end_headers()
             self.wfile.write(body)
             return
-        self._respond(error_response(BadRequest(f"unknown endpoint {self.path!r}; POST /v1")))
+        self._refuse(BadRequest(f"unknown endpoint {self.path!r}; POST /v1"))
 
     def log_message(self, format: str, *args: Any) -> None:  # noqa: A002
         logger.debug("http %s - %s", self.address_string(), format % args)
@@ -1550,7 +1549,7 @@ def serve_stdio(server: AnalysisServer, input_stream: TextIO, output_stream: Tex
         if not line:
             continue
         if len(line) > server.max_request_bytes:
-            response: Dict[str, Any] = error_response(RequestTooLarge(
+            response = server.refuse(RequestTooLarge(
                 f"request line of {len(line)} bytes exceeds the server's limit "
                 f"of {server.max_request_bytes}",
                 details={"max_request_bytes": server.max_request_bytes},
@@ -1559,7 +1558,7 @@ def serve_stdio(server: AnalysisServer, input_stream: TextIO, output_stream: Tex
             try:
                 payload = load_message(line)
             except BadRequest as exc:
-                response = error_response(exc)
+                response = server.refuse(exc)
             else:
                 response = server.handle(payload, transport="stdio")
         output_stream.write(dump_message(response) + "\n")

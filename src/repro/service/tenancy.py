@@ -88,15 +88,13 @@ def require_tenant_id(value: Any) -> str:
 
 @dataclass(frozen=True)
 class StateNamespace:
-    """One namespace of a state dir: its job store and the layers beside it.
-
-    The session carries the namespace's result cache and pair store
-    (``None`` where that layer is off).
-    """
+    """One namespace of a state dir: its job store and the layers beside it."""
 
     tenant_id: str
     store: JobStore
     session: AnalysisSession
+    matrix_cache: MatrixCache
+    pair_store: PairStore
     model_store: ModelStore
 
     @property
@@ -107,13 +105,14 @@ class StateNamespace:
 class StateDir:
     """A state directory whose namespaces are all opened one way.
 
-    The options hold for every namespace: *recover* runs the job store's
-    start-up recovery (serving processes only; a worker or an offline
-    tool joining a live state dir must not); *result_cache* and
-    *pair_store* open those layers, bounded by *max_cache_entries* /
-    *cache_ttl* and *max_pair_bytes* / *pair_ttl* (``None`` keeps the
-    pair store's default size bound).  Each namespace is opened once and
-    kept.
+    Every namespace opens every layer, whoever opens it.  The options hold
+    for every namespace: *recover* runs the job store's start-up recovery
+    (serving processes only; a worker or an offline tool joining a live
+    state dir must not); *max_cache_entries* / *cache_ttl* and
+    *max_pair_bytes* / *pair_ttl* bound the result cache and the pair
+    store (``None`` keeps the pair store's default size bound), and only
+    :func:`sweep_namespace` enforces them.  Each namespace is opened once
+    and kept.
     """
 
     def __init__(
@@ -121,10 +120,8 @@ class StateDir:
         path: str,
         *,
         recover: bool = True,
-        result_cache: bool = True,
         max_cache_entries: int = 64,
         cache_ttl: Optional[float] = None,
-        pair_store: bool = True,
         max_pair_bytes: Optional[int] = None,
         pair_ttl: Optional[float] = None,
     ) -> None:
@@ -132,14 +129,10 @@ class StateDir:
         #: Where each worker process keeps its metrics snapshot.
         self.metrics_dir = os.path.join(self.path, "metrics")
         self.recover = recover
-        self._cache_options: Optional[Dict[str, Any]] = (
-            {"max_entries": max_cache_entries, "ttl": cache_ttl} if result_cache else None
-        )
-        self._pair_options: Optional[Dict[str, Any]] = None
-        if pair_store:
-            self._pair_options = {"ttl": pair_ttl}
-            if max_pair_bytes is not None:
-                self._pair_options["max_bytes"] = max_pair_bytes
+        self._cache_options: Dict[str, Any] = {"max_entries": max_cache_entries, "ttl": cache_ttl}
+        self._pair_options: Dict[str, Any] = {"ttl": pair_ttl}
+        if max_pair_bytes is not None:
+            self._pair_options["max_bytes"] = max_pair_bytes
         self._namespaces: Dict[str, StateNamespace] = {}
         self._lock = threading.Lock()
 
@@ -170,14 +163,15 @@ class StateDir:
             logger.warning("tenant %s: %s", tenant_id, recovery.describe())
         logger.info("tenant %r namespace ready at %s", tenant_id, store.root)
         session = session if session is not None else AnalysisSession()
-        if self._cache_options is not None and session.matrix_cache is None:
+        if session.matrix_cache is None:
             session.matrix_cache = MatrixCache(
                 os.path.join(store.root, "matrix-cache"), **self._cache_options
             )
-        if self._pair_options is not None and session.pair_store is None:
+        if session.pair_store is None:
             session.set_pair_store(PairStore(os.path.join(store.root, "pair-store"), **self._pair_options))
         namespace = StateNamespace(
-            tenant_id, store, session, ModelStore(os.path.join(store.root, "models"))
+            tenant_id, store, session, session.matrix_cache, session.pair_store,
+            ModelStore(os.path.join(store.root, "models")),
         )
         with self._lock:
             return self._namespaces.setdefault(tenant_id, namespace)
@@ -219,12 +213,12 @@ def sweep_namespace(
     """Sweep *namespace* under the bounds it was opened with; what went, per layer.
 
     Terminal job records older than *job_ttl* seconds go (none when it is
-    ``None``); the result cache and the pair store, where open and not
-    opted out, evict past their TTL and size bounds; dead writers'
-    temporary files go from ``jobs/``, ``payloads/`` and ``models/``.
-    *dry_run* lists the jobs that would go and leaves every layer as it is.
+    ``None``); the result cache and the pair store, unless opted out,
+    evict past their TTL and size bounds (nothing else evicts them); dead
+    writers' temporary files go from ``jobs/``, ``payloads/`` and
+    ``models/``.  *dry_run* lists the jobs that would go and leaves every
+    layer as it is.
     """
-    session = namespace.session
     swept: Dict[str, List[str]] = {
         "jobs": namespace.store.sweep(job_ttl, dry_run=dry_run) if job_ttl is not None else [],
         "matrix_cache": [],
@@ -234,10 +228,10 @@ def sweep_namespace(
         remove_stale_temp_files(namespace.store.jobs_dir)
         remove_stale_temp_files(namespace.store.payloads_dir)
         remove_stale_temp_files(namespace.model_store.root)
-        if matrix_cache and session.matrix_cache is not None:
-            swept["matrix_cache"] = session.matrix_cache.sweep()
-        if pair_store and session.pair_store is not None:
-            swept["pair_store"] = session.pair_store.sweep()
+        if matrix_cache:
+            swept["matrix_cache"] = namespace.matrix_cache.sweep()
+        if pair_store:
+            swept["pair_store"] = namespace.pair_store.sweep()
     return swept
 
 
@@ -247,21 +241,18 @@ def job_counts(store: JobStore) -> Dict[str, int]:
 
 
 def namespace_stats(namespace: StateNamespace, full: bool = False) -> Dict[str, Any]:
-    """Per-layer state of *namespace*; a layer that is off is ``None``.
+    """Per-layer state of *namespace*.
 
     ``jobs`` counts records by status; ``matrix_cache`` and
     ``model_store`` are those stores' stats.  ``pair_store`` is the store's in-memory
     counters, or with *full* its stats, which read and checksum every
     segment (too slow for a health probe).
     """
-    session = namespace.session
-    pair_store = session.pair_store
+    pair_store = namespace.pair_store
     return {
         "jobs": job_counts(namespace.store),
-        "matrix_cache": session.matrix_cache.stats() if session.matrix_cache is not None else None,
-        "pair_store": (
-            None if pair_store is None else pair_store.stats() if full else pair_store.counters()
-        ),
+        "matrix_cache": namespace.matrix_cache.stats(),
+        "pair_store": pair_store.stats() if full else pair_store.counters(),
         "model_store": namespace.model_store.stats(),
     }
 
@@ -270,16 +261,13 @@ def mirror_namespace_counters(namespace: StateNamespace, registry: MetricsRegist
     """Mirror *namespace*'s counters into *registry* under its ``tenant`` label.
 
     The session's engine counters summed across specs, then the result
-    cache's, the pair store's (each where open) and the job store's —
-    every layer's own cheap in-memory counters, read at scrape time.
+    cache's, the pair store's and the job store's — every layer's own
+    cheap in-memory counters, read at scrape time.
     """
-    session = namespace.session
     for layer, description, counters in (
-        ("engine", "Warm-engine counters summed across specs.", session.engine_counters()),
-        ("matrix_cache", "Persistent matrix result-cache counters.",
-         session.matrix_cache.counters() if session.matrix_cache is not None else {}),
-        ("pair_store", "Persistent pair-value store counters.",
-         session.pair_store.counters() if session.pair_store is not None else {}),
+        ("engine", "Warm-engine counters summed across specs.", namespace.session.engine_counters()),
+        ("matrix_cache", "Persistent matrix result-cache counters.", namespace.matrix_cache.counters()),
+        ("pair_store", "Persistent pair-value store counters.", namespace.pair_store.counters()),
         ("jobstore", "Job-store lifecycle counters (this process).", namespace.store.counters()),
     ):
         for key, value in counters.items():

@@ -46,19 +46,21 @@ corrupts or loses it.
 
 A worker owns a warm :class:`~repro.api.session.AnalysisSession`, so
 repeated blocks under one spec share kernel caches exactly like the
-server's in-process evaluation.  Its engine evaluates one block serially:
-running more worker processes is how a fleet uses more cores — leased
-block records are the library's only cross-core parallelism.  Raw pair
+server's in-process evaluation, and opens every layer of a namespace as
+the server does, so a worker-run fit reports the same ``hit`` / ``miss``.
+Its engine evaluates one block serially: running more worker processes
+is how a fleet uses more cores — leased block records are the library's
+only cross-core parallelism.  Raw pair
 values are serialised through
 :func:`~repro.core.engine.encode_pair_values`, whose JSON floats
 round-trip bit-identically — the assembled distributed Gram matrix equals
 the monolithic one byte for byte.
 
 Workers never run the store's start-up recovery (that is the serving
-process's job) and claim ``block`` and ``fit-model`` records by default —
-a fleet of workers drains streaming model fits exactly like matrix
-blocks, writing the frozen models into the shared model store the server
-serves ``classify`` from.
+process's job) and claim :data:`CLAIMED_KINDS` records, ``block`` and
+``fit-model`` — a fleet of workers drains streaming model fits exactly
+like matrix blocks, writing the frozen models into the shared model store
+the server serves ``classify`` from.
 
 One worker drains every namespace of the state dir from a single pull
 loop: every scan claims from the root namespace first, then from each
@@ -81,7 +83,7 @@ import os
 import threading
 import time
 import uuid
-from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.api.session import AnalysisSession
 from repro.api.spec import coerce_spec
@@ -114,6 +116,9 @@ DEFAULT_POLL_INTERVAL = 0.5
 
 #: Default lease duration stamped on claimed tasks (renewed while running).
 DEFAULT_LEASE_SECONDS = 30.0
+
+#: The record kinds a worker claims: block tasks and streaming model fits.
+CLAIMED_KINDS = ("block", "fit-model")
 
 #: Claim attempts after which a repeatedly failing task is marked ``error``
 #: instead of being released back to the queue.
@@ -219,8 +224,7 @@ def fit_model_payload(namespace: StateNamespace, record: JobRecord) -> JobResult
     sharing the state dir run this same body.  The full Gram
     goes through the namespace session's
     :meth:`~repro.api.session.AnalysisSession.matrix_cached`, and its
-    outcome is the result's ``cache`` (``options["cache"]``).  A worker
-    opens no result cache, so a worker-run fit reports ``bypass``.  The
+    outcome is the result's ``cache`` (``options["cache"]``).  The
     frozen model lands in the namespace's model store via an atomic
     checksum-stamped write; the server's per-name scorer cache keys on the
     model file's mtime, so a fit written by any process is served by the
@@ -376,25 +380,13 @@ class Worker:
         Upper bound on one idle wait when no wake-up arrives (a job queued
         on this host wakes the worker at once), and the lease stamped on
         claims (renewed automatically while a task runs).
-    kinds:
-        Record kinds this worker claims (default: block tasks and
-        streaming model fits).
     throttle:
         Seconds to sleep between claiming a task and executing it.  An
         operational rate-limit knob — also what the kill-a-worker tests
         use to hold a worker mid-block deterministically.
-    session:
-        Existing :class:`AnalysisSession` to evaluate with; when omitted
-        the worker creates one.
     max_attempts:
         Claims after which a failing task is marked ``error`` instead of
         released (see :func:`run_claimed_job`).
-    pair_store:
-        Whether to share each namespace's persistent pair-value store (on
-        by default — the same directory the server opens).  Two workers
-        computing overlapping corpora then each pay only for their novel
-        pairs, and a restarted worker starts warm.  A session that already
-        carries a store keeps it.
     """
 
     def __init__(
@@ -403,11 +395,8 @@ class Worker:
         worker_id: Optional[str] = None,
         poll_interval: float = DEFAULT_POLL_INTERVAL,
         lease_seconds: float = DEFAULT_LEASE_SECONDS,
-        kinds: Sequence[str] = ("block", "fit-model"),
         throttle: float = 0.0,
-        session: Optional[AnalysisSession] = None,
         max_attempts: int = MAX_TASK_ATTEMPTS,
-        pair_store: bool = True,
     ) -> None:
         if poll_interval <= 0:
             raise ValueError(f"poll_interval must be > 0, got {poll_interval}")
@@ -415,14 +404,13 @@ class Worker:
             raise ValueError(f"lease_seconds must be > 0, got {lease_seconds}")
         if max_attempts < 1:
             raise ValueError(f"max_attempts must be >= 1, got {max_attempts}")
-        #: The state dir; a worker recovers nothing and opens no result cache.
-        self.state = StateDir(state_dir, recover=False, result_cache=False, pair_store=pair_store)
-        root = self.state.open(session=session)
+        #: The state dir; a worker recovers nothing.
+        self.state = StateDir(state_dir, recover=False)
+        root = self.state.open()
         self.store, self.session = root.store, root.session
         self.worker_id = worker_id or f"worker-{os.getpid()}-{uuid.uuid4().hex[:6]}"
         self.poll_interval = float(poll_interval)
         self.lease_seconds = float(lease_seconds)
-        self.kinds = tuple(kinds)
         self.throttle = float(throttle)
         self.max_attempts = max_attempts
         self._corpus_cache: Dict[str, List[WeightedString]] = {}
@@ -477,7 +465,7 @@ class Worker:
         rotation without a restart.
         """
         for namespace in self.state.namespaces():
-            record = namespace.store.claim(self.worker_id, self.lease_seconds, kinds=self.kinds)
+            record = namespace.store.claim(self.worker_id, self.lease_seconds, kinds=CLAIMED_KINDS)
             if record is not None:
                 return record, namespace
         return None

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import argparse
 import os
+import re
+import shlex
 
 import pytest
 
@@ -34,6 +37,50 @@ class TestParser:
         assert parser.parse_args(["compare", "a", "b", "--spec", "spec.json"]).spec == "spec.json"
         assert parser.parse_args(["sweep", "--spec", "spec.json"]).spec == "spec.json"
         assert parser.parse_args(["matrix", "corpus", "--spec", "spec.json"]).spec == "spec.json"
+
+
+    def test_readme_flags_are_accepted(self):
+        lines = _readme_command_lines()
+        assert len(lines) > 20
+        root = build_parser()
+        stale = []
+        for line in lines:
+            tokens = shlex.split(line, comments=True)
+            words = tokens[tokens.index("repro") + 1:]
+            parser = _subparsers(root).get(words[0], root)
+            accepted = set(parser._option_string_actions)
+            actions = _subparsers(parser)
+            action = next((actions[word] for word in words[1:] if word in actions), None)
+            if action is not None:
+                accepted |= set(action._option_string_actions)
+            for word in words:
+                flag = word.strip("[]").split("=")[0]
+                if flag.startswith("--") and flag not in accepted:
+                    stale.append((flag, line))
+        assert stale == []
+
+
+README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
+
+
+def _readme_command_lines():
+    """Every ``python -m repro ...`` line of the README's code blocks, continuations joined."""
+    with open(README, "r", encoding="utf-8") as handle:
+        text = handle.read()
+    lines = []
+    for block in re.findall(r"^```[a-z]*\n(.*?)^```", text, re.MULTILINE | re.DOTALL):
+        for line in block.replace("\\\n", " ").splitlines():
+            if "python -m repro " in line:
+                lines.append(line[line.index("python -m repro "):])
+    return lines
+
+
+def _subparsers(parser):
+    """*parser*'s subcommand parsers by name (none for a leaf parser)."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            return action.choices
+    return {}
 
 
 def _minimal_args(command: str):

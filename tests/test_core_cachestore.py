@@ -221,6 +221,9 @@ class TestEviction:
         # Serve `first` so it becomes the most recently used entry.
         assert cache.lookup(*identity_args(first)).status == "hit"
         cache.store(make_payload(signature="sig-3"))
+        # store() never evicts: the bound waits for a sweep.
+        assert cache.stats()["entries"] == 3
+        assert len(cache.sweep()) == 1
         assert cache.lookup(*identity_args(first)).status == "hit"
         assert cache.lookup(*identity_args(second)).status == "miss"
         assert cache.stats()["entries"] == 2

@@ -8,6 +8,7 @@ budget violation is a typed, retryable answer, not a hung socket.
 
 from __future__ import annotations
 
+import http.client
 import json
 import io
 import os
@@ -302,16 +303,29 @@ class TestRequestMetrics:
             assert server.handle(specs)["error"]["code"] == "unauthorized"
             for _ in range(2):
                 assert server.handle(HealthRequest().to_payload())["ok"]
+            # Bodies the front ends refuse before handle() are counted too.
+            host, port = server.start_http()
+            connection = http.client.HTTPConnection(host, port, timeout=30)
+            try:
+                connection.request("POST", "/v1", body=b"{not json")
+                response = connection.getresponse()
+                assert response.status == 400
+                assert json.loads(response.read())["error"]["code"] == "bad-request"
+            finally:
+                connection.close()
+            output = io.StringIO()
+            serve_stdio(server, io.StringIO("{not json\n"), output)
+            assert json.loads(output.getvalue())["error"]["code"] == "bad-request"
             text = server.metrics_text()
         assert request_samples(text) == {
             ("specs", "ok", "alpha"): 1,
             ("specs", "rate-limited", "alpha"): 1,
             ("submit-matrix", "quota-exceeded", "small"): 1,
-            ("invalid", "bad-request", "unauthenticated"): 1,
+            ("invalid", "bad-request", "unauthenticated"): 3,
             ("specs", "unauthorized", "unauthenticated"): 1,
             ("health", "ok", "default"): 2,
         }
-        for method, count in (("specs", 3), ("submit-matrix", 1), ("invalid", 1), ("health", 2)):
+        for method, count in (("specs", 3), ("submit-matrix", 1), ("invalid", 3), ("health", 2)):
             assert re.search(
                 rf'repro_request_seconds_count\{{method="{method}",origin="[^"]+"\}} {count}$',
                 text, re.MULTILINE,

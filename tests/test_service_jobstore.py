@@ -142,6 +142,15 @@ class TestCrashRecovery:
         assert interrupted.status == "interrupted"
         assert "restart" in (interrupted.error or "")
 
+    def test_queued_records_are_listed_but_not_rewritten(self, store):
+        # A queued record is already claimable: recovery reports it and
+        # leaves its file (and its updated_at) alone.
+        queued = [store.create("matrix") for _ in range(3)]
+        reopened = JobStore(store.root)
+        assert set(reopened.recovery.requeued) == {record.job_id for record in queued}
+        for record in queued:
+            assert reopened.get(record.job_id).updated_at == record.updated_at
+
     def test_expired_lease_requeued_and_live_lease_untouched(self, store):
         expired = store.create("block")
         live = store.create("block")

@@ -254,13 +254,34 @@ def test_worker_executes_queued_fit_model_job(tmp_path, strings, queries):
     assert summary["landmarks"] == LANDMARKS
 
     # A server sharing the state dir serves the worker-fitted model, and
-    # reports the fit's cache outcome (a worker opens no result cache).
+    # reports the fit's cache outcome.
     with AnalysisServer(state_dir=state_dir) as server:
         status = check_response(server.handle(StatusRequest(job_id=record.job_id).to_payload()))
-        assert status["cache"] == "bypass"
+        assert status["cache"] == "miss"
         response = classify(server, queries[:1], name="offline")
         (entry,) = response["results"]
         assert entry["kernel_evals"] == LANDMARKS
+
+
+@pytest.mark.parametrize("runner", ["server", "worker"])
+def test_a_fit_reports_miss_then_hit_whoever_runs_it(tmp_path, strings, runner):
+    state_dir = str(tmp_path / "state")
+    request = FitModelRequest(
+        spec=SPEC.to_dict(), strings=tuple(encode_corpus(strings)), name="served", landmarks=LANDMARKS
+    )
+    outcomes = []
+    for _ in range(2):
+        if runner == "server":
+            with AnalysisServer(state_dir=state_dir) as server:
+                outcomes.append(fit(server, strings)["cache"])
+        else:
+            store = JobStore(state_dir, recover=False)
+            record = store.create(kind="fit-model", options={}, input=job_input(request))
+            with Worker(state_dir) as worker:
+                assert worker.run_once() == record.job_id
+            outcomes.append(store.get(record.job_id).options["cache"])
+    # The second fit of one corpus is served from the state dir's result cache.
+    assert outcomes == ["miss", "hit"]
 
 
 #: A value other than the dataclass default for every fit option of a request.

@@ -123,18 +123,6 @@ class TestWarmResubmission:
             assert evaluations == (28 - 15) + 2
         assert canonical(payload) == canonical(cold_reference_payload(interleaved))
 
-    def test_disabled_pair_store_recomputes(self, tmp_path, strings):
-        corpus = strings[:5]
-        state_dir = str(tmp_path / "state")
-        with AnalysisServer(state_dir=state_dir, pair_store=False) as primer:
-            wait_result(primer, submit(primer, corpus)["job_id"])
-        reordered = list(reversed(corpus))
-        with AnalysisServer(state_dir=state_dir, pair_store=False) as server:
-            assert server.pair_store is None
-            wait_result(server, submit(server, reordered)["job_id"])
-            evaluations, _ = engine_counters(server)
-            assert evaluations == 10 + 5  # everything recomputed
-
 
 class TestHealth:
     def test_healthz_reports_queue_depth_and_hit_rates(self, tmp_path, strings):
@@ -154,14 +142,6 @@ class TestHealth:
             # Cold engine, warm store: every value was a store hit.
             assert health["pair_store"] == {"hits": 15, "misses": 0, "hit_rate": 1.0}
             assert health["matrix_cache"]["hit_rate"] == 0.0  # reordering missed it
-
-    def test_disabled_layers_report_null(self, tmp_path):
-        with AnalysisServer(
-            state_dir=str(tmp_path / "state"), result_cache=False, pair_store=False
-        ) as server:
-            health = check_response(server.handle(HealthRequest().to_payload()))
-            assert health["matrix_cache"] is None
-            assert health["pair_store"] is None
 
 
 _PROCESS_SCRIPT = textwrap.dedent(

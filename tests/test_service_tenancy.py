@@ -74,14 +74,6 @@ class TestOpen:
         assert session.pair_store is own_store
         assert session.matrix_cache is not None  # the missing layer is added
 
-    def test_layers_can_be_left_closed(self, tmp_path):
-        state = StateDir(str(tmp_path / "state"), recover=False, result_cache=False, pair_store=False)
-        namespace = state.open("acme")
-        assert namespace.session.matrix_cache is None
-        assert namespace.session.pair_store is None
-        stats = namespace_stats(namespace)
-        assert stats["matrix_cache"] is None and stats["pair_store"] is None
-
     def test_bounds_reach_the_layers(self, tmp_path):
         namespace = StateDir(
             str(tmp_path / "state"), max_cache_entries=5, cache_ttl=60.0,

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -105,6 +106,16 @@ class TestInlineDistributed:
             assert record.options["workers"] == [server.worker_id]
             # The finished block-task records were tidied away.
             assert server.store.records(kind="block") == []
+
+    def test_inline_blocks_run_through_the_job_runner(self, tmp_path, strings):
+        with AnalysisServer(state_dir=str(tmp_path / "state")) as server:
+            wait_payload(server, submit_distributed(server, strings, shards=2))
+            text = server.metrics_text()
+        # Two shards make three block records, each counted like any job.
+        assert re.search(
+            r'^repro_jobs_executed_total\{kind="block",origin="server-[^"]+",outcome="done"\} 3$',
+            text, re.MULTILINE,
+        )
 
     @pytest.mark.parametrize("use_cache", [True, False])
     @pytest.mark.parametrize("repair", [True, False])
